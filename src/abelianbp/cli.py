@@ -4,10 +4,9 @@ Subcommands: ``groups info``, ``factor``, ``measures``, ``verify``, ``mp run``,
 ``polar construct``, ``conv analyze``, ``de threshold``, ``de heatmap``,
 ``de holevo``.  JSON in, JSON or CSV out; stochastic modes require a seed and
 are byte-reproducible.  Exit codes: 0 success, 1 usage, 2 validation,
-3 numerical failure; errors go to stderr as one JSON object.
-
-The ``--threads`` flag is accepted for interface stability; every engine runs
-single-threaded vectorized numerics, so results never depend on it.
+3 numerical failure; errors go to stderr as one JSON object.  Every engine
+runs single-threaded vectorized numerics, so results never depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -115,9 +114,6 @@ def build_parser() -> _Parser:
     top = _Parser(prog="abelianbp", description=__doc__)
     top.add_argument("--version", action="version",
                      version=f"abelianbp {__version__} (schema v{SCHEMA_VERSION})")
-    top.add_argument("--threads", type=int, default=None,
-                     help="accepted for interface stability; results are "
-                          "thread-count independent")
     sub = top.add_subparsers(dest="command", required=True)
 
     groups = sub.add_parser("groups", help="group utilities")

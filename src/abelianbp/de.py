@@ -9,11 +9,11 @@ extrinsic list; the posterior error is the PGM error of
 random-interleaver ensemble the exchange between constituents is exactly this
 population resampling, so no permutation is materialized.
 
-The window recursion is the trellis calculus specialized to sampled
-mode and vectorized across the population: every message is a single eigen
-list, so a population is a dense array and each section update is a handful
-of table-driven gathers.  All reductions use `numpy.einsum` without BLAS so
-results are bit-identical regardless of thread count.
+The window recursion is the trellis calculus specialized to sampled mode and
+vectorized across the population, one array column per sample.  Each equality
+combine is one gather-and-accumulate kernel over precomputed index tables, and
+adjoin or lift is fused with the sparse parity combine.  Elementwise operations
+in a fixed order (no BLAS) keep results bit-identical for any thread count.
 
 Extrinsic convention: the trellis-side message at the center omits both
 symbol-side leaves (channel observation and a priori) of the center symbol;
@@ -32,7 +32,7 @@ import numpy as np
 
 from .characters import dual_map_table, tables_for
 from .eigenlists import EigenList, holevo_info, useless_list
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .factors import equality_fold, lift_along_hom
 from .groups import GroupSpec
 from .trellis import (
@@ -156,13 +156,45 @@ class DEConfig:
             raise ValidationError("error threshold must lie in (0, 1)")
 
 
+# floats per branch array: de_iteration runs the window on sample blocks this
+# small, so that every step's arrays stay in cache
+_BLOCK_FLOATS = 1 << 15
+
+
+def _gather_sum(x: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The batched kernel ``sum_k x[idx[:, k]] * w[k]`` on sample columns.
+
+    ``x`` is (in, n), ``idx`` an (out, K) table of rows of ``x`` and ``w`` the
+    weights, constant (K, out, 1) or per sample (K, 1, n).  Terms are added in
+    table order, elementwise, so the result does not depend on thread count.
+    """
+    acc = x[idx[:, 0]] * w[0]
+    for k in range(1, idx.shape[1]):
+        acc += x[idx[:, k]] * w[k]
+    return acc
+
+
+def _sparse_map(dense: np.ndarray):
+    """Index (out, K) and weight (K, out, 1) tables of the nonzeros of each
+    row of ``dense``, K the most in any row; shorter rows get zero weights."""
+    nz = dense != 0
+    idx = np.argsort(~nz, axis=1, kind="stable")[:, :max(1, nz.sum(axis=1).max())]
+    return idx, np.take_along_axis(dense, idx, axis=1).T[:, :, None]
+
+
 class _WindowEngine:
     """Population-vectorized sampled forward-backward on one constituent.
 
-    States, branches, and symbol messages are dense float arrays with one row
-    per population sample; herald sampling consumes one uniform per sample per
-    marginalization, in a fixed order (a priori draws, forward sweep, backward
-    sweep, center extrinsic).
+    Messages are (size, n) arrays, one column per sample, and every equality
+    combine is `_gather_sum` over tables built here.  The adjoined (forward,
+    extrinsic) or lifted (backward) state is 1/q dense and the lifted parity
+    list lives on the q-point dual image of the output map, so adjoin or lift
+    fused with the parity combine is a sparse map from the (ns, n) state to
+    the (nb, n) branch array: one term per row for a one-output section.  The
+    symbol combine has q per-sample terms, the extrinsic's backward-state
+    combine ns; the forward automorphism and the backward herald-first order
+    are folded into their tables.  Each step marginalizes a (herald, rest, n)
+    array, drawing the herald of each sample from one given uniform.
     """
 
     def __init__(self, trellis: TrellisSpec, lam_ch: EigenList,
@@ -171,110 +203,68 @@ class _WindowEngine:
         if lam_ch.group.moduli != trellis.output_group.moduli:
             raise ValidationError("channel eigen list is not on the output group")
         if trellis.output_group.moduli != trellis.symbol_group.moduli:
-            raise ValidationError(
-                "window engine expects parity symbols on the symbol alphabet"
-            )
-        G = trellis.symbol_group
-        self.q = G.order
-        self.m = trellis.memory
-        self.ns = self.q ** self.m
-        self.nb = self.q ** (self.m + 1)
-        tb = tables_for(trellis.branch_group)
-        tq = tables_for(G)
-        self.sub_q = tq.sub
+            raise ValidationError("window engine expects parity symbols on the symbol alphabet")
+        G, B = trellis.symbol_group, trellis.branch_group
+        q = self.q = G.order
+        ns = self.ns = q ** trellis.memory
+        nb = self.nb = q ** (trellis.memory + 1)
+        sub_b = tables_for(B).sub                      # [c, c'] = index of c - c'
+        self.sub_q = tables_for(G).sub
 
-        def fold_copies(lam, k):
-            return equality_fold([lam] * k) if k >= 1 else None
-
-        parity_obs = fold_copies(lam_ch, parity_mult)
-        self.parity_matrix = None
-        if parity_obs is not None and trellis.outputs:
-            lifts = [lift_along_hom(parity_obs, L) for L in trellis.outputs]
-            branch_obs = equality_fold(lifts)
-            gathered = branch_obs.values[tb.sub]       # [c, c'] = P[c - c']
-            self.parity_matrix = np.ascontiguousarray(gathered.T)   # [c', c]
-
-        sysfold = fold_copies(lam_ch, systematic_mult)
-        self.sys_matrix = None
-        if sysfold is not None:
-            self.sys_matrix = np.ascontiguousarray(sysfold.values[self.sub_q].T)
-
-        pull_sym = dual_map_table(symbol_projection(trellis))
-        self.sub_sym = tb.sub[:, pull_sym]             # (nb, q)
-        self.next_idx = dual_map_table(next_state_hom(trellis))   # (ns,)
-        self.sub_next = tb.sub[:, self.next_idx]       # (nb, ns)
-        self.phi = dual_map_table(trellis.section_automorphism)   # (nb,)
-
-    # -- batched primitives ------------------------------------------------
+        def fold(k):      # k channel uses, equality-combined (useless if none)
+            return equality_fold([lam_ch] * k) if k else useless_list(G)
+        parity = equality_fold([useless_list(B)] + [
+            lift_along_hom(fold(parity_mult), L) for L in trellis.outputs]).values
+        # a state list placed at branch characters src (adjoin: q * s, lift:
+        # next_idx[s]) and combined with the parity list P has as row c the
+        # sum over s of q x[s] P[c - src[s]] / nb
+        next_idx = dual_map_table(next_state_hom(trellis))
+        self.adjoin_parity = _sparse_map(parity[sub_b[:, q * np.arange(ns)]] * (q / nb))
+        self.lift_parity = _sparse_map(parity[sub_b[:, next_idx]] * (q / nb))
+        self.ext_bwd = sub_b[:, next_idx]              # (nb, ns)
+        sub_sym = sub_b[:, dual_map_table(symbol_projection(trellis))]   # (nb, q)
+        self.fwd_sym = sub_sym[dual_map_table(trellis.section_automorphism)]
+        self.bwd_sym = sub_sym[np.arange(nb).reshape(ns, q).T.ravel()]
+        self.sys_map = _sparse_map(fold(systematic_mult).values[self.sub_q] / q)
 
     def boundary(self, n: int) -> np.ndarray:
-        state = np.zeros((n, self.ns))
-        state[:, 0] = self.ns
+        state = np.zeros((self.ns, n))
+        state[0] = self.ns
         return state
 
-    def _sample_rows(self, p: np.ndarray, rng) -> np.ndarray:
-        p = np.clip(p, 0.0, None)
-        cs = np.cumsum(p, axis=1)
-        u = rng.random(p.shape[0]) * cs[:, -1]
-        idx = (cs < u[:, None]).sum(axis=1)
-        return np.minimum(idx, p.shape[1] - 1)
+    def _draw(self, arr: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Marginalize a (heralds, rest, n) array on one herald per sample,
+        drawn by inverting the herald distribution at the uniforms ``u``."""
+        p = arr.sum(axis=1) / self.nb
+        cs = np.cumsum(np.clip(p, 0.0, None), axis=0)
+        h = np.minimum((cs < u * cs[-1]).sum(axis=0), p.shape[0] - 1)
+        sel = np.take_along_axis(arr, h[None, None, :], axis=0)[0]
+        return sel / (self.nb / arr.shape[1] * p[h, np.arange(p.shape[1])])
 
-    def _adjoin(self, state: np.ndarray) -> np.ndarray:
-        branch = np.zeros((state.shape[0], self.nb))
-        branch.reshape(-1, self.ns, self.q)[:, :, 0] = self.q * state
-        return branch
+    def _section(self, state, sym, fused, sym_idx):
+        branch = _gather_sum(_gather_sum(state, *fused), sym_idx, sym[:, None, :] / self.q)
+        return branch.reshape(self.q, self.ns, -1)
 
-    def _combine_parity(self, branch: np.ndarray) -> np.ndarray:
-        if self.parity_matrix is None:
-            return branch
-        return np.einsum("sp,pc->sc", branch, self.parity_matrix) / self.nb
+    def forward(self, state, sym, u):
+        """Adjoin, parity, symbol, automorphism; herald = dropped coordinate."""
+        return self._draw(self._section(state, sym, self.adjoin_parity, self.fwd_sym), u)
 
-    def _combine_symbol(self, branch: np.ndarray, sym: np.ndarray) -> np.ndarray:
-        return np.einsum("scj,sj->sc", branch[:, self.sub_sym], sym) / self.q
+    def backward(self, state, sym, u):
+        """Lift along the next-state map, parity, symbol; herald = symbol."""
+        return self._draw(self._section(state, sym, self.lift_parity, self.bwd_sym), u)
 
-    def _combine_backward(self, branch: np.ndarray, bwd: np.ndarray) -> np.ndarray:
-        return np.einsum("scj,sj->sc", branch[:, self.sub_next], bwd) / self.ns
+    def extrinsic(self, fwd, bwd, u):
+        """Adjoin, parity, lifted backward state; herald = state."""
+        branch = _gather_sum(_gather_sum(fwd, *self.adjoin_parity), self.ext_bwd,
+                             bwd[:, None, :] / self.ns)
+        return self._draw(branch.reshape(self.ns, self.q, -1), u)
 
     def symbol_messages(self, apriori: np.ndarray) -> np.ndarray:
-        """sysfold * apriori over a trailing-q-axis array."""
-        if self.sys_matrix is None:
-            return apriori
-        return np.einsum("...p,pc->...c", apriori, self.sys_matrix) / self.q
-
-    def forward(self, state, sym, rng):
-        branch = self._combine_symbol(self._combine_parity(self._adjoin(state)), sym)
-        branch = branch[:, self.phi]
-        arr = branch.reshape(-1, self.q, self.ns)      # [sample, herald, next state]
-        p = arr.sum(axis=2) / self.nb
-        idx = self._sample_rows(p, rng)
-        sel = np.take_along_axis(arr, idx[:, None, None], axis=1)[:, 0, :]
-        psel = np.take_along_axis(p, idx[:, None], axis=1)[:, 0]
-        return sel / (self.q * psel[:, None])
-
-    def backward(self, state, sym, rng):
-        branch = np.zeros((state.shape[0], self.nb))
-        branch[:, self.next_idx] = self.q * state
-        branch = self._combine_symbol(self._combine_parity(branch), sym)
-        arr = branch.reshape(-1, self.ns, self.q)      # [sample, prev state, herald]
-        p = arr.sum(axis=1) / self.nb
-        idx = self._sample_rows(p, rng)
-        sel = np.take_along_axis(arr, idx[:, None, None], axis=2)[:, :, 0]
-        psel = np.take_along_axis(p, idx[:, None], axis=1)[:, 0]
-        return sel / (self.q * psel[:, None])
-
-    def extrinsic(self, fwd, bwd, rng):
-        branch = self._combine_parity(self._adjoin(fwd))
-        branch = self._combine_backward(branch, bwd)
-        arr = branch.reshape(-1, self.ns, self.q)      # [sample, herald, symbol]
-        p = arr.sum(axis=2) / self.nb
-        idx = self._sample_rows(p, rng)
-        sel = np.take_along_axis(arr, idx[:, None, None], axis=1)[:, 0, :]
-        psel = np.take_along_axis(p, idx[:, None], axis=1)[:, 0]
-        return sel / (self.ns * psel[:, None])
+        """sysfold * apriori over the leading q axis."""
+        return _gather_sum(apriori.reshape(self.q, -1), *self.sys_map).reshape(apriori.shape)
 
     def posterior(self, ext, apriori):
-        tmp = self.symbol_messages(ext)
-        post = np.einsum("scj,sj->sc", tmp[:, self.sub_q], apriori) / self.q
+        post = _gather_sum(self.symbol_messages(ext), self.sub_q, apriori[:, None, :] / self.q)
         return np.clip(post, 0.0, None)
 
     def pgm_errors(self, lists: np.ndarray) -> np.ndarray:
@@ -295,7 +285,8 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
 
     Returns ``(new_population, posterior_error)``.  ``population`` is an
     array of eigen lists on the symbol group, one per row; the new population
-    holds the sampled center extrinsics of that many window decodes.
+    holds the sampled center extrinsics of that many window decodes.  Raises
+    `NumericalError` on a NaN, negative or mass-losing row or a NaN error.
     """
     if population.ndim != 2 or population.shape[0] < 1:
         raise ValidationError("population must be a nonempty 2-d array")
@@ -303,19 +294,28 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
         engine = _engines(spec, lam_ch)[constituent]
     n = population.shape[0]
     center = window // 2
-    apr_idx = rng.integers(0, population.shape[0], size=(n, window))
-    apr = population[apr_idx]                          # (n, window, q)
-    sym = engine.symbol_messages(apr)
-    fwd = engine.boundary(n)
-    for t in range(center):
-        fwd = engine.forward(fwd, sym[:, t], rng)
-    bwd = engine.boundary(n)
-    for t in range(window - 1, center, -1):
-        bwd = engine.backward(bwd, sym[:, t], rng)
-    ext = engine.extrinsic(fwd, bwd, rng)
-    post = engine.posterior(ext, apr[:, center])
-    err = float(engine.pgm_errors(post).mean())
-    return ext, err
+    apr_idx = rng.integers(0, population.shape[0], size=(n, window)).T
+    # the herald uniforms, one per sample per marginalization, drawn in the
+    # order forward sweep, backward sweep, center extrinsic
+    u = rng.random((window, n))
+    ext = np.empty((engine.q, n))
+    step = max(1, _BLOCK_FLOATS // engine.nb)
+    for cols in (slice(lo, lo + step) for lo in range(0, n, step)):
+        sym = engine.symbol_messages(population.T[:, apr_idx[:, cols]])  # (q, window, b)
+        fwd = bwd = engine.boundary(sym.shape[2])
+        for t in range(center):
+            fwd = engine.forward(fwd, sym[:, t], u[t, cols])
+        for j, t in enumerate(range(window - 1, center, -1)):
+            bwd = engine.backward(bwd, sym[:, t], u[center + j, cols])
+        ext[:, cols] = engine.extrinsic(fwd, bwd, u[-1, cols])
+    post = engine.posterior(ext, population.T[:, apr_idx[center]])
+    err = float(engine.pgm_errors(post.T).mean())
+    q = engine.q        # every sample must stay a nonnegative list of sum |G|
+    ok = (ext >= -1e-9).all(axis=0) & (np.abs(ext.sum(axis=0) - q) <= 1e-6 * q)
+    if not ok.all() or not math.isfinite(err):
+        raise NumericalError(f"DE population invalid in {int((~ok).sum())} of {n} "
+                             f"rows (NaN or lost mass), posterior error {err}")
+    return ext.T, err
 
 
 @dataclass

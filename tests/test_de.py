@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from abelianbp import GroupSpec, ValidationError, holevo_info, pgm_error
+from abelianbp import GroupSpec, NumericalError, ValidationError, holevo_info, pgm_error
+from abelianbp import de
+from abelianbp.characters import dual_map_table, tables_for
 from abelianbp.de import (
     DEConfig,
     TurboSpec,
@@ -15,9 +17,14 @@ from abelianbp.de import (
     standard_turbo,
     threshold_bisect,
 )
-from abelianbp.eigenlists import useless_list
-from abelianbp.factors import equality_fold
-from abelianbp.trellis import shift_register_trellis
+from abelianbp.eigenlists import EigenList, useless_list
+from abelianbp.factors import equality_fold, lift_along_hom
+from abelianbp.trellis import (
+    next_state_hom,
+    shift_register_trellis,
+    state_projection,
+    symbol_projection,
+)
 
 Z3 = GroupSpec((3,))
 
@@ -216,3 +223,83 @@ def test_config_validation():
         DEConfig(population=0)
     with pytest.raises(ValidationError):
         DEConfig(err_threshold=2.0)
+
+
+def _dense_window_branches(trellis, lam_ch, parity_mult, state, sym, fwd, bwd):
+    """Pre-sampling (n, herald, rest) arrays of the three window steps, from
+    per-sample lifts and dense equality products on the branch group."""
+    B = trellis.branch_group
+    q, nb, ns = trellis.symbol_group.order, B.order, state.shape[1]
+    sub = tables_for(B).sub                        # [c, c'] = index of c - c'
+
+    def lift(rows, H):
+        return np.array([lift_along_hom(EigenList(H.target, r), H).values for r in rows])
+
+    def equality(x, y):                            # row-wise combine on B
+        return np.einsum("np,ncp->nc", x, np.broadcast_to(y, x.shape)[:, sub]) / nb
+
+    parity = useless_list(B).values
+    if parity_mult and trellis.outputs:
+        obs = equality_fold([lam_ch] * parity_mult)
+        parity = equality_fold([lift_along_hom(obs, L) for L in trellis.outputs]).values
+    sym_b = lift(sym, symbol_projection(trellis))
+    phi = dual_map_table(trellis.section_automorphism)
+    f = equality(equality(lift(state, state_projection(trellis)), parity), sym_b)
+    b = equality(equality(lift(state, next_state_hom(trellis)), parity), sym_b)
+    x = equality(equality(lift(fwd, state_projection(trellis)), parity),
+                 lift(bwd, next_state_hom(trellis)))
+    return (f[:, phi].reshape(-1, q, ns), b.reshape(-1, ns, q).transpose(0, 2, 1),
+            x.reshape(-1, ns, q))
+
+
+@pytest.mark.parametrize("spec", [
+    standard_turbo(3),
+    standard_turbo(5),
+    TurboSpec((shift_register_trellis(Z3, 2, [[1, 1, 0], [1, 0, 2]]),) * 2),
+    TurboSpec((standard_turbo(3).constituents[0],) * 2, parity_mults=(0, 0)),
+], ids=["turbo-q3", "turbo-q5", "two-output", "no-parity"])
+def test_window_kernels_match_dense_products(spec):
+    """The sparse gather tables reproduce the dense adjoin/lift, parity,
+    symbol and backward-state combines on random lists."""
+    trellis = spec.constituents[0]
+    q = spec.symbol_group.order
+    lam_ch = channel_family(q, 1 + 0.6 * (q - 1))
+    engine = de._WindowEngine(trellis, lam_ch, spec.systematic_mult, spec.parity_mults[0])
+    if len(trellis.outputs) > 1:
+        assert engine.adjoin_parity[0].shape[1] > 1 and engine.lift_parity[0].shape[1] > 1
+    engine._draw = lambda arr, u: arr              # keep the pre-sampling arrays
+    rng = np.random.default_rng(3)
+
+    def lists(k, n=7):
+        x = rng.random((n, k))
+        return x * (k / x.sum(axis=1, keepdims=True))
+
+    ns = engine.ns
+    state, fwd, bwd, sym = lists(ns), lists(ns), lists(ns), lists(q)
+    want = _dense_window_branches(trellis, lam_ch, spec.parity_mults[0], state, sym,
+                                  fwd, bwd)
+    got = (engine.forward(state.T, sym.T, None), engine.backward(state.T, sym.T, None),
+           engine.extrinsic(fwd.T, bwd.T, None))
+    for g, w in zip(got, want):
+        assert np.abs(g.transpose(2, 0, 1) - w).max() < 1e-12
+
+
+def test_nan_population_raises(monkeypatch):
+    """One NaN row in a 50-row population must not end in a silent NaN error."""
+    spec = standard_turbo(3)
+    lam = channel_family(3, 2.0)
+    pop = np.tile(useless_list(Z3).values, (50, 1))
+    pop[17] = np.nan
+    with pytest.raises(NumericalError):
+        de_iteration(spec, pop, lam, np.random.default_rng(0), window=11)
+
+    clean_iteration = de.de_iteration
+
+    def poisoned(spec, population, *args, **kwargs):
+        population = population.copy()
+        population[17] = np.nan
+        return clean_iteration(spec, population, *args, **kwargs)
+
+    monkeypatch.setattr(de, "de_iteration", poisoned)
+    with pytest.raises(NumericalError):
+        de_run(spec, DEConfig(population=50, max_iterations=5, window=11), 2.0)
