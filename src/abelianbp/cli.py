@@ -34,7 +34,7 @@ from .factors import (
 from .groups import GroupSpec
 from .messages import avg_holevo, avg_pgm_error
 from .oracle import verify_rule
-from .polar import select_info_set, synthesize
+from .polar import DEFAULT_EXACT_LEVELS, DEFAULT_SAMPLES, select_info_set, synthesize
 from .schemas import (
     dump_eigenlist,
     dump_group,
@@ -163,7 +163,7 @@ def build_parser() -> _Parser:
     pcon.add_argument("--levels", type=int, required=True)
     pcon.add_argument("--mode", choices=["auto", "exact", "sampled"], default="auto")
     pcon.add_argument("--seed", type=int)
-    pcon.add_argument("--samples", type=int, default=1000)
+    pcon.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     pcon.add_argument("--prune", type=float, default=0.0)
     pcon.add_argument("--info-bits", type=int, dest="info_bits")
     pcon.add_argument("--out")
@@ -271,7 +271,7 @@ def _cmd_polar_construct(args):
     lam = EigenList(G, json.loads(args.lam))
     mode = args.mode
     if mode == "auto":
-        mode = "exact" if args.levels <= 4 else "sampled"
+        mode = "exact" if args.levels <= DEFAULT_EXACT_LEVELS else "sampled"
     if mode == "sampled" and args.seed is None:
         raise _UsageError("--seed is required in sampled mode")
     stats = synthesize(lam, args.levels, mode=mode, seed=args.seed,

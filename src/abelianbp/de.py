@@ -279,10 +279,10 @@ def _engines(spec: TurboSpec, lam_ch: EigenList):
 
 
 def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
-                 rng, window: int = 41, constituent: int = 0,
-                 engine: _WindowEngine | None = None):
+                 rng, window: int = 41, engine: _WindowEngine | None = None):
     """One constituent update of the extrinsic population.
 
+    The constituent is the one `engine` decodes, the first by default.
     Returns ``(new_population, posterior_error)``.  ``population`` is an
     array of eigen lists on the symbol group, one per row; the new population
     holds the sampled center extrinsics of that many window decodes.  Raises
@@ -291,7 +291,7 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     if population.ndim != 2 or population.shape[0] < 1:
         raise ValidationError("population must be a nonempty 2-d array")
     if engine is None:
-        engine = _engines(spec, lam_ch)[constituent]
+        engine = _engines(spec, lam_ch)[0]
     n = population.shape[0]
     center = window // 2
     apr_idx = rng.integers(0, population.shape[0], size=(n, window)).T

@@ -38,7 +38,6 @@ from .groups import (
     surjection_onto_image,
 )
 from .messages import (
-    DEFAULT_MERGE_TOL,
     PROB_FLOOR,
     Branch,
     HeraldedMessage,
@@ -125,10 +124,10 @@ def hom_push(lam: EigenList, H: HomSpec) -> HeraldedMessage:
     return HeraldedMessage(G2, tuple(branches))
 
 
-def hom_push_supported(lam: EigenList, H: HomSpec, support_tol: float = 1e-9) -> EigenList:
+def hom_push_supported(lam: EigenList, H: HomSpec) -> EigenList:
     """Homomorphism factor in the supported regime: a single output PSC.
 
-    Requires the input list to vanish (up to `support_tol`) outside the dual
+    Requires the input list to vanish (up to 1e-9) outside the dual
     image; then ``lam2[xi] = (|G2|/|G1|) * lam1[dual_map(xi)]``.
     """
     if lam.group.moduli != H.source.moduli:
@@ -139,7 +138,7 @@ def hom_push_supported(lam: EigenList, H: HomSpec, support_tol: float = 1e-9) ->
         raise ValidationError("hom is not surjective; restrict to its image first")
     on_support = np.zeros(H.source.order, dtype=bool)
     on_support[pull] = True
-    off = np.where(~on_support & (lam.values > support_tol))[0]
+    off = np.where(~on_support & (lam.values > 1e-9))[0]
     if off.size:
         chi = char_from_index(H.source, int(off[0]))
         raise ValidationError(
@@ -236,7 +235,7 @@ def equality_fold(lams) -> EigenList:
 # herald-lifted variants: branch-product composition
 
 
-def _product_apply(msgs, rule, out_group, merge_tol):
+def _product_apply(msgs, rule):
     """Apply `rule` over the branch product of `msgs`, then merge duplicates.
 
     `rule` maps one eigen list per input message to an EigenList or a
@@ -255,6 +254,7 @@ def _product_apply(msgs, rule, out_group, merge_tol):
         stack = filtered or grown
     for lams, p, labels in stack:
         result = rule(*lams)
+        group = result.group
         if isinstance(result, HeraldedMessage):
             for b in result.branches:
                 out.append(Branch(p * b.prob, b.lam, labels + b.labels))
@@ -264,76 +264,60 @@ def _product_apply(msgs, rule, out_group, merge_tol):
     if not out or total <= 0:
         raise ValidationError("branch product lost all probability mass")
     normalized = tuple(Branch(b.prob / total, b.lam, b.labels) for b in out)
-    return merge_duplicates(HeraldedMessage(out_group, normalized), merge_tol)
+    return merge_duplicates(HeraldedMessage(group, normalized))
 
 
-def check_combine_m(m1: HeraldedMessage, m2: HeraldedMessage,
-                    merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
+def check_combine_m(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
     if m1.group.moduli != m2.group.moduli:
         raise ValidationError("check factor: input groups differ")
-    return _product_apply([m1, m2], check_combine, m1.group, merge_tol)
+    return _product_apply([m1, m2], check_combine)
 
 
-def equality_combine_m(m1: HeraldedMessage, m2: HeraldedMessage,
-                       merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
+def equality_combine_m(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
     if m1.group.moduli != m2.group.moduli:
         raise ValidationError("equality factor: input groups differ")
-    return _product_apply([m1, m2], equality_combine, m1.group, merge_tol)
+    return _product_apply([m1, m2], equality_combine)
 
 
-def equality_fold_m(msgs, merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
+def equality_fold_m(msgs) -> HeraldedMessage:
     msgs = list(msgs)
     if not msgs:
         raise ValidationError("equality fold needs at least one operand")
     acc = msgs[0]
     for m in msgs[1:]:
-        acc = equality_combine_m(acc, m, merge_tol)
+        acc = equality_combine_m(acc, m)
     return acc
 
 
-def check_fold_m(msgs, merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
+def check_fold_m(msgs) -> HeraldedMessage:
     msgs = list(msgs)
     if not msgs:
         raise ValidationError("check fold needs at least one operand")
     acc = msgs[0]
     for m in msgs[1:]:
-        acc = check_combine_m(acc, m, merge_tol)
+        acc = check_combine_m(acc, m)
     return acc
 
 
-def hom_push_m(msg: HeraldedMessage, H: HomSpec,
-               merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
-    surj, _ = surjection_onto_image(H)
-    return _product_apply([msg], lambda lam: hom_push(lam, H), surj.target, merge_tol)
+def hom_push_m(msg: HeraldedMessage, H: HomSpec) -> HeraldedMessage:
+    return _product_apply([msg], lambda lam: hom_push(lam, H))
 
 
-def hom_push_supported_m(msg: HeraldedMessage, H: HomSpec,
-                         merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
-    return _product_apply([msg], lambda lam: hom_push_supported(lam, H),
-                          H.target, merge_tol)
+def hom_push_supported_m(msg: HeraldedMessage, H: HomSpec) -> HeraldedMessage:
+    return _product_apply([msg], lambda lam: hom_push_supported(lam, H))
 
 
-def lift_along_hom_m(msg: HeraldedMessage, H: HomSpec,
-                     merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
-    return _product_apply([msg], lambda lam: lift_along_hom(lam, H),
-                          H.source, merge_tol)
+def lift_along_hom_m(msg: HeraldedMessage, H: HomSpec) -> HeraldedMessage:
+    return _product_apply([msg], lambda lam: lift_along_hom(lam, H))
 
 
-def marginalize_split_m(msg: HeraldedMessage, keep: int,
-                        merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
-    out_group = GroupSpec(msg.group.moduli[:keep])
-    return _product_apply([msg], lambda lam: marginalize_split(lam, keep),
-                          out_group, merge_tol)
+def marginalize_split_m(msg: HeraldedMessage, keep: int) -> HeraldedMessage:
+    return _product_apply([msg], lambda lam: marginalize_split(lam, keep))
 
 
-def apply_automorphism_m(msg: HeraldedMessage, phi: HomSpec,
-                         merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
-    return _product_apply([msg], lambda lam: apply_automorphism(lam, phi),
-                          msg.group, merge_tol)
+def apply_automorphism_m(msg: HeraldedMessage, phi: HomSpec) -> HeraldedMessage:
+    return _product_apply([msg], lambda lam: apply_automorphism(lam, phi))
 
 
-def adjoin_uniform_m(msg: HeraldedMessage, fresh: GroupSpec,
-                     merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
-    out_group = direct_product(fresh, msg.group)
-    return _product_apply([msg], lambda lam: adjoin_uniform(lam, fresh),
-                          out_group, merge_tol)
+def adjoin_uniform_m(msg: HeraldedMessage, fresh: GroupSpec) -> HeraldedMessage:
+    return _product_apply([msg], lambda lam: adjoin_uniform(lam, fresh))

@@ -230,10 +230,12 @@ def hom_image(H: HomSpec, cap: int = ENUMERATION_CAP) -> tuple[GroupElement, ...
     return tuple(seen[i] for i in sorted(seen))
 
 
+@functools.lru_cache(maxsize=None)
 def is_surjective(H: HomSpec) -> bool:
     return len(hom_image(H)) == H.target.order
 
 
+@functools.lru_cache(maxsize=None)
 def is_automorphism(H: HomSpec) -> bool:
     if H.source.moduli != H.target.moduli:
         return False

@@ -7,6 +7,7 @@ herald produced each branch; they never affect numerics.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,9 @@ PROB_TOL = 1e-9
 #: Branches with probability below this are dropped before conditioning.
 PROB_FLOOR = 1e-15
 DEFAULT_MERGE_TOL = 1e-9
+#: Exact mixtures with more branches than this are pruned at `GUARD_PRUNE`.
+BRANCH_CAP = 100_000
+GUARD_PRUNE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,40 @@ def sample(msg: HeraldedMessage, rng: np.random.Generator) -> tuple[EigenList, t
     idx = min(idx, len(msg) - 1)
     b = msg.branches[idx]
     return b.lam, b.labels
+
+
+def herald_rng(mode: str, seed: int | None) -> np.random.Generator | None:
+    """Check a tracker mode; the herald generator in sampled mode, else None."""
+    if mode not in ("exact", "sampled"):
+        raise ValidationError(f"unknown mode {mode!r}")
+    if mode == "exact":
+        return None
+    if seed is None:
+        raise ValidationError("sampled mode requires a seed")
+    return np.random.default_rng(seed)
+
+
+def guard(msg: HeraldedMessage, rng: np.random.Generator | None,
+          prune_eps: float = 0.0) -> HeraldedMessage:
+    """The mixture policy every tracker applies after a rule.
+
+    Sampled mode (`rng` given) keeps one drawn herald.  Exact mode prunes at
+    `prune_eps`; past `BRANCH_CAP` branches it also prunes at `GUARD_PRUNE`
+    and warns with the branch count and the probability mass dropped.
+    """
+    if rng is not None:
+        return pure(*sample(msg, rng))
+    if prune_eps > 0:
+        msg = prune(msg, prune_eps)
+    if len(msg) > BRANCH_CAP:
+        dropped = sum(b.prob for b in msg.branches if b.prob < GUARD_PRUNE)
+        warnings.warn(
+            f"branch count {len(msg)} exceeds cap {BRANCH_CAP}; pruning at "
+            f"{GUARD_PRUNE} drops probability mass {dropped:.6g}",
+            RuntimeWarning, stacklevel=2,
+        )
+        msg = prune(msg, GUARD_PRUNE)
+    return msg
 
 
 def avg_holevo(msg: HeraldedMessage) -> float:

@@ -19,6 +19,7 @@ reference vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,11 +42,11 @@ from .groups import (
     is_surjective,
 )
 from .messages import (
-    DEFAULT_MERGE_TOL,
     HeraldedMessage,
     avg_holevo,
     avg_pgm_error,
-    prune,
+    guard,
+    herald_rng,
     pure,
     sample,
 )
@@ -54,21 +55,19 @@ DEFAULT_EXACT_LEVELS = 4
 DEFAULT_SAMPLES = 1000
 
 
-def polar_minus(m1: HeraldedMessage, m2: HeraldedMessage,
-                merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
+def polar_minus(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
     """Bad synthetic channel: inverse-relabel the second input, then check."""
     if m1.group.moduli != m2.group.moduli:
         raise ValidationError("polar minus: group mismatch")
     inv = inversion_automorphism(m2.group)
-    return check_combine_m(m1, apply_automorphism_m(m2, inv, merge_tol), merge_tol)
+    return check_combine_m(m1, apply_automorphism_m(m2, inv))
 
 
-def polar_plus(m1: HeraldedMessage, m2: HeraldedMessage,
-               merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
+def polar_plus(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
     """Good synthetic channel: equality combination."""
     if m1.group.moduli != m2.group.moduli:
         raise ValidationError("polar plus: group mismatch")
-    return equality_combine_m(m1, m2, merge_tol)
+    return equality_combine_m(m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +103,7 @@ def _kernel_blocks(kernel: HomSpec):
     return G, out1, out2, c1, c2
 
 
-def kernel_minus(m1: HeraldedMessage, m2: HeraldedMessage, kernel: HomSpec,
-                 merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
+def kernel_minus(m1: HeraldedMessage, m2: HeraldedMessage, kernel: HomSpec) -> HeraldedMessage:
     """Bad channel of a generic kernel: lift both outputs to the input pair,
     combine, and marginalize the second input away."""
     G, out1, out2, _, _ = _kernel_blocks(kernel)
@@ -114,13 +112,11 @@ def kernel_minus(m1: HeraldedMessage, m2: HeraldedMessage, kernel: HomSpec,
     for L in (out1, out2):
         if not is_surjective(L):
             raise ValidationError("kernel output map is not surjective")
-    lifted = equality_combine_m(lift_along_hom_m(m1, out1, merge_tol),
-                                lift_along_hom_m(m2, out2, merge_tol), merge_tol)
-    return marginalize_split_m(lifted, G.rank, merge_tol)
+    lifted = equality_combine_m(lift_along_hom_m(m1, out1), lift_along_hom_m(m2, out2))
+    return marginalize_split_m(lifted, G.rank)
 
 
-def kernel_plus(m1: HeraldedMessage, m2: HeraldedMessage, kernel: HomSpec,
-                merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
+def kernel_plus(m1: HeraldedMessage, m2: HeraldedMessage, kernel: HomSpec) -> HeraldedMessage:
     """Good channel of a generic kernel (first input known as side info).
 
     Conditioned on u1, output i depends on u2 through the kernel's second
@@ -138,10 +134,10 @@ def kernel_plus(m1: HeraldedMessage, m2: HeraldedMessage, kernel: HomSpec,
             raise ValidationError(
                 "unsupported kernel: second-column block is neither zero nor an automorphism"
             )
-        parts.append(apply_automorphism_m(m, c, merge_tol))
+        parts.append(apply_automorphism_m(m, c))
     if not parts:
         raise ValidationError("kernel plus: both outputs decouple from u2")
-    return equality_fold_m(parts, merge_tol)
+    return equality_fold_m(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +154,12 @@ class IndexStats:
 def _rules_for(kernel: HomSpec | None):
     if kernel is None:
         return polar_minus, polar_plus
-    return (lambda a, b, tol=DEFAULT_MERGE_TOL: kernel_minus(a, b, kernel, tol),
-            lambda a, b, tol=DEFAULT_MERGE_TOL: kernel_plus(a, b, kernel, tol))
+    return partial(kernel_minus, kernel=kernel), partial(kernel_plus, kernel=kernel)
 
 
 def synthesize(base: EigenList, levels: int, mode: str = "auto",
                seed: int | None = None, prune_eps: float = 0.0,
                samples: int = DEFAULT_SAMPLES,
-               merge_tol: float = DEFAULT_MERGE_TOL,
                kernel: HomSpec | None = None) -> list[IndexStats]:
     """Track all 2^levels synthetic channels.
 
@@ -180,26 +174,15 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
         raise ValidationError("levels must be nonnegative")
     if mode == "auto":
         mode = "exact" if levels <= DEFAULT_EXACT_LEVELS else "sampled"
-    if mode not in ("exact", "sampled"):
-        raise ValidationError(f"unknown mode {mode!r}")
     minus, plus = _rules_for(kernel)
 
-    if mode == "exact":
+    if herald_rng(mode, seed) is None:
         channels = [pure(base)]
         for _ in range(levels):
-            nxt = []
-            for msg in channels:
-                lo = minus(msg, msg, merge_tol)
-                hi = plus(msg, msg, merge_tol)
-                if prune_eps > 0:
-                    lo, hi = prune(lo, prune_eps), prune(hi, prune_eps)
-                nxt.extend([lo, hi])
-            channels = nxt
+            channels = [guard(rule(msg, msg), None, prune_eps)
+                        for msg in channels for rule in (minus, plus)]
         return [IndexStats(i, avg_holevo(ch), avg_pgm_error(ch))
                 for i, ch in enumerate(channels)]
-
-    if seed is None:
-        raise ValidationError("sampled mode requires a seed")
 
     def sample_path(bits, rng):
         # bits[depth]: rule applied at that recursion depth; depth 0 is the
@@ -210,7 +193,7 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
             a = rec(depth + 1)
             b = rec(depth + 1)
             rule = minus if bits[depth] == 0 else plus
-            lam, _ = sample(rule(pure(a), pure(b), merge_tol), rng)
+            lam, _ = sample(rule(pure(a), pure(b)), rng)
             return lam
         return rec(0)
 

@@ -21,19 +21,16 @@ factors.  Supported factor kinds:
 ``automorphism``
     Edges ``(in, out)`` on one group; relabeling in both directions.
 
-Exact mode keeps full heralded mixtures (with duplicate merging and an
-optional branch cap); sampled mode collapses every message to a single
-sampled herald trajectory, so averaging repeated runs reproduces the exact
-metrics.
+Every rule output passes through `messages.guard`: exact mode keeps the full
+heralded mixture (duplicates merged, pruned past `messages.BRANCH_CAP` with a
+warning); sampled mode collapses every message to a single sampled herald
+trajectory, so averaging repeated runs reproduces the exact metrics.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .eigenlists import EigenList, useless_list
 from .errors import ValidationError
@@ -55,20 +52,16 @@ from .groups import (
     projection_hom,
 )
 from .messages import (
-    DEFAULT_MERGE_TOL,
     HeraldedMessage,
     avg_holevo,
     avg_pgm_error,
+    guard,
+    herald_rng,
     merge_duplicates,
-    prune,
     pure,
-    sample,
 )
 
 FACTOR_KINDS = ("leaf", "equality", "check", "hom", "marginalize", "automorphism")
-
-DEFAULT_BRANCH_CAP = 100_000
-DEFAULT_GUARD_PRUNE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -175,32 +168,17 @@ def _validate_signature(spec: FactorGraphSpec, fid: str, f: FactorNode) -> None:
 
 
 class _Engine:
-    def __init__(self, spec, mode, rng, merge_tol, prune_eps, branch_cap):
+    def __init__(self, spec, rng, prune_eps):
         self.spec = spec
-        self.mode = mode
         self.rng = rng
-        self.merge_tol = merge_tol
         self.prune_eps = prune_eps
-        self.branch_cap = branch_cap
         self.incident = {v: [] for v in spec.variables}
         for fid, f in spec.factors.items():
             for v in f.edges:
                 self.incident[v].append(fid)
 
     def _guard(self, msg: HeraldedMessage) -> HeraldedMessage:
-        if self.mode == "sampled":
-            lam, labels = sample(msg, self.rng)
-            return pure(lam, labels)
-        if self.prune_eps > 0:
-            msg = prune(msg, self.prune_eps)
-        if len(msg) > self.branch_cap:
-            warnings.warn(
-                f"branch count {len(msg)} exceeds cap {self.branch_cap}; "
-                f"pruning at {DEFAULT_GUARD_PRUNE}",
-                RuntimeWarning,
-            )
-            msg = prune(msg, DEFAULT_GUARD_PRUNE)
-        return msg
+        return guard(msg, self.rng, self.prune_eps)
 
     def variable_message(self, v: str, toward: str | None) -> HeraldedMessage:
         msgs = [
@@ -212,18 +190,18 @@ class _Engine:
             return pure(useless_list(self.spec.variables[v]))
         acc = msgs[0]
         for m in msgs[1:]:
-            acc = self._guard(equality_combine_m(acc, m, self.merge_tol))
+            acc = self._guard(equality_combine_m(acc, m))
         return acc
 
     def factor_message(self, fid: str, toward: str) -> HeraldedMessage:
         f = self.spec.factors[fid]
         if f.kind == "leaf":
-            return self._guard(merge_duplicates(f.message, self.merge_tol))
+            return self._guard(merge_duplicates(f.message))
         if f.kind == "equality":
             msgs = [self.variable_message(v, fid) for v in f.edges if v != toward]
             acc = msgs[0]
             for m in msgs[1:]:
-                acc = self._guard(equality_combine_m(acc, m, self.merge_tol))
+                acc = self._guard(equality_combine_m(acc, m))
             return acc
         if f.kind == "check":
             inputs, out = f.edges[:-1], f.edges[-1]
@@ -237,55 +215,45 @@ class _Engine:
                     if v == toward:
                         continue
                     m = self.variable_message(v, fid)
-                    msgs.append(apply_automorphism_m(m, inv, self.merge_tol))
+                    msgs.append(apply_automorphism_m(m, inv))
             acc = msgs[0]
             for m in msgs[1:]:
-                acc = self._guard(check_combine_m(acc, m, self.merge_tol))
+                acc = self._guard(check_combine_m(acc, m))
             return acc
         if f.kind == "hom":
             vin, vout = f.edges
             if toward == vout:
-                return self._guard(hom_push_m(self.variable_message(vin, fid), f.hom,
-                                              self.merge_tol))
-            return self._guard(lift_along_hom_m(self.variable_message(vout, fid), f.hom,
-                                                self.merge_tol))
+                return self._guard(hom_push_m(self.variable_message(vin, fid), f.hom))
+            return self._guard(lift_along_hom_m(self.variable_message(vout, fid), f.hom))
         if f.kind == "marginalize":
             vin, vout = f.edges
             if toward == vout:
                 return self._guard(marginalize_split_m(self.variable_message(vin, fid),
-                                                       f.keep, self.merge_tol))
+                                                       f.keep))
             gin = self.spec.variables[vin]
             proj = projection_hom(gin, range(f.keep))
-            return self._guard(lift_along_hom_m(self.variable_message(vout, fid), proj,
-                                                self.merge_tol))
+            return self._guard(lift_along_hom_m(self.variable_message(vout, fid), proj))
         if f.kind == "automorphism":
             vin, vout = f.edges
             if toward == vout:
                 return self._guard(apply_automorphism_m(self.variable_message(vin, fid),
-                                                        f.hom, self.merge_tol))
+                                                        f.hom))
             return self._guard(apply_automorphism_m(self.variable_message(vout, fid),
-                                                    invert_automorphism(f.hom),
-                                                    self.merge_tol))
+                                                    invert_automorphism(f.hom)))
         raise ValidationError(f"unknown factor kind {f.kind!r}")  # pragma: no cover
 
 
 def run_mp(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,
-           merge_tol: float = DEFAULT_MERGE_TOL, prune_eps: float = 0.0,
-           branch_cap: int = DEFAULT_BRANCH_CAP) -> HeraldedMessage:
+           prune_eps: float = 0.0) -> HeraldedMessage:
     """Root-directed message passing; returns the posterior at the root variable.
 
     ``exact`` mode keeps the full heralded mixture; ``sampled`` mode draws one
     herald per rule application (seed required) and returns a single-branch
     message whose distribution over repeated seeds is the exact mixture.
     """
-    if mode not in ("exact", "sampled"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    if mode == "sampled" and seed is None:
-        raise ValidationError("sampled mode requires a seed")
+    rng = herald_rng(mode, seed)
     validate_tree(spec)
-    rng = np.random.default_rng(seed)
-    engine = _Engine(spec, mode, rng, merge_tol, prune_eps, branch_cap)
-    return engine.variable_message(spec.root, None)
+    return _Engine(spec, rng, prune_eps).variable_message(spec.root, None)
 
 
 def root_metrics(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,

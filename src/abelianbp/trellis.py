@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .eigenlists import EigenList, perfect_list, useless_list
 from .errors import ValidationError
 from .factors import (
@@ -41,16 +39,14 @@ from .groups import (
     projection_hom,
 )
 from .messages import (
-    DEFAULT_MERGE_TOL,
+    Branch,
     HeraldedMessage,
     avg_holevo,
     avg_pgm_error,
-    prune,
+    guard,
+    herald_rng,
     pure,
-    sample,
 )
-
-DEFAULT_BRANCH_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,6 @@ def _as_message(x) -> HeraldedMessage:
 
 def _retag(msg: HeraldedMessage, tag: str) -> HeraldedMessage:
     """Prefix the herald labels added by the latest marginalization."""
-    from .messages import Branch
     branches = tuple(
         Branch(b.prob, b.lam,
                tuple(f"{tag}:{lab}" if lab.startswith("marg:") else lab
@@ -200,15 +195,14 @@ def _retag(msg: HeraldedMessage, tag: str) -> HeraldedMessage:
 
 
 def branch_posterior(spec: TrellisSpec, fwd=None, bwd=None, obs=(),
-                     symbol_obs=None, apriori=None, include_apriori: bool = True,
-                     merge_tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
+                     symbol_obs=None, apriori=None) -> HeraldedMessage:
     """Combined message on the branch variable (fresh symbol, state).
 
     Equality-combines: the forward state message lifted by adjoining a uniform
     fresh symbol, the backward message lifted through the next-state map, each
     observation lifted along its output homomorphism, and the symbol-side
-    messages (channel observation and, unless omitted, the incoming a priori)
-    lifted along the symbol projection.
+    messages (channel observation and incoming a priori) lifted along the
+    symbol projection.
     """
     parts = []
     if len(obs) > len(spec.outputs):
@@ -217,42 +211,33 @@ def branch_posterior(spec: TrellisSpec, fwd=None, bwd=None, obs=(),
         )
     if fwd is not None:
         msg = fwd.message if isinstance(fwd, StateMessage) else _as_message(fwd)
-        parts.append(adjoin_uniform_m(msg, spec.symbol_group, merge_tol))
+        parts.append(adjoin_uniform_m(msg, spec.symbol_group))
     if bwd is not None:
         msg = bwd.message if isinstance(bwd, StateMessage) else _as_message(bwd)
-        parts.append(lift_along_hom_m(msg, next_state_hom(spec), merge_tol))
+        parts.append(lift_along_hom_m(msg, next_state_hom(spec)))
     for i, ob in enumerate(obs):
-        parts.append(lift_along_hom_m(_as_message(ob), spec.outputs[i], merge_tol))
-    sym_parts = []
-    if symbol_obs is not None:
-        sym_parts.append(_as_message(symbol_obs))
-    if apriori is not None and include_apriori:
-        sym_parts.append(_as_message(apriori))
+        parts.append(lift_along_hom_m(_as_message(ob), spec.outputs[i]))
+    sym_parts = [_as_message(m) for m in (symbol_obs, apriori) if m is not None]
     if sym_parts:
-        sym = equality_fold_m(sym_parts, merge_tol)
-        parts.append(lift_along_hom_m(sym, symbol_projection(spec), merge_tol))
+        sym = equality_fold_m(sym_parts)
+        parts.append(lift_along_hom_m(sym, symbol_projection(spec)))
     if not parts:
         raise ValidationError("branch posterior needs at least one incoming message")
-    return equality_fold_m(parts, merge_tol)
+    return equality_fold_m(parts)
 
 
 def forward_step(spec: TrellisSpec, fwd: StateMessage, obs, symbol_obs=None,
-                 apriori=None, merge_tol: float = DEFAULT_MERGE_TOL,
-                 prune_eps: float = 0.0) -> StateMessage:
+                 apriori=None) -> StateMessage:
     """One forward sweep step: combine, apply the section map, marginalize."""
     branch = branch_posterior(spec, fwd=fwd, obs=obs, symbol_obs=symbol_obs,
-                              apriori=apriori, merge_tol=merge_tol)
-    branch = apply_automorphism_m(branch, spec.section_automorphism, merge_tol)
-    nxt = marginalize_split_m(branch, spec.state_group.rank, merge_tol)
-    nxt = _retag(nxt, f"fwd[t={fwd.t}]")
-    if prune_eps > 0:
-        nxt = prune(nxt, prune_eps)
-    return StateMessage(nxt, fwd.t + 1, "fwd")
+                              apriori=apriori)
+    branch = apply_automorphism_m(branch, spec.section_automorphism)
+    nxt = marginalize_split_m(branch, spec.state_group.rank)
+    return StateMessage(_retag(nxt, f"fwd[t={fwd.t}]"), fwd.t + 1, "fwd")
 
 
 def backward_step(spec: TrellisSpec, bwd: StateMessage, obs, symbol_obs=None,
-                  apriori=None, merge_tol: float = DEFAULT_MERGE_TOL,
-                  prune_eps: float = 0.0) -> StateMessage:
+                  apriori=None) -> StateMessage:
     """One backward sweep step on the time-reversed section.
 
     The branch is combined exactly as in the forward step (with the backward
@@ -261,17 +246,14 @@ def backward_step(spec: TrellisSpec, bwd: StateMessage, obs, symbol_obs=None,
     first m blocks are kept.
     """
     branch = branch_posterior(spec, bwd=bwd, obs=obs, symbol_obs=symbol_obs,
-                              apriori=apriori, merge_tol=merge_tol)
+                              apriori=apriori)
     k = spec.symbol_group.rank
     nb = spec.branch_group.rank
     rotate = permute_coordinates(spec.branch_group,
                                  tuple(range(k, nb)) + tuple(range(k)))
-    branch = apply_automorphism_m(branch, rotate, merge_tol)
-    prev = marginalize_split_m(branch, spec.state_group.rank, merge_tol)
-    prev = _retag(prev, f"bwd[t={bwd.t - 1}]")
-    if prune_eps > 0:
-        prev = prune(prev, prune_eps)
-    return StateMessage(prev, bwd.t - 1, "bwd")
+    branch = apply_automorphism_m(branch, rotate)
+    prev = marginalize_split_m(branch, spec.state_group.rank)
+    return StateMessage(_retag(prev, f"bwd[t={bwd.t - 1}]"), bwd.t - 1, "bwd")
 
 
 @dataclass(frozen=True)
@@ -283,56 +265,40 @@ class SectionResult:
 
 def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
                  seed: int | None = None, symbol_obs_seq=None, apriori_seq=None,
-                 merge_tol: float = DEFAULT_MERGE_TOL, prune_eps: float = 0.0,
-                 branch_cap: int = DEFAULT_BRANCH_CAP) -> list[SectionResult]:
+                 prune_eps: float = 0.0) -> list[SectionResult]:
     """Forward/backward sweeps plus per-section symbol posterior and extrinsic.
 
     ``obs_seq[t]`` lists the per-output observations of section t.  The
     extrinsic message at t omits the symbol-side leaves (channel observation
     and a priori) of section t itself; the posterior equality-combines them
-    back in, which reproduces the full branch marginal exactly.
+    back in, which reproduces the full branch marginal exactly.  Every state,
+    extrinsic and posterior message passes through `messages.guard`; only
+    state messages are pruned at ``prune_eps``.
     """
     validate_trellis(spec)
-    if mode not in ("exact", "sampled"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    if mode == "sampled" and seed is None:
-        raise ValidationError("sampled mode requires a seed")
-    rng = np.random.default_rng(seed)
+    rng = herald_rng(mode, seed)
     T = len(obs_seq)
     symbol_obs_seq = symbol_obs_seq or [None] * T
     apriori_seq = apriori_seq or [None] * T
 
-    def guard(msg: HeraldedMessage) -> HeraldedMessage:
-        if mode == "sampled":
-            lam, labels = sample(msg, rng)
-            return pure(lam, labels)
-        if len(msg) > branch_cap:
-            msg = prune(msg, 1e-12)
-        return msg
-
     fwd = [boundary_state(spec, 0, "fwd")]
     for t in range(T):
-        step = forward_step(spec, fwd[t], obs_seq[t], symbol_obs_seq[t],
-                            apriori_seq[t], merge_tol, prune_eps)
-        fwd.append(replace(step, message=guard(step.message)))
+        step = forward_step(spec, fwd[t], obs_seq[t], symbol_obs_seq[t], apriori_seq[t])
+        fwd.append(replace(step, message=guard(step.message, rng, prune_eps)))
     bwd = [None] * (T + 1)
     bwd[T] = boundary_state(spec, T, "bwd")
     for t in range(T - 1, -1, -1):
         step = backward_step(spec, bwd[t + 1], obs_seq[t], symbol_obs_seq[t],
-                             apriori_seq[t], merge_tol, prune_eps)
-        bwd[t] = replace(step, message=guard(step.message))
+                             apriori_seq[t])
+        bwd[t] = replace(step, message=guard(step.message, rng, prune_eps))
 
     results = []
     for t in range(T):
-        branch = branch_posterior(spec, fwd=fwd[t], bwd=bwd[t + 1], obs=obs_seq[t],
-                                  merge_tol=merge_tol)
-        ext = guard(marginalize_split_m(branch, spec.symbol_group.rank, merge_tol))
-        post_parts = [ext]
-        if symbol_obs_seq[t] is not None:
-            post_parts.append(_as_message(symbol_obs_seq[t]))
-        if apriori_seq[t] is not None:
-            post_parts.append(_as_message(apriori_seq[t]))
-        post = guard(equality_fold_m(post_parts, merge_tol))
+        branch = branch_posterior(spec, fwd=fwd[t], bwd=bwd[t + 1], obs=obs_seq[t])
+        ext = guard(marginalize_split_m(branch, spec.symbol_group.rank), rng)
+        post_parts = [ext] + [_as_message(m) for m in (symbol_obs_seq[t], apriori_seq[t])
+                              if m is not None]
+        post = guard(equality_fold_m(post_parts), rng)
         results.append(SectionResult(t, post, ext))
     return results
 

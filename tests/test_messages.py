@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from abelianbp import (
     sample,
     useless_list,
 )
-from abelianbp.messages import Branch
+from abelianbp.messages import Branch, guard
 
 Z32 = GroupSpec((3, 2))
 LAM1 = EigenList(Z32, [2, 1, 0, 2, 1, 0])
@@ -95,6 +97,22 @@ def test_prune():
     assert len(prune(merge_duplicates(msg), 0.05)) == 3  # all probs >= 1/6
     with pytest.raises(ValidationError):
         prune(two, 0.7)
+
+
+def test_guard_modes_and_dropped_mass(monkeypatch):
+    msg = HeraldedMessage(Z32, (Branch(1 - 3e-13, LAM1), Branch(1e-13, LAM2),
+                                Branch(2e-13, useless_list(Z32))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert guard(msg, None) is msg
+        assert len(guard(msg, None, prune_eps=0.01)) == 1
+        drawn = guard(msg, np.random.default_rng(0), prune_eps=0.01)
+    assert len(drawn) == 1 and drawn.branches[0].prob == 1.0
+    monkeypatch.setattr("abelianbp.messages.BRANCH_CAP", 2)
+    with pytest.warns(RuntimeWarning, match=r"branch count 3 exceeds cap 2; .* mass 3e-13$"):
+        out = guard(msg, None)
+    assert len(out) == 1
+    assert np.array_equal(out.branches[0].lam.values, LAM1.values)
 
 
 def test_merge_and_prune_preserve_metrics():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from abelianbp import (
     pure,
     useless_list,
 )
+from abelianbp.messages import GUARD_PRUNE
 from abelianbp.trees import (
     FactorGraphSpec,
     FactorNode,
@@ -208,15 +211,19 @@ def test_sampled_mode_deterministic():
     assert np.array_equal(a.branches[0].lam.values, b.branches[0].lam.values)
 
 
-def test_branch_cap_guard():
+def test_branch_cap_guard(monkeypatch):
+    monkeypatch.setattr("abelianbp.messages.BRANCH_CAP", 10)
     rng = np.random.default_rng(1)
     lams = []
     for _ in range(4):
         v = rng.gamma(1.0, size=6)
         lams.append(EigenList(Z32, v * 6 / v.sum()))
     spec = chain_graph(lams, kind="check")
-    with pytest.warns(RuntimeWarning):
-        out = run_mp(spec, branch_cap=10)
+    with pytest.warns(RuntimeWarning, match="exceeds cap 10") as record:
+        out = run_mp(spec)
+    for w in record:
+        count, mass = re.search(r"branch count (\d+) .* mass (\S+)$", str(w.message)).groups()
+        assert 0 <= float(mass) <= int(count) * GUARD_PRUNE
     assert sum(b.prob for b in out.branches) == pytest.approx(1.0, abs=1e-9)
 
 

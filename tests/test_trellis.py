@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from abelianbp.factors import (
     lift_along_hom_m,
     marginalize_split_m,
 )
+from abelianbp.messages import GUARD_PRUNE
 from abelianbp.trellis import (
     StateMessage,
     TrellisSpec,
@@ -257,3 +260,23 @@ def test_next_state_hom_consistency():
     for g in spec.branch_group.elements():
         full = hom_eval(spec.section_automorphism, g)
         assert hom_eval(ns, g).residues == full.residues[:2]
+
+
+def test_decode_block_guard_reports_dropped_mass(monkeypatch):
+    # a near-perfect channel leaves branches lighter than the guard's prune
+    # threshold; past the (shrunken) cap they are dropped, and the warning
+    # says how much probability went with them
+    monkeypatch.setattr("abelianbp.messages.BRANCH_CAP", 2)
+    spec = transfer_function_trellis([1, 0, 1], [1, 1, 1], 3)
+    lam = EigenList(Z3, [3 - 1e-6, 5e-7, 5e-7])
+    with pytest.warns(RuntimeWarning, match="exceeds cap 2") as record:
+        results = decode_block(spec, [[lam]] * 4, symbol_obs_seq=[lam] * 4)
+    dropped = []
+    for w in record:
+        count, mass = re.search(r"branch count (\d+) .* mass (\S+)$", str(w.message)).groups()
+        assert 0 <= float(mass) <= int(count) * GUARD_PRUNE
+        dropped.append(float(mass))
+    assert max(dropped) > 0
+    for r in results:
+        for msg in (r.posterior, r.extrinsic):
+            assert sum(b.prob for b in msg.branches) == pytest.approx(1.0, abs=1e-12)
