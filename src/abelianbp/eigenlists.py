@@ -59,6 +59,14 @@ class EigenList:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _of_valid(cls, group: GroupSpec, values: np.ndarray) -> EigenList:
+        """Wrap a read-only row that already passed these checks."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "group", group)
+        object.__setattr__(lam, "values", values)
+        return lam
+
     def normalized(self) -> np.ndarray:
         """The probability vector mu = lambda / |G|."""
         return self.values / self.group.order
@@ -108,7 +116,11 @@ def useless_list(G: GroupSpec) -> EigenList:
 
 def holevo_info(lam: EigenList) -> float:
     """Symmetric Holevo information H(mu) in bits; 0*log(0) = 0."""
-    mu = lam.normalized()
+    return entropy_bits(lam.normalized())
+
+
+def entropy_bits(mu: np.ndarray) -> float:
+    """Shannon entropy of a probability vector in bits; 0*log(0) = 0."""
     mu = mu[mu > 0]
     return float(-(mu * np.log2(mu)).sum())
 
@@ -124,8 +136,12 @@ def channel_fidelity(lam: EigenList) -> float:
 
 def pgm_error(lam: EigenList) -> float:
     """Pretty-good-measurement error: 1 - ((1/|G|) * sum sqrt(lambda))^2."""
-    n = lam.group.order
-    return float(1.0 - (np.sqrt(lam.values).sum() / n) ** 2)
+    return pgm_error_of(lam.values)
+
+
+def pgm_error_of(values: np.ndarray) -> float:
+    """`pgm_error` of a raw eigen-list row."""
+    return float(1.0 - (np.sqrt(values).sum() / values.size) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,24 +11,25 @@ Five local factors act on messages:
                   block's dual,
 * automorphism -- permutation of the eigen list by the dual map.
 
-Each pure rule takes eigen lists and returns an EigenList or HeraldedMessage.
-The `*_m` variants accept heralded mixtures: they apply the pure rule per
-branch tuple, multiply probabilities, concatenate labels, and merge duplicate
-outputs, so the class of finite heralded mixtures is closed on trees.
+Each rule is stated once, as a kernel on a batch of lists, one per row
+(`_Rule`).  The pure rules are 1-row calls and return an EigenList or a
+HeraldedMessage.  The `*_m` variants accept heralded mixtures: they run the
+kernel over the branch product of their inputs, multiply probabilities,
+concatenate labels, and merge duplicate outputs, so the class of finite
+heralded mixtures is closed on trees.  Kernels gather with `np.take`, whose
+C-ordered result makes numpy sum each row in the same order as one 1-D list.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
-from .characters import (
-    char_from_index,
-    coset_table_for_hom,
-    dual_map_table,
-    tables_for,
-)
+from .characters import char_from_index, coset_table_for_hom, dual_map_table, tables_for
 from .eigenlists import EigenList
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .groups import (
     GroupSpec,
     HomSpec,
@@ -37,24 +38,167 @@ from .groups import (
     is_automorphism,
     surjection_onto_image,
 )
-from .messages import (
-    PROB_FLOOR,
-    Branch,
-    HeraldedMessage,
-    merge_duplicates,
-)
+from .messages import PROB_FLOOR, HeraldedMessage, merge_duplicates, product_labels
+
+#: Kernel temporaries per block of branch tuples, in floats.
+_BLOCK_FLOATS = 1 << 18
 
 
-def _require_same_group(lam1: EigenList, lam2: EigenList):
-    if lam1.group.moduli != lam2.group.moduli:
-        raise ValidationError(
-            f"group mismatch: {lam1.group} vs {lam2.group}"
-        )
+class _Rule(NamedTuple):
+    """A rule bound to its input group and parameters.
+
+    ``rows`` maps (K, |G|) operand arrays to the (K, |G_out|) output lists;
+    a heralded rule instead returns herald probabilities (K, h) and
+    ``finish(keep)``, the normalised lists of the kept (row, herald) cells.
+    ``herald`` is (label kind, label group, label index of each herald).
+    """
+
+    group: GroupSpec
+    rows: object
+    herald: tuple | None = None
 
 
-def _label(kind: str, G: GroupSpec, index: int) -> str:
-    res = G.from_index(index).residues
-    return f"{kind}:({','.join(map(str, res))})"
+# ---------------------------------------------------------------------------
+# rule kernels, built once per input group and parameter
+
+
+@functools.lru_cache(maxsize=None)
+def _check(G: GroupSpec) -> _Rule:
+    t, n = tables_for(G), G.order
+
+    def rows(A, B):
+        prods = np.take(A, t.add, axis=1) * B[:, None, :]
+        probs = prods.sum(axis=2) / n**2
+        return probs, lambda keep: prods[keep] / (n * probs[keep])[:, None]
+    return _Rule(G, rows, ("check", G, np.arange(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _equality(G: GroupSpec) -> _Rule:
+    # a (K, p, c) operand makes einsum add the p terms one after another, as
+    # it does for the Fortran-ordered ``lam2[t.sub]`` of a single list
+    t, n = tables_for(G), G.order
+    return _Rule(G, lambda A, B: np.einsum("kpc,kp->kc", np.take(B, t.sub.T, axis=1), A) / n)
+
+
+@functools.lru_cache(maxsize=None)
+def _hom(G: GroupSpec, H: HomSpec) -> _Rule:
+    if G.moduli != H.source.moduli:
+        raise ValidationError("eigen list does not live on the hom's source group")
+    hom_validate(H)
+    surj, _ = surjection_onto_image(H)
+    reps = np.array(coset_table_for_hom(surj).reps)
+    n1, n2 = surj.source.order, surj.target.order
+    # indices of rep * dual_map(xi), xi in target-dual order
+    idx = tables_for(surj.source).add[reps[:, None], dual_map_table(surj)[None, :]]
+
+    def rows(A):
+        vals = np.take(A, idx, axis=1)
+        probs = vals.sum(axis=2) / n1
+        return probs, lambda keep: vals[keep] * (n2 / (n1 * probs[keep]))[:, None]
+    return _Rule(surj.target, rows, ("hom", surj.source, reps))
+
+
+def _surjective_pull(G: GroupSpec, on: GroupSpec, H: HomSpec, message: str) -> np.ndarray:
+    if G.moduli != on.moduli:
+        raise ValidationError(f"eigen list does not live on the hom's {message}")
+    hom_validate(H)
+    pull = dual_map_table(H)
+    if len(set(pull.tolist())) != H.target.order:
+        raise ValidationError("hom is not surjective; restrict to its image first")
+    return pull
+
+
+@functools.lru_cache(maxsize=None)
+def _hom_supported(G: GroupSpec, H: HomSpec) -> _Rule:
+    pull = _surjective_pull(G, H.source, H, "source group")
+    off = np.setdiff1d(np.arange(H.source.order), pull)
+
+    def rows(A):
+        bad = np.argwhere(A[:, off] > 1e-9)
+        if bad.size:
+            r, c = bad[0]
+            raise ValidationError(
+                f"support condition violated: lambda[{char_from_index(H.source, int(off[c]))}]"
+                f" = {A[r, off[c]]} outside the dual image")
+        return np.take(A, pull, axis=1) * (H.target.order / H.source.order)
+    return _Rule(H.target, rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _lift(G: GroupSpec, H: HomSpec) -> _Rule:
+    pull = _surjective_pull(G, H.target, H, "target group")
+
+    def rows(A):
+        out = np.zeros((len(A), H.source.order))
+        out[:, pull] = A * (H.source.order / H.target.order)
+        return out
+    return _Rule(H.source, rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _marginalize(U: GroupSpec, keep: int) -> _Rule:
+    if not 0 <= keep <= U.rank:
+        raise ValidationError(f"split point {keep} does not match the moduli structure")
+    G1, G2 = GroupSpec(U.moduli[:keep]), GroupSpec(U.moduli[keep:])
+
+    def rows(A):
+        grid = A.reshape(len(A), G2.order, G1.order)    # canonical index = chi + n1 * eta
+        probs = grid.sum(axis=2) / U.order
+        return probs, lambda sel: grid[sel] / (G2.order * probs[sel])[:, None]
+    return _Rule(G1, rows, ("marg", G2, np.arange(G2.order)))
+
+
+@functools.lru_cache(maxsize=None)
+def _automorphism(G: GroupSpec, phi: HomSpec) -> _Rule:
+    if G.moduli != phi.source.moduli:
+        raise ValidationError("eigen list does not live on the automorphism's group")
+    if not is_automorphism(phi):
+        raise ValidationError("factor parameter is not an automorphism")
+    pull = dual_map_table(phi)
+    return _Rule(G, lambda A: np.take(A, pull, axis=1))
+
+
+@functools.lru_cache(maxsize=None)
+def _adjoin(G: GroupSpec, fresh: GroupSpec) -> _Rule:
+    out_group, nf = direct_product(fresh, G), fresh.order
+
+    def rows(A):
+        out = np.zeros((len(A), out_group.order))
+        out.reshape(len(A), G.order, nf)[:, :, 0] = nf * A   # index = eta + nf * zeta
+        return out
+    return _Rule(out_group, rows)
+
+
+def _run(rule: _Rule, operands, offset: int = 0):
+    """(probs, lams, row, herald) of a kernel on aligned operand rows.
+
+    Without heralds probs, row and herald are None and row i gives list i;
+    otherwise only the (row, herald) cells with probability at least
+    `PROB_FLOOR` are kept, with rows numbered from `offset`.
+    """
+    out = rule.rows(*operands)
+    if rule.herald is None:
+        return None, out, None, None
+    probs, finish = out
+    keep = probs >= PROB_FLOOR
+    row, herald = np.nonzero(keep)
+    return probs[keep], finish(keep), row + offset, herald
+
+
+def _pure(rule: _Rule, *lams: EigenList):
+    probs, out, _, herald = _run(rule, [lam.values[None, :] for lam in lams])
+    if probs is None:
+        return EigenList(rule.group, out[0])
+    kind, G, index = rule.herald
+    return HeraldedMessage._checked(rule.group, probs, out,
+                                    product_labels((), [], (kind, G, index[herald])))
+
+
+def _same_group(a, b, factor: str):
+    if a.group.moduli != b.group.moduli:
+        raise ValidationError(f"{factor} factor: input groups differ ({a.group} vs {b.group})")
+    return a.group
 
 
 # ---------------------------------------------------------------------------
@@ -73,28 +217,12 @@ def check_combine(lam1: EigenList, lam2: EigenList) -> HeraldedMessage:
     branch reindexed by chi' -> chi * chi'.  Ensemble metrics are therefore
     argument-order invariant.
     """
-    _require_same_group(lam1, lam2)
-    G = lam1.group
-    t = tables_for(G)
-    n = G.order
-    prods = lam1.values[t.add] * lam2.values[None, :]
-    probs = prods.sum(axis=1) / n**2
-    branches = []
-    for c in range(n):
-        p = float(probs[c])
-        if p < PROB_FLOOR:
-            continue
-        lam = EigenList(G, prods[c] / (n * p))
-        branches.append(Branch(p, lam, (_label("check", G, c),)))
-    return HeraldedMessage(G, tuple(branches))
+    return _pure(_check(_same_group(lam1, lam2, "check")), lam1, lam2)
 
 
 def equality_combine(lam1: EigenList, lam2: EigenList) -> EigenList:
     """Equality factor: dual-group convolution scaled by 1/|G|."""
-    _require_same_group(lam1, lam2)
-    t = tables_for(lam1.group)
-    out = np.einsum("cp,p->c", lam2.values[t.sub], lam1.values) / lam1.group.order
-    return EigenList(lam1.group, out)
+    return _pure(_equality(_same_group(lam1, lam2, "equality")), lam1, lam2)
 
 
 def hom_push(lam: EigenList, H: HomSpec) -> HeraldedMessage:
@@ -103,25 +231,7 @@ def hom_push(lam: EigenList, H: HomSpec) -> HeraldedMessage:
     A non-surjective H is first restricted to a surjection onto its image (the
     output group is the image with its own cyclic moduli), then pushed.
     """
-    if lam.group.moduli != H.source.moduli:
-        raise ValidationError("eigen list does not live on the hom's source group")
-    hom_validate(H)
-    surj, _ = surjection_onto_image(H)
-    ct = coset_table_for_hom(surj)
-    pull = dual_map_table(surj)
-    G1, G2 = surj.source, surj.target
-    t1 = tables_for(G1)
-    n1, n2 = G1.order, G2.order
-    branches = []
-    for rep in ct.reps:
-        idx = t1.add[rep, pull]          # indices of rep * dual_map(xi), xi in G2-dual order
-        vals = lam.values[idx]
-        p = float(vals.sum() / n1)
-        if p < PROB_FLOOR:
-            continue
-        branch = EigenList(G2, vals * (n2 / (n1 * p)))
-        branches.append(Branch(p, branch, (_label("hom", G1, rep),)))
-    return HeraldedMessage(G2, tuple(branches))
+    return _pure(_hom(lam.group, H), lam)
 
 
 def hom_push_supported(lam: EigenList, H: HomSpec) -> EigenList:
@@ -130,23 +240,7 @@ def hom_push_supported(lam: EigenList, H: HomSpec) -> EigenList:
     Requires the input list to vanish (up to 1e-9) outside the dual
     image; then ``lam2[xi] = (|G2|/|G1|) * lam1[dual_map(xi)]``.
     """
-    if lam.group.moduli != H.source.moduli:
-        raise ValidationError("eigen list does not live on the hom's source group")
-    hom_validate(H)
-    pull = dual_map_table(H)
-    if len(set(pull.tolist())) != H.target.order:
-        raise ValidationError("hom is not surjective; restrict to its image first")
-    on_support = np.zeros(H.source.order, dtype=bool)
-    on_support[pull] = True
-    off = np.where(~on_support & (lam.values > 1e-9))[0]
-    if off.size:
-        chi = char_from_index(H.source, int(off[0]))
-        raise ValidationError(
-            f"support condition violated: lambda[{chi}] = {lam.values[off[0]]} "
-            "outside the dual image"
-        )
-    scale = H.target.order / H.source.order
-    return EigenList(H.target, lam.values[pull] * scale)
+    return _pure(_hom_supported(lam.group, H), lam)
 
 
 def lift_along_hom(lamH: EigenList, H: HomSpec) -> EigenList:
@@ -155,15 +249,7 @@ def lift_along_hom(lamH: EigenList, H: HomSpec) -> EigenList:
     ``lam[chi] = (|G1|/|G2|) * lamH[xi]`` when chi = dual_map(xi), else 0.
     Inverse of `hom_push_supported` on its support.
     """
-    if lamH.group.moduli != H.target.moduli:
-        raise ValidationError("eigen list does not live on the hom's target group")
-    hom_validate(H)
-    pull = dual_map_table(H)
-    if len(set(pull.tolist())) != H.target.order:
-        raise ValidationError("lift requires a surjective hom")
-    out = np.zeros(H.source.order)
-    out[pull] = lamH.values * (H.source.order / H.target.order)
-    return EigenList(H.source, out)
+    return _pure(_lift(lamH.group, H), lamH)
 
 
 def marginalize_split(lam: EigenList, keep: int) -> HeraldedMessage:
@@ -173,32 +259,12 @@ def marginalize_split(lam: EigenList, keep: int) -> HeraldedMessage:
     ``p_eta = (1/|U|) sum_chi lam[(chi, eta)]`` with branch lists
     ``lam_eta[chi] = lam[(chi, eta)] / (|G2| p_eta)``.
     """
-    U = lam.group
-    if not 0 <= keep <= U.rank:
-        raise ValidationError(f"split point {keep} does not match the moduli structure")
-    G1 = GroupSpec(U.moduli[:keep])
-    G2 = GroupSpec(U.moduli[keep:])
-    n1, n2 = G1.order, G2.order
-    grid = lam.values.reshape(n2, n1)    # canonical index = chi + n1 * eta
-    probs = grid.sum(axis=1) / U.order
-    branches = []
-    for e in range(n2):
-        p = float(probs[e])
-        if p < PROB_FLOOR:
-            continue
-        branch = EigenList(G1, grid[e] / (n2 * p))
-        branches.append(Branch(p, branch, (_label("marg", G2, e),)))
-    return HeraldedMessage(G1, tuple(branches))
+    return _pure(_marginalize(lam.group, keep), lam)
 
 
 def apply_automorphism(lam: EigenList, phi: HomSpec) -> EigenList:
     """Relabel by the dual automorphism: out[chi] = lam[dual_map(chi)]."""
-    if lam.group.moduli != phi.source.moduli:
-        raise ValidationError("eigen list does not live on the automorphism's group")
-    if not is_automorphism(phi):
-        raise ValidationError("factor parameter is not an automorphism")
-    pull = dual_map_table(phi)
-    return EigenList(lam.group, lam.values[pull])
+    return _pure(_automorphism(lam.group, phi), lam)
 
 
 def adjoin_uniform(lam: EigenList, fresh: GroupSpec) -> EigenList:
@@ -208,116 +274,96 @@ def adjoin_uniform(lam: EigenList, fresh: GroupSpec) -> EigenList:
     (trivial, zeta) slice; identical to lifting along the projection that
     drops the fresh coordinate.
     """
-    out_group = direct_product(fresh, lam.group)
-    nf = fresh.order
-    out = np.zeros(out_group.order)
-    grid = out.reshape(lam.group.order, nf)   # index = eta + nf * zeta
-    grid[:, 0] = nf * lam.values
-    return EigenList(out_group, out)
+    return _pure(_adjoin(lam.group, fresh), lam)
 
 
-# ---------------------------------------------------------------------------
-# d-ary folds
+def _fold(combine, operands, factor: str):
+    operands = list(operands)
+    if not operands:
+        raise ValidationError(f"{factor} fold needs at least one operand")
+    return functools.reduce(combine, operands)
 
 
 def equality_fold(lams) -> EigenList:
     """Left fold of the binary equality rule over an operand sequence."""
-    lams = list(lams)
-    if not lams:
-        raise ValidationError("equality fold needs at least one operand")
-    acc = lams[0]
-    for lam in lams[1:]:
-        acc = equality_combine(acc, lam)
-    return acc
+    return _fold(equality_combine, lams, "equality")
 
 
 # ---------------------------------------------------------------------------
 # herald-lifted variants: branch-product composition
 
 
-def _product_apply(msgs, rule):
+def _heavy(p: np.ndarray, cols):
+    """Drop the products below `PROB_FLOOR`, unless none is above it."""
+    keep = p >= PROB_FLOOR
+    if keep.all() or not keep.any():
+        return p, cols
+    return p[keep], [c[keep] for c in cols]
+
+
+def _product_apply(msgs, rule: _Rule) -> HeraldedMessage:
     """Apply `rule` over the branch product of `msgs`, then merge duplicates.
 
-    `rule` maps one eigen list per input message to an EigenList or a
-    HeraldedMessage; probabilities multiply and labels concatenate, in
-    lexicographic order of the input branch indices.
+    Probabilities multiply and labels concatenate, in lexicographic order of
+    the input branch indices; products below `PROB_FLOOR` are dropped after
+    each factor.  The kernel runs on blocks of rows that keep its
+    temporaries near `_BLOCK_FLOATS` floats.
     """
-    out = []
-    stack = [((), 1.0, ())]
-    for msg in msgs:
-        grown = [
-            (lams + (b.lam,), p * b.prob, labels + b.labels)
-            for (lams, p, labels) in stack
-            for b in msg.branches
-        ]
-        filtered = [entry for entry in grown if entry[1] >= PROB_FLOOR]
-        stack = filtered or grown
-    for lams, p, labels in stack:
-        result = rule(*lams)
-        group = result.group
-        if isinstance(result, HeraldedMessage):
-            for b in result.branches:
-                out.append(Branch(p * b.prob, b.lam, labels + b.labels))
-        else:
-            out.append(Branch(p, result, labels))
-    total = sum(b.prob for b in out)
-    if not out or total <= 0:
-        raise ValidationError("branch product lost all probability mass")
-    normalized = tuple(Branch(b.prob / total, b.lam, b.labels) for b in out)
-    return merge_duplicates(HeraldedMessage(group, normalized))
+    p, cols = _heavy(msgs[0].probs, [np.arange(len(msgs[0]))])
+    for msg in msgs[1:]:
+        head, tail = np.divmod(np.arange(p.size * len(msg)), len(msg))
+        p, cols = _heavy(np.multiply.outer(p, msg.probs).ravel(), [c[head] for c in cols] + [tail])
+    step = max(1, _BLOCK_FLOATS // (msgs[0].lams.shape[1] * rule.group.order))
+    parts = [_run(rule, [m.lams[c[s:s + step]] for c, m in zip(cols, msgs)], s)
+             for s in range(0, p.size, step)]
+    if len(parts) > 1:
+        parts = [[None if col[0] is None else np.concatenate(col) for col in zip(*parts)]]
+    probs, lams, row, herald = parts[0]
+    if rule.herald is not None:
+        kind, G, index = rule.herald
+        cols, p, herald = [c[row] for c in cols], p[row] * probs, (kind, G, index[herald])
+    total = sum(p.tolist())
+    if not p.size or total <= 0:
+        raise NumericalError("branch product lost all probability mass")
+    labels = product_labels([m._labels for m in msgs], cols, herald)
+    return merge_duplicates(HeraldedMessage._checked(rule.group, p / total, lams, labels))
 
 
 def check_combine_m(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
-    if m1.group.moduli != m2.group.moduli:
-        raise ValidationError("check factor: input groups differ")
-    return _product_apply([m1, m2], check_combine)
+    return _product_apply([m1, m2], _check(_same_group(m1, m2, "check")))
 
 
 def equality_combine_m(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
-    if m1.group.moduli != m2.group.moduli:
-        raise ValidationError("equality factor: input groups differ")
-    return _product_apply([m1, m2], equality_combine)
+    return _product_apply([m1, m2], _equality(_same_group(m1, m2, "equality")))
 
 
 def equality_fold_m(msgs) -> HeraldedMessage:
-    msgs = list(msgs)
-    if not msgs:
-        raise ValidationError("equality fold needs at least one operand")
-    acc = msgs[0]
-    for m in msgs[1:]:
-        acc = equality_combine_m(acc, m)
-    return acc
+    return _fold(equality_combine_m, msgs, "equality")
 
 
 def check_fold_m(msgs) -> HeraldedMessage:
-    msgs = list(msgs)
-    if not msgs:
-        raise ValidationError("check fold needs at least one operand")
-    acc = msgs[0]
-    for m in msgs[1:]:
-        acc = check_combine_m(acc, m)
-    return acc
+    return _fold(check_combine_m, msgs, "check")
 
 
 def hom_push_m(msg: HeraldedMessage, H: HomSpec) -> HeraldedMessage:
-    return _product_apply([msg], lambda lam: hom_push(lam, H))
+    return _product_apply([msg], _hom(msg.group, H))
 
 
 def hom_push_supported_m(msg: HeraldedMessage, H: HomSpec) -> HeraldedMessage:
-    return _product_apply([msg], lambda lam: hom_push_supported(lam, H))
+    return _product_apply([msg], _hom_supported(msg.group, H))
 
 
 def lift_along_hom_m(msg: HeraldedMessage, H: HomSpec) -> HeraldedMessage:
-    return _product_apply([msg], lambda lam: lift_along_hom(lam, H))
+    return _product_apply([msg], _lift(msg.group, H))
 
 
 def marginalize_split_m(msg: HeraldedMessage, keep: int) -> HeraldedMessage:
-    return _product_apply([msg], lambda lam: marginalize_split(lam, keep))
+    return _product_apply([msg], _marginalize(msg.group, keep))
 
 
 def apply_automorphism_m(msg: HeraldedMessage, phi: HomSpec) -> HeraldedMessage:
-    return _product_apply([msg], lambda lam: apply_automorphism(lam, phi))
+    return _product_apply([msg], _automorphism(msg.group, phi))
 
 
 def adjoin_uniform_m(msg: HeraldedMessage, fresh: GroupSpec) -> HeraldedMessage:
-    return _product_apply([msg], lambda lam: adjoin_uniform(lam, fresh))
+    return _product_apply([msg], _adjoin(msg.group, fresh))

@@ -1,19 +1,30 @@
 """Heralded mixtures: the closed message class of tree quantum message passing.
 
 A message is a finite ensemble of (probability, eigen list, provenance labels)
-branches on one group.  Labels are human-readable strings recording which
-herald produced each branch; they never affect numerics.
+branches on one group, held as read-only arrays ``probs`` (k,) and ``lams``
+(k, |G|).  Rows are validated once, vectorised, where lists are made
+(`HeraldedMessage._checked`); merging, pruning and sampling only select or
+sum validated rows.  Labels record which heralds produced each branch and
+never affect numerics: they are a lazy provenance graph (`Labels`), rendered
+to strings only when `labels` or `branches` is read.
+
+`merge_duplicates` takes O(k log k |G|) time and O(k |G|) memory: one
+lexsort, a vectorised scan of adjacent rows checked exactly against each
+cluster's first row, and a repair pass that compares only representatives
+whose projections on a fixed direction lie within reach of each other.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .eigenlists import EigenList, holevo_info, pgm_error
-from .errors import ValidationError
+from .eigenlists import NEG_CLIP, TRACE_RTOL, EigenList, entropy_bits, pgm_error_of
+from .errors import NumericalError, ValidationError
 from .groups import GroupSpec
 
 PROB_TOL = 1e-9
@@ -32,108 +43,289 @@ class Branch:
     labels: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
-class HeraldedMessage:
-    group: GroupSpec
-    branches: tuple[Branch, ...]
+class Labels:
+    """Label tuples of a message's branches, built on first `render`.
 
-    def __post_init__(self):
-        if not self.branches:
+    ``build(*rendered parents)`` returns one tuple per branch.  Rendering
+    walks the graph with a stack, so long tracker histories need no recursion.
+    """
+
+    __slots__ = ("_parents", "_build", "_rendered")
+
+    def __init__(self, parents, build):
+        self._parents, self._build, self._rendered = tuple(parents), build, None
+
+    def render(self) -> list[tuple[str, ...]]:
+        stack = [self]
+        while stack:
+            todo = [p for p in stack[-1]._parents if p._rendered is None]
+            if todo:
+                stack += todo
+                continue
+            node = stack.pop()
+            if node._rendered is None:
+                node._rendered = node._build(*(p._rendered for p in node._parents))
+                node._parents = node._build = ()
+        return self._rendered
+
+
+def product_labels(parents, cols, herald=None) -> Labels:
+    """Branch o of a branch product: the labels of branch ``cols[j][o]`` of
+    each parent j, then its herald label; ``herald`` is (kind, group, index
+    per branch)."""
+    def build(*rendered):
+        rows = zip(*(c.tolist() for c in cols)) if cols else [()] * len(herald[2])
+        labs = [sum((r[i] for r, i in zip(rendered, row)), ()) for row in rows]
+        if herald is None:
+            return labs
+        kind, G, hidx = herald
+        names = {h: f"{kind}:({','.join(map(str, G.from_index(h).residues))})"
+                 for h in set(hidx.tolist())}
+        return [lab + (names[h],) for lab, h in zip(labs, hidx.tolist())]
+    return Labels(parents, build)
+
+
+def _valid_rows(group: GroupSpec, probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Check new rows as `EigenList` does, clipping tiny negatives, and the
+    total probability; rules make probabilities from nonnegative values only."""
+    if not probs.size:
+        raise ValidationError("heralded message needs at least one branch")
+    n, low = group.order, lams.min()
+    if low < -NEG_CLIP:
+        raise ValidationError(f"negative eigen list entry {low} below -{NEG_CLIP}")
+    if low <= 0:
+        lams = np.maximum(lams, 0.0)     # as np.clip, also -0.0 -> 0.0
+    sums, tol = lams.sum(axis=1), TRACE_RTOL * n
+    if not (sums.min() >= n - tol and sums.max() <= n + tol):
+        s = sums[~(np.abs(sums - n) <= tol)][0]
+        raise (NumericalError if np.isnan(s) else ValidationError)(
+            f"eigen list sums to {s}, expected {n} (rel tol {TRACE_RTOL})")
+    _check_total(probs)
+    return lams
+
+
+def _check_total(probs: np.ndarray) -> None:
+    if not abs(probs.sum() - 1.0) <= PROB_TOL:
+        raise ValidationError(f"branch probabilities sum to {probs.sum()}, expected 1")
+
+
+class HeraldedMessage:
+    """A heralded mixture on `group`.
+
+    ``HeraldedMessage(group, branches)`` builds one from `Branch` objects and
+    ``branches`` gives that view back; ``probs`` and ``lams`` are the data.
+    """
+
+    __slots__ = ("group", "probs", "lams", "_labels", "_branches")
+
+    def __init__(self, group: GroupSpec, branches):
+        branches = tuple(branches)
+        if not branches:
             raise ValidationError("heralded message needs at least one branch")
-        total = 0.0
-        for b in self.branches:
-            if b.prob < 0:
-                raise ValidationError(f"negative branch probability {b.prob}")
-            if b.lam.group.moduli != self.group.moduli:
-                raise ValidationError("branch eigen list on a different group")
-            total += b.prob
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"branch probabilities sum to {total}, expected 1")
+        if any(b.lam.group.moduli != group.moduli for b in branches):
+            raise ValidationError("branch eigen list on a different group")
+        probs = np.array([b.prob for b in branches], dtype=np.float64)
+        if probs.min() < 0:
+            raise ValidationError(f"negative branch probability {probs.min()}")
+        _check_total(probs)
+        self._set(group, probs, np.array([b.lam.values for b in branches]),
+                  Labels((), lambda: [tuple(b.labels) for b in branches]))
+        self._branches = branches
+
+    def _set(self, group, probs, lams, labels):
+        probs.flags.writeable = lams.flags.writeable = False
+        self.group, self.probs, self.lams, self._labels = group, probs, lams, labels
+        self._branches = None
+
+    @classmethod
+    def _make(cls, group, probs, lams, labels) -> HeraldedMessage:
+        """Wrap rows that are already validated."""
+        msg = object.__new__(cls)
+        msg._set(group, probs, lams, labels)
+        return msg
+
+    @classmethod
+    def _checked(cls, group, probs, lams, labels) -> HeraldedMessage:
+        """Wrap new rows, validated by `_valid_rows`."""
+        return cls._make(group, probs, _valid_rows(group, probs, lams), labels)
 
     def __len__(self):
-        return len(self.branches)
+        return self.probs.size
+
+    def __reduce__(self):
+        return HeraldedMessage, (self.group, self.branches)
+
+    @property
+    def labels(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(self._labels.render())
+
+    @property
+    def branches(self) -> tuple[Branch, ...]:
+        if self._branches is None:
+            self._branches = tuple(
+                Branch(p, EigenList._of_valid(self.group, row), labs)
+                for p, row, labs in zip(self.probs.tolist(), self.lams, self._labels.render()))
+        return self._branches
+
+
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
 
 def pure(lam: EigenList, labels: tuple[str, ...] = ()) -> HeraldedMessage:
     """Degenerate mixture with a single herald value."""
-    return HeraldedMessage(lam.group, (Branch(1.0, lam, tuple(labels)),))
+    return HeraldedMessage._make(lam.group, _ONE, lam.values[None, :],
+                                 Labels((), lambda: [tuple(labels)]))
+
+
+def relabel(msg: HeraldedMessage, fn) -> HeraldedMessage:
+    """The same mixture with each branch's label tuple mapped through `fn`."""
+    return HeraldedMessage._make(msg.group, msg.probs, msg.lams,
+                                 Labels((msg._labels,), lambda r: [fn(labs) for labs in r]))
+
+
+def _gather(msg: HeraldedMessage, probs, lams, members, bounds=None) -> HeraldedMessage:
+    """Branch j: `probs[j]`, `lams[j]` and the labels of branches
+    ``members[bounds[j]:bounds[j+1]]`` of `msg` (one member each by default)."""
+    def build(rendered):
+        m = members.tolist()
+        b = range(len(m) + 1) if bounds is None else bounds.tolist()
+        return [tuple(chain.from_iterable(rendered[i] for i in m[s:e])) for s, e in zip(b, b[1:])]
+    return HeraldedMessage._make(msg.group, probs, lams, Labels((msg._labels,), build))
+
+
+@functools.lru_cache(maxsize=None)
+def _direction(n: int) -> np.ndarray:
+    return 1.0 + (np.arange(n) * 0.6180339887498949) % 1.0
+
+
+def _repair(reps: np.ndarray, tol: float) -> np.ndarray | None:
+    """Root of each lex-sorted representative: the first earlier root within
+    L-infinity `tol`, else itself; None when no two are close.
+
+    Only pairs whose projections on a positive direction lie within `reach`
+    are compared: a pair within `tol` differs by at most ``2 n tol`` there,
+    and `reach` adds the rounding of rows that are nonnegative and sum to n.
+    """
+    m, n = reps.shape
+    key = reps @ _direction(n)
+    reach = 2.0 * n * tol + 16.0 * n * n * np.finfo(float).eps
+    skey = np.sort(key)
+    if not (skey[1:] - skey[:-1] <= reach).any():
+        return None
+    order = np.argsort(key, kind="stable")
+    span = np.arange(m) - np.searchsorted(key[order], key[order] - reach)
+    pairs = []
+    for d in range(1, span.max() + 1):      # compare sorted positions b - d, b
+        b = np.flatnonzero(span >= d)
+        i, j = np.sort([order[b - d], order[b]], axis=0)
+        close = np.abs(reps[i] - reps[j]).max(axis=1) <= tol
+        pairs += zip(j[close].tolist(), i[close].tolist())
+    root = np.arange(m)
+    for j, i in sorted(pairs):
+        if root[j] == j and root[i] == i:
+            root[j] = i
+    return root
 
 
 def merge_duplicates(msg: HeraldedMessage, tol: float = DEFAULT_MERGE_TOL) -> HeraldedMessage:
     """Merge branches whose eigen lists agree within L-infinity `tol`.
 
-    Probabilities add and labels concatenate.  Output branches keep the order
-    of first appearance.  Clustering sorts lexicographically and merges
-    adjacent runs, which is exact for the tightly-clustered duplicates the
-    update rules produce.
+    Probabilities add and labels concatenate, both in branch order.  Output
+    branches keep the order of first appearance and the list of their first
+    branch.  Clustering scans the lexsorted rows: a row joins the open
+    cluster when it lies within `tol` of the cluster's first row.  A branch
+    lex-sorting between two jittered duplicates can split a cluster, so each
+    cluster then joins the first earlier unjoined cluster within `tol`.
     """
-    if len(msg) == 1:
+    k, lams = len(msg), msg.lams
+    if k == 1:
         return msg
-    mats = np.stack([b.lam.values for b in msg.branches])
-    order = np.lexsort(mats.T[::-1])
-    clusters: list[list[int]] = []
-    rep = None
-    for pos in order:
-        if rep is not None and np.max(np.abs(mats[pos] - rep)) <= tol:
-            clusters[-1].append(int(pos))
-        else:
-            clusters.append([int(pos)])
-            rep = mats[pos]
-    # a branch lex-sorting between two jittered duplicates can split a
-    # cluster; a quadratic pass over the (few) representatives repairs it
-    merged: list[list[int]] = []
-    for idxs in clusters:
-        for target in merged:
-            if np.max(np.abs(mats[idxs[0]] - mats[target[0]])) <= tol:
-                target.extend(idxs)
-                break
-        else:
-            merged.append(idxs)
-    for idxs in merged:
-        idxs.sort()
-    merged.sort(key=min)
-    out = []
-    for idxs in merged:
-        prob = float(sum(msg.branches[i].prob for i in idxs))
-        labels = tuple(lab for i in idxs for lab in msg.branches[i].labels)
-        out.append(Branch(prob, msg.branches[idxs[0]].lam, labels))
-    return HeraldedMessage(msg.group, tuple(out))
+    order = np.lexsort(lams.T[::-1])
+    srt, pos = lams[order], np.arange(k)
+    start = np.ones(k, dtype=bool)
+    start[1:] = ~(np.abs(srt[1:] - srt[:-1]).max(axis=1) <= tol)
+    # clusters start where adjacent rows differ; fix, left to right, each
+    # row that breaks the scan rule against its cluster's first row
+    at = k if start.all() else 1
+    while at < k:
+        first = np.maximum.accumulate(np.where(start, pos, 0))
+        ref = np.where(start[at:], first[at - 1:-1], first[at:])
+        wrong = np.flatnonzero((np.abs(srt[at:] - srt[ref]).max(axis=1) <= tol) == start[at:])
+        if not wrong.size:
+            break
+        at += int(wrong[0])
+        start[at] = not start[at]
+        at += 1
+    alone = bool(start.all())
+    reps = srt if alone else srt[start]
+    root = _repair(reps, tol)
+    if root is None and alone:
+        return msg
+    cluster = np.cumsum(start) - 1
+    group = np.empty(k, dtype=np.intp)
+    group[order] = cluster if root is None else root[cluster]
+    first = np.full(len(reps), k)
+    np.minimum.at(first, group, pos)
+    firsts = np.sort(first[first < k])      # first branch of each output, in order
+    rank = np.empty(len(reps), dtype=np.intp)
+    rank[group[firsts]] = np.arange(firsts.size)
+    out = rank[group]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(out))))
+    return _gather(msg, np.bincount(out, weights=msg.probs), lams[firsts],
+                   np.argsort(out, kind="stable"), bounds)
 
 
 def prune(msg: HeraldedMessage, eps: float) -> HeraldedMessage:
     """Drop branches with prob < eps and renormalize; eps = 0 is the exact mode."""
-    if not 0 <= eps < 0.5:
-        raise ValidationError(f"prune threshold {eps} outside [0, 0.5)")
+    check_prune_eps(eps)
     if eps == 0:
         return msg
-    kept = [b for b in msg.branches if b.prob >= eps]
-    if not kept:
+    keep = np.flatnonzero(msg.probs >= eps)
+    if not keep.size:
         raise ValidationError("prune removed every branch")
-    total = sum(b.prob for b in kept)
-    return HeraldedMessage(
-        msg.group, tuple(Branch(b.prob / total, b.lam, b.labels) for b in kept)
-    )
+    kept = msg.probs[keep]
+    return _gather(msg, kept / sum(kept.tolist()), msg.lams[keep], keep)
+
+
+def _draw(msg: HeraldedMessage, rng: np.random.Generator) -> int:
+    probs = msg.probs
+    u = rng.random()
+    return min(int(np.searchsorted(np.cumsum(probs), u * probs.sum(), side="right")), len(msg) - 1)
 
 
 def sample(msg: HeraldedMessage, rng: np.random.Generator) -> tuple[EigenList, tuple[str, ...]]:
     """Draw one branch; deterministic given the generator state."""
-    probs = np.array([b.prob for b in msg.branches])
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u * probs.sum(), side="right"))
-    idx = min(idx, len(msg) - 1)
-    b = msg.branches[idx]
-    return b.lam, b.labels
+    idx = _draw(msg, rng)
+    return EigenList._of_valid(msg.group, msg.lams[idx]), msg._labels.render()[idx]
 
 
-def herald_rng(mode: str, seed: int | None) -> np.random.Generator | None:
-    """Check a tracker mode; the herald generator in sampled mode, else None."""
+def check_prune_eps(eps: float) -> None:
+    if not 0 <= eps < 0.5:
+        raise ValidationError(f"prune threshold {eps} outside [0, 0.5)")
+
+
+def herald_rng(mode: str, seed: int | None, prune_eps: float) -> np.random.Generator | None:
+    """Check a tracker's mode and prune threshold; the herald generator in
+    sampled mode, else None."""
     if mode not in ("exact", "sampled"):
         raise ValidationError(f"unknown mode {mode!r}")
+    check_prune_eps(prune_eps)
     if mode == "exact":
         return None
     if seed is None:
         raise ValidationError("sampled mode requires a seed")
     return np.random.default_rng(seed)
+
+
+class GuardWarning(RuntimeWarning):
+    """The branch cap pruned a mixture of `branches` branches, dropping
+    probability mass `dropped`."""
+
+    def __init__(self, branches: int, dropped: float):
+        super().__init__(f"branch count {branches} exceeds cap {BRANCH_CAP}; pruning at "
+                         f"{GUARD_PRUNE} drops probability mass {dropped:.6g}")
+        self.branches, self.dropped = branches, dropped
 
 
 def guard(msg: HeraldedMessage, rng: np.random.Generator | None,
@@ -142,27 +334,26 @@ def guard(msg: HeraldedMessage, rng: np.random.Generator | None,
 
     Sampled mode (`rng` given) keeps one drawn herald.  Exact mode prunes at
     `prune_eps`; past `BRANCH_CAP` branches it also prunes at `GUARD_PRUNE`
-    and warns with the branch count and the probability mass dropped.
+    and warns (`GuardWarning`) with the branch count and the probability
+    mass dropped.
     """
     if rng is not None:
-        return pure(*sample(msg, rng))
+        idx = _draw(msg, rng)
+        return _gather(msg, _ONE, msg.lams[idx:idx + 1], np.array([idx]))
     if prune_eps > 0:
         msg = prune(msg, prune_eps)
     if len(msg) > BRANCH_CAP:
-        dropped = sum(b.prob for b in msg.branches if b.prob < GUARD_PRUNE)
-        warnings.warn(
-            f"branch count {len(msg)} exceeds cap {BRANCH_CAP}; pruning at "
-            f"{GUARD_PRUNE} drops probability mass {dropped:.6g}",
-            RuntimeWarning, stacklevel=2,
-        )
+        dropped = sum(msg.probs[msg.probs < GUARD_PRUNE].tolist())
+        warnings.warn(GuardWarning(len(msg), dropped), stacklevel=2)
         msg = prune(msg, GUARD_PRUNE)
     return msg
 
 
 def avg_holevo(msg: HeraldedMessage) -> float:
     """Herald-averaged Holevo information in bits (herald is side information)."""
-    return float(sum(b.prob * holevo_info(b.lam) for b in msg.branches))
+    n = msg.group.order
+    return float(sum(p * entropy_bits(row / n) for p, row in zip(msg.probs.tolist(), msg.lams)))
 
 
 def avg_pgm_error(msg: HeraldedMessage) -> float:
-    return float(sum(b.prob * pgm_error(b.lam) for b in msg.branches))
+    return float(sum(p * pgm_error_of(row) for p, row in zip(msg.probs.tolist(), msg.lams)))

@@ -48,7 +48,6 @@ from .messages import (
     guard,
     herald_rng,
     pure,
-    sample,
 )
 
 DEFAULT_EXACT_LEVELS = 4
@@ -176,7 +175,7 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
         mode = "exact" if levels <= DEFAULT_EXACT_LEVELS else "sampled"
     minus, plus = _rules_for(kernel)
 
-    if herald_rng(mode, seed) is None:
+    if herald_rng(mode, seed, prune_eps) is None:
         channels = [pure(base)]
         for _ in range(levels):
             channels = [guard(rule(msg, msg), None, prune_eps)
@@ -184,17 +183,18 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
         return [IndexStats(i, avg_holevo(ch), avg_pgm_error(ch))
                 for i, ch in enumerate(channels)]
 
+    leaf = pure(base)
+
     def sample_path(bits, rng):
         # bits[depth]: rule applied at that recursion depth; depth 0 is the
         # outermost transform = least significant index bit
         def rec(depth):
             if depth == len(bits):
-                return base
+                return leaf
             a = rec(depth + 1)
             b = rec(depth + 1)
             rule = minus if bits[depth] == 0 else plus
-            lam, _ = sample(rule(pure(a), pure(b)), rng)
-            return lam
+            return guard(rule(a, b), rng)
         return rec(0)
 
     stats = []
@@ -204,7 +204,7 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
         hol = np.empty(samples)
         err = np.empty(samples)
         for s in range(samples):
-            msg = pure(sample_path(bits, rng))
+            msg = sample_path(bits, rng)
             hol[s] = avg_holevo(msg)
             err[s] = avg_pgm_error(msg)
         stats.append(IndexStats(i, float(hol.mean()), float(err.mean())))

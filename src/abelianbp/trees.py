@@ -251,7 +251,7 @@ def run_mp(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,
     herald per rule application (seed required) and returns a single-branch
     message whose distribution over repeated seeds is the exact mixture.
     """
-    rng = herald_rng(mode, seed)
+    rng = herald_rng(mode, seed, prune_eps)
     validate_tree(spec)
     return _Engine(spec, rng, prune_eps).variable_message(spec.root, None)
 

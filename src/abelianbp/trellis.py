@@ -39,13 +39,13 @@ from .groups import (
     projection_hom,
 )
 from .messages import (
-    Branch,
     HeraldedMessage,
     avg_holevo,
     avg_pgm_error,
     guard,
     herald_rng,
     pure,
+    relabel,
 )
 
 
@@ -185,13 +185,8 @@ def _as_message(x) -> HeraldedMessage:
 
 def _retag(msg: HeraldedMessage, tag: str) -> HeraldedMessage:
     """Prefix the herald labels added by the latest marginalization."""
-    branches = tuple(
-        Branch(b.prob, b.lam,
-               tuple(f"{tag}:{lab}" if lab.startswith("marg:") else lab
-                     for lab in b.labels))
-        for b in msg.branches
-    )
-    return HeraldedMessage(msg.group, branches)
+    return relabel(msg, lambda labels: tuple(f"{tag}:{lab}" if lab.startswith("marg:") else lab
+                                             for lab in labels))
 
 
 def branch_posterior(spec: TrellisSpec, fwd=None, bwd=None, obs=(),
@@ -276,7 +271,7 @@ def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
     state messages are pruned at ``prune_eps``.
     """
     validate_trellis(spec)
-    rng = herald_rng(mode, seed)
+    rng = herald_rng(mode, seed, prune_eps)
     T = len(obs_seq)
     symbol_obs_seq = symbol_obs_seq or [None] * T
     apriori_seq = apriori_seq or [None] * T

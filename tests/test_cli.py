@@ -160,6 +160,20 @@ def test_usage_exit_code(capsys):
     assert json.loads(err)["error"] in ("usage", "validation")
 
 
+def test_prune_threshold_is_validated_in_every_mode(tmp_path, capsys):
+    spec = FactorGraphSpec({"a": Z32, "root": Z32},
+                           {"la": leaf("a", LAM1), "eq": FactorNode("equality", ("a", "root"))},
+                           "root")
+    g = tmp_path / "g.json"
+    g.write_text(to_json(dump_graph(spec)))
+    for argv in (("mp", "run", "--graph", str(g), "--prune", "-1"),
+                 ("polar", "construct", "--group", "[3]", "--lambda", "[2,1,0]",
+                  "--levels", "2", "--mode", "sampled", "--seed", "1", "--prune", "0.7")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "prune threshold" in json.loads(err)["message"]
+
+
 def test_mp_run_command(tmp_path, capsys):
     spec = FactorGraphSpec(
         {"a": Z32, "b": Z32, "root": Z32},

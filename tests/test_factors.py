@@ -7,6 +7,7 @@ from abelianbp import (
     EigenList,
     GroupSpec,
     HomSpec,
+    NumericalError,
     ValidationError,
     adjoin_uniform,
     apply_automorphism,
@@ -501,3 +502,11 @@ def test_lifted_hom_and_marginalize():
     assert mm.group.moduli == (3,)
     ml = lift_along_hom_m(pure(perfect_list(Z3)), projection_hom(Z32, (0,)))
     assert ml.group.moduli == (3, 2)
+
+
+def test_nan_list_in_a_mixture_is_a_numerical_error():
+    # EigenList itself lets NaN through; the herald lift must not
+    bad = pure(EigenList(Z3, [np.nan, 1.5, 1.5]))
+    for rule in (equality_combine_m, check_combine_m):
+        with pytest.raises(NumericalError):
+            rule(bad, pure(perfect_list(Z3)))

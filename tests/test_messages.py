@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelianbp import (
     EigenList,
@@ -20,7 +22,7 @@ from abelianbp import (
     sample,
     useless_list,
 )
-from abelianbp.messages import Branch, guard
+from abelianbp.messages import DEFAULT_MERGE_TOL, Branch, guard
 
 Z32 = GroupSpec((3, 2))
 LAM1 = EigenList(Z32, [2, 1, 0, 2, 1, 0])
@@ -163,3 +165,98 @@ def test_avg_metrics():
     merged = merge_duplicates(worked_check_ensemble())
     expected = sum(b.prob * holevo_info(b.lam) for b in merged.branches)
     assert avg_holevo(merged) == pytest.approx(expected, abs=1e-12)
+
+
+def reference_merge(msg, tol=DEFAULT_MERGE_TOL):
+    """The quadratic merge that `merge_duplicates` replaced: a sequential scan
+    of the lexsorted lists, then a pairwise repair over the representatives."""
+    if len(msg) == 1:
+        return msg
+    mats = np.stack([b.lam.values for b in msg.branches])
+    order = np.lexsort(mats.T[::-1])
+    clusters = []
+    rep = None
+    for pos in order:
+        if rep is not None and np.max(np.abs(mats[pos] - rep)) <= tol:
+            clusters[-1].append(int(pos))
+        else:
+            clusters.append([int(pos)])
+            rep = mats[pos]
+    merged = []
+    for idxs in clusters:
+        for target in merged:
+            if np.max(np.abs(mats[idxs[0]] - mats[target[0]])) <= tol:
+                target.extend(idxs)
+                break
+        else:
+            merged.append(idxs)
+    for idxs in merged:
+        idxs.sort()
+    merged.sort(key=min)
+    out = []
+    for idxs in merged:
+        prob = float(sum(msg.branches[i].prob for i in idxs))
+        labels = tuple(lab for i in idxs for lab in msg.branches[i].labels)
+        out.append(Branch(prob, msg.branches[idxs[0]].lam, labels))
+    return HeraldedMessage(msg.group, tuple(out))
+
+
+@st.composite
+def mixtures_with_duplicates(draw):
+    """Up to 300 branches on a group of order <= 24, and a merge tolerance.
+
+    Branches include exact duplicates, duplicates jittered by up to 1e-12,
+    lex interlopers (a list that sorts between a list and its jittered
+    copy) and, in the "permuted" style, lists sharing one multiset of
+    values, so that every column has ties.  A tolerance of 1e-12 lets
+    jittered copies chain past the first list of their cluster.
+    """
+    moduli, order = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        if 24 // order < 2:
+            break
+        moduli.append(draw(st.integers(2, 24 // order)))
+        order *= moduli[-1]
+    G = GroupSpec(tuple(moduli))
+    n = G.order
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 300))
+    distinct = draw(st.integers(1, k))
+    if draw(st.sampled_from(["random", "permuted"])) == "random":
+        base = rng.uniform(0.1, 2.0, (distinct, n))
+    else:
+        row = rng.uniform(0.1, 2.0, n)
+        base = np.array([rng.permutation(row) for _ in range(distinct)])
+    base *= n / base.sum(axis=1, keepdims=True)
+    rows = base[rng.integers(0, distinct, k)]
+    jittered = rng.random(k) < draw(st.floats(0.0, 1.0))
+    rows[jittered] += rng.uniform(-1e-12, 1e-12, (int(jittered.sum()), n))
+    rows = list(rows)
+    if n >= 3:
+        for _ in range(draw(st.integers(0, 5))):
+            r = rows[rng.integers(len(rows))]
+            interloper, dup = r.copy(), r.copy()
+            interloper[1] += 5e-13
+            interloper[2:] = rng.permutation(r[2:])
+            dup[1] += 1e-12
+            dup[2:] += rng.uniform(-1e-12, 1e-12, n - 2)
+            at = int(rng.integers(len(rows) + 1))
+            rows[at:at] = [interloper, dup]
+    probs = rng.random(len(rows)) + 0.01
+    probs /= probs.sum()
+    msg = HeraldedMessage(G, tuple(Branch(float(p), EigenList(G, row), (f"b{i}",))
+                                   for i, (p, row) in enumerate(zip(probs, rows))))
+    tol = draw(st.sampled_from([DEFAULT_MERGE_TOL, 1e-12, 0.0]))
+    return msg, tol
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(mixtures_with_duplicates())
+def test_merge_matches_quadratic_reference(case):
+    msg, tol = case
+    got, want = merge_duplicates(msg, tol), reference_merge(msg, tol)
+    assert len(got) == len(want)
+    for g, w in zip(got.branches, want.branches):
+        assert g.labels == w.labels
+        assert np.array_equal(g.lam.values, w.lam.values)
+        assert abs(g.prob - w.prob) <= 1e-15

@@ -4,6 +4,7 @@ The profile is derandomized, so every run draws the same examples.
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from abelianbp import (
     EigenList,
     GroupSpec,
+    HeraldedMessage,
     HomSpec,
     avg_holevo,
     avg_pgm_error,
@@ -19,10 +21,29 @@ from abelianbp import (
     equality_combine,
     hom_push_supported,
     lift_along_hom,
+    merge_duplicates,
     perfect_list,
     surjection_onto_image,
     useless_list,
 )
+from abelianbp import factors
+from abelianbp.factors import (
+    adjoin_uniform,
+    adjoin_uniform_m,
+    apply_automorphism,
+    apply_automorphism_m,
+    check_combine_m,
+    equality_combine_m,
+    hom_push,
+    hom_push_m,
+    hom_push_supported_m,
+    lift_along_hom_m,
+    marginalize_split,
+    marginalize_split_m,
+)
+from abelianbp.groups import is_automorphism
+from abelianbp.messages import PROB_FLOOR, Branch
+from abelianbp.polar import polar_minus, polar_plus
 
 MAX_ORDER = 24
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -53,16 +74,46 @@ def group_and_lists(draw, count):
 
 
 @st.composite
-def surjective_homs(draw):
-    """A random hom restricted to a surjection onto its image."""
-    G1, G2 = draw(groups()), draw(groups())
+def homs(draw, G1=None):
+    G1, G2 = G1 or draw(groups()), draw(groups())
     # entries that are multiples of m_i / gcd(n_j, m_i) always give a hom
     matrix = tuple(
         tuple(draw(st.integers(0, m)) * (m // math.gcd(n, m)) for n in G1.moduli)
         for m in G2.moduli
     )
-    surj, _ = surjection_onto_image(HomSpec(G1, G2, matrix))
+    return HomSpec(G1, G2, matrix)
+
+
+@st.composite
+def surjective_homs(draw, G1=None):
+    """A random hom restricted to a surjection onto its image."""
+    surj, _ = surjection_onto_image(draw(homs(G1)))
     return surj
+
+
+@st.composite
+def automorphisms(draw, G):
+    """An upper-triangular hom with a unit on the diagonal, hence invertible."""
+    matrix = []
+    for i, m in enumerate(G.moduli):
+        row = []
+        for j, n in enumerate(G.moduli):
+            if i == j:
+                row.append(draw(st.sampled_from([u for u in range(1, m) if math.gcd(u, m) == 1])))
+            else:
+                row.append(draw(st.integers(0, m)) * (m // math.gcd(n, m)) if j > i else 0)
+        matrix.append(tuple(row))
+    phi = HomSpec(G, G, tuple(matrix))
+    assert is_automorphism(phi)
+    return phi
+
+
+def mixtures(draw, G):
+    """A heralded mixture of one to three random lists with distinct labels."""
+    k = draw(st.integers(1, 3))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    return HeraldedMessage(G, tuple(Branch(float(p), eigen_lists(draw, G), (f"x{i}",))
+                                    for i, p in enumerate(w / w.sum())))
 
 
 def close(a: EigenList, b: EigenList) -> bool:
@@ -108,3 +159,71 @@ def test_push_supported_inverts_lift(data):
     H = data.draw(surjective_homs())
     lam = eigen_lists(data.draw, H.target)
     assert close(hom_push_supported(lift_along_hom(lam, H), H), lam)
+
+
+def reference_m(msgs, rule):
+    """The herald lift of a pure rule, one branch tuple at a time."""
+    out = []
+    stack = [((), 1.0, ())]
+    for msg in msgs:
+        grown = [(lams + (b.lam,), p * b.prob, labels + b.labels)
+                 for (lams, p, labels) in stack for b in msg.branches]
+        stack = [e for e in grown if e[1] >= PROB_FLOOR] or grown
+    for lams, p, labels in stack:
+        result = rule(*lams)
+        group = result.group
+        if isinstance(result, HeraldedMessage):
+            out += [Branch(p * b.prob, b.lam, labels + b.labels) for b in result.branches]
+        else:
+            out.append(Branch(p, result, labels))
+    total = sum(b.prob for b in out)
+    return merge_duplicates(HeraldedMessage(
+        group, tuple(Branch(b.prob / total, b.lam, b.labels) for b in out)))
+
+
+def same_mixture(got, want):
+    assert got.group.moduli == want.group.moduli
+    assert len(got) == len(want)
+    for g, w in zip(got.branches, want.branches):
+        assert g.labels == w.labels
+        assert abs(g.prob - w.prob) <= 1e-12
+        assert np.max(np.abs(g.lam.values - w.lam.values)) <= 1e-12
+
+
+@PROFILE
+@given(st.data())
+def test_batched_rules_match_per_branch_rules(data):
+    # a small block budget runs the rule kernels on one or a few pairs at a time
+    with patch.object(factors, "_BLOCK_FLOATS", data.draw(st.sampled_from([1 << 18, 64, 1]))):
+        check_batched_rules(data.draw)
+
+
+def check_batched_rules(draw):
+    G = draw(groups())
+    m1, m2 = mixtures(draw, G), mixtures(draw, G)
+    same_mixture(check_combine_m(m1, m2), reference_m([m1, m2], check_combine))
+    same_mixture(equality_combine_m(m1, m2), reference_m([m1, m2], equality_combine))
+    H = draw(homs(G))
+    same_mixture(hom_push_m(m1, H), reference_m([m1], lambda lam: hom_push(lam, H)))
+    S = draw(surjective_homs(G))
+    lifted = mixtures(draw, S.target)
+    same_mixture(lift_along_hom_m(lifted, S), reference_m([lifted], lambda lam: lift_along_hom(lam, S)))
+    supported = lift_along_hom_m(lifted, S)
+    same_mixture(hom_push_supported_m(supported, S),
+                 reference_m([supported], lambda lam: hom_push_supported(lam, S)))
+    keep = draw(st.integers(0, G.rank))
+    same_mixture(marginalize_split_m(m1, keep),
+                 reference_m([m1], lambda lam: marginalize_split(lam, keep)))
+    phi = draw(automorphisms(G))
+    same_mixture(apply_automorphism_m(m1, phi), reference_m([m1], lambda lam: apply_automorphism(lam, phi)))
+    fresh = GroupSpec((draw(st.integers(2, 4)),))
+    same_mixture(adjoin_uniform_m(m1, fresh), reference_m([m1], lambda lam: adjoin_uniform(lam, fresh)))
+
+
+@PROFILE
+@given(st.data())
+def test_polar_pair_conserves_holevo_information(data):
+    G = data.draw(groups())
+    m1, m2 = mixtures(data.draw, G), mixtures(data.draw, G)
+    total = avg_holevo(polar_minus(m1, m2)) + avg_holevo(polar_plus(m1, m2))
+    assert math.isclose(total, avg_holevo(m1) + avg_holevo(m2), abs_tol=1e-9)
