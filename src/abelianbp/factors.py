@@ -49,7 +49,8 @@ class _Rule(NamedTuple):
 
     ``rows`` maps (K, |G|) operand arrays to the (K, |G_out|) output lists;
     a heralded rule instead returns herald probabilities (K, h) and
-    ``finish(keep)``, the normalised lists of the kept (row, herald) cells.
+    ``finish(keep)``, the normalised lists of the (row, herald) cells that
+    ``keep`` (a (K, h) mask or a pair of index arrays) selects.
     ``herald`` is (label kind, label group, label index of each herald).
     """
 

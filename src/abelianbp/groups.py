@@ -263,6 +263,7 @@ def identity_hom(G: GroupSpec) -> HomSpec:
     return HomSpec(G, G, mat)
 
 
+@functools.lru_cache(maxsize=None)
 def inversion_automorphism(G: GroupSpec) -> HomSpec:
     """g -> g^{-1}; an automorphism of every abelian group."""
     mat = tuple(tuple((n - 1) if i == j else 0 for j in range(G.rank))

@@ -86,21 +86,28 @@ def product_labels(parents, cols, herald=None) -> Labels:
 
 
 def _valid_rows(group: GroupSpec, probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Check new rows as `EigenList` does, clipping tiny negatives, and the
-    total probability; rules make probabilities from nonnegative values only."""
+    """Check new rows with `valid_lists` and the total probability; rules
+    make probabilities from nonnegative values only."""
     if not probs.size:
         raise ValidationError("heralded message needs at least one branch")
+    lams = valid_lists(group, lams)
+    _check_total(probs)
+    return lams
+
+
+def valid_lists(group: GroupSpec, lams: np.ndarray) -> np.ndarray:
+    """Check a nonempty batch of eigen lists (the last axis) as `EigenList`
+    does, clipping tiny negatives; a NaN list is a `NumericalError`."""
     n, low = group.order, lams.min()
     if low < -NEG_CLIP:
         raise ValidationError(f"negative eigen list entry {low} below -{NEG_CLIP}")
     if low <= 0:
         lams = np.maximum(lams, 0.0)     # as np.clip, also -0.0 -> 0.0
-    sums, tol = lams.sum(axis=1), TRACE_RTOL * n
+    sums, tol = lams.sum(axis=-1), TRACE_RTOL * n
     if not (sums.min() >= n - tol and sums.max() <= n + tol):
         s = sums[~(np.abs(sums - n) <= tol)][0]
         raise (NumericalError if np.isnan(s) else ValidationError)(
             f"eigen list sums to {s}, expected {n} (rel tol {TRACE_RTOL})")
-    _check_total(probs)
     return lams
 
 

@@ -6,67 +6,64 @@ copies to a bad/good pair:
     minus = check(W1, relabel of W2 by g -> g^{-1})
     plus  = equality(W1, W2)
 
-Recursing n levels over 2^n copies of a base channel yields per-index
-synthetic-channel statistics.  Exact mode propagates full heralded mixtures;
-sampled mode estimates each index with a population of herald trajectories.
+Alternative kernels, automorphisms of G x G, decompose into lift, equality
+and marginalization (minus) and automorphism and equality (plus) factors;
+they are validated but carry no frozen reference vectors.  Both modes share
+one pair of rules per group and kernel, built from the row rules of `factors`.
 
-Alternative kernels given as automorphisms of G x G are decomposed into lift,
-equality, marginalization, and automorphism factors (`kernel_minus`,
-`kernel_plus`); they are validated for consistency but carry no frozen
-reference vectors.
+Exact mode runs the rules over branch products of heralded mixtures.
+Sampled mode is the population construction of Tal and Vardy with herald
+sampling: level d holds a population of rows per MSB-first index prefix; a
+level pairs row j with row j + half in each population, keeps one drawn
+herald per minus output and stacks the minus and plus children.  Pairing
+without replacement gives the samples of an index disjoint ancestry, so they
+are independent, each distributed as a recursion through 2^L fresh leaves.
+The cost is L 2^L samples rows in 2L batched kernel calls.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
+from . import factors
 from .eigenlists import EigenList
-from .errors import ValidationError
-from .factors import (
-    apply_automorphism_m,
-    check_combine_m,
-    equality_combine_m,
-    equality_fold_m,
-    lift_along_hom_m,
-    marginalize_split_m,
-)
-from .groups import (
-    GroupSpec,
-    HomSpec,
-    direct_product,
-    inversion_automorphism,
-    is_automorphism,
-    is_surjective,
-)
-from .messages import (
-    HeraldedMessage,
-    avg_holevo,
-    avg_pgm_error,
-    guard,
-    herald_rng,
-    pure,
-)
+from .errors import NumericalError, ValidationError
+from .factors import _Rule, _automorphism, _equality, _product_apply, _same_group
+from .groups import (GroupSpec, HomSpec, direct_product, inversion_automorphism,
+                     is_automorphism, is_surjective)
+from .messages import (PROB_FLOOR, HeraldedMessage, avg_holevo, avg_pgm_error, guard,
+                       herald_rng, pure, valid_lists)
 
 DEFAULT_EXACT_LEVELS = 4
 DEFAULT_SAMPLES = 1000
 
 
+@functools.lru_cache(maxsize=None)
+def _arikan_rules(G: GroupSpec):
+    return (_automorphism(G, inversion_automorphism(G)), factors._check(G)), (None, _equality(G))
+
+
+def _apply(polar_rule, m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
+    """A polar rule (relabel of the second operand or None, binary rule) over
+    the branch product.  The relabel is a product step of its own, so minus
+    equals ``check_combine_m(m1, apply_automorphism_m(m2, inv))`` bit for bit."""
+    relabel, rule = polar_rule
+    if relabel is not None:
+        m2 = _product_apply([m2], relabel)
+    return _product_apply([m1, m2], rule)
+
+
 def polar_minus(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
-    """Bad synthetic channel: inverse-relabel the second input, then check."""
-    if m1.group.moduli != m2.group.moduli:
-        raise ValidationError("polar minus: group mismatch")
-    inv = inversion_automorphism(m2.group)
-    return check_combine_m(m1, apply_automorphism_m(m2, inv))
+    """Bad synthetic channel: check with the second input relabelled by g -> g^{-1}."""
+    return _apply(_arikan_rules(_same_group(m1, m2, "polar minus"))[0], m1, m2)
 
 
 def polar_plus(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
     """Good synthetic channel: equality combination."""
-    if m1.group.moduli != m2.group.moduli:
-        raise ValidationError("polar plus: group mismatch")
-    return equality_combine_m(m1, m2)
+    return _apply(_arikan_rules(_same_group(m1, m2, "polar plus"))[1], m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -75,72 +72,59 @@ def polar_plus(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
 
 def arikan_kernel(G: GroupSpec) -> HomSpec:
     """(u1, u2) -> (u1 u2, u2) as an automorphism of G x G."""
-    k = G.rank
-    GG = direct_product(G, G)
-    rows = []
-    for i in range(k):
-        rows.append(tuple(1 if j in (i, i + k) else 0 for j in range(2 * k)))
-    for i in range(k):
-        rows.append(tuple(1 if j == i + k else 0 for j in range(2 * k)))
+    k, GG = G.rank, direct_product(G, G)
+    rows = [tuple(int(j in (i, i + k)) for j in range(2 * k)) for i in range(k)]
+    rows += [tuple(int(j == i + k) for j in range(2 * k)) for i in range(k)]
     return HomSpec(GG, GG, tuple(rows))
 
 
-def _kernel_blocks(kernel: HomSpec):
-    GG = kernel.source
-    k = GG.rank // 2
-    G = GroupSpec(GG.moduli[:k])
-    if GG.moduli != G.moduli + G.moduli:
-        raise ValidationError("kernel must act on G x G")
+def _kernel_blocks(G: GroupSpec, kernel: HomSpec):
+    """Maps branch -> x1, x2 and second-column blocks c1, c2 (action on u2)."""
+    GG, k, rows = kernel.source, G.rank, kernel.matrix
+    if GG.moduli != G.moduli * 2:
+        raise ValidationError(f"polar kernel must act on G x G for G = {G}")
     if not is_automorphism(kernel):
         raise ValidationError("polar kernel must be an automorphism of G x G")
-    rows = kernel.matrix
-    out1 = HomSpec(GG, G, rows[:k])       # branch -> x1
-    out2 = HomSpec(GG, G, rows[k:])       # branch -> x2
-    # action on u2 alone (u1 = identity): second column blocks
-    c1 = HomSpec(G, G, tuple(tuple(rows[i][k:]) for i in range(k)))
-    c2 = HomSpec(G, G, tuple(tuple(rows[i + k][k:]) for i in range(k)))
-    return G, out1, out2, c1, c2
+    halves = (rows[:k], rows[k:])
+    return GG, [HomSpec(GG, G, h) for h in halves], [
+        HomSpec(G, G, tuple(row[k:] for row in h)) for h in halves]
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_minus_rule(G: GroupSpec, kernel: HomSpec):
+    GG, outs, _ = _kernel_blocks(G, kernel)
+    if not all(is_surjective(out) for out in outs):
+        raise ValidationError("kernel output map is not surjective")
+    lift1, lift2 = (factors._lift(G, out) for out in outs)
+    eq, marg = _equality(GG), factors._marginalize(GG, G.rank)
+    return None, _Rule(G, lambda A, B: marg.rows(eq.rows(lift1.rows(A), lift2.rows(B))),
+                       marg.herald)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_plus_rule(G: GroupSpec, kernel: HomSpec):
+    blocks = [c if any(x for row in c.matrix for x in row) else None
+              for c in _kernel_blocks(G, kernel)[2]]
+    if blocks == [None, None]:
+        raise ValidationError("kernel plus: both outputs decouple from u2")
+    if not all(is_automorphism(c) for c in blocks if c is not None):
+        raise ValidationError(
+            "unsupported kernel: second-column block is neither zero nor an automorphism")
+    auts, eq = [c if c is None else _automorphism(G, c) for c in blocks], _equality(G)
+    return None, _Rule(G, lambda *ops: functools.reduce(
+        eq.rows, [aut.rows(op) for aut, op in zip(auts, ops) if aut is not None]))
 
 
 def kernel_minus(m1: HeraldedMessage, m2: HeraldedMessage, kernel: HomSpec) -> HeraldedMessage:
-    """Bad channel of a generic kernel: lift both outputs to the input pair,
-    combine, and marginalize the second input away."""
-    G, out1, out2, _, _ = _kernel_blocks(kernel)
-    if m1.group.moduli != G.moduli or m2.group.moduli != G.moduli:
-        raise ValidationError("kernel minus: group mismatch")
-    for L in (out1, out2):
-        if not is_surjective(L):
-            raise ValidationError("kernel output map is not surjective")
-    lifted = equality_combine_m(lift_along_hom_m(m1, out1), lift_along_hom_m(m2, out2))
-    return marginalize_split_m(lifted, G.rank)
+    """Bad channel of a generic kernel: lift, combine, marginalize u2 away."""
+    return _apply(_kernel_minus_rule(_same_group(m1, m2, "kernel minus"), kernel), m1, m2)
 
 
 def kernel_plus(m1: HeraldedMessage, m2: HeraldedMessage, kernel: HomSpec) -> HeraldedMessage:
-    """Good channel of a generic kernel (first input known as side info).
-
-    Conditioned on u1, output i depends on u2 through the kernel's second
-    column block c_i; the shift by u1 is absorbed by group covariance.  Each
-    c_i must be an automorphism (relabel) or zero (the output decouples).
-    """
-    G, _, _, c1, c2 = _kernel_blocks(kernel)
-    if m1.group.moduli != G.moduli or m2.group.moduli != G.moduli:
-        raise ValidationError("kernel plus: group mismatch")
-    parts = []
-    for m, c in ((m1, c1), (m2, c2)):
-        if all(x == 0 for row in c.matrix for x in row):
-            continue
-        if not is_automorphism(c):
-            raise ValidationError(
-                "unsupported kernel: second-column block is neither zero nor an automorphism"
-            )
-        parts.append(apply_automorphism_m(m, c))
-    if not parts:
-        raise ValidationError("kernel plus: both outputs decouple from u2")
-    return equality_fold_m(parts)
-
-
-# ---------------------------------------------------------------------------
-# recursive tracking
+    """Good channel of a generic kernel, u1 known: output i sees u2 through the
+    second-column block c_i (covariance absorbs the shift by u1), so this is
+    the equality of the outputs relabelled by their nonzero blocks."""
+    return _apply(_kernel_plus_rule(_same_group(m1, m2, "kernel plus"), kernel), m1, m2)
 
 
 @dataclass(frozen=True)
@@ -150,10 +134,41 @@ class IndexStats:
     avg_pgm_error: float
 
 
-def _rules_for(kernel: HomSpec | None):
-    if kernel is None:
-        return polar_minus, polar_plus
-    return partial(kernel_minus, kernel=kernel), partial(kernel_plus, kernel=kernel)
+def _sampled_rows(polar_rule, A: np.ndarray, B: np.ndarray, u: np.ndarray, step: int):
+    """A polar rule on the row pairs (A, B), `step` rows at a time.  A heralded
+    rule keeps in row i the first herald whose cumulative probability passes
+    ``u[i]`` times the row total; heralds below `PROB_FLOOR` are never drawn."""
+    relabel, rule = polar_rule
+    out = []
+    for s in range(0, len(A), step):
+        b = B[s:s + step]
+        res = rule.rows(A[s:s + step], b if relabel is None else relabel.rows(b))
+        if rule.herald is not None:
+            probs, finish = res
+            cum = np.cumsum(np.where(probs >= PROB_FLOOR, probs, 0.0), axis=1)
+            total = cum[:, -1]
+            if not (total > 0).all():
+                raise NumericalError("NaN or vanishing herald probabilities in a sampled level")
+            at = np.minimum(u[s:s + step] * total, np.nextafter(total, 0))
+            drawn = np.count_nonzero(cum <= at[:, None], axis=1)
+            res = finish((np.arange(drawn.size), drawn))
+        out.append(res)
+    return np.concatenate(out)
+
+
+def _population(base: EigenList, levels: int, samples: int, rng, rules, width: int):
+    """Last level (2^levels, samples, |G|); one uniform draw per minus row."""
+    G, n = base.group, base.group.order
+    pop = np.broadcast_to(base.values, (1, samples * 2 ** levels, n))
+    step = max(1, factors._BLOCK_FLOATS // width)
+    for _ in range(levels):
+        prefixes, half = pop.shape[0], pop.shape[1] // 2
+        A, B = pop[:, :half].reshape(-1, n), pop[:, half:].reshape(-1, n)
+        u = rng.random(len(A))
+        kids = [valid_lists(G, _sampled_rows(rule, A, B, u, step)).reshape(prefixes, half, n)
+                for rule in rules]
+        pop = np.stack(kids, axis=1).reshape(2 * prefixes, half, n)
+    return pop
 
 
 def synthesize(base: EigenList, levels: int, mode: str = "auto",
@@ -166,49 +181,34 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
     bit selects the transform applied directly to the base channel and the
     least significant bit the outermost one; bit 0 means minus, 1 means plus.
     ``mode`` is ``exact``, ``sampled``, or ``auto`` (exact up to
-    `DEFAULT_EXACT_LEVELS` levels, sampled beyond).  Sampled mode draws
-    `samples` herald trajectories per index with per-index derived seeds.
+    `DEFAULT_EXACT_LEVELS` levels, sampled beyond).  Sampled mode averages
+    `samples` independent herald trajectories per index, drawn by the
+    population sampler from the generator of `seed` in levels * 2^levels *
+    samples rows; its values differ from earlier releases for the same seed.
     """
     if levels < 0:
         raise ValidationError("levels must be nonnegative")
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     if mode == "auto":
         mode = "exact" if levels <= DEFAULT_EXACT_LEVELS else "sampled"
-    minus, plus = _rules_for(kernel)
-
-    if herald_rng(mode, seed, prune_eps) is None:
+    rng = herald_rng(mode, seed, prune_eps)
+    G, n = base.group, base.group.order
+    rules = (_arikan_rules(G) if kernel is None
+             else (_kernel_minus_rule(G, kernel), _kernel_plus_rule(G, kernel)))
+    if rng is None:
         channels = [pure(base)]
         for _ in range(levels):
-            channels = [guard(rule(msg, msg), None, prune_eps)
-                        for msg in channels for rule in (minus, plus)]
+            channels = [guard(_apply(rule, msg, msg), None, prune_eps)
+                        for msg in channels for rule in rules]
         return [IndexStats(i, avg_holevo(ch), avg_pgm_error(ch))
                 for i, ch in enumerate(channels)]
-
-    leaf = pure(base)
-
-    def sample_path(bits, rng):
-        # bits[depth]: rule applied at that recursion depth; depth 0 is the
-        # outermost transform = least significant index bit
-        def rec(depth):
-            if depth == len(bits):
-                return leaf
-            a = rec(depth + 1)
-            b = rec(depth + 1)
-            rule = minus if bits[depth] == 0 else plus
-            return guard(rule(a, b), rng)
-        return rec(0)
-
-    stats = []
-    for i in range(2 ** levels):
-        bits = [(i >> d) & 1 for d in range(levels)]
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        hol = np.empty(samples)
-        err = np.empty(samples)
-        for s in range(samples):
-            msg = sample_path(bits, rng)
-            hol[s] = avg_holevo(msg)
-            err[s] = avg_pgm_error(msg)
-        stats.append(IndexStats(i, float(hol.mean()), float(err.mean())))
-    return stats
+    pop = _population(base, levels, samples, rng, rules, n ** (2 if kernel is None else 4))
+    mu = pop / n
+    holevo = -(mu * np.log2(mu, out=np.zeros_like(mu), where=mu > 0)).sum(axis=2)
+    pgm = 1.0 - (np.sqrt(pop).sum(axis=2) / n) ** 2
+    return [IndexStats(i, float(h), float(e))
+            for i, (h, e) in enumerate(zip(holevo.mean(axis=1), pgm.mean(axis=1)))]
 
 
 def select_info_set(stats, k: int) -> list[int]:

@@ -16,6 +16,7 @@ shift registers make Phi the identity under the fresh-first convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -61,6 +62,9 @@ class TrellisSpec:
     block_length: int | None = None
     boundary: str = "known"
 
+    def __post_init__(self):
+        object.__setattr__(self, "outputs", tuple(self.outputs))   # hashable: maps are cached
+
     @property
     def branch_group(self) -> GroupSpec:
         return GroupSpec(self.symbol_group.moduli * (self.memory + 1))
@@ -70,6 +74,7 @@ class TrellisSpec:
         return GroupSpec(self.symbol_group.moduli * self.memory)
 
 
+@functools.lru_cache(maxsize=None)
 def symbol_projection(spec: TrellisSpec) -> HomSpec:
     k = spec.symbol_group.rank
     return projection_hom(spec.branch_group, range(k))
@@ -80,6 +85,7 @@ def state_projection(spec: TrellisSpec) -> HomSpec:
     return projection_hom(spec.branch_group, range(k, k * (spec.memory + 1)))
 
 
+@functools.lru_cache(maxsize=None)
 def next_state_hom(spec: TrellisSpec) -> HomSpec:
     """Branch -> next state: the section automorphism followed by dropping
     the discarded (last) block."""
@@ -242,13 +248,16 @@ def backward_step(spec: TrellisSpec, bwd: StateMessage, obs, symbol_obs=None,
     """
     branch = branch_posterior(spec, bwd=bwd, obs=obs, symbol_obs=symbol_obs,
                               apriori=apriori)
-    k = spec.symbol_group.rank
-    nb = spec.branch_group.rank
-    rotate = permute_coordinates(spec.branch_group,
-                                 tuple(range(k, nb)) + tuple(range(k)))
-    branch = apply_automorphism_m(branch, rotate)
+    branch = apply_automorphism_m(branch, _rotation(spec))
     prev = marginalize_split_m(branch, spec.state_group.rank)
     return StateMessage(_retag(prev, f"bwd[t={bwd.t - 1}]"), bwd.t - 1, "bwd")
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation(spec: TrellisSpec) -> HomSpec:
+    """Branch automorphism moving the fresh symbol block to the back."""
+    k, nb = spec.symbol_group.rank, spec.branch_group.rank
+    return permute_coordinates(spec.branch_group, tuple(range(k, nb)) + tuple(range(k)))
 
 
 @dataclass(frozen=True)

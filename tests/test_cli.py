@@ -308,3 +308,21 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "schema v1" in out
+
+
+def test_polar_construct_rejects_bad_sample_counts(capsys):
+    for samples in ("0", "-3"):
+        code, _, err = run_cli(capsys, "polar", "construct", "--group", "[3]",
+                               "--lambda", "[2,0.5,0.5]", "--levels", "2",
+                               "--mode", "sampled", "--seed", "1", "--samples", samples)
+        assert code == 2
+        assert json.loads(err)["error"] == "validation"
+
+
+def test_polar_construct_nan_list_is_a_numerical_error(capsys):
+    for mode in ("exact", "sampled"):
+        code, _, err = run_cli(capsys, "polar", "construct", "--group", "[3]",
+                               "--lambda", "[NaN,1.5,1.5]", "--levels", "2",
+                               "--mode", mode, "--seed", "1", "--samples", "5")
+        assert code == 3
+        assert json.loads(err)["error"] == "numerical"

@@ -202,3 +202,103 @@ def test_select_info_set():
     assert select_info_set(stats, 2) == [0, 1]
     with pytest.raises(Exception):
         select_info_set(stats, 3)
+
+
+# ---------------------------------------------------------------------------
+# sampled mode: the population sampler
+
+
+def _recursive_sampler(base, levels, seed, samples):
+    """Per-sample (holevo, pgm) arrays of each index, drawn as earlier
+    releases did: a fresh recursion through 2^levels leaves per sample."""
+    from abelianbp.messages import guard
+
+    def rec(bits, depth, rng):
+        if depth == len(bits):
+            return pure(base)
+        a, b = rec(bits, depth + 1, rng), rec(bits, depth + 1, rng)
+        return guard((polar_minus if bits[depth] == 0 else polar_plus)(a, b), rng)
+
+    out = []
+    for i in range(2 ** levels):
+        bits = [(i >> d) & 1 for d in range(levels)]
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        msgs = [rec(bits, 0, rng) for _ in range(samples)]
+        out.append((np.array([avg_holevo(m) for m in msgs]),
+                    np.array([avg_pgm_error(m) for m in msgs])))
+    return out
+
+
+@pytest.mark.parametrize("G", [Z3, Z32])
+def test_population_sampler_agrees_with_recursive_sampler(G):
+    lam = rand_lam(G, np.random.default_rng(6))
+    old = _recursive_sampler(lam, 3, seed=1, samples=150)
+    new = synthesize(lam, 3, mode="sampled", seed=2, samples=3000)
+    for s, (hol, err) in zip(new, old):
+        for got, vals in ((s.avg_holevo, hol), (s.avg_pgm_error, err)):
+            # the old samples' variance, pooled over both estimates
+            se = math.sqrt(vals.var(ddof=1) * (1 / vals.size + 1 / 3000))
+            assert abs(got - vals.mean()) <= 5 * se + 1e-9
+
+
+def _exact_channels(base, levels, kernel=None):
+    minus = polar_minus if kernel is None else (lambda a, b: kernel_minus(a, b, kernel))
+    plus = polar_plus if kernel is None else (lambda a, b: kernel_plus(a, b, kernel))
+    channels = [pure(base)]
+    for _ in range(levels):
+        channels = [rule(m, m) for m in channels for rule in (minus, plus)]
+    return channels
+
+
+@pytest.mark.parametrize("G", [Z3, Z32])
+def test_generic_kernel_sampled_agrees_with_exact(G):
+    from abelianbp.eigenlists import entropy_bits, pgm_error_of
+
+    lam = rand_lam(G, np.random.default_rng(7))
+    samples = 2000
+    sampled = synthesize(lam, 2, mode="sampled", seed=3, samples=samples,
+                         kernel=arikan_kernel(G))
+    for s, ch in zip(sampled, _exact_channels(lam, 2)):
+        # the sampled trajectory of an index is one branch of its exact
+        # mixture, so the mixture gives the exact Monte-Carlo variance
+        for got, f in ((s.avg_holevo, lambda v: entropy_bits(v / G.order)),
+                       (s.avg_pgm_error, pgm_error_of)):
+            vals = np.array([f(row) for row in ch.lams])
+            mean = ch.probs @ vals
+            se = math.sqrt(ch.probs @ (vals - mean) ** 2 / samples)
+            assert abs(got - mean) <= 5 * se + 1e-9
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
+def test_sampled_holevo_conservation(levels):
+    # Each level conserves the population's summed Holevo information in
+    # expectation (minus + plus = both inputs); the herald of each of the
+    # samples * 2^(levels-1) minus rows per level adds noise of variance at
+    # most (log2 q)^2 / 4, so the mean over all indices has a standard
+    # deviation of at most (log2 q / 2) sqrt(levels / (2 * 2^levels * samples)).
+    lam = EigenList(Z3, [2.3, 0.35, 0.35])
+    samples = 200
+    stats = synthesize(lam, levels, mode="sampled", seed=levels, samples=samples)
+    sigma = math.log2(3) / 2 * math.sqrt(levels / (2 * 2 ** levels * samples))
+    mean = np.mean([s.avg_holevo for s in stats])
+    assert abs(mean - holevo_info(lam)) <= 5 * sigma
+
+
+def test_sampled_bytes_do_not_depend_on_the_block_size(monkeypatch):
+    from abelianbp import factors
+
+    lam = rand_lam(Z32, np.random.default_rng(8))
+    runs = []
+    for block in (factors._BLOCK_FLOATS, 64):
+        monkeypatch.setattr(factors, "_BLOCK_FLOATS", block)
+        runs.append([synthesize(lam, 4, mode="sampled", seed=9, samples=25, kernel=kernel)
+                     for kernel in (None, arikan_kernel(Z32))])
+    assert runs[0] == runs[1]
+
+
+def test_sample_count_must_be_positive():
+    from abelianbp.errors import ValidationError
+
+    for samples in (0, -3):
+        with pytest.raises(ValidationError, match="samples"):
+            synthesize(perfect_list(Z3), 2, mode="sampled", seed=1, samples=samples)
