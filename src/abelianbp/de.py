@@ -1,22 +1,26 @@
 """Turbo coupling and Monte-Carlo density evolution.
 
 Density evolution tracks a population of extrinsic eigen lists on the symbol
-group.  One update draws i.i.d. a priori lists for every symbol of a decoding
-window from the current population, runs the sampled forward-backward
-recursion of one constituent on that window, and records the center symbol's
-extrinsic list; the posterior error is the PGM error of
-``extrinsic * systematic * a priori`` at the center.  Under the
-random-interleaver ensemble the exchange between constituents is exactly this
-population resampling, so no permutation is materialized.
+group.  One update is a shared sweep: it draws i.i.d. a priori lists from the
+current population for blocks of ``B + 2 ctx`` symbols, ``ctx = window // 2``,
+runs one sampled forward and one sampled backward recursion of one
+constituent over each block, and records the extrinsic lists of the ``B``
+middle symbols, each with at least ``ctx`` symbols of context on either side;
+the posterior error is the PGM error of ``extrinsic * systematic * a priori``
+there.  ``B`` is about sqrt(population) / 3, and ``B = 1`` is the plain
+window estimator.  Under the random-interleaver ensemble the exchange between
+constituents is exactly this population resampling, so no permutation is
+materialized.
 
-The window recursion is the trellis calculus specialized to sampled mode and
-vectorized across the population, one array column per sample.  Each equality
-combine is one gather-and-accumulate kernel over precomputed index tables, and
-adjoin or lift is fused with the sparse parity combine.  Elementwise operations
-in a fixed order (no BLAS) keep results bit-identical for any thread count.
+The recursion is the trellis calculus specialized to sampled mode and
+vectorized, one array column per block (sweeps) or tracked symbol (extrinsics).
+Each equality combine is one gather-and-accumulate kernel over index tables,
+and adjoin or lift is fused with the sparse parity combine.  Elementwise
+operations in a fixed order (no BLAS) keep results bit-identical for any thread
+count and block size.
 
-Extrinsic convention: the trellis-side message at the center omits both
-symbol-side leaves (channel observation and a priori) of the center symbol;
+Extrinsic convention: the trellis-side message at a tracked symbol omits both
+symbol-side leaves (channel observation and a priori) of that symbol;
 since marginalization commutes with symbol-side equality combination, the
 posterior formula above reproduces the full branch marginal exactly while
 keeping the constituent exchange free of double counting.
@@ -133,9 +137,10 @@ def standard_turbo(q: int = 3, p=(1, 0, 1), qpoly=(1, 1, 1),
 class DEConfig:
     """Density-evolution experiment parameters.
 
-    The window recursion always samples herald values (the exact mixture
-    would grow super-exponentially and adds nothing to a Monte-Carlo
-    population); pruning therefore never applies inside windows.  Runs are
+    The recursion always samples herald values (the exact mixture would grow
+    super-exponentially and adds nothing to a Monte-Carlo population), so
+    pruning never applies.  `window` asks for at least ``window // 2``
+    sections of context on each side of every tracked section.  Runs are
     deterministic given `master_seed` and independent of thread count.
     """
 
@@ -156,8 +161,8 @@ class DEConfig:
             raise ValidationError("error threshold must lie in (0, 1)")
 
 
-# floats per branch array: de_iteration runs the window on sample blocks this
-# small, so that every step's arrays stay in cache
+# floats per branch array: de_iteration runs the extrinsic on column blocks
+# this small, so that every step's arrays stay in cache
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -192,8 +197,8 @@ class _WindowEngine:
     fused with the parity combine is a sparse map from the (ns, n) state to
     the (nb, n) branch array: one term per row for a one-output section.  The
     symbol combine has q per-sample terms, the extrinsic's backward-state
-    combine ns; the forward automorphism and the backward herald-first order
-    are folded into their tables.  Each step marginalizes a (herald, rest, n)
+    combine ns; the forward automorphism and the rest-major row order are
+    folded into their tables.  Each step marginalizes a (rest, herald, n)
     array, drawing the herald of each sample from one given uniform.
     """
 
@@ -221,10 +226,12 @@ class _WindowEngine:
         next_idx = dual_map_table(next_state_hom(trellis))
         self.adjoin_parity = _sparse_map(parity[sub_b[:, q * np.arange(ns)]] * (q / nb))
         self.lift_parity = _sparse_map(parity[sub_b[:, next_idx]] * (q / nb))
-        self.ext_bwd = sub_b[:, next_idx]              # (nb, ns)
+        # output rows in (rest, herald) order; the backward step's already are
+        self.ext_bwd = sub_b[:, next_idx].reshape(ns, q, ns).swapaxes(0, 1).reshape(nb, ns)
         sub_sym = sub_b[:, dual_map_table(symbol_projection(trellis))]   # (nb, q)
-        self.fwd_sym = sub_sym[dual_map_table(trellis.section_automorphism)]
-        self.bwd_sym = sub_sym[np.arange(nb).reshape(ns, q).T.ravel()]
+        self.fwd_sym = sub_sym[dual_map_table(trellis.section_automorphism)].reshape(
+            q, ns, q).swapaxes(0, 1).reshape(nb, q)
+        self.bwd_sym = sub_sym
         self.sys_map = _sparse_map(fold(systematic_mult).values[self.sub_q] / q)
 
     def boundary(self, n: int) -> np.ndarray:
@@ -233,17 +240,18 @@ class _WindowEngine:
         return state
 
     def _draw(self, arr: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Marginalize a (heralds, rest, n) array on one herald per sample,
-        drawn by inverting the herald distribution at the uniforms ``u``."""
-        p = arr.sum(axis=1) / self.nb
+        """Marginalize a (rest, heralds, n) array on one herald per sample,
+        drawn by inverting the herald distribution at the uniforms ``u``.  The
+        rest axis is the outer one, so numpy adds it in order for any n."""
+        p = arr.sum(axis=0) / self.nb
         cs = np.cumsum(np.clip(p, 0.0, None), axis=0)
         h = np.minimum((cs < u * cs[-1]).sum(axis=0), p.shape[0] - 1)
-        sel = np.take_along_axis(arr, h[None, None, :], axis=0)[0]
-        return sel / (self.nb / arr.shape[1] * p[h, np.arange(p.shape[1])])
+        cols = np.arange(p.shape[1])
+        return arr[:, h, cols] / (self.nb / arr.shape[0] * p[h, cols])
 
     def _section(self, state, sym, fused, sym_idx):
         branch = _gather_sum(_gather_sum(state, *fused), sym_idx, sym[:, None, :] / self.q)
-        return branch.reshape(self.q, self.ns, -1)
+        return branch.reshape(self.ns, self.q, -1)
 
     def forward(self, state, sym, u):
         """Adjoin, parity, symbol, automorphism; herald = dropped coordinate."""
@@ -257,7 +265,7 @@ class _WindowEngine:
         """Adjoin, parity, lifted backward state; herald = state."""
         branch = _gather_sum(_gather_sum(fwd, *self.adjoin_parity), self.ext_bwd,
                              bwd[:, None, :] / self.ns)
-        return self._draw(branch.reshape(self.ns, self.q, -1), u)
+        return self._draw(branch.reshape(self.q, self.ns, -1), u)
 
     def symbol_messages(self, apriori: np.ndarray) -> np.ndarray:
         """sysfold * apriori over the leading q axis."""
@@ -278,6 +286,13 @@ def _engines(spec: TurboSpec, lam_ch: EigenList):
     ]
 
 
+def _block_sections(n: int) -> int:
+    """Tracked sections per block for a population of n: a block takes
+    2 (B + ctx - 1) sweep steps on n / B columns, so call overhead favours B
+    near sqrt(n); sqrt(n) / 3 measured fastest, within noise, for n = 100-8000."""
+    return max(1, round(math.sqrt(n) / 3))
+
+
 def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
                  rng, window: int = 41, engine: _WindowEngine | None = None):
     """One constituent update of the extrinsic population.
@@ -285,7 +300,8 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     The constituent is the one `engine` decodes, the first by default.
     Returns ``(new_population, posterior_error)``.  ``population`` is an
     array of eigen lists on the symbol group, one per row; the new population
-    holds the sampled center extrinsics of that many window decodes.  Raises
+    holds the sampled extrinsics of that many tracked sections, `B` per block
+    of ``B + 2 * (window // 2)`` sections (see `_block_sections`).  Raises
     `NumericalError` on a NaN, negative or mass-losing row or a NaN error.
     """
     if population.ndim != 2 or population.shape[0] < 1:
@@ -293,22 +309,26 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     if engine is None:
         engine = _engines(spec, lam_ch)[0]
     n = population.shape[0]
-    center = window // 2
-    apr_idx = rng.integers(0, population.shape[0], size=(n, window)).T
-    # the herald uniforms, one per sample per marginalization, drawn in the
-    # order forward sweep, backward sweep, center extrinsic
-    u = rng.random((window, n))
-    ext = np.empty((engine.q, n))
+    ctx, B = window // 2, _block_sections(n)
+    m = -(-n // B)                                 # blocks, one column each
+    apr_idx = rng.integers(0, n, size=(m, B + 2 * ctx)).T
+    # the herald uniforms, one per block per marginalization, drawn in the
+    # order forward sweep, backward sweep, tracked extrinsics
+    u = rng.random((2 * (B + ctx - 1) + B, m))
+    sym = engine.symbol_messages(population.T[:, apr_idx])     # (q, sections, m)
+    fwd, bwd = [engine.boundary(m)], [engine.boundary(m)]
+    for t in range(ctx + B - 1):
+        fwd.append(engine.forward(fwd[-1], sym[:, t], u[t]))
+        bwd.append(engine.backward(bwd[-1], sym[:, -1 - t], u[ctx + B - 1 + t]))
+    # states around the tracked sections ctx .. ctx + B - 1; column s * m + block
+    fwd = np.stack(fwd[ctx:], axis=1).reshape(engine.ns, -1)
+    bwd = np.stack(bwd[::-1][:B], axis=1).reshape(engine.ns, -1)
+    ext, u = np.empty((engine.q, B * m)), u[-B:].ravel()
     step = max(1, _BLOCK_FLOATS // engine.nb)
-    for cols in (slice(lo, lo + step) for lo in range(0, n, step)):
-        sym = engine.symbol_messages(population.T[:, apr_idx[:, cols]])  # (q, window, b)
-        fwd = bwd = engine.boundary(sym.shape[2])
-        for t in range(center):
-            fwd = engine.forward(fwd, sym[:, t], u[t, cols])
-        for j, t in enumerate(range(window - 1, center, -1)):
-            bwd = engine.backward(bwd, sym[:, t], u[center + j, cols])
-        ext[:, cols] = engine.extrinsic(fwd, bwd, u[-1, cols])
-    post = engine.posterior(ext, population.T[:, apr_idx[center]])
+    for cols in (slice(lo, lo + step) for lo in range(0, B * m, step)):
+        ext[:, cols] = engine.extrinsic(fwd[:, cols], bwd[:, cols], u[cols])
+    ext = ext[:, :n]
+    post = engine.posterior(ext, population.T[:, apr_idx[ctx:ctx + B].ravel()[:n]])
     err = float(engine.pgm_errors(post.T).mean())
     q = engine.q        # every sample must stay a nonnegative list of sum |G|
     ok = (ext >= -1e-9).all(axis=0) & (np.abs(ext.sum(axis=0) - q) <= 1e-6 * q)

@@ -27,12 +27,6 @@ GRAM_TOL = 1e-9          # GramRow structural tolerances
 PSD_TOL = 1e-6           # transform output more negative than this is an error
 
 
-def _as_readonly(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype).reshape(-1)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class EigenList:
     """Validated eigen list; `values` is a read-only float array."""

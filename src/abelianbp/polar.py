@@ -15,15 +15,17 @@ Exact mode runs the rules over branch products of heralded mixtures.
 Sampled mode is the population construction of Tal and Vardy with herald
 sampling: level d holds a population of rows per MSB-first index prefix; a
 level pairs row j with row j + half in each population, keeps one drawn
-herald per minus output and stacks the minus and plus children.  Pairing
-without replacement gives the samples of an index disjoint ancestry, so they
-are independent, each distributed as a recursion through 2^L fresh leaves.
+herald per minus output and writes the minus and plus children over the
+pairs they came from.  Pairing without replacement gives the samples of an
+index disjoint ancestry, so they are independent, each distributed as a
+recursion through 2^L fresh leaves.
 The cost is L 2^L samples rows in 2L batched kernel calls.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,40 +136,47 @@ class IndexStats:
     avg_pgm_error: float
 
 
-def _sampled_rows(polar_rule, A: np.ndarray, B: np.ndarray, u: np.ndarray, step: int):
-    """A polar rule on the row pairs (A, B), `step` rows at a time.  A heralded
-    rule keeps in row i the first herald whose cumulative probability passes
-    ``u[i]`` times the row total; heralds below `PROB_FLOOR` are never drawn."""
+def _sampled_rows(polar_rule, A: np.ndarray, B: np.ndarray, u: np.ndarray):
+    """A polar rule on the row pairs (A, B).  A heralded rule keeps in row i
+    the first herald whose cumulative probability passes ``u[i]`` times the
+    row total; heralds below `PROB_FLOOR` are never drawn."""
     relabel, rule = polar_rule
-    out = []
-    for s in range(0, len(A), step):
-        b = B[s:s + step]
-        res = rule.rows(A[s:s + step], b if relabel is None else relabel.rows(b))
-        if rule.herald is not None:
-            probs, finish = res
-            cum = np.cumsum(np.where(probs >= PROB_FLOOR, probs, 0.0), axis=1)
-            total = cum[:, -1]
-            if not (total > 0).all():
-                raise NumericalError("NaN or vanishing herald probabilities in a sampled level")
-            at = np.minimum(u[s:s + step] * total, np.nextafter(total, 0))
-            drawn = np.count_nonzero(cum <= at[:, None], axis=1)
-            res = finish((np.arange(drawn.size), drawn))
-        out.append(res)
-    return np.concatenate(out)
+    res = rule.rows(A, B if relabel is None else relabel.rows(B))
+    if rule.herald is None:
+        return res
+    probs, finish = res
+    cum = np.cumsum(np.where(probs >= PROB_FLOOR, probs, 0.0), axis=1)
+    total = cum[:, -1]
+    if not (total > 0).all():
+        raise NumericalError("NaN or vanishing herald probabilities in a sampled level")
+    at = np.minimum(u * total, np.nextafter(total, 0))
+    drawn = np.count_nonzero(cum <= at[:, None], axis=1)
+    return finish((np.arange(drawn.size), drawn))
 
 
 def _population(base: EigenList, levels: int, samples: int, rng, rules, width: int):
-    """Last level (2^levels, samples, |G|); one uniform draw per minus row."""
+    """Last level (2^levels, samples, |G|); one uniform draw per minus row.
+
+    A level runs in place, in blocks of at most `step` rows (whole prefixes,
+    or a run of rows of one prefix): a block's minus children overwrite its
+    rows j and its plus children its rows j + half, which is the next level's
+    layout."""
     G, n = base.group, base.group.order
-    pop = np.broadcast_to(base.values, (1, samples * 2 ** levels, n))
+    pop = np.empty((1, samples * 2 ** levels, n))
+    pop[:] = base.values
     step = max(1, factors._BLOCK_FLOATS // width)
     for _ in range(levels):
         prefixes, half = pop.shape[0], pop.shape[1] // 2
-        A, B = pop[:, :half].reshape(-1, n), pop[:, half:].reshape(-1, n)
-        u = rng.random(len(A))
-        kids = [valid_lists(G, _sampled_rows(rule, A, B, u, step)).reshape(prefixes, half, n)
-                for rule in rules]
-        pop = np.stack(kids, axis=1).reshape(2 * prefixes, half, n)
+        u = rng.random(prefixes * half).reshape(prefixes, half)
+        kp, kr = max(1, step // half), min(half, step)
+        for p, k in itertools.product(range(0, prefixes, kp), range(0, half, kr)):
+            P, K = slice(p, p + kp), slice(k, min(k + kr, half))
+            A, B = pop[P, K], pop[P, half + k:half + K.stop]
+            kids = [valid_lists(G, _sampled_rows(rule, A.reshape(-1, n), B.reshape(-1, n),
+                                                 u[P, K].ravel())) for rule in rules]
+            for half_rows, kid in zip((A, B), kids):
+                half_rows[:] = kid.reshape(half_rows.shape)
+        pop = pop.reshape(2 * prefixes, half, n)
     return pop
 
 
@@ -204,11 +213,14 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
         return [IndexStats(i, avg_holevo(ch), avg_pgm_error(ch))
                 for i, ch in enumerate(channels)]
     pop = _population(base, levels, samples, rng, rules, n ** (2 if kernel is None else 4))
-    mu = pop / n
-    holevo = -(mu * np.log2(mu, out=np.zeros_like(mu), where=mu > 0)).sum(axis=2)
-    pgm = 1.0 - (np.sqrt(pop).sum(axis=2) / n) ** 2
-    return [IndexStats(i, float(h), float(e))
-            for i, (h, e) in enumerate(zip(holevo.mean(axis=1), pgm.mean(axis=1)))]
+    holevo, pgm = np.empty(len(pop)), np.empty(len(pop))       # per index
+    step = max(1, factors._BLOCK_FLOATS // (samples * n))
+    for i in range(0, len(pop), step):
+        mu = pop[i:i + step] / n
+        logs = np.log2(mu, out=np.zeros_like(mu), where=mu > 0)
+        holevo[i:i + step] = -(mu * logs).sum(axis=2).mean(axis=1)
+        pgm[i:i + step] = (1.0 - (np.sqrt(pop[i:i + step]).sum(axis=2) / n) ** 2).mean(axis=1)
+    return [IndexStats(i, float(h), float(e)) for i, (h, e) in enumerate(zip(holevo, pgm))]
 
 
 def select_info_set(stats, k: int) -> list[int]:

@@ -182,13 +182,13 @@ def test_heatmap_ray_restriction():
     assert freqs[0] == 1.0 and freqs[-1] == 0.0
 
 
-def test_window_engine_matches_exact_trellis_path():
+def test_window_engine_matches_exact_trellis_path(monkeypatch):
     """The batched sampled engine draws from the exact extrinsic mixture.
 
     With a population holding only the no-information list, every a priori
-    draw is deterministic, so the engine's center extrinsics are i.i.d.
-    samples of the mixture the exact trellis path computes on the same
-    3-section window (unknown boundaries).
+    draw is deterministic, so with one tracked section per block the engine's
+    center extrinsics are i.i.d. samples of the mixture the exact trellis
+    path computes on the same 3-section window (unknown boundaries).
     """
     from dataclasses import replace
 
@@ -196,6 +196,7 @@ def test_window_engine_matches_exact_trellis_path():
     from abelianbp.de import _WindowEngine
     from abelianbp.trellis import decode_block
 
+    monkeypatch.setattr(de, "_block_sections", lambda n: 1)
     spec = standard_turbo(3)
     trellis = replace(spec.constituents[0], boundary="unknown")
     lam_ch = channel_family(3, 2.2)
@@ -214,6 +215,69 @@ def test_window_engine_matches_exact_trellis_path():
     mc = engine.pgm_errors(ext).std() / np.sqrt(n)
     assert abs(emp_ext - exact_ext) < 4 * max(mc, 1e-6)
     assert abs(err - exact_post) < 4 * max(mc, 1e-6)
+
+
+def test_shared_sweep_matches_exact_trellis_block(monkeypatch):
+    """Three tracked sections per block: each block is a 5-section sampled
+    trellis run (unknown boundaries) whose sections 1-3 are kept, so the mean
+    extrinsic and posterior errors match the exact decode's mean over those
+    sections.  Samples of one block are correlated; sigma comes from block
+    means."""
+    from dataclasses import replace
+
+    from abelianbp import avg_pgm_error
+    from abelianbp.de import _WindowEngine
+    from abelianbp.trellis import decode_block
+
+    monkeypatch.setattr(de, "_block_sections", lambda n: 3)
+    spec = standard_turbo(3)
+    trellis = replace(spec.constituents[0], boundary="unknown")
+    lam_ch = channel_family(3, 2.2)
+    engine = _WindowEngine(trellis, lam_ch, systematic_mult=1, parity_mult=1)
+    n = 3999
+    pop = np.tile(useless_list(Z3).values, (n, 1))
+    ext, err = de_iteration(spec, pop, lam_ch, np.random.default_rng(9), window=3,
+                            engine=engine)
+
+    res = decode_block(trellis, [[lam_ch]] * 5, symbol_obs_seq=[lam_ch] * 5)
+    exact_ext = np.mean([avg_pgm_error(r.extrinsic) for r in res[1:4]])
+    exact_post = np.mean([avg_pgm_error(r.posterior) for r in res[1:4]])
+
+    post_errs = engine.pgm_errors(engine.posterior(ext.T, pop.T).T)
+    assert float(post_errs.mean()) == pytest.approx(err, abs=1e-12)
+    for errs, exact in ((engine.pgm_errors(ext), exact_ext), (post_errs, exact_post)):
+        blocks = errs.reshape(3, -1).mean(axis=0)        # column s * m + block
+        mc = blocks.std() / np.sqrt(blocks.size)
+        assert abs(errs.mean() - exact) < 4 * max(mc, 1e-6)
+
+
+@pytest.mark.parametrize("block", [64, 1])
+def test_de_iteration_bytes_independent_of_block_size(monkeypatch, block):
+    """Extrinsic column blocks of any width, down to one column, give the
+    same bytes."""
+    spec = standard_turbo(3)
+    lam = channel_family(3, 2.5)
+    engine = de._engines(spec, lam)[1]
+    pop = np.random.default_rng(1).random((300, 3))
+    pop *= 3 / pop.sum(axis=1, keepdims=True)
+
+    def run():
+        return de_iteration(spec, pop, lam, np.random.default_rng(2), window=11,
+                            engine=engine)
+
+    ext, err = run()
+    monkeypatch.setattr(de, "_BLOCK_FLOATS", block)
+    ext_b, err_b = run()
+    assert ext.tobytes() == ext_b.tobytes() and err == err_b
+
+
+def test_default_config_ladder_boundary():
+    """The default configuration converges at 2.59 and fails at 2.69, the
+    ends of criterion 10's crossing window, for ten seeds."""
+    spec, cfg = standard_turbo(3), DEConfig()
+    for seed in range(10):
+        assert de_run(spec, cfg, 2.59, seed=seed).converged
+        assert not de_run(spec, cfg, 2.69, seed=seed).converged
 
 
 def test_config_validation():
@@ -280,8 +344,8 @@ def test_window_kernels_match_dense_products(spec):
                                   fwd, bwd)
     got = (engine.forward(state.T, sym.T, None), engine.backward(state.T, sym.T, None),
            engine.extrinsic(fwd.T, bwd.T, None))
-    for g, w in zip(got, want):
-        assert np.abs(g.transpose(2, 0, 1) - w).max() < 1e-12
+    for g, w in zip(got, want):                     # g is (rest, herald, n)
+        assert np.abs(g.transpose(2, 1, 0) - w).max() < 1e-12
 
 
 def test_nan_population_raises(monkeypatch):
