@@ -12,12 +12,11 @@ window estimator.  Under the random-interleaver ensemble the exchange between
 constituents is exactly this population resampling, so no permutation is
 materialized.
 
-The recursion is the trellis calculus specialized to sampled mode and
-vectorized, one array column per block (sweeps) or tracked symbol (extrinsics).
-Each equality combine is one gather-and-accumulate kernel over index tables,
-and adjoin or lift is fused with the sparse parity combine.  Elementwise
-operations in a fixed order (no BLAS) keep results bit-identical for any thread
-count and block size.
+The recursion runs the forward, backward and extrinsic section kernels of
+`trellis` in sampled mode, one array column per block (sweeps) or tracked
+symbol (extrinsics), with the parity weights gathered once per update from
+the channel.  Elementwise operations in a fixed order (no BLAS) keep results
+bit-identical for any thread count and block size.
 
 Extrinsic convention: the trellis-side message at a tracked symbol omits both
 symbol-side leaves (channel observation and a priori) of that symbol;
@@ -34,17 +33,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import dual_map_table, tables_for
+from .characters import tables_for
 from .eigenlists import EigenList, holevo_info, useless_list
 from .errors import NumericalError, ValidationError
-from .factors import equality_fold, lift_along_hom
+from .factors import draw_heralds, equality_fold, lift_along_hom
 from .groups import GroupSpec
-from .trellis import (
-    TrellisSpec,
-    next_state_hom,
-    symbol_projection,
-    validate_trellis,
-)
+from .messages import valid_lists
+from .trellis import (TrellisSpec, _gather, _section, transfer_function_trellis,
+                      validate_trellis)
 
 
 def channel_family(q: int, lam0: float) -> EigenList:
@@ -127,8 +123,6 @@ class TurboSpec:
 def standard_turbo(q: int = 3, p=(1, 0, 1), qpoly=(1, 1, 1),
                    systematic_mult: int = 1) -> TurboSpec:
     """Two identical transfer-function constituents over Z_q."""
-    from .trellis import transfer_function_trellis
-
     c = transfer_function_trellis(list(p), list(qpoly), q)
     return TurboSpec((c, c), systematic_mult=systematic_mult)
 
@@ -166,124 +160,26 @@ class DEConfig:
 _BLOCK_FLOATS = 1 << 15
 
 
-def _gather_sum(x: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The batched kernel ``sum_k x[idx[:, k]] * w[k]`` on sample columns.
-
-    ``x`` is (in, n), ``idx`` an (out, K) table of rows of ``x`` and ``w`` the
-    weights, constant (K, out, 1) or per sample (K, 1, n).  Terms are added in
-    table order, elementwise, so the result does not depend on thread count.
-    """
-    acc = x[idx[:, 0]] * w[0]
-    for k in range(1, idx.shape[1]):
-        acc += x[idx[:, k]] * w[k]
-    return acc
+def _fold(lam: EigenList, uses: int, G: GroupSpec) -> EigenList:
+    """`uses` channel observations, equality-combined (useless if none)."""
+    return equality_fold([lam] * uses) if uses else useless_list(G)
 
 
-def _sparse_map(dense: np.ndarray):
-    """Index (out, K) and weight (K, out, 1) tables of the nonzeros of each
-    row of ``dense``, K the most in any row; shorter rows get zero weights."""
-    nz = dense != 0
-    idx = np.argsort(~nz, axis=1, kind="stable")[:, :max(1, nz.sum(axis=1).max())]
-    return idx, np.take_along_axis(dense, idx, axis=1).T[:, :, None]
+def _with_systematic(spec: TurboSpec, lam_ch: EigenList, lists: np.ndarray) -> np.ndarray:
+    """Lists on the leading axis equality-combined with the folded systematic
+    observations: list c adds ``fold[c - k] / q * lists[k]``."""
+    G = spec.symbol_group
+    fold = _fold(lam_ch, spec.systematic_mult, G).values[:, None] / G.order
+    return _gather(fold, tables_for(G).sub, lists.reshape(G.order, 1, -1)).reshape(lists.shape)
 
 
-class _WindowEngine:
-    """Population-vectorized sampled forward-backward on one constituent.
-
-    Messages are (size, n) arrays, one column per sample, and every equality
-    combine is `_gather_sum` over tables built here.  The adjoined (forward,
-    extrinsic) or lifted (backward) state is 1/q dense and the lifted parity
-    list lives on the q-point dual image of the output map, so adjoin or lift
-    fused with the parity combine is a sparse map from the (ns, n) state to
-    the (nb, n) branch array: one term per row for a one-output section.  The
-    symbol combine has q per-sample terms, the extrinsic's backward-state
-    combine ns; the forward automorphism and the rest-major row order are
-    folded into their tables.  Each step marginalizes a (rest, herald, n)
-    array, drawing the herald of each sample from one given uniform.
-    """
-
-    def __init__(self, trellis: TrellisSpec, lam_ch: EigenList,
-                 systematic_mult: int, parity_mult: int):
-        validate_trellis(trellis)
-        if lam_ch.group.moduli != trellis.output_group.moduli:
-            raise ValidationError("channel eigen list is not on the output group")
-        if trellis.output_group.moduli != trellis.symbol_group.moduli:
-            raise ValidationError("window engine expects parity symbols on the symbol alphabet")
-        G, B = trellis.symbol_group, trellis.branch_group
-        q = self.q = G.order
-        ns = self.ns = q ** trellis.memory
-        nb = self.nb = q ** (trellis.memory + 1)
-        sub_b = tables_for(B).sub                      # [c, c'] = index of c - c'
-        self.sub_q = tables_for(G).sub
-
-        def fold(k):      # k channel uses, equality-combined (useless if none)
-            return equality_fold([lam_ch] * k) if k else useless_list(G)
-        parity = equality_fold([useless_list(B)] + [
-            lift_along_hom(fold(parity_mult), L) for L in trellis.outputs]).values
-        # a state list placed at branch characters src (adjoin: q * s, lift:
-        # next_idx[s]) and combined with the parity list P has as row c the
-        # sum over s of q x[s] P[c - src[s]] / nb
-        next_idx = dual_map_table(next_state_hom(trellis))
-        self.adjoin_parity = _sparse_map(parity[sub_b[:, q * np.arange(ns)]] * (q / nb))
-        self.lift_parity = _sparse_map(parity[sub_b[:, next_idx]] * (q / nb))
-        # output rows in (rest, herald) order; the backward step's already are
-        self.ext_bwd = sub_b[:, next_idx].reshape(ns, q, ns).swapaxes(0, 1).reshape(nb, ns)
-        sub_sym = sub_b[:, dual_map_table(symbol_projection(trellis))]   # (nb, q)
-        self.fwd_sym = sub_sym[dual_map_table(trellis.section_automorphism)].reshape(
-            q, ns, q).swapaxes(0, 1).reshape(nb, q)
-        self.bwd_sym = sub_sym
-        self.sys_map = _sparse_map(fold(systematic_mult).values[self.sub_q] / q)
-
-    def boundary(self, n: int) -> np.ndarray:
-        state = np.zeros((self.ns, n))
-        state[0] = self.ns
-        return state
-
-    def _draw(self, arr: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Marginalize a (rest, heralds, n) array on one herald per sample,
-        drawn by inverting the herald distribution at the uniforms ``u``.  The
-        rest axis is the outer one, so numpy adds it in order for any n."""
-        p = arr.sum(axis=0) / self.nb
-        cs = np.cumsum(np.clip(p, 0.0, None), axis=0)
-        h = np.minimum((cs < u * cs[-1]).sum(axis=0), p.shape[0] - 1)
-        cols = np.arange(p.shape[1])
-        return arr[:, h, cols] / (self.nb / arr.shape[0] * p[h, cols])
-
-    def _section(self, state, sym, fused, sym_idx):
-        branch = _gather_sum(_gather_sum(state, *fused), sym_idx, sym[:, None, :] / self.q)
-        return branch.reshape(self.ns, self.q, -1)
-
-    def forward(self, state, sym, u):
-        """Adjoin, parity, symbol, automorphism; herald = dropped coordinate."""
-        return self._draw(self._section(state, sym, self.adjoin_parity, self.fwd_sym), u)
-
-    def backward(self, state, sym, u):
-        """Lift along the next-state map, parity, symbol; herald = symbol."""
-        return self._draw(self._section(state, sym, self.lift_parity, self.bwd_sym), u)
-
-    def extrinsic(self, fwd, bwd, u):
-        """Adjoin, parity, lifted backward state; herald = state."""
-        branch = _gather_sum(_gather_sum(fwd, *self.adjoin_parity), self.ext_bwd,
-                             bwd[:, None, :] / self.ns)
-        return self._draw(branch.reshape(self.q, self.ns, -1), u)
-
-    def symbol_messages(self, apriori: np.ndarray) -> np.ndarray:
-        """sysfold * apriori over the leading q axis."""
-        return _gather_sum(apriori.reshape(self.q, -1), *self.sys_map).reshape(apriori.shape)
-
-    def posterior(self, ext, apriori):
-        post = _gather_sum(self.symbol_messages(ext), self.sub_q, apriori[:, None, :] / self.q)
-        return np.clip(post, 0.0, None)
-
-    def pgm_errors(self, lists: np.ndarray) -> np.ndarray:
-        return 1.0 - (np.sqrt(np.clip(lists, 0.0, None)).sum(axis=1) / self.q) ** 2
-
-
-def _engines(spec: TurboSpec, lam_ch: EigenList):
-    return [
-        _WindowEngine(c, lam_ch, spec.systematic_mult, p)
-        for c, p in zip(spec.constituents, spec.parity_mults)
-    ]
+def _draw(branch: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Marginalize a (rest, herald, n) branch array on one herald per column,
+    drawn at the uniforms ``u`` by `factors.draw_heralds`."""
+    rest, heralds, n = branch.shape
+    p = branch.sum(axis=0) / (rest * heralds)
+    h, cols = draw_heralds(p, u), np.arange(n)
+    return branch[:, h, cols] / (heralds * p[h, cols])
 
 
 def _block_sections(n: int) -> int:
@@ -294,20 +190,30 @@ def _block_sections(n: int) -> int:
 
 
 def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
-                 rng, window: int = 41, engine: _WindowEngine | None = None):
-    """One constituent update of the extrinsic population.
+                 rng, window: int = 41, constituent: int = 0):
+    """One update of the extrinsic population by constituent `constituent`.
 
-    The constituent is the one `engine` decodes, the first by default.
-    Returns ``(new_population, posterior_error)``.  ``population`` is an
-    array of eigen lists on the symbol group, one per row; the new population
-    holds the sampled extrinsics of that many tracked sections, `B` per block
-    of ``B + 2 * (window // 2)`` sections (see `_block_sections`).  Raises
-    `NumericalError` on a NaN, negative or mass-losing row or a NaN error.
+    Returns ``(new_population, posterior_error)``.  ``population`` is a
+    (size, |G|) array of eigen lists on the symbol group, one per row; the
+    new population holds the sampled extrinsics of that many tracked
+    sections, `B` per block of ``B + 2 * (window // 2)`` sections (see
+    `_block_sections`).  Rows are checked as eigen lists; a NaN row or error
+    is a `NumericalError`.
     """
-    if population.ndim != 2 or population.shape[0] < 1:
-        raise ValidationError("population must be a nonempty 2-d array")
-    if engine is None:
-        engine = _engines(spec, lam_ch)[0]
+    G, trellis = spec.symbol_group, spec.constituents[constituent]
+    q = G.order
+    if population.ndim != 2 or population.shape[0] < 1 or population.shape[1] != q:
+        raise ValidationError(f"population of shape {population.shape} is not (size, {q})")
+    population = valid_lists(G, population)
+    if lam_ch.group.moduli != G.moduli:     # lift_along_hom checks the output group
+        raise ValidationError("channel eigen list is not on the symbol group")
+    fwd_k, bwd_k, ext_k = (_section(trellis, kind, len(trellis.outputs))
+                           for kind in ("forward", "backward", "extrinsic"))
+    # the parity list, one shared column: the lifted parity observations
+    parity = equality_fold([useless_list(trellis.branch_group)] + [
+        lift_along_hom(_fold(lam_ch, spec.parity_mults[constituent], G), L)
+        for L in trellis.outputs]).values[:, None]
+    fwd_w, bwd_w, ext_w = (k.weights(parity) for k in (fwd_k, bwd_k, ext_k))
     n = population.shape[0]
     ctx, B = window // 2, _block_sections(n)
     m = -(-n // B)                                 # blocks, one column each
@@ -315,27 +221,26 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     # the herald uniforms, one per block per marginalization, drawn in the
     # order forward sweep, backward sweep, tracked extrinsics
     u = rng.random((2 * (B + ctx - 1) + B, m))
-    sym = engine.symbol_messages(population.T[:, apr_idx])     # (q, sections, m)
-    fwd, bwd = [engine.boundary(m)], [engine.boundary(m)]
+    sym = _with_systematic(spec, lam_ch, population.T[:, apr_idx])      # (q, sections, m)
+    boundary = np.repeat(useless_list(trellis.state_group).values[:, None], m, axis=1)
+    fwd, bwd = [boundary], [boundary]
     for t in range(ctx + B - 1):
-        fwd.append(engine.forward(fwd[-1], sym[:, t], u[t]))
-        bwd.append(engine.backward(bwd[-1], sym[:, -1 - t], u[ctx + B - 1 + t]))
+        fwd.append(_draw(fwd_k.branch(fwd[-1], fwd_w, sym[:, t]), u[t]))
+        bwd.append(_draw(bwd_k.branch(bwd[-1], bwd_w, sym[:, -1 - t]), u[ctx + B - 1 + t]))
     # states around the tracked sections ctx .. ctx + B - 1; column s * m + block
-    fwd = np.stack(fwd[ctx:], axis=1).reshape(engine.ns, -1)
-    bwd = np.stack(bwd[::-1][:B], axis=1).reshape(engine.ns, -1)
-    ext, u = np.empty((engine.q, B * m)), u[-B:].ravel()
-    step = max(1, _BLOCK_FLOATS // engine.nb)
+    fwd = np.stack(fwd[ctx:], axis=1).reshape(len(boundary), -1)
+    bwd = np.stack(bwd[::-1][:B], axis=1).reshape(len(boundary), -1)
+    ext, u = np.empty((q, B * m)), u[-B:].ravel()
+    step = max(1, _BLOCK_FLOATS // trellis.branch_group.order)
     for cols in (slice(lo, lo + step) for lo in range(0, B * m, step)):
-        ext[:, cols] = engine.extrinsic(fwd[:, cols], bwd[:, cols], u[cols])
-    ext = ext[:, :n]
-    post = engine.posterior(ext, population.T[:, apr_idx[ctx:ctx + B].ravel()[:n]])
-    err = float(engine.pgm_errors(post.T).mean())
-    q = engine.q        # every sample must stay a nonnegative list of sum |G|
-    ok = (ext >= -1e-9).all(axis=0) & (np.abs(ext.sum(axis=0) - q) <= 1e-6 * q)
-    if not ok.all() or not math.isfinite(err):
-        raise NumericalError(f"DE population invalid in {int((~ok).sum())} of {n} "
-                             f"rows (NaN or lost mass), posterior error {err}")
-    return ext.T, err
+        ext[:, cols] = _draw(ext_k.branch(fwd[:, cols], ext_w, bwd[:, cols]), u[cols])
+    ext = valid_lists(G, ext[:, :n].T)
+    apr = population.T[:, apr_idx[ctx:ctx + B].ravel()[:n]]
+    post = _gather(_with_systematic(spec, lam_ch, ext.T), tables_for(G).sub, apr[:, None, :] / q)
+    err = float((1.0 - (np.sqrt(np.clip(post, 0.0, None)).sum(axis=0) / q) ** 2).mean())
+    if not math.isfinite(err):
+        raise NumericalError(f"DE posterior error is {err}")
+    return ext, err
 
 
 @dataclass
@@ -361,14 +266,12 @@ def de_run(spec: TurboSpec, config: DEConfig, channel, seed: int | None = None) 
     else:
         lam_ch = channel_family(spec.symbol_group.order, float(channel))
     seed = config.master_seed if seed is None else seed
-    engines = _engines(spec, lam_ch)
     pop = np.tile(useless_list(spec.symbol_group).values, (config.population, 1))
     result = DEResult(converged=False)
     for it in range(config.max_iterations):
         rng = np.random.default_rng(np.random.SeedSequence((seed, it)))
-        engine = engines[it % 2]
         pop, err = de_iteration(spec, pop, lam_ch, rng, window=config.window,
-                                engine=engine)
+                                constituent=it % 2)
         result.trajectory.append(err)
         if err < config.err_threshold:
             result.converged = True
@@ -383,6 +286,20 @@ def de_run(spec: TurboSpec, config: DEConfig, channel, seed: int | None = None) 
     return result
 
 
+def _check_grid(resolution: float, trials: int) -> None:
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValidationError(f"resolution must be positive and finite, got {resolution}")
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
+
+
+def _wins(spec: TurboSpec, config: DEConfig, channel, key: int, trials: int) -> int:
+    """How many of `trials` runs converge, seeded from (master seed, key, trial)."""
+    seeds = (np.random.SeedSequence((config.master_seed, key, trial)).generate_state(1)[0]
+             for trial in range(trials))
+    return sum(de_run(spec, config, channel, seed=int(s)).converged for s in seeds)
+
+
 def threshold_bisect(spec: TurboSpec, config: DEConfig, resolution: float = 0.01,
                      trials: int = 3) -> dict:
     """Bisect the family parameter for the largest converging channel.
@@ -390,30 +307,15 @@ def threshold_bisect(spec: TurboSpec, config: DEConfig, resolution: float = 0.01
     Each probe is decided by the majority of `trials` independently seeded
     runs, suppressing Monte-Carlo flips near the threshold.
     """
-    q = spec.symbol_group.order
-    lo, hi = 1.0, float(q)
+    _check_grid(resolution, trials)
+    lo, hi = 1.0, float(spec.symbol_group.order)
     probes = []
-
-    def probe(lam0, k):
-        wins = 0
-        for trial in range(trials):
-            seed_val = int(np.random.SeedSequence(
-                (config.master_seed, k, trial)).generate_state(1)[0])
-            res = de_run(spec, config, lam0, seed=seed_val)
-            wins += int(res.converged)
-        ok = wins * 2 > trials
-        probes.append({"lambda0": lam0, "converged": ok,
-                       "wins": wins, "trials": trials})
-        return ok
-
-    k = 0
     while hi - lo > resolution:
         mid = (lo + hi) / 2
-        if probe(mid, k):
-            lo = mid
-        else:
-            hi = mid
-        k += 1
+        wins = _wins(spec, config, mid, len(probes), trials)
+        ok = wins * 2 > trials
+        probes.append({"lambda0": mid, "converged": ok, "wins": wins, "trials": trials})
+        lo, hi = (mid, hi) if ok else (lo, mid)
     return {"lambda_de": (lo + hi) / 2, "lo": lo, "hi": hi, "probes": probes}
 
 
@@ -429,6 +331,7 @@ def heatmap(spec: TurboSpec, config: DEConfig, resolution: float = 0.05,
     q = G.order
     if q != 3:
         raise ValidationError("the simplex heatmap is defined for q = 3")
+    _check_grid(resolution, trials)
     lo0, hi0 = lambda0_range if lambda0_range is not None else (0.0, float(q))
     rows = []
     n_steps = int(round(q / resolution))
@@ -446,12 +349,7 @@ def heatmap(spec: TurboSpec, config: DEConfig, resolution: float = 0.05,
             if lam2 < -1e-9:
                 continue
             lam = EigenList(G, [lam0, lam1, max(lam2, 0.0)])
-            wins = 0
-            for trial in range(trials):
-                seed_val = int(np.random.SeedSequence(
-                    (config.master_seed, 7_000_000 + point_id, trial)
-                ).generate_state(1)[0])
-                wins += int(de_run(spec, config, lam, seed=seed_val).converged)
+            wins = _wins(spec, config, lam, 7_000_000 + point_id, trials)
             rows.append({"lambda0": lam0, "lambda1": lam1, "lambda2": max(lam2, 0.0),
                          "success_freq": wins / trials})
             point_id += 1

@@ -187,6 +187,20 @@ def _run(rule: _Rule, operands, offset: int = 0):
     return probs[keep], finish(keep), row + offset, herald
 
 
+def draw_heralds(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One herald per column of (h, K) herald probabilities: the first whose
+    cumulative probability passes ``u`` times the column total.  Heralds below
+    `PROB_FLOOR` are never drawn; a NaN or vanishing column is a `NumericalError`.
+    The running sums add rows along K (a cumsum over a short axis is slow)."""
+    cum = np.where(probs >= PROB_FLOOR, probs, 0.0)
+    for j in range(1, len(cum)):
+        cum[j] += cum[j - 1]
+    total = cum[-1]
+    if not total.min() > 0:
+        raise NumericalError("NaN or vanishing herald probabilities")
+    return (cum <= np.minimum(u * total, np.nextafter(total, 0))).sum(axis=0)
+
+
 def _pure(rule: _Rule, *lams: EigenList):
     probs, out, _, herald = _run(rule, [lam.values[None, :] for lam in lams])
     if probs is None:

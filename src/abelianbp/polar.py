@@ -32,11 +32,11 @@ import numpy as np
 
 from . import factors
 from .eigenlists import EigenList
-from .errors import NumericalError, ValidationError
-from .factors import _Rule, _automorphism, _equality, _product_apply, _same_group
+from .errors import ValidationError
+from .factors import _Rule, _automorphism, _equality, _product_apply, _same_group, draw_heralds
 from .groups import (GroupSpec, HomSpec, direct_product, inversion_automorphism,
                      is_automorphism, is_surjective)
-from .messages import (PROB_FLOOR, HeraldedMessage, avg_holevo, avg_pgm_error, guard,
+from .messages import (HeraldedMessage, avg_holevo, avg_pgm_error, guard,
                        herald_rng, pure, valid_lists)
 
 DEFAULT_EXACT_LEVELS = 4
@@ -137,21 +137,14 @@ class IndexStats:
 
 
 def _sampled_rows(polar_rule, A: np.ndarray, B: np.ndarray, u: np.ndarray):
-    """A polar rule on the row pairs (A, B).  A heralded rule keeps in row i
-    the first herald whose cumulative probability passes ``u[i]`` times the
-    row total; heralds below `PROB_FLOOR` are never drawn."""
+    """A polar rule on the row pairs (A, B); a heralded rule keeps in row i
+    the herald `factors.draw_heralds` draws at ``u[i]``."""
     relabel, rule = polar_rule
     res = rule.rows(A, B if relabel is None else relabel.rows(B))
     if rule.herald is None:
         return res
     probs, finish = res
-    cum = np.cumsum(np.where(probs >= PROB_FLOOR, probs, 0.0), axis=1)
-    total = cum[:, -1]
-    if not (total > 0).all():
-        raise NumericalError("NaN or vanishing herald probabilities in a sampled level")
-    at = np.minimum(u * total, np.nextafter(total, 0))
-    drawn = np.count_nonzero(cum <= at[:, None], axis=1)
-    return finish((np.arange(drawn.size), drawn))
+    return finish((np.arange(len(u)), draw_heralds(probs.T, u)))
 
 
 def _population(base: EigenList, levels: int, samples: int, rng, rules, width: int):

@@ -9,6 +9,12 @@ the state message, equality-combine the lifted observations, apply Phi, and
 marginalize the discarded coordinate.  The backward recursion mirrors it on
 time-reversed sections.
 
+Each section step (forward, backward, extrinsic) is one composite of these
+factors, written once as a kernel of two sparse gathers (`_Section`) with
+three callers: exact and sampled `decode_block` run it as one rule per step,
+density evolution on population columns.  `branch_posterior` keeps the
+rule-by-rule composition as the reference.
+
 Rational transfer functions G(D) = p(D)/q(D) over Z_n (with invertible q(0))
 compile to a single-parity section in controller canonical form; feedforward
 shift registers make Phi the identity under the fresh-first convention.
@@ -19,15 +25,21 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
+import numpy as np
+
+from .characters import dual_map_table, tables_for
 from .eigenlists import EigenList, perfect_list, useless_list
 from .errors import ValidationError
 from .factors import (
+    _equality,
+    _lift,
+    _product_apply,
+    _Rule,
     adjoin_uniform_m,
-    apply_automorphism_m,
     equality_fold_m,
     lift_along_hom_m,
-    marginalize_split_m,
 )
 from .groups import (
     GroupSpec,
@@ -36,7 +48,6 @@ from .groups import (
     identity_hom,
     is_automorphism,
     is_surjective,
-    permute_coordinates,
     projection_hom,
 )
 from .messages import (
@@ -227,13 +238,107 @@ def branch_posterior(spec: TrellisSpec, fwd=None, bwd=None, obs=(),
     return equality_fold_m(parts)
 
 
+def _gather(x: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``sum_k x[idx[:, k]] * w[k]`` on (in, n) sample columns ``x``, for an
+    (out, K) row table ``idx`` and weights ``w`` that broadcast to (K, out, n).
+    Terms are added in table order, so no result depends on thread count or n."""
+    acc = x[idx[:, 0]] * w[0]
+    for k in range(1, idx.shape[1]):
+        acc += x[idx[:, k]] * w[k]
+    return acc
+
+
+class _Section(NamedTuple):
+    """One section step as two gathers on (size, n) sample columns.
+
+    The adjoined or lifted state is 1/q dense and the parity list P (the
+    lifted observations, equality-combined) lives on the dual image of the
+    outputs, so branch row c of their combine adds ``state[src[c, k]] *
+    P[par[c, k]] * q / |B|`` over the few k where both are nonzero.
+    ``weights(P)`` gathers these (K, |B|, n) weights from (|B|, n or 1) lists;
+    ``branch(state, weights, second)`` adds the symbol or lifted backward
+    state through a table that folds in the section automorphism, and returns
+    the (rest, herald, n) branch array.
+    """
+
+    weights: object
+    branch: object
+
+
+@functools.lru_cache(maxsize=None)
+def _section(spec: TrellisSpec, kind: str, n_obs: int) -> _Section:
+    """The step with observations on the first n_obs outputs.  Heralds:
+    ``forward`` the discarded cell, ``backward`` the symbol, ``extrinsic`` the state."""
+    G, B = spec.symbol_group, spec.branch_group
+    q, ns, nb = G.order, spec.state_group.order, B.order
+    t = tables_for(B)
+    support = np.arange(nb) == 0                    # of P: sums of the output pulls
+    for L in spec.outputs[:n_obs]:
+        support[t.add[np.flatnonzero(support)[:, None], dual_map_table(L)[None, :]]] = True
+    nxt = dual_map_table(next_state_hom(spec))
+    at = t.sub[:, nxt if kind == "backward" else q * np.arange(ns)]  # [c, s]: c - src[s]
+    hit = support[at]
+    src = np.argsort(~hit, axis=1, kind="stable")[:, :max(1, hit.sum(axis=1).max())]
+    # cells past a row's terms read P where it is zero, so they add nothing
+    par = np.where(np.take_along_axis(hit, src, axis=1),
+                   np.take_along_axis(at, src, axis=1), np.argmin(support))
+    sym = t.sub[:, dual_map_table(symbol_projection(spec))]          # (nb, q)
+    if kind == "forward":
+        tbl, div, shape = sym[dual_map_table(spec.section_automorphism)], q, (ns, q)
+        tbl = tbl.reshape(q, ns, q).swapaxes(0, 1).reshape(nb, q)
+    elif kind == "backward":
+        tbl, div, shape = sym, q, (ns, q)
+    else:
+        tbl, div, shape = t.sub[:, nxt], ns, (q, ns)
+        tbl = tbl.reshape(ns, q, ns).swapaxes(0, 1).reshape(nb, ns)
+
+    def branch(state, weights, second):
+        out = _gather(_gather(state, src, weights), tbl, second[:, None, :] / div)
+        return out.reshape(*shape, -1)
+    return _Section(lambda parity: parity[par.T] * (q / nb), branch)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_rule(spec: TrellisSpec, kind: str, n_obs: int) -> _Rule:
+    """A step as one rule on rows of (state, [backward state,] observations...,
+    symbol messages...); the symbol messages are equality-combined first."""
+    sec, states = _section(spec, kind, n_obs), 2 if kind == "extrinsic" else 1
+    kept, dropped = ((spec.symbol_group, spec.state_group) if states == 2
+                     else (spec.state_group, spec.symbol_group))
+    lifts = [_lift(spec.output_group, L) for L in spec.outputs[:n_obs]]
+    eq_b, eq_g = _equality(spec.branch_group), _equality(spec.symbol_group)
+    none_b = useless_list(spec.branch_group).values[:, None]
+    none_g = useless_list(spec.symbol_group).values[:, None]
+
+    def rows(*ops):
+        obs, sym = ops[states:states + n_obs], ops[states + n_obs:]
+        parity = (functools.reduce(eq_b.rows, [f.rows(o) for f, o in zip(lifts, obs)]).T
+                  if obs else none_b)
+        second = ops[1].T if states == 2 else (
+            functools.reduce(eq_g.rows, sym).T if sym else none_g)
+        grid = sec.branch(ops[0].T, sec.weights(parity), second).transpose(2, 1, 0)
+        probs = grid.sum(axis=2) / spec.branch_group.order
+        return probs, lambda sel: grid[sel] / (dropped.order * probs[sel])[:, None]
+    return _Rule(kept, rows, ("marg", dropped, np.arange(dropped.order)))
+
+
+def _step(spec: TrellisSpec, kind: str, states, obs, side=()) -> HeraldedMessage:
+    """A step over the branch product; ``side``: optional symbol-side messages."""
+    if len(obs) > len(spec.outputs):
+        raise ValidationError(f"{len(obs)} observations for {len(spec.outputs)} trellis outputs")
+    side = [m for m in side if m is not None]
+    msgs = [_as_message(m) for m in (*states, *obs, *side)]
+    want = [spec.state_group] * len(states) + [spec.output_group] * len(obs)
+    want += [spec.symbol_group] * len(side)
+    if [m.group.moduli for m in msgs] != [G.moduli for G in want]:
+        raise ValidationError(f"{kind} step: messages on {[m.group for m in msgs]}, not {want}")
+    return _product_apply(msgs, _step_rule(spec, kind, len(obs)))
+
+
 def forward_step(spec: TrellisSpec, fwd: StateMessage, obs, symbol_obs=None,
                  apriori=None) -> StateMessage:
     """One forward sweep step: combine, apply the section map, marginalize."""
-    branch = branch_posterior(spec, fwd=fwd, obs=obs, symbol_obs=symbol_obs,
-                              apriori=apriori)
-    branch = apply_automorphism_m(branch, spec.section_automorphism)
-    nxt = marginalize_split_m(branch, spec.state_group.rank)
+    nxt = _step(spec, "forward", [fwd.message], obs, (symbol_obs, apriori))
     return StateMessage(_retag(nxt, f"fwd[t={fwd.t}]"), fwd.t + 1, "fwd")
 
 
@@ -243,21 +348,10 @@ def backward_step(spec: TrellisSpec, bwd: StateMessage, obs, symbol_obs=None,
 
     The branch is combined exactly as in the forward step (with the backward
     message entering through the next-state map) and then marginalized onto
-    the current-state block, i.e. the fresh symbol rotates to the back and the
-    first m blocks are kept.
+    the current-state block, heralding the fresh symbol.
     """
-    branch = branch_posterior(spec, bwd=bwd, obs=obs, symbol_obs=symbol_obs,
-                              apriori=apriori)
-    branch = apply_automorphism_m(branch, _rotation(spec))
-    prev = marginalize_split_m(branch, spec.state_group.rank)
+    prev = _step(spec, "backward", [bwd.message], obs, (symbol_obs, apriori))
     return StateMessage(_retag(prev, f"bwd[t={bwd.t - 1}]"), bwd.t - 1, "bwd")
-
-
-@functools.lru_cache(maxsize=None)
-def _rotation(spec: TrellisSpec) -> HomSpec:
-    """Branch automorphism moving the fresh symbol block to the back."""
-    k, nb = spec.symbol_group.rank, spec.branch_group.rank
-    return permute_coordinates(spec.branch_group, tuple(range(k, nb)) + tuple(range(k)))
 
 
 @dataclass(frozen=True)
@@ -298,8 +392,8 @@ def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
 
     results = []
     for t in range(T):
-        branch = branch_posterior(spec, fwd=fwd[t], bwd=bwd[t + 1], obs=obs_seq[t])
-        ext = guard(marginalize_split_m(branch, spec.symbol_group.rank), rng)
+        states = [fwd[t].message, bwd[t + 1].message]
+        ext = guard(_step(spec, "extrinsic", states, obs_seq[t]), rng)
         post_parts = [ext] + [_as_message(m) for m in (symbol_obs_seq[t], apriori_seq[t])
                               if m is not None]
         post = guard(equality_fold_m(post_parts), rng)

@@ -259,6 +259,26 @@ def test_de_heatmap_command(tmp_path, capsys):
     assert len(lines) > 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("threshold", "--resolution", "0"),
+    ("threshold", "--trials", "0"),
+    ("heatmap", "--res", "-0.5"),
+    ("heatmap", "--trials", "0"),
+])
+def test_de_drivers_reject_impossible_grids(tmp_path, capsys, monkeypatch, argv):
+    from abelianbp import de
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a DE run started")
+
+    monkeypatch.setattr(de, "de_run", no_run)
+    t = tmp_path / "turbo.json"
+    t.write_text(to_json(dump_turbo(standard_turbo(3))))
+    code, out, err = run_cli(capsys, "de", *argv, "--turbo", str(t), "--seed", "1")
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "validation"
+
+
 def test_stochastic_outputs_are_byte_identical(tmp_path, capsys):
     spec = FactorGraphSpec(
         {"a": Z32, "b": Z32, "root": Z32},

@@ -17,9 +17,10 @@ from abelianbp.de import (
     standard_turbo,
     threshold_bisect,
 )
-from abelianbp.eigenlists import EigenList, useless_list
-from abelianbp.factors import equality_fold, lift_along_hom
+from abelianbp.eigenlists import EigenList, pgm_error_of, useless_list
+from abelianbp.factors import equality_combine, equality_fold, lift_along_hom
 from abelianbp.trellis import (
+    _section,
     next_state_hom,
     shift_register_trellis,
     state_projection,
@@ -193,26 +194,25 @@ def test_window_engine_matches_exact_trellis_path(monkeypatch):
     from dataclasses import replace
 
     from abelianbp import avg_pgm_error
-    from abelianbp.de import _WindowEngine
     from abelianbp.trellis import decode_block
 
     monkeypatch.setattr(de, "_block_sections", lambda n: 1)
     spec = standard_turbo(3)
     trellis = replace(spec.constituents[0], boundary="unknown")
     lam_ch = channel_family(3, 2.2)
-    engine = _WindowEngine(trellis, lam_ch, systematic_mult=1, parity_mult=1)
     n = 4000
     pop = np.tile(useless_list(Z3).values, (n, 1))
     rng = np.random.default_rng(9)
-    ext, err = de_iteration(spec, pop, lam_ch, rng, window=3, engine=engine)
+    ext, err = de_iteration(spec, pop, lam_ch, rng, window=3)
 
     obs = [[lam_ch]] * 3
     res = decode_block(trellis, obs, symbol_obs_seq=[lam_ch] * 3)
     exact_ext = avg_pgm_error(res[1].extrinsic)
     exact_post = avg_pgm_error(res[1].posterior)
 
-    emp_ext = float(engine.pgm_errors(ext).mean())
-    mc = engine.pgm_errors(ext).std() / np.sqrt(n)
+    ext_errs = np.array([pgm_error_of(row) for row in ext])
+    emp_ext = float(ext_errs.mean())
+    mc = ext_errs.std() / np.sqrt(n)
     assert abs(emp_ext - exact_ext) < 4 * max(mc, 1e-6)
     assert abs(err - exact_post) < 4 * max(mc, 1e-6)
 
@@ -226,26 +226,26 @@ def test_shared_sweep_matches_exact_trellis_block(monkeypatch):
     from dataclasses import replace
 
     from abelianbp import avg_pgm_error
-    from abelianbp.de import _WindowEngine
     from abelianbp.trellis import decode_block
 
     monkeypatch.setattr(de, "_block_sections", lambda n: 3)
     spec = standard_turbo(3)
     trellis = replace(spec.constituents[0], boundary="unknown")
     lam_ch = channel_family(3, 2.2)
-    engine = _WindowEngine(trellis, lam_ch, systematic_mult=1, parity_mult=1)
     n = 3999
     pop = np.tile(useless_list(Z3).values, (n, 1))
-    ext, err = de_iteration(spec, pop, lam_ch, np.random.default_rng(9), window=3,
-                            engine=engine)
+    ext, err = de_iteration(spec, pop, lam_ch, np.random.default_rng(9), window=3)
 
     res = decode_block(trellis, [[lam_ch]] * 5, symbol_obs_seq=[lam_ch] * 5)
     exact_ext = np.mean([avg_pgm_error(r.extrinsic) for r in res[1:4]])
     exact_post = np.mean([avg_pgm_error(r.posterior) for r in res[1:4]])
 
-    post_errs = engine.pgm_errors(engine.posterior(ext.T, pop.T).T)
+    post_errs = np.array([
+        pgm_error(equality_combine(equality_combine(EigenList(Z3, e), lam_ch), EigenList(Z3, a)))
+        for e, a in zip(ext, pop)])
+    ext_errs = np.array([pgm_error_of(row) for row in ext])
     assert float(post_errs.mean()) == pytest.approx(err, abs=1e-12)
-    for errs, exact in ((engine.pgm_errors(ext), exact_ext), (post_errs, exact_post)):
+    for errs, exact in ((ext_errs, exact_ext), (post_errs, exact_post)):
         blocks = errs.reshape(3, -1).mean(axis=0)        # column s * m + block
         mc = blocks.std() / np.sqrt(blocks.size)
         assert abs(errs.mean() - exact) < 4 * max(mc, 1e-6)
@@ -257,13 +257,12 @@ def test_de_iteration_bytes_independent_of_block_size(monkeypatch, block):
     same bytes."""
     spec = standard_turbo(3)
     lam = channel_family(3, 2.5)
-    engine = de._engines(spec, lam)[1]
     pop = np.random.default_rng(1).random((300, 3))
     pop *= 3 / pop.sum(axis=1, keepdims=True)
 
     def run():
         return de_iteration(spec, pop, lam, np.random.default_rng(2), window=11,
-                            engine=engine)
+                            constituent=1)
 
     ext, err = run()
     monkeypatch.setattr(de, "_BLOCK_FLOATS", block)
@@ -278,6 +277,54 @@ def test_default_config_ladder_boundary():
     for seed in range(10):
         assert de_run(spec, cfg, 2.59, seed=seed).converged
         assert not de_run(spec, cfg, 2.69, seed=seed).converged
+
+
+@pytest.mark.parametrize("driver, kwargs", [
+    (threshold_bisect, {"trials": 0}),
+    (threshold_bisect, {"resolution": 0.0}),
+    (threshold_bisect, {"resolution": -0.1}),
+    (threshold_bisect, {"resolution": math.nan}),
+    (threshold_bisect, {"resolution": math.inf}),
+    (heatmap, {"trials": 0}),
+    (heatmap, {"resolution": 0.0}),
+    (heatmap, {"resolution": -0.5}),
+    (heatmap, {"resolution": math.nan}),
+], ids=["bisect-trials-0", "bisect-res-0", "bisect-res-neg", "bisect-res-nan",
+        "bisect-res-inf", "heatmap-trials-0", "heatmap-res-0", "heatmap-res-neg",
+        "heatmap-res-nan"])
+def test_drivers_reject_impossible_grids(monkeypatch, driver, kwargs):
+    """Checked before any DE run: zero trials made a bisection with no wins
+    and a heatmap dividing by zero, a zero resolution a bisection without end
+    and a negative one an empty heatmap."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a DE run started")
+
+    monkeypatch.setattr(de, "de_run", no_run)
+    with pytest.raises(ValidationError):
+        driver(standard_turbo(3), FAST, **kwargs)
+
+
+@pytest.mark.parametrize("row", [[6, 0, 0, 0, 0, 0], [6, 0, 0], [4, -0.5, -0.5]],
+                         ids=["width-6", "sum-6", "negative"])
+def test_de_iteration_rejects_invalid_populations(row):
+    """A (20, 6) population on Z3 reported posterior error 0.5, and rows
+    summing to 6 a negative error."""
+    pop = np.tile(np.array(row, dtype=float), (20, 1))
+    with pytest.raises(ValidationError):
+        de_iteration(standard_turbo(3), pop, channel_family(3, 2.0), np.random.default_rng(0))
+
+
+def test_draw_skips_a_zero_probability_first_herald():
+    """u = 0 draws the first herald of positive probability, in the shared
+    herald draw and in DE's column draw (which divided 0 by 0 there)."""
+    from abelianbp.factors import draw_heralds
+
+    probs = np.array([[0.0, 0.0], [0.25, 1e-16], [0.75, 1.0]])
+    assert draw_heralds(probs, np.zeros(2)).tolist() == [1, 2]
+    branch = np.zeros((3, 3, 1))
+    branch[:, 1:, 0] = [[2.0, 1.0], [0.5, 1.0], [0.5, 1.0]]
+    out = de._draw(branch, np.zeros(1))
+    assert np.allclose(out[:, 0], [2.0, 0.5, 0.5])
 
 
 def test_config_validation():
@@ -323,27 +370,32 @@ def _dense_window_branches(trellis, lam_ch, parity_mult, state, sym, fwd, bwd):
     TurboSpec((standard_turbo(3).constituents[0],) * 2, parity_mults=(0, 0)),
 ], ids=["turbo-q3", "turbo-q5", "two-output", "no-parity"])
 def test_window_kernels_match_dense_products(spec):
-    """The sparse gather tables reproduce the dense adjoin/lift, parity,
-    symbol and backward-state combines on random lists."""
+    """The sparse gather tables of the trellis section kernels, with DE's
+    parity column, reproduce the dense adjoin/lift, parity, symbol and
+    backward-state combines on random lists."""
     trellis = spec.constituents[0]
     q = spec.symbol_group.order
     lam_ch = channel_family(q, 1 + 0.6 * (q - 1))
-    engine = de._WindowEngine(trellis, lam_ch, spec.systematic_mult, spec.parity_mults[0])
+    fwd_k, bwd_k, ext_k = (_section(trellis, kind, len(trellis.outputs))
+                           for kind in ("forward", "backward", "extrinsic"))
+    obs = de._fold(lam_ch, spec.parity_mults[0], spec.symbol_group)
+    parity = equality_fold([useless_list(trellis.branch_group)] + [
+        lift_along_hom(obs, L) for L in trellis.outputs]).values[:, None]
     if len(trellis.outputs) > 1:
-        assert engine.adjoin_parity[0].shape[1] > 1 and engine.lift_parity[0].shape[1] > 1
-    engine._draw = lambda arr, u: arr              # keep the pre-sampling arrays
+        assert fwd_k.weights(parity).shape[0] > 1 and bwd_k.weights(parity).shape[0] > 1
     rng = np.random.default_rng(3)
 
     def lists(k, n=7):
         x = rng.random((n, k))
         return x * (k / x.sum(axis=1, keepdims=True))
 
-    ns = engine.ns
+    ns = trellis.state_group.order
     state, fwd, bwd, sym = lists(ns), lists(ns), lists(ns), lists(q)
     want = _dense_window_branches(trellis, lam_ch, spec.parity_mults[0], state, sym,
                                   fwd, bwd)
-    got = (engine.forward(state.T, sym.T, None), engine.backward(state.T, sym.T, None),
-           engine.extrinsic(fwd.T, bwd.T, None))
+    got = (fwd_k.branch(state.T, fwd_k.weights(parity), sym.T),
+           bwd_k.branch(state.T, bwd_k.weights(parity), sym.T),
+           ext_k.branch(fwd.T, ext_k.weights(parity), bwd.T))
     for g, w in zip(got, want):                     # g is (rest, herald, n)
         assert np.abs(g.transpose(2, 1, 0) - w).max() < 1e-12
 

@@ -20,14 +20,18 @@ from abelianbp import (
 )
 from abelianbp.factors import (
     adjoin_uniform_m,
+    apply_automorphism_m,
     equality_fold_m,
     lift_along_hom_m,
     marginalize_split_m,
 )
-from abelianbp.messages import GUARD_PRUNE
+from abelianbp.groups import permute_coordinates
+from abelianbp.messages import GUARD_PRUNE, Branch, HeraldedMessage
 from abelianbp.trellis import (
     StateMessage,
     TrellisSpec,
+    _step,
+    backward_step,
     boundary_state,
     branch_posterior,
     decode_block,
@@ -136,6 +140,56 @@ def test_forward_step_matches_manual_composition():
     for b1, b2 in zip(got.branches, want.branches):
         assert b1.prob == pytest.approx(b2.prob, abs=1e-12)
         assert np.max(np.abs(b1.lam.values - b2.lam.values)) < 1e-12
+
+
+def _mixture(G, rng):
+    return HeraldedMessage(G, [Branch(0.3, rand_lam(G, rng), ("a",)),
+                               Branch(0.7, rand_lam(G, rng), ("b",))])
+
+
+def _section_cases():
+    Z2, Z4, V = GroupSpec((2,)), GroupSpec((4,)), GroupSpec((2, 2))
+    bv = GroupSpec((2, 2, 2, 2))
+    v4 = TrellisSpec(V, 1, Z2, (HomSpec(bv, Z2, ((1, 0, 1, 1),)),
+                                HomSpec(bv, Z2, ((0, 1, 1, 0),))),
+                     HomSpec(bv, bv, ((1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+                     boundary="unknown")
+    turbo = transfer_function_trellis([1, 0, 1], [1, 1, 1], 3)
+    return {
+        "turbo": (turbo, False),
+        "two-output": (shift_register_trellis(Z3, 2, [[1, 1, 0], [1, 0, 2]]), False),
+        "output-group": (shift_register_trellis(Z4, 1, [[1, 1]], output_group=Z2), False),
+        "z2xz2": (v4, False),
+        "mixture-obs": (turbo, True),
+    }
+
+
+@pytest.mark.parametrize("case", list(_section_cases()))
+def test_section_kernels_match_step_by_step_composition(case):
+    """The composite forward, backward and extrinsic rules give the ensembles
+    of the rule-by-rule reference: `branch_posterior`, the section map (or
+    the rotation of the fresh symbol to the back) and marginalization."""
+    spec, mixed = _section_cases()[case]
+    rng = np.random.default_rng(8)
+    G, S, H = spec.symbol_group, spec.state_group, spec.output_group
+    obs = [rand_lam(H, rng) for _ in spec.outputs]
+    if mixed:
+        obs[0] = _mixture(H, rng)
+    fwd, bwd = _mixture(S, rng), pure(rand_lam(S, rng))
+    sym, apr = rand_lam(G, rng), rand_lam(G, rng)
+    k, m = G.rank, spec.state_group.rank
+    rotation = permute_coordinates(spec.branch_group, tuple(range(k, k + m)) + tuple(range(k)))
+
+    want = marginalize_split_m(apply_automorphism_m(
+        branch_posterior(spec, fwd=fwd, obs=obs, symbol_obs=sym, apriori=apr),
+        spec.section_automorphism), m)
+    _ensembles_close(forward_step(spec, StateMessage(fwd, 0, "fwd"), obs, sym, apr).message,
+                     want)
+    want = marginalize_split_m(apply_automorphism_m(
+        branch_posterior(spec, bwd=bwd, obs=obs, symbol_obs=sym), rotation), m)
+    _ensembles_close(backward_step(spec, StateMessage(bwd, 1, "bwd"), obs, sym).message, want)
+    want = marginalize_split_m(branch_posterior(spec, fwd=fwd, bwd=bwd, obs=obs), k)
+    _ensembles_close(_step(spec, "extrinsic", [fwd, bwd], obs), want)
 
 
 def test_perfect_and_useless_chains():
