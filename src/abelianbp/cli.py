@@ -153,6 +153,7 @@ def build_parser() -> _Parser:
     mprun.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     mprun.add_argument("--seed", type=int)
     mprun.add_argument("--prune", type=float, default=0.0)
+    mprun.add_argument("--samples", type=int, default=1)
     mprun.add_argument("--out")
 
     polar = sub.add_parser("polar", help="polar synthetic-channel tracking")
@@ -176,6 +177,7 @@ def build_parser() -> _Parser:
     cana.add_argument("--T", type=int, required=True)
     cana.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     cana.add_argument("--seed", type=int)
+    cana.add_argument("--samples", type=int, default=1)
     cana.add_argument("--systematic", action="store_true",
                       help="also observe each symbol through the channel")
     cana.add_argument("--out")
@@ -260,7 +262,8 @@ def _cmd_mp_run(args):
     if args.mode == "sampled" and args.seed is None:
         raise _UsageError("--seed is required in sampled mode")
     spec = parse_graph(_load_json(args.graph))
-    msg = run_mp(spec, mode=args.mode, seed=args.seed, prune_eps=args.prune)
+    msg = run_mp(spec, mode=args.mode, seed=args.seed, prune_eps=args.prune,
+                 samples=args.samples)
     _emit({"root": dump_message(msg),
            "metrics": {"avg_holevo": avg_holevo(msg),
                        "avg_pgm_error": avg_pgm_error(msg)}}, args.out)
@@ -284,6 +287,8 @@ def _cmd_polar_construct(args):
 
 
 def _cmd_conv_analyze(args):
+    if args.T < 1:
+        raise ValidationError(f"--T must be at least 1, got {args.T}")
     spec = parse_trellis(_load_json(args.trellis))
     lam = parse_eigenlist(_load_json(args.channel))
     if args.mode == "sampled" and args.seed is None:
@@ -291,7 +296,7 @@ def _cmd_conv_analyze(args):
     obs = [[lam] * len(spec.outputs) for _ in range(args.T)]
     sys_obs = [lam] * args.T if args.systematic else None
     results = decode_block(spec, obs, mode=args.mode, seed=args.seed,
-                           symbol_obs_seq=sys_obs)
+                           symbol_obs_seq=sys_obs, samples=args.samples)
     rows = [
         (m["t"], m["posterior_holevo"], m["posterior_pgm_error"],
          m["extrinsic_holevo"], m["extrinsic_pgm_error"])

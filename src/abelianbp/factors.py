@@ -18,6 +18,10 @@ kernel over the branch product of their inputs, multiply probabilities,
 concatenate labels, and merge duplicate outputs, so the class of finite
 heralded mixtures is closed on trees.  Kernels gather with `np.take`, whose
 C-ordered result makes numpy sum each row in the same order as one 1-D list.
+
+Trackers apply rules through `Tracker`: exact mode over branch products,
+sampled mode on populations of herald trajectories, one kernel call and one
+herald draw per rule application.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from .groups import (
     is_automorphism,
     surjection_onto_image,
 )
-from .messages import PROB_FLOOR, HeraldedMessage, merge_duplicates, product_labels
+from .messages import (PROB_FLOOR, HeraldedMessage, _gather, guard, herald_rng, merge_duplicates,
+                       product_labels, valid_lists)
 
 #: Kernel temporaries per block of branch tuples, in floats.
 _BLOCK_FLOATS = 1 << 18
@@ -201,6 +206,18 @@ def draw_heralds(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum <= np.minimum(u * total, np.nextafter(total, 0))).sum(axis=0)
 
 
+def sample_rows(rule: _Rule, operands, u: np.ndarray):
+    """`rule` on aligned operand rows: the output lists and, for a heralded
+    rule, the herald index that `draw_heralds` draws in row i at ``u[i]``
+    (else None); a heralded row keeps only its drawn herald."""
+    out = rule.rows(*operands)
+    if rule.herald is None:
+        return out, None
+    probs, finish = out
+    h = draw_heralds(probs.T, u)
+    return finish((np.arange(len(u)), h)), h
+
+
 def _pure(rule: _Rule, *lams: EigenList):
     probs, out, _, herald = _run(rule, [lam.values[None, :] for lam in lams])
     if probs is None:
@@ -342,6 +359,49 @@ def _product_apply(msgs, rule: _Rule) -> HeraldedMessage:
         raise NumericalError("branch product lost all probability mass")
     labels = product_labels([m._labels for m in msgs], cols, herald)
     return merge_duplicates(HeraldedMessage._checked(rule.group, p / total, lams, labels))
+
+
+class Tracker:
+    """How a tracker run applies rules, after `herald_rng`'s checks.
+
+    Exact mode runs a rule over the branch product of its input mixtures
+    (`_product_apply`), and `guard` is `messages.guard`.  Sampled mode runs
+    populations: a message holds `samples` row-aligned herald trajectories,
+    rows of probability 1/samples.  `entry` broadcasts a one-branch input and
+    draws one branch per row of a mixture; `step` runs a rule once on the
+    aligned operand rows (in blocks, which do not change the result) and a
+    heralded rule keeps in each row the herald drawn at one uniform per row,
+    drawn up front (`sample_rows`); labels record the heralds drawn.
+    """
+
+    def __init__(self, mode: str, seed: int | None, prune_eps: float, samples: int = 1):
+        self.rng, self.samples = herald_rng(mode, seed, prune_eps, samples), samples
+
+    def entry(self, msg: HeraldedMessage) -> HeraldedMessage:
+        S, k = self.samples, len(msg)
+        if self.rng is None or k == 1 == S:
+            return msg
+        idx = (np.zeros(S, np.intp) if k == 1 else
+               draw_heralds(np.broadcast_to(msg.probs[:, None], (k, S)), self.rng.random(S)))
+        return _gather(msg, np.full(S, 1.0 / S), msg.lams[idx], idx)
+
+    def step(self, rule: _Rule, msgs) -> HeraldedMessage:
+        if self.rng is None:
+            return _product_apply(msgs, rule)
+        S = len(msgs[0])
+        u = np.zeros(S) if rule.herald is None else self.rng.random(S)
+        step = max(1, _BLOCK_FLOATS // (msgs[0].lams.shape[1] * rule.group.order))
+        parts = [sample_rows(rule, [m.lams[s:s + step] for m in msgs], u[s:s + step])
+                 for s in range(0, S, step)]
+        lams, h = parts[0] if len(parts) == 1 else [
+            None if c[0] is None else np.concatenate(c) for c in zip(*parts)]
+        herald = None if h is None else (*rule.herald[:2], rule.herald[2][h])
+        labels = product_labels([m._labels for m in msgs], [np.arange(S)] * len(msgs), herald)
+        return HeraldedMessage._make(rule.group, msgs[0].probs, valid_lists(rule.group, lams),
+                                     labels)
+
+    def guard(self, msg: HeraldedMessage, prune_eps: float = 0.0) -> HeraldedMessage:
+        return msg if self.rng is not None else guard(msg, None, prune_eps)
 
 
 def check_combine_m(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:

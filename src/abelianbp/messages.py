@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .eigenlists import NEG_CLIP, TRACE_RTOL, EigenList, entropy_bits, pgm_error_of
+from .eigenlists import NEG_CLIP, TRACE_RTOL, EigenList
 from .errors import NumericalError, ValidationError
 from .groups import GroupSpec
 
@@ -312,12 +312,15 @@ def check_prune_eps(eps: float) -> None:
         raise ValidationError(f"prune threshold {eps} outside [0, 0.5)")
 
 
-def herald_rng(mode: str, seed: int | None, prune_eps: float) -> np.random.Generator | None:
-    """Check a tracker's mode and prune threshold; the herald generator in
-    sampled mode, else None."""
+def herald_rng(mode: str, seed: int | None, prune_eps: float,
+               samples: int = 1) -> np.random.Generator | None:
+    """Check a tracker's mode, prune threshold and sample count; the herald
+    generator in sampled mode, else None."""
     if mode not in ("exact", "sampled"):
         raise ValidationError(f"unknown mode {mode!r}")
     check_prune_eps(prune_eps)
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     if mode == "exact":
         return None
     if seed is None:
@@ -337,12 +340,13 @@ class GuardWarning(RuntimeWarning):
 
 def guard(msg: HeraldedMessage, rng: np.random.Generator | None,
           prune_eps: float = 0.0) -> HeraldedMessage:
-    """The mixture policy every tracker applies after a rule.
+    """The mixture policy that exact trackers apply after a rule.
 
-    Sampled mode (`rng` given) keeps one drawn herald.  Exact mode prunes at
-    `prune_eps`; past `BRANCH_CAP` branches it also prunes at `GUARD_PRUNE`
-    and warns (`GuardWarning`) with the branch count and the probability
-    mass dropped.
+    Exact mode prunes at `prune_eps`; past `BRANCH_CAP` branches it also
+    prunes at `GUARD_PRUNE` and warns (`GuardWarning`) with the branch count
+    and the probability mass dropped.  With `rng` it keeps one drawn herald;
+    no tracker calls that branch any more (sampled trackers run populations,
+    `factors.Tracker`), and the tests keep it as the one-trajectory reference.
     """
     if rng is not None:
         idx = _draw(msg, rng)
@@ -357,10 +361,14 @@ def guard(msg: HeraldedMessage, rng: np.random.Generator | None,
 
 
 def avg_holevo(msg: HeraldedMessage) -> float:
-    """Herald-averaged Holevo information in bits (herald is side information)."""
-    n = msg.group.order
-    return float(sum(p * entropy_bits(row / n) for p, row in zip(msg.probs.tolist(), msg.lams)))
+    """Herald-averaged Holevo information in bits (herald is side information);
+    branch terms are added in branch order, as a loop over branches would."""
+    mu = msg.lams / msg.group.order
+    logs = np.log2(mu, out=np.zeros_like(mu), where=mu > 0)
+    return float(sum((msg.probs * -(mu * logs).sum(axis=1)).tolist()))
 
 
 def avg_pgm_error(msg: HeraldedMessage) -> float:
-    return float(sum(p * pgm_error_of(row) for p, row in zip(msg.probs.tolist(), msg.lams)))
+    """Herald-averaged `eigenlists.pgm_error` (`float_power` squares as its ``** 2``)."""
+    sq = np.float_power(np.sqrt(msg.lams).sum(axis=1) / msg.group.order, 2)
+    return float(sum((msg.probs * (1.0 - sq)).tolist()))

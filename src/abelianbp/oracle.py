@@ -432,6 +432,8 @@ def verify_rule(rule: str, G: GroupSpec, seed: int, count: int) -> dict:
         marginalize_split,
     )
 
+    if count < 1:
+        raise ValidationError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     max_dp = 0.0
     max_dl = 0.0

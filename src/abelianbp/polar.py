@@ -33,7 +33,7 @@ import numpy as np
 from . import factors
 from .eigenlists import EigenList
 from .errors import ValidationError
-from .factors import _Rule, _automorphism, _equality, _product_apply, _same_group, draw_heralds
+from .factors import _Rule, _automorphism, _equality, _product_apply, _same_group, sample_rows
 from .groups import (GroupSpec, HomSpec, direct_product, inversion_automorphism,
                      is_automorphism, is_surjective)
 from .messages import (HeraldedMessage, avg_holevo, avg_pgm_error, guard,
@@ -137,14 +137,9 @@ class IndexStats:
 
 
 def _sampled_rows(polar_rule, A: np.ndarray, B: np.ndarray, u: np.ndarray):
-    """A polar rule on the row pairs (A, B); a heralded rule keeps in row i
-    the herald `factors.draw_heralds` draws at ``u[i]``."""
+    """A polar rule on the row pairs (A, B), by `factors.sample_rows`."""
     relabel, rule = polar_rule
-    res = rule.rows(A, B if relabel is None else relabel.rows(B))
-    if rule.herald is None:
-        return res
-    probs, finish = res
-    return finish((np.arange(len(u)), draw_heralds(probs.T, u)))
+    return sample_rows(rule, [A, B if relabel is None else relabel.rows(B)], u)[0]
 
 
 def _population(base: EigenList, levels: int, samples: int, rng, rules, width: int):
@@ -190,11 +185,9 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
     """
     if levels < 0:
         raise ValidationError("levels must be nonnegative")
-    if samples < 1:
-        raise ValidationError(f"samples must be at least 1, got {samples}")
     if mode == "auto":
         mode = "exact" if levels <= DEFAULT_EXACT_LEVELS else "sampled"
-    rng = herald_rng(mode, seed, prune_eps)
+    rng = herald_rng(mode, seed, prune_eps, samples)
     G, n = base.group, base.group.order
     rules = (_arikan_rules(G) if kernel is None
              else (_kernel_minus_rule(G, kernel), _kernel_plus_rule(G, kernel)))

@@ -21,10 +21,12 @@ factors.  Supported factor kinds:
 ``automorphism``
     Edges ``(in, out)`` on one group; relabeling in both directions.
 
-Every rule output passes through `messages.guard`: exact mode keeps the full
-heralded mixture (duplicates merged, pruned past `messages.BRANCH_CAP` with a
-warning); sampled mode collapses every message to a single sampled herald
-trajectory, so averaging repeated runs reproduces the exact metrics.
+One recursion serves both modes, which differ only in how `factors.Tracker`
+applies a rule.  Exact mode runs it over the branch product of the input
+mixtures and guards the output (`messages.guard`: duplicates merged, pruned
+past `messages.BRANCH_CAP` with a warning).  Sampled mode carries S
+row-aligned herald trajectories: each leaf is drawn to one branch per row and
+a rule is one call on the aligned rows plus one herald draw per row.
 """
 
 from __future__ import annotations
@@ -34,14 +36,7 @@ from dataclasses import dataclass
 
 from .eigenlists import EigenList, useless_list
 from .errors import ValidationError
-from .factors import (
-    apply_automorphism_m,
-    check_combine_m,
-    equality_combine_m,
-    hom_push_m,
-    lift_along_hom_m,
-    marginalize_split_m,
-)
+from .factors import Tracker, _automorphism, _check, _equality, _hom, _lift, _marginalize
 from .groups import (
     GroupSpec,
     HomSpec,
@@ -51,15 +46,7 @@ from .groups import (
     is_surjective,
     projection_hom,
 )
-from .messages import (
-    HeraldedMessage,
-    avg_holevo,
-    avg_pgm_error,
-    guard,
-    herald_rng,
-    merge_duplicates,
-    pure,
-)
+from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, merge_duplicates, pure
 
 FACTOR_KINDS = ("leaf", "equality", "check", "hom", "marginalize", "automorphism")
 
@@ -168,92 +155,84 @@ def _validate_signature(spec: FactorGraphSpec, fid: str, f: FactorNode) -> None:
 
 
 class _Engine:
-    def __init__(self, spec, rng, prune_eps):
-        self.spec = spec
-        self.rng = rng
-        self.prune_eps = prune_eps
+    """Root-directed recursion; `apply` (a `factors.Tracker`) decides how
+    each rule runs, so one recursion serves both modes."""
+
+    def __init__(self, spec, apply, prune_eps):
+        self.spec, self.apply, self.prune_eps = spec, apply, prune_eps
         self.incident = {v: [] for v in spec.variables}
         for fid, f in spec.factors.items():
             for v in f.edges:
                 self.incident[v].append(fid)
 
-    def _guard(self, msg: HeraldedMessage) -> HeraldedMessage:
-        return guard(msg, self.rng, self.prune_eps)
+    def _rule(self, rule, msgs) -> HeraldedMessage:
+        return self.apply.guard(self.apply.step(rule, msgs), self.prune_eps)
 
-    def variable_message(self, v: str, toward: str | None) -> HeraldedMessage:
-        msgs = [
-            self.factor_message(fid, v)
-            for fid in self.incident[v]
-            if fid != toward
-        ]
-        if not msgs:
-            return pure(useless_list(self.spec.variables[v]))
+    def _fold(self, rule, msgs) -> HeraldedMessage:
         acc = msgs[0]
         for m in msgs[1:]:
-            acc = self._guard(equality_combine_m(acc, m))
+            acc = self._rule(rule, [acc, m])
         return acc
 
+    def _push(self, rule, v: str, fid: str) -> HeraldedMessage:
+        return self._rule(rule, [self.variable_message(v, fid)])
+
+    def variable_message(self, v: str, toward: str | None) -> HeraldedMessage:
+        G = self.spec.variables[v]
+        msgs = [self.factor_message(fid, v) for fid in self.incident[v] if fid != toward]
+        if not msgs:
+            return self.apply.entry(pure(useless_list(G)))
+        return self._fold(_equality(G), msgs)
+
     def factor_message(self, fid: str, toward: str) -> HeraldedMessage:
-        f = self.spec.factors[fid]
+        f, groups = self.spec.factors[fid], self.spec.variables
         if f.kind == "leaf":
-            return self._guard(merge_duplicates(f.message))
+            return self.apply.guard(self.apply.entry(merge_duplicates(f.message)), self.prune_eps)
         if f.kind == "equality":
-            msgs = [self.variable_message(v, fid) for v in f.edges if v != toward]
-            acc = msgs[0]
-            for m in msgs[1:]:
-                acc = self._guard(equality_combine_m(acc, m))
-            return acc
+            return self._fold(_equality(groups[toward]),
+                              [self.variable_message(v, fid) for v in f.edges if v != toward])
         if f.kind == "check":
             inputs, out = f.edges[:-1], f.edges[-1]
-            G = self.spec.variables[out]
-            inv = inversion_automorphism(G)
+            G = groups[out]
             if toward == out:
                 msgs = [self.variable_message(v, fid) for v in inputs]
             else:
-                msgs = [self.variable_message(out, fid)]
-                for v in inputs:
-                    if v == toward:
-                        continue
-                    m = self.variable_message(v, fid)
-                    msgs.append(apply_automorphism_m(m, inv))
-            acc = msgs[0]
-            for m in msgs[1:]:
-                acc = self._guard(check_combine_m(acc, m))
-            return acc
+                inv = _automorphism(G, inversion_automorphism(G))
+                msgs = [self.variable_message(out, fid)] + [
+                    self.apply.step(inv, [self.variable_message(v, fid)])
+                    for v in inputs if v != toward]
+            return self._fold(_check(G), msgs)
+        vin, vout = f.edges
         if f.kind == "hom":
-            vin, vout = f.edges
             if toward == vout:
-                return self._guard(hom_push_m(self.variable_message(vin, fid), f.hom))
-            return self._guard(lift_along_hom_m(self.variable_message(vout, fid), f.hom))
+                return self._push(_hom(groups[vin], f.hom), vin, fid)
+            return self._push(_lift(groups[vout], f.hom), vout, fid)
         if f.kind == "marginalize":
-            vin, vout = f.edges
             if toward == vout:
-                return self._guard(marginalize_split_m(self.variable_message(vin, fid),
-                                                       f.keep))
-            gin = self.spec.variables[vin]
-            proj = projection_hom(gin, range(f.keep))
-            return self._guard(lift_along_hom_m(self.variable_message(vout, fid), proj))
+                return self._push(_marginalize(groups[vin], f.keep), vin, fid)
+            return self._push(_lift(groups[vout], projection_hom(groups[vin], range(f.keep))),
+                              vout, fid)
         if f.kind == "automorphism":
-            vin, vout = f.edges
             if toward == vout:
-                return self._guard(apply_automorphism_m(self.variable_message(vin, fid),
-                                                        f.hom))
-            return self._guard(apply_automorphism_m(self.variable_message(vout, fid),
-                                                    invert_automorphism(f.hom)))
+                return self._push(_automorphism(groups[vin], f.hom), vin, fid)
+            return self._push(_automorphism(groups[vout], invert_automorphism(f.hom)), vout, fid)
         raise ValidationError(f"unknown factor kind {f.kind!r}")  # pragma: no cover
 
 
 def run_mp(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,
-           prune_eps: float = 0.0) -> HeraldedMessage:
+           prune_eps: float = 0.0, samples: int = 1) -> HeraldedMessage:
     """Root-directed message passing; returns the posterior at the root variable.
 
-    ``exact`` mode keeps the full heralded mixture; ``sampled`` mode draws one
-    herald per rule application (seed required) and returns a single-branch
-    message whose distribution over repeated seeds is the exact mixture.
+    ``exact`` mode keeps the full heralded mixture.  ``sampled`` mode (seed
+    required) tracks `samples` herald trajectories at once: each leaf is
+    drawn to one branch per trajectory and every heralded rule draws one
+    herald per trajectory.  It returns one branch per trajectory, each of
+    probability 1/samples, whose labels are the heralds that trajectory drew;
+    over seeds each branch is distributed as the exact mixture.
     """
-    rng = herald_rng(mode, seed, prune_eps)
+    apply = Tracker(mode, seed, prune_eps, samples)
     validate_tree(spec)
-    return _Engine(spec, rng, prune_eps).variable_message(spec.root, None)
+    return _Engine(spec, apply, prune_eps).variable_message(spec.root, None)
 
 
 def root_metrics(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,

@@ -11,9 +11,11 @@ time-reversed sections.
 
 Each section step (forward, backward, extrinsic) is one composite of these
 factors, written once as a kernel of two sparse gathers (`_Section`) with
-three callers: exact and sampled `decode_block` run it as one rule per step,
-density evolution on population columns.  `branch_posterior` keeps the
-rule-by-rule composition as the reference.
+three callers: `decode_block` runs it as one rule per step, over the branch
+product in exact mode and on a population of S sampled trajectories in
+sampled mode (one loop; the modes differ only in how `factors.Tracker`
+applies a rule), and density evolution on population columns.
+`branch_posterior` keeps the rule-by-rule composition as the reference.
 
 Rational transfer functions G(D) = p(D)/q(D) over Z_n (with invertible q(0))
 compile to a single-parity section in controller canonical form; feedforward
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,15 +34,8 @@ import numpy as np
 from .characters import dual_map_table, tables_for
 from .eigenlists import EigenList, perfect_list, useless_list
 from .errors import ValidationError
-from .factors import (
-    _equality,
-    _lift,
-    _product_apply,
-    _Rule,
-    adjoin_uniform_m,
-    equality_fold_m,
-    lift_along_hom_m,
-)
+from .factors import (Tracker, _equality, _lift, _product_apply, _Rule, adjoin_uniform_m,
+                      equality_fold_m, lift_along_hom_m)
 from .groups import (
     GroupSpec,
     HomSpec,
@@ -50,15 +45,7 @@ from .groups import (
     is_surjective,
     projection_hom,
 )
-from .messages import (
-    HeraldedMessage,
-    avg_holevo,
-    avg_pgm_error,
-    guard,
-    herald_rng,
-    pure,
-    relabel,
-)
+from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, pure, relabel
 
 
 @dataclass(frozen=True)
@@ -302,6 +289,8 @@ def _section(spec: TrellisSpec, kind: str, n_obs: int) -> _Section:
 def _step_rule(spec: TrellisSpec, kind: str, n_obs: int) -> _Rule:
     """A step as one rule on rows of (state, [backward state,] observations...,
     symbol messages...); the symbol messages are equality-combined first."""
+    if n_obs > len(spec.outputs):
+        raise ValidationError(f"{n_obs} observations for {len(spec.outputs)} trellis outputs")
     sec, states = _section(spec, kind, n_obs), 2 if kind == "extrinsic" else 1
     kept, dropped = ((spec.symbol_group, spec.state_group) if states == 2
                      else (spec.state_group, spec.symbol_group))
@@ -309,6 +298,7 @@ def _step_rule(spec: TrellisSpec, kind: str, n_obs: int) -> _Rule:
     eq_b, eq_g = _equality(spec.branch_group), _equality(spec.symbol_group)
     none_b = useless_list(spec.branch_group).values[:, None]
     none_g = useless_list(spec.symbol_group).values[:, None]
+    nb, nd = spec.branch_group.order, dropped.order
 
     def rows(*ops):
         obs, sym = ops[states:states + n_obs], ops[states + n_obs:]
@@ -317,21 +307,24 @@ def _step_rule(spec: TrellisSpec, kind: str, n_obs: int) -> _Rule:
         second = ops[1].T if states == 2 else (
             functools.reduce(eq_g.rows, sym).T if sym else none_g)
         grid = sec.branch(ops[0].T, sec.weights(parity), second).transpose(2, 1, 0)
-        probs = grid.sum(axis=2) / spec.branch_group.order
-        return probs, lambda sel: grid[sel] / (dropped.order * probs[sel])[:, None]
+        probs = grid.sum(axis=2) / nb
+        return probs, lambda sel: grid[sel] / (nd * probs[sel])[:, None]
     return _Rule(kept, rows, ("marg", dropped, np.arange(dropped.order)))
 
 
+def _messages(msgs, G: GroupSpec, optional: bool = False) -> list[HeraldedMessage]:
+    """Eigen lists or messages as messages on G; None is skipped if `optional`."""
+    msgs = [_as_message(m) for m in msgs if not (optional and m is None)]
+    if any(m.group.moduli != G.moduli for m in msgs):
+        raise ValidationError(f"messages on {[m.group for m in msgs]}, not {G}")
+    return msgs
+
+
 def _step(spec: TrellisSpec, kind: str, states, obs, side=()) -> HeraldedMessage:
-    """A step over the branch product; ``side``: optional symbol-side messages."""
-    if len(obs) > len(spec.outputs):
-        raise ValidationError(f"{len(obs)} observations for {len(spec.outputs)} trellis outputs")
-    side = [m for m in side if m is not None]
-    msgs = [_as_message(m) for m in (*states, *obs, *side)]
-    want = [spec.state_group] * len(states) + [spec.output_group] * len(obs)
-    want += [spec.symbol_group] * len(side)
-    if [m.group.moduli for m in msgs] != [G.moduli for G in want]:
-        raise ValidationError(f"{kind} step: messages on {[m.group for m in msgs]}, not {want}")
+    """A step as one rule over the branch product; ``side``: optional
+    symbol-side messages."""
+    msgs = [*_messages(states, spec.state_group), *_messages(obs, spec.output_group),
+            *_messages(side, spec.symbol_group, optional=True)]
     return _product_apply(msgs, _step_rule(spec, kind, len(obs)))
 
 
@@ -363,41 +356,49 @@ class SectionResult:
 
 def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
                  seed: int | None = None, symbol_obs_seq=None, apriori_seq=None,
-                 prune_eps: float = 0.0) -> list[SectionResult]:
+                 prune_eps: float = 0.0, samples: int = 1) -> list[SectionResult]:
     """Forward/backward sweeps plus per-section symbol posterior and extrinsic.
 
     ``obs_seq[t]`` lists the per-output observations of section t.  The
     extrinsic message at t omits the symbol-side leaves (channel observation
     and a priori) of section t itself; the posterior equality-combines them
-    back in, which reproduces the full branch marginal exactly.  Every state,
-    extrinsic and posterior message passes through `messages.guard`; only
-    state messages are pruned at ``prune_eps``.
+    back in, which reproduces the full branch marginal exactly.
+
+    Exact mode passes every state, extrinsic and posterior message through
+    `messages.guard`; only state messages are pruned at ``prune_eps``.
+    Sampled mode (seed required) tracks `samples` herald trajectories at
+    once (`factors.Tracker`): each input is drawn to one branch per
+    trajectory, each step is one rule call and one herald draw for all of
+    them, and every message holds one row per trajectory, of probability
+    1/samples, so `section_metrics` gives the means over trajectories.
     """
     validate_trellis(spec)
-    rng = herald_rng(mode, seed, prune_eps)
+    apply = Tracker(mode, seed, prune_eps, samples)
     T = len(obs_seq)
-    symbol_obs_seq = symbol_obs_seq or [None] * T
-    apriori_seq = apriori_seq or [None] * T
-
-    fwd = [boundary_state(spec, 0, "fwd")]
+    n_obs = [len(obs) for obs in obs_seq]
+    rule = {(kind, n): _step_rule(spec, kind, n) for n in set(n_obs)
+            for kind in ("forward", "backward", "extrinsic")}
+    inputs = [[apply.entry(m) for m in (*_messages(obs, spec.output_group),
+                                        *_messages(side, spec.symbol_group, True))]
+              for obs, side in zip(obs_seq, zip(symbol_obs_seq or [None] * T,
+                                                apriori_seq or [None] * T))]
+    start = apply.entry(boundary_state(spec, 0, "fwd").message)
+    fwd, bwd = [start], [start]
     for t in range(T):
-        step = forward_step(spec, fwd[t], obs_seq[t], symbol_obs_seq[t], apriori_seq[t])
-        fwd.append(replace(step, message=guard(step.message, rng, prune_eps)))
-    bwd = [None] * (T + 1)
-    bwd[T] = boundary_state(spec, T, "bwd")
+        nxt = apply.step(rule["forward", n_obs[t]], [fwd[t], *inputs[t]])
+        fwd.append(apply.guard(_retag(nxt, f"fwd[t={t}]"), prune_eps))
     for t in range(T - 1, -1, -1):
-        step = backward_step(spec, bwd[t + 1], obs_seq[t], symbol_obs_seq[t],
-                             apriori_seq[t])
-        bwd[t] = replace(step, message=guard(step.message, rng, prune_eps))
-
+        prev = apply.step(rule["backward", n_obs[t]], [bwd[-1], *inputs[t]])
+        bwd.append(apply.guard(_retag(prev, f"bwd[t={t}]"), prune_eps))
+    bwd.reverse()
+    eq = _equality(spec.symbol_group)
     results = []
-    for t in range(T):
-        states = [fwd[t].message, bwd[t + 1].message]
-        ext = guard(_step(spec, "extrinsic", states, obs_seq[t]), rng)
-        post_parts = [ext] + [_as_message(m) for m in (symbol_obs_seq[t], apriori_seq[t])
-                              if m is not None]
-        post = guard(equality_fold_m(post_parts), rng)
-        results.append(SectionResult(t, post, ext))
+    for t, n in enumerate(n_obs):
+        ext = apply.guard(apply.step(rule["extrinsic", n], [fwd[t], bwd[t + 1], *inputs[t][:n]]))
+        post = ext
+        for m in inputs[t][n:]:
+            post = apply.step(eq, [post, m])
+        results.append(SectionResult(t, apply.guard(post), ext))
     return results
 
 

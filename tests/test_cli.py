@@ -346,3 +346,62 @@ def test_polar_construct_nan_list_is_a_numerical_error(capsys):
                                "--mode", mode, "--seed", "1", "--samples", "5")
         assert code == 3
         assert json.loads(err)["error"] == "numerical"
+
+
+def _conv_files(tmp_path):
+    t, ch = tmp_path / "trellis.json", tmp_path / "channel.json"
+    t.write_text('{"version": 1, "transfer_function": {"p": [1, 0, 1], "q": [1, 1, 1], '
+                 '"modulus": 3}}')
+    ch.write_text('{"group": {"moduli": [3]}, "values": [2.3, 0.35, 0.35]}')
+    return ["--trellis", str(t), "--channel", str(ch)]
+
+
+def test_bad_counts_exit_2_with_empty_stdout(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(to_json(dump_graph(FactorGraphSpec(
+        {"a": Z32, "root": Z32},
+        {"la": leaf("a", LAM1), "eq": FactorNode("equality", ("a", "root"))}, "root"))))
+    conv = ["conv", "analyze", *_conv_files(tmp_path)]
+    cases = [("verify", "--rule", "check", "--group", "[3]", "--seed", "1", "--count", c)
+             for c in ("-5", "0")]
+    cases += [(*conv, "--T", T) for T in ("0", "-2")]
+    cases += [(*conv, "--T", "3", "--mode", mode, "--seed", "1", "--samples", s)
+              for mode in ("exact", "sampled") for s in ("0", "-1")]
+    cases += [("mp", "run", "--graph", str(g), "--mode", mode, "--seed", "1", "--samples", s)
+              for mode in ("exact", "sampled") for s in ("0", "-1")]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"] == "validation"
+
+
+def test_sampled_commands_report_means_over_samples(tmp_path, capsys):
+    from abelianbp.messages import avg_holevo, avg_pgm_error
+    from abelianbp.trees import run_mp
+    from abelianbp.trellis import decode_block, section_metrics
+
+    files = _conv_files(tmp_path)
+    code, out, _ = run_cli(capsys, "conv", "analyze", *files, "--T", "4", "--mode", "sampled",
+                           "--seed", "3", "--samples", "50", "--systematic")
+    assert code == 0
+    lam = EigenList(GroupSpec((3,)), [2.3, 0.35, 0.35])
+    want = section_metrics(decode_block(transfer_function_trellis([1, 0, 1], [1, 1, 1], 3),
+                                        [[lam]] * 4, mode="sampled", seed=3,
+                                        symbol_obs_seq=[lam] * 4, samples=50))
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [float(r[2]) for r in rows] == pytest.approx(
+        [m["posterior_pgm_error"] for m in want], abs=1e-11)
+
+    spec = FactorGraphSpec({"a": Z32, "b": Z32, "root": Z32},
+                           {"la": leaf("a", LAM1), "lb": leaf("b", LAM2),
+                            "chk": FactorNode("check", ("a", "b", "root"))}, "root")
+    g = tmp_path / "g.json"
+    g.write_text(to_json(dump_graph(spec)))
+    code, out, _ = run_cli(capsys, "mp", "run", "--graph", str(g), "--mode", "sampled",
+                           "--seed", "5", "--samples", "8")
+    assert code == 0
+    doc = json.loads(out)
+    msg = run_mp(spec, mode="sampled", seed=5, samples=8)
+    assert [b["p"] for b in doc["root"]["branches"]] == [0.125] * 8
+    assert [tuple(b["label"]) for b in doc["root"]["branches"]] == list(msg.labels)
+    assert doc["metrics"] == {"avg_holevo": avg_holevo(msg), "avg_pgm_error": avg_pgm_error(msg)}

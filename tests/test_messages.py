@@ -260,3 +260,25 @@ def test_merge_matches_quadratic_reference(case):
         assert g.labels == w.labels
         assert np.array_equal(g.lam.values, w.lam.values)
         assert abs(g.prob - w.prob) <= 1e-15
+
+
+def test_mixture_metrics_match_the_branch_loop():
+    from abelianbp.eigenlists import entropy_bits, pgm_error_of
+
+    rng = np.random.default_rng(17)
+    for G in (GroupSpec((3,)), Z32):
+        n = G.order
+        for _ in range(40):
+            k = int(rng.integers(1, 301))
+            lams = rng.gamma(0.5, size=(k, n))
+            lams[rng.random((k, n)) < 0.2] = 0.0
+            lams[:, 0] += 1e-3
+            probs = rng.random(k)
+            msg = HeraldedMessage(G, [
+                Branch(p, EigenList(G, row * n / row.sum()))
+                for p, row in zip(probs / probs.sum(), lams)])
+            pairs = list(zip(msg.probs.tolist(), msg.lams))
+            holevo = sum(p * entropy_bits(row / n) for p, row in pairs)
+            pgm = sum(p * pgm_error_of(row) for p, row in pairs)
+            assert abs(avg_holevo(msg) - holevo) <= 1e-12
+            assert abs(avg_pgm_error(msg) - pgm) <= 1e-12

@@ -185,3 +185,11 @@ def test_oracle_equivalence_random_batch():
 def test_jacobi_rejects_non_hermitian():
     with pytest.raises(Exception):
         oracle.jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_verify_rule_rejects_empty_runs():
+    from abelianbp import ValidationError
+
+    for count in (0, -5):
+        with pytest.raises(ValidationError, match="count"):
+            oracle.verify_rule("check", GroupSpec((3,)), 1, count)

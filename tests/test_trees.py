@@ -269,3 +269,91 @@ def test_intermediate_messages_stay_valid():
         assert sum(b.prob for b in out.branches) == pytest.approx(1.0, abs=1e-9)
         for b in out.branches:
             assert b.lam.values.sum() == pytest.approx(6.0, rel=1e-6)
+
+
+def every_kind_graph():
+    """Check, marginalize, hom and automorphism factors in both directions and
+    an equality factor, with a two-branch mixture leaf; rooted at r."""
+    from abelianbp import HomSpec
+    from abelianbp.messages import Branch, HeraldedMessage
+
+    rng = np.random.default_rng(21)
+
+    def lam(G):
+        v = rng.gamma(1.0, size=G.order)
+        return EigenList(G, v * G.order / v.sum())
+
+    mix = HeraldedMessage(Z32, [Branch(0.3, lam(Z32), ("la:0",)),
+                                Branch(0.7, lam(Z32), ("la:1",))])
+    negate = HomSpec(Z32, Z32, ((2, 0), (0, 1)))     # g -> -g on the Z3 block
+    return FactorGraphSpec(
+        {"r": Z3, "m": Z3, "s": Z3, "p": Z32, "a": Z32, "b": Z32, "d": Z32, "u": Z32,
+         "x": Z32, "s2": Z3, "y": Z3, "w": Z32, "c": Z32},
+        {"top": FactorNode("check", ("r", "m", "s")),           # toward an input
+         "marg1": FactorNode("marginalize", ("p", "m"), keep=1),
+         "chk": FactorNode("check", ("a", "b", "p")),           # toward the output
+         "la": leaf("a", mix),
+         "aut2": FactorNode("automorphism", ("a", "d"), hom=negate),
+         "ld": leaf("d", lam(Z32)),
+         "eq": FactorNode("equality", ("b", "u", "x")),
+         "marg2": FactorNode("marginalize", ("u", "s2"), keep=1),
+         "ls2": leaf("s2", lam(Z3)),
+         "h2": FactorNode("hom", ("x", "y"), hom=HomSpec(Z32, Z3, ((2, 0),))),
+         "ly": leaf("y", lam(Z3)),
+         "h1": FactorNode("hom", ("w", "s"), hom=HomSpec(Z32, Z3, ((1, 0),))),
+         "aut": FactorNode("automorphism", ("c", "w"), hom=negate),
+         "lc": leaf("c", lam(Z32)),
+         "lr": leaf("r", lam(Z3))},
+        "r")
+
+
+def test_population_matches_exact_on_every_factor_kind():
+    spec = every_kind_graph()
+    exact = run_mp(spec)
+    S = 20000
+    msg = run_mp(spec, mode="sampled", seed=3, samples=S)
+    assert len(msg) == S and np.all(msg.probs == 1.0 / S)
+    mu = msg.lams / 3
+    holevo = -(mu * np.log2(mu, out=np.zeros_like(mu), where=mu > 0)).sum(axis=1)
+    pgm = 1.0 - (np.sqrt(msg.lams).sum(axis=1) / 3) ** 2
+    for rows, target in ((holevo, avg_holevo(exact)), (pgm, avg_pgm_error(exact))):
+        assert abs(rows.mean() - target) < 5 * rows.std() / np.sqrt(S)
+    assert avg_holevo(msg) == pytest.approx(holevo.mean(), abs=1e-12)
+
+
+def test_population_bytes_fixed(monkeypatch):
+    import abelianbp.factors as factors
+
+    spec = every_kind_graph()
+
+    def run():
+        msg = run_mp(spec, mode="sampled", seed=11, samples=40)
+        return msg.lams.tobytes(), msg.labels
+
+    first = run()
+    assert run() == first
+    for floats in (1, 100):
+        monkeypatch.setattr(factors, "_BLOCK_FLOATS", floats)
+        assert run() == first
+
+
+def test_population_rows_are_exact_branches():
+    # each trajectory renders the labels of the exact branch it drew, and
+    # carries that branch's list; one trajectory is one branch
+    rng = np.random.default_rng(2)
+    lams = [EigenList(Z32, v * 6 / v.sum()) for v in rng.gamma(1.0, size=(3, 6))]
+    spec = chain_graph(lams, kind="check")
+    exact = {b.labels: b.lam.values for b in run_mp(spec).branches}
+    msg = run_mp(spec, mode="sampled", seed=4, samples=200)
+    for labels, row in zip(msg.labels, msg.lams):
+        assert np.allclose(row, exact[labels], atol=1e-9)
+    one = run_mp(spec, mode="sampled", seed=4)
+    assert len(one) == 1 and one.branches[0].labels in exact
+
+
+def test_run_mp_rejects_bad_sample_counts():
+    spec = chain_graph([LAM1, LAM2], kind="check")
+    for mode in ("exact", "sampled"):
+        for samples in (0, -1):
+            with pytest.raises(ValidationError, match="samples"):
+                run_mp(spec, mode=mode, seed=1, samples=samples)

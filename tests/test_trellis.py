@@ -335,3 +335,84 @@ def test_decode_block_guard_reports_dropped_mass(monkeypatch):
     for r in results:
         for msg in (r.posterior, r.extrinsic):
             assert sum(b.prob for b in msg.branches) == pytest.approx(1.0, abs=1e-12)
+
+
+def row_metrics(msg):
+    """Per-row Holevo information and PGM error of a population message."""
+    n = msg.group.order
+    mu = msg.lams / n
+    holevo = -(mu * np.log2(mu, out=np.zeros_like(mu), where=mu > 0)).sum(axis=1)
+    return holevo, 1.0 - (np.sqrt(msg.lams).sum(axis=1) / n) ** 2
+
+
+def _constituent_block(T=5, seed=12):
+    """Turbo constituent inputs: random parity and systematic lists, a
+    two-branch mixture observation at section 2, a priori lists at odd t."""
+    rng = np.random.default_rng(seed)
+    obs = [[rand_lam(Z3, rng)] for _ in range(T)]
+    obs[2] = [HeraldedMessage(Z3, [Branch(0.35, rand_lam(Z3, rng), ("obs:a",)),
+                                   Branch(0.65, rand_lam(Z3, rng), ("obs:b",))])]
+    sym = [rand_lam(Z3, rng) for _ in range(T)]
+    apr = [rand_lam(Z3, rng) if t % 2 else None for t in range(T)]
+    return transfer_function_trellis([1, 0, 1], [1, 1, 1], 3), obs, sym, apr
+
+
+def test_decode_block_population_matches_exact():
+    spec, obs, sym, apr = _constituent_block()
+    exact = decode_block(spec, obs, symbol_obs_seq=sym, apriori_seq=apr)
+    S = 4000
+    sampled = decode_block(spec, obs, mode="sampled", seed=5, symbol_obs_seq=sym,
+                           apriori_seq=apr, samples=S)
+    for r, e in zip(sampled, exact):
+        for msg, want in ((r.posterior, e.posterior), (r.extrinsic, e.extrinsic)):
+            assert len(msg) == S and np.all(msg.probs == 1.0 / S)
+            for rows, target in zip(row_metrics(msg), (avg_holevo(want), avg_pgm_error(want))):
+                se = rows.std() / np.sqrt(S)
+                assert abs(rows.mean() - target) < 5 * max(se, 1e-9)
+            assert avg_pgm_error(msg) == pytest.approx(row_metrics(msg)[1].mean(), abs=1e-12)
+
+
+def test_decode_block_population_bytes_fixed(monkeypatch):
+    # one seed gives one result, whatever the row blocking of the kernels
+    import abelianbp.factors as factors
+
+    spec, obs, sym, apr = _constituent_block(T=4)
+
+    def run():
+        res = decode_block(spec, obs, mode="sampled", seed=8, symbol_obs_seq=sym,
+                           apriori_seq=apr, samples=60)
+        return [(m.lams.tobytes(), m.labels) for r in res for m in (r.posterior, r.extrinsic)]
+
+    first = run()
+    assert run() == first
+    for floats in (1, 27 * 9 * 7):
+        monkeypatch.setattr(factors, "_BLOCK_FLOATS", floats)
+        assert run() == first
+
+
+def test_decode_block_one_trajectory_labels():
+    # samples=1 keeps today's shape: one branch per message, whose labels are
+    # the heralds the trajectory drew, in the exact-mode format
+    spec, obs, sym, apr = _constituent_block(T=4)
+    T = len(obs)
+    exact = decode_block(spec, obs, symbol_obs_seq=sym, apriori_seq=apr)
+    for seed in range(5):
+        sampled = decode_block(spec, obs, mode="sampled", seed=seed, symbol_obs_seq=sym,
+                               apriori_seq=apr)
+        for t, (r, e) in enumerate(zip(sampled, exact)):
+            assert len(r.posterior) == len(r.extrinsic) == 1
+            labels = r.posterior.branches[0].labels
+            assert labels == r.extrinsic.branches[0].labels
+            assert set(labels) <= set(sum(e.posterior.labels, ()))
+            assert sum(lab.startswith("fwd[") for lab in labels) == t
+            assert sum(lab.startswith("bwd[") for lab in labels) == T - 1 - t
+            assert sum(lab.startswith("marg:") for lab in labels) == 1
+            assert sum(lab.startswith("obs:") for lab in labels) == 1
+
+
+def test_decode_block_rejects_bad_sample_counts():
+    spec, obs, sym, apr = _constituent_block(T=3)
+    for mode in ("exact", "sampled"):
+        for samples in (0, -2):
+            with pytest.raises(ValidationError, match="samples"):
+                decode_block(spec, obs, mode=mode, seed=1, samples=samples)
