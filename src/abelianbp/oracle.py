@@ -7,13 +7,18 @@ states from first principles,
 
 forms induced density matrices for each factor, applies the explicit
 unitaries/isometries that reveal the herald structure, and reads probabilities
-and eigen lists off the resulting blocks.  Eigendecompositions use an
-in-package cyclic Jacobi sweep rather than LAPACK, keeping this code path
-independent of external numerics.
+and eigen lists off the resulting blocks.  The work is batched numpy: a
+factor's tensor states for every herald come from one stacked array, and each
+density matrix is split into all of its herald blocks at once (leakage,
+traces, diagonals and purities in one call each).  Eigendecompositions use an
+in-package cyclic Jacobi sweep in round-robin order (Brent & Luk 1985): each
+round rotates floor(n/2) disjoint index pairs together.  No LAPACK eigensolver
+or SVD is used, keeping this code path independent of external numerics.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -47,8 +52,34 @@ def state_matrix(lam: EigenList) -> np.ndarray:
     return psi
 
 
+@functools.lru_cache(maxsize=None)
+def _round_robin(n: int) -> np.ndarray:
+    """All n(n-1)/2 index pairs p < q as rounds of disjoint pairs.
+
+    ``rounds[r] = (p, q)``, each of length floor(n/2).  Circle method: index
+    m-1 stays put while the others rotate by one each round; an odd n gets a
+    dummy index n, whose pair in each round is dropped.
+    """
+    m = n + n % 2
+    r, k = np.arange(m - 1)[:, None], np.arange(1, m // 2)
+    a = np.hstack([r, (r + k) % (m - 1)])
+    b = np.hstack([np.full_like(r, m - 1), (r - k) % (m - 1)])
+    p, q = np.minimum(a, b), np.maximum(a, b)
+    real = q < n
+    rounds = np.stack([p[real], q[real]]).reshape(2, m - 1, n // 2).swapaxes(0, 1)
+    rounds.flags.writeable = False
+    return rounds
+
+
 def jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+
+    Each sweep visits every off-diagonal pair once in round-robin order
+    (Brent & Luk 1985): n-1 rounds (n for odd n) of floor(n/2) disjoint pairs.
+    Disjoint rotations commute, so a round computes all of its angles from
+    the same matrix, then makes one vectorised update of the paired columns
+    of A and V and one of the paired rows of A: O(n^2) per round, O(n^3) per
+    sweep.  No LAPACK eigensolver is used.
 
     Returns ``(eigenvalues, eigenvectors)`` with columns as eigenvectors,
     sorted in descending eigenvalue order.  Terminates when the off-diagonal
@@ -62,8 +93,9 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
         raise ValidationError(f"dimension {n} exceeds oracle cap {MAX_DIM}")
     if np.max(np.abs(A - A.conj().T)) > 1e-10 * max(1.0, np.abs(A).max()):
         raise ValidationError("matrix is not Hermitian")
-    A = (A + A.conj().T) / 2.0
-    V = np.eye(n, dtype=np.complex128)
+    # A on top of V: a rotation acts on the same columns of both
+    AV = np.vstack([(A + A.conj().T) / 2.0, np.eye(n, dtype=np.complex128)])
+    A, V = AV[:n], AV[n:]
     norm = np.sqrt((np.abs(A) ** 2).sum())
     if norm == 0:
         return np.zeros(n), V
@@ -75,28 +107,23 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     for _ in range(max_sweeps):
         if offdiag() <= tol * norm:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                # unitary 2x2 rotation diagonalizing the (p,q) block
-                phase = apq / abs(apq)
-                theta = 0.5 * np.arctan2(2.0 * abs(apq), app - aqq)
-                c = np.cos(theta)
-                s = np.sin(theta) * phase
-                # columns: [p, q] <- [c*p + s*q, -conj(s)*p + c*q]
-                col_p = A[:, p] * c + A[:, q] * np.conj(s)
-                col_q = -A[:, p] * s + A[:, q] * c
-                A[:, p], A[:, q] = col_p, col_q
-                row_p = A[p, :] * c + A[q, :] * s
-                row_q = -A[p, :] * np.conj(s) + A[q, :] * c
-                A[p, :], A[q, :] = row_p, row_q
-                v_p = V[:, p] * c + V[:, q] * np.conj(s)
-                v_q = -V[:, p] * s + V[:, q] * c
-                V[:, p], V[:, q] = v_p, v_q
+        for p, q in _round_robin(n):
+            apq = A[p, q]
+            live = np.abs(apq) >= 1e-300
+            if not live.all():
+                p, q, apq = p[live], q[live], apq[live]
+            # unitary 2x2 rotations diagonalizing the (p,q) blocks
+            phase = apq / np.abs(apq)
+            theta = 0.5 * np.arctan2(2.0 * np.abs(apq), A[p, p].real - A[q, q].real)
+            c = np.cos(theta)
+            s = np.sin(theta) * phase
+            # columns: [p, q] <- [c*p + conj(s)*q, c*q - s*p]
+            Mp, Mq = AV[:, p], AV[:, q]
+            AV[:, p], AV[:, q] = Mp * c + Mq * s.conj(), Mq * c - Mp * s
+            # rows: [p, q] <- [c*p + s*q, c*q - conj(s)*p]
+            Ap, Aq = A[p, :], A[q, :]
+            c, s = c[:, None], s[:, None]
+            A[p, :], A[q, :] = c * Ap + s * Aq, c * Aq - s.conj() * Ap
     else:
         raise NumericalError("jacobi_eigh did not converge")
     w = np.diag(A).real.copy()
@@ -144,15 +171,11 @@ def verify_gram_diagonalization(lam: EigenList) -> dict:
 
 def verify_covariance(lam: EigenList) -> dict:
     """Check |psi_{g' g}> = U_{g'} |psi_g> with the diagonal representation."""
-    G = lam.group
-    t = tables_for(G)
+    t = tables_for(lam.group)
     psi = state_matrix(lam)
-    worst = 0.0
-    for gp in range(G.order):
-        U = np.diag(t.chars[gp])               # U_{g'} = diag over chi of chi(g')
-        shifted = U @ psi
-        expected = psi[:, t.add[gp]]
-        worst = max(worst, float(np.max(np.abs(shifted - expected))))
+    # shifted[chi, g', g] = chi(g') psi[chi, g]: U_{g'} = diag over chi of chi(g')
+    shifted = t.chars.T[:, :, None] * psi[:, None, :]
+    worst = float(np.max(np.abs(shifted - psi[:, t.add])))
     if worst > 1e-10:
         raise NumericalError(f"covariance breach: max deviation {worst}")
     return {"max_deviation": worst, "ok": True}
@@ -172,10 +195,8 @@ def pgm_bruteforce(lam: EigenList) -> float:
     _check_residual(rho, w, V)
     keep = w > 1e-12
     inv_sqrt = (V[:, keep] * (1.0 / np.sqrt(w[keep]))[None, :]) @ V[:, keep].conj().T
-    success = 0.0
-    for g in range(n):
-        amp = psi[:, g].conj() @ inv_sqrt @ psi[:, g]
-        success += float(np.abs(amp) ** 2) / n
+    amps = (psi.conj() * (inv_sqrt @ psi)).sum(axis=0)     # <psi_g| rho^-1/2 |psi_g>
+    success = float((np.abs(amps) ** 2 / n).sum())
     return 1.0 - success / n
 
 
@@ -183,66 +204,47 @@ def pgm_bruteforce(lam: EigenList) -> float:
 # factor simulations
 
 
-def _herald_split(rho: np.ndarray, herald_dim: int, block_dim: int,
-                  herald_first: bool):
-    """Split a density matrix into herald-indexed diagonal blocks.
-
-    Returns ``(traces, blocks, leakage)`` where leakage is the largest matrix
-    element connecting different herald values.
-    """
-    if herald_first:
-        T = rho.reshape(herald_dim, block_dim, herald_dim, block_dim)
-        blocks = [T[h, :, h, :] for h in range(herald_dim)]
-        leak = 0.0
-        for h1 in range(herald_dim):
-            for h2 in range(herald_dim):
-                if h1 != h2:
-                    leak = max(leak, float(np.max(np.abs(T[h1, :, h2, :]))))
-    else:
-        T = rho.reshape(block_dim, herald_dim, block_dim, herald_dim)
-        blocks = [T[:, h, :, h] for h in range(herald_dim)]
-        leak = 0.0
-        for h1 in range(herald_dim):
-            for h2 in range(herald_dim):
-                if h1 != h2:
-                    leak = max(leak, float(np.max(np.abs(T[:, h1, :, h2]))))
-    traces = [float(np.trace(b).real) for b in blocks]
-    return traces, blocks, leak
-
-
 def _blocks_to_message(group: GroupSpec, rho_by_h, herald_dim, block_dim,
                        herald_first, labels):
     """Extract ensemble (p_h, eigen list) from per-input block structure.
 
-    For every group input the conditioned block must be rank one with
-    h-independent diagonal; the diagonal (in the character basis) times the
-    block dimension is the branch eigen list.
+    Each density matrix is split into all of its herald-indexed diagonal
+    blocks at once; the herald is the slow index when ``herald_first`` and
+    the fast one otherwise.  No matrix element may connect different herald
+    values.  For every group input the conditioned block must be rank one
+    with h-independent diagonal; the diagonal (in the character basis) times
+    the block dimension is the branch eigen list.
     """
-    probs = None
-    diags = None
+    hs = np.arange(herald_dim)
+    probs = diags = None
     for rho in rho_by_h:
-        traces, blocks, leak = _herald_split(rho, herald_dim, block_dim, herald_first)
+        if herald_first:
+            T = rho.reshape(herald_dim, block_dim, herald_dim, block_dim)
+        else:
+            T = rho.reshape(block_dim, herald_dim, block_dim, herald_dim).transpose(1, 0, 3, 2)
+        off = np.abs(T)
+        off[hs, :, hs, :] = 0.0
+        leak = float(off.max())
         if leak > BLOCK_TOL:
             raise NumericalError(f"herald blocks are not diagonal: leakage {leak}")
-        traces = np.array(traces)
+        blocks = T[hs, :, hs, :]                      # (herald, block, block)
+        traces = np.trace(blocks, axis1=1, axis2=2).real
+        diag = np.diagonal(blocks, axis1=1, axis2=2).real
         if probs is None:
-            probs = traces
-            diags = [np.diag(b).real.copy() for b in blocks]
+            probs, diags = traces, diag
         else:
             if np.max(np.abs(traces - probs)) > BLOCK_TOL:
                 raise NumericalError("herald probabilities depend on the group input")
-            for h in range(herald_dim):
-                if probs[h] < 1e-13:
-                    continue
-                if np.max(np.abs(np.diag(blocks[h]).real - diags[h])) > 1e-9:
-                    raise NumericalError("block diagonals depend on the group input")
-        for h, b in enumerate(blocks):
-            if traces[h] > 1e-9:
-                purity = float(np.trace(b @ b).real) / traces[h] ** 2
-                if abs(purity - 1.0) > PURITY_TOL:
-                    raise NumericalError(
-                        f"conditioned block is not rank one (purity {purity})"
-                    )
+            live = probs >= 1e-13
+            if np.max(np.abs(diag - diags)[live], initial=0.0) > 1e-9:
+                raise NumericalError("block diagonals depend on the group input")
+        live = traces > 1e-9
+        purity = (np.abs(blocks[live]) ** 2).sum(axis=(1, 2)) / traces[live] ** 2
+        bad = np.abs(purity - 1.0) > PURITY_TOL
+        if bad.any():
+            raise NumericalError(
+                f"conditioned block is not rank one (purity {purity[bad][0]})"
+            )
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise NumericalError(f"herald probabilities sum to {total}")
@@ -261,7 +263,9 @@ def simulate_check(lam1: EigenList, lam2: EigenList) -> HeraldedMessage:
 
     Builds rho_h = (1/|G|) sum_{g1} |psi1_{g1}><..| x |psi2_{g1^{-1}h}><..|,
     applies the relabeling unitary |chi>|chi'> -> |chi chi'^{-1}>|chi'>, and
-    reads the ensemble from the herald blocks.
+    reads the ensemble from the herald blocks.  The tensor states of every
+    herald are one stacked array W[g1, h, :]; each rho_h is one product of
+    its W rows.
     """
     if lam1.group.moduli != lam2.group.moduli:
         raise ValidationError("check simulation: group mismatch")
@@ -272,20 +276,15 @@ def simulate_check(lam1: EigenList, lam2: EigenList) -> HeraldedMessage:
     t = tables_for(G)
     psi1 = state_matrix(lam1)
     psi2 = state_matrix(lam2)
+    # W[g1, h, chi * n + chi'] = psi1[chi, g1] psi2[chi', g1^{-1} h]
+    W = np.einsum("ag,bgh->ghab", psi1, psi2[:, t.add[t.neg]]).reshape(n, n, n * n)
     # permutation on chi x chi': new first register chi * chi'^{-1}
+    c, cp = np.divmod(np.arange(n * n), n)
     perm = np.empty(n * n, dtype=np.int64)
-    for c in range(n):
-        for cp in range(n):
-            perm[t.add[c, t.neg[cp]] * n + cp] = c * n + cp
-    rho_by_h = []
-    for h in range(n):
-        rho = np.zeros((n * n, n * n), dtype=np.complex128)
-        for g1 in range(n):
-            g2 = t.add[t.neg[g1], h]
-            vec = np.kron(psi1[:, g1], psi2[:, g2])
-            rho += np.outer(vec, vec.conj())
-        rho /= n
-        rho_by_h.append(rho[np.ix_(perm, perm)])
+    perm[t.add[c, t.neg[cp]] * n + cp] = c * n + cp
+    W = W[:, :, perm]
+    Wc = W.conj() / n
+    rho_by_h = (W[:, h].T @ Wc[:, h] for h in range(n))
     labels = [f"check:({','.join(map(str, G.from_index(c).residues))})" for c in range(n)]
     return _blocks_to_message(G, rho_by_h, n, n, True, labels)
 
@@ -332,28 +331,16 @@ def simulate_hom(lam: EigenList, H: HomSpec) -> HeraldedMessage:
     pull = dual_map_table(surj)
     t1 = tables_for(G1)
     psi = state_matrix(lam)
-    reps = list(ct.reps)
+    reps = np.asarray(ct.reps)
     nrep = len(reps)
-    # V as a permutation: input chi = rep * dual(xi) -> output xi + n2 * t
+    # V as a permutation: input chi = rep * dual(xi) -> output xi * nrep + t
     V = np.zeros((n1, n1))
-    for ti, rep in enumerate(reps):
-        for xi in range(n2):
-            chi = t1.add[rep, pull[xi]]
-            V[xi * nrep + ti, chi] = 1.0
+    V[np.arange(n1), t1.add[reps[None, :], pull[:, None]].ravel()] = 1.0
     if np.max(np.abs(V.T @ V - np.eye(n1))) > 1e-12:
         raise NumericalError("coset isometry is not an isometry")
-    # fibers of the surjection
-    fibers = {}
-    for g in G1.elements():
-        fibers.setdefault(hom_eval(surj, g).index, []).append(g.index)
-    rho_by_h = []
-    for h in range(n2):
-        members = fibers[h]
-        rho = np.zeros((n1, n1), dtype=np.complex128)
-        for g in members:
-            rho += np.outer(psi[:, g], psi[:, g].conj())
-        rho /= len(members)
-        rho_by_h.append(V @ rho @ V.T)
+    image = np.array([hom_eval(surj, g).index for g in G1.elements()])
+    fibers = (psi[:, image == h] for h in range(n2))
+    rho_by_h = (V @ (F @ F.conj().T / F.shape[1]) @ V.T for F in fibers)
     labels = [f"hom:({','.join(map(str, G1.from_index(r).residues))})" for r in reps]
     return _blocks_to_message(G2, rho_by_h, nrep, n2, False, labels)
 
@@ -365,20 +352,16 @@ def simulate_marginalize(lam: EigenList, keep: int) -> HeraldedMessage:
     coordinate-splitting unitary (a reshape in the canonical order).
     """
     U = lam.group
+    if not 0 <= keep <= U.rank:
+        raise ValidationError(f"split point {keep} does not match the moduli structure")
     G1 = GroupSpec(U.moduli[:keep])
     G2 = GroupSpec(U.moduli[keep:])
     n1, n2 = G1.order, G2.order
     if U.order > 144:
         raise ValidationError("dimension exceeds the oracle cap")
-    psi = state_matrix(lam)
-    rho_by_h = []
-    for g1 in range(n1):
-        rho = np.zeros((U.order, U.order), dtype=np.complex128)
-        for g2 in range(n2):
-            col = psi[:, g1 + n1 * g2]
-            rho += np.outer(col, col.conj())
-        rho /= n2
-        rho_by_h.append(rho)
+    # psi[:, g1 + n1 * g2] is fibre[:, g2, g1]
+    fibre = state_matrix(lam).reshape(U.order, n2, n1)
+    rho_by_h = (fibre[:, :, g1] @ fibre[:, :, g1].conj().T / n2 for g1 in range(n1))
     labels = [f"marg:({','.join(map(str, G2.from_index(e).residues))})" for e in range(n2)]
     # combined dual index = chi + n1 * eta: eta blocks are the slow digits
     return _blocks_to_message(G1, rho_by_h, n2, n1, True, labels)

@@ -193,3 +193,209 @@ def test_verify_rule_rejects_empty_runs():
     for count in (0, -5):
         with pytest.raises(ValidationError, match="count"):
             oracle.verify_rule("check", GroupSpec((3,)), 1, count)
+
+
+def test_simulate_marginalize_rejects_bad_split_points():
+    from abelianbp import ValidationError
+
+    lam = rand_lam(Z32, np.random.default_rng(6))
+    for keep in (-1, 3):
+        with pytest.raises(ValidationError, match="split point"):
+            marginalize_split(lam, keep)
+        with pytest.raises(ValidationError, match="split point"):
+            oracle.simulate_marginalize(lam, keep)
+
+
+def loop_check_states(lam1, lam2):
+    """The per-herald kron/outer construction of the check factor's states."""
+    from abelianbp.characters import tables_for
+
+    n = lam1.group.order
+    t = tables_for(lam1.group)
+    psi1, psi2 = oracle.state_matrix(lam1), oracle.state_matrix(lam2)
+    perm = np.empty(n * n, dtype=np.int64)
+    for c in range(n):
+        for cp in range(n):
+            perm[t.add[c, t.neg[cp]] * n + cp] = c * n + cp
+    out = []
+    for h in range(n):
+        rho = np.zeros((n * n, n * n), dtype=np.complex128)
+        for g1 in range(n):
+            vec = np.kron(psi1[:, g1], psi2[:, t.add[t.neg[g1], h]])
+            rho += np.outer(vec, vec.conj())
+        out.append(rho[np.ix_(perm, perm)] / n)
+    return out
+
+
+@pytest.mark.parametrize("moduli", [(3,), (3, 2), (4, 3)])
+def test_simulate_check_states_match_the_loop_reference(monkeypatch, moduli):
+    G = GroupSpec(moduli)
+    rng = np.random.default_rng(7)
+    a, b = rand_lam(G, rng), rand_lam(G, rng)
+    seen = []
+    split = oracle._blocks_to_message
+
+    def capture(group, rho_by_h, *args):
+        seen.extend(rho_by_h)
+        return split(group, seen, *args)
+
+    monkeypatch.setattr(oracle, "_blocks_to_message", capture)
+    msg = oracle.simulate_check(a, b)
+    ref = loop_check_states(a, b)
+    assert len(seen) == len(ref) == G.order
+    assert max(np.max(np.abs(s - r)) for s, r in zip(seen, ref)) <= 1e-13
+    assert_messages_match(msg, check_combine(a, b))
+
+
+def herald_rho(probs, amps, phase, herald_first, mixed=(), leak=0.0):
+    """Block-diagonal density matrix p_h |v_h><v_h| with |v_h[b]|^2 = amps[h][b].
+
+    Heralds listed in `mixed` get the rank-two block p_h diag(amps[h]) instead;
+    `leak` couples element 0 of herald 0 to element 1 of herald 1.
+    """
+    H, B = len(probs), len(amps[0])
+    T = np.zeros((H, B, H, B), dtype=np.complex128)
+    for h, (p, a) in enumerate(zip(probs, amps)):
+        v = np.sqrt(a) * np.exp(1j * phase * np.arange(B))
+        T[h, :, h, :] = p * (np.diag(a) if h in mixed else np.outer(v, v.conj()))
+    T[0, 0, 1, 1] = T[1, 1, 0, 0] = leak
+    if not herald_first:
+        T = T.transpose(1, 0, 3, 2)
+    return T.reshape(H * B, H * B)
+
+
+AMPS = ([0.8, 0.2], [0.3, 0.7])
+
+
+def crafted_inputs(breach, herald_first):
+    probs = (0.25, 0.75)
+    first = herald_rho(probs, AMPS, 0.0, herald_first)
+    if breach == "leakage":
+        second = herald_rho(probs, AMPS, 0.7, herald_first, leak=1e-6)
+    elif breach == "probabilities":
+        second = herald_rho(probs[::-1], AMPS, 0.7, herald_first)
+    elif breach == "diagonals":
+        second = herald_rho(probs, ([0.6, 0.4], AMPS[1]), 0.7, herald_first)
+    elif breach == "rank":
+        second = herald_rho(probs, AMPS, 0.7, herald_first, mixed=(1,))
+    elif breach == "total":
+        first = herald_rho((0.3, 0.8), AMPS, 0.0, herald_first)
+        second = herald_rho((0.3, 0.8), AMPS, 0.7, herald_first)
+    else:
+        second = herald_rho(probs, AMPS, 0.7, herald_first)
+    return [first, second]
+
+
+@pytest.mark.parametrize("herald_first", [True, False])
+def test_blocks_to_message_reads_a_valid_ensemble(herald_first):
+    Z2 = GroupSpec((2,))
+    msg = oracle._blocks_to_message(Z2, crafted_inputs(None, herald_first), 2, 2,
+                                    herald_first, ["a", "b"])
+    assert np.allclose(msg.probs, [0.25, 0.75], atol=1e-15)
+    assert np.allclose(msg.lams, 2 * np.array(AMPS), atol=1e-14)
+
+
+@pytest.mark.parametrize("herald_first", [True, False])
+@pytest.mark.parametrize("breach, message", [
+    ("leakage", "not diagonal"),
+    ("probabilities", "probabilities depend"),
+    ("diagonals", "diagonals depend"),
+    ("rank", "not rank one"),
+    ("total", "sum to"),
+])
+def test_blocks_to_message_rejects_each_breach(herald_first, breach, message):
+    from abelianbp import NumericalError
+
+    with pytest.raises(NumericalError, match=message):
+        oracle._blocks_to_message(GroupSpec((2,)), crafted_inputs(breach, herald_first),
+                                  2, 2, herald_first, ["a", "b"])
+
+
+def rejected(rule, G):
+    try:
+        return not oracle.verify_rule(rule, G, 8, 5)["ok"]
+    except Exception:
+        return True
+
+
+def test_verify_rule_rejects_a_broken_fast_path(monkeypatch):
+    from abelianbp import factors
+    from abelianbp.messages import Branch, HeraldedMessage
+
+    assert not rejected("check", Z32) and not rejected("equality", Z32)
+    check, equality = factors.check_combine, factors.equality_combine
+
+    def swapped(a, b):
+        msg = check(a, b)
+        b0, b1, *rest = msg.branches
+        return HeraldedMessage(msg.group, (Branch(b1.prob, b0.lam, b0.labels),
+                                           Branch(b0.prob, b1.lam, b1.labels), *rest))
+
+    def perturbed(a, b):
+        values = np.array(equality(a, b).values)
+        values[0] += 1e-6
+        return EigenList(a.group, values)
+
+    monkeypatch.setattr(factors, "check_combine", swapped)
+    monkeypatch.setattr(factors, "equality_combine", perturbed)
+    assert rejected("check", Z32)
+    assert rejected("equality", Z32)
+
+
+def test_jacobi_edge_cases():
+    w, V = oracle.jacobi_eigh(np.array([[2.5]]))
+    assert w.tolist() == [2.5] and V.tolist() == [[1.0]]
+    w, V = oracle.jacobi_eigh(np.zeros((4, 4)))
+    assert w.tolist() == [0.0] * 4 and np.array_equal(V, np.eye(4))
+    rng = np.random.default_rng(9)
+    u = rng.normal(size=6) + 1j * rng.normal(size=6)
+    A = np.eye(6) + np.outer(u, u.conj())          # eigenvalues 1 + |u|^2, then 1 five times
+    w, V = oracle.jacobi_eigh(A)
+    assert np.max(np.abs(w - np.r_[1 + np.vdot(u, u).real, [1.0] * 5])) < 1e-12
+    assert np.max(np.abs(A @ V - V * w[None, :])) < 1e-12
+    assert np.max(np.abs(V.conj().T @ V - np.eye(6))) < 1e-12
+    for n in (3, 7, 11):
+        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        B = B + B.conj().T
+        w, V = oracle.jacobi_eigh(B)
+        assert np.all(np.diff(w) <= 0)
+        assert np.max(np.abs(B @ V - V * w[None, :])) < 1e-9
+        assert np.max(np.abs(V.conj().T @ V - np.eye(n))) < 1e-10
+
+
+def test_round_robin_schedule_covers_every_pair_once():
+    for n in range(1, 14):
+        rounds = oracle._round_robin(n)
+        pairs = [(int(p), int(q)) for ps, qs in rounds for p, q in zip(ps, qs)]
+        assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+        for ps, qs in rounds:
+            assert len(ps) == n // 2 and len(set(ps) | set(qs)) == 2 * len(ps)
+
+
+def test_oracle_needs_no_lapack_eigensolver_and_no_fast_path(monkeypatch):
+    from abelianbp import eigenlists, factors
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called a routine it must not depend on")
+
+    for name in ("eigh", "eigvalsh", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for rule in ("check", "equality", "hom", "marginalize", "automorphism",
+                 "gram", "covariance", "pgm", "entropy"):
+        assert oracle.verify_rule(rule, Z32, 10, 3)["ok"], rule
+    for mod in (factors, eigenlists):
+        for name, value in list(vars(mod).items()):
+            if callable(value) and getattr(value, "__module__", None) == mod.__name__ \
+                    and not isinstance(value, type):
+                monkeypatch.setattr(mod, name, forbidden)
+    rng = np.random.default_rng(11)
+    a, b = rand_lam(Z32, rng), rand_lam(Z32, rng)
+    oracle.simulate_check(a, b)
+    oracle.simulate_equality(a, b)
+    oracle.simulate_hom(a, HomSpec(Z32, GroupSpec((3,)), ((1, 0),)))
+    oracle.simulate_marginalize(a, 1)
+    oracle.simulate_automorphism(a, inversion_automorphism(Z32))
+    oracle.verify_gram_diagonalization(a)
+    oracle.verify_covariance(a)
+    oracle.pgm_bruteforce(a)
+    oracle.entropy_of_average_state(a)
