@@ -69,17 +69,12 @@ from .factors import (
     adjoin_uniform,
     apply_automorphism,
     check_combine,
-    check_combine_m,
     equality_combine,
-    equality_combine_m,
     equality_fold,
-    equality_fold_m,
     hom_push,
-    hom_push_m,
     hom_push_supported,
     lift_along_hom,
     marginalize_split,
-    marginalize_split_m,
 )
 
 __version__ = "0.1.0"

@@ -333,7 +333,10 @@ def _cmd_de_heatmap(args):
     cfg = _de_config(args)
     lrange = None
     if args.lambda0_range:
-        lo, hi = (float(x) for x in args.lambda0_range.split(","))
+        try:
+            lo, hi = (float(x) for x in args.lambda0_range.split(","))
+        except ValueError:
+            raise _UsageError(f"--lambda0-range takes lo,hi, got {args.lambda0_range!r}") from None
         lrange = (lo, hi)
     rows = heatmap(spec, cfg, resolution=args.res, lambda0_range=lrange,
                    ray_only=args.ray, trials=args.trials)

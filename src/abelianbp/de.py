@@ -153,6 +153,10 @@ class DEConfig:
             raise ValidationError("window length must be odd (center symbol)")
         if not 0.0 < self.err_threshold < 1.0:
             raise ValidationError("error threshold must lie in (0, 1)")
+        if self.max_iterations < 1 or self.stall_window < 1:
+            raise ValidationError("max_iterations and stall_window must be at least 1")
+        if not 0.0 <= self.stall_rel < 1.0:
+            raise ValidationError("stall tolerance must lie in [0, 1)")
 
 
 # floats per branch array: de_iteration runs the extrinsic on column blocks
@@ -333,6 +337,8 @@ def heatmap(spec: TurboSpec, config: DEConfig, resolution: float = 0.05,
         raise ValidationError("the simplex heatmap is defined for q = 3")
     _check_grid(resolution, trials)
     lo0, hi0 = lambda0_range if lambda0_range is not None else (0.0, float(q))
+    if not (math.isfinite(lo0) and math.isfinite(hi0) and lo0 <= hi0):
+        raise ValidationError(f"lambda0 range must be finite with lo <= hi, got {lo0}, {hi0}")
     rows = []
     n_steps = int(round(q / resolution))
     point_id = 0

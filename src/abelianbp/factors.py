@@ -1,4 +1,4 @@
-"""Local update rules on eigen lists, plus herald-lifted variants on mixtures.
+"""Local update rules on eigen lists and on heralded mixtures.
 
 Five local factors act on messages:
 
@@ -13,15 +13,13 @@ Five local factors act on messages:
 
 Each rule is stated once, as a kernel on a batch of lists, one per row
 (`_Rule`).  The pure rules are 1-row calls and return an EigenList or a
-HeraldedMessage.  The `*_m` variants accept heralded mixtures: they run the
-kernel over the branch product of their inputs, multiply probabilities,
-concatenate labels, and merge duplicate outputs, so the class of finite
-heralded mixtures is closed on trees.  Kernels gather with `np.take`, whose
-C-ordered result makes numpy sum each row in the same order as one 1-D list.
+HeraldedMessage.  Kernels gather with `np.take`, whose C-ordered result makes
+numpy sum each row in the same order as one 1-D list.
 
-Trackers apply rules through `Tracker`: exact mode over branch products,
-sampled mode on populations of herald trajectories, one kernel call and one
-herald draw per rule application.
+Trackers apply rules through `Tracker`: exact mode over the branch product
+of heralded mixtures (`_product_apply`), sampled mode on populations of herald
+trajectories, one kernel call and one herald draw per rule application; both
+run the kernel on the same row blocks (`_in_blocks`).
 """
 
 from __future__ import annotations
@@ -309,20 +307,16 @@ def adjoin_uniform(lam: EigenList, fresh: GroupSpec) -> EigenList:
     return _pure(_adjoin(lam.group, fresh), lam)
 
 
-def _fold(combine, operands, factor: str):
-    operands = list(operands)
-    if not operands:
-        raise ValidationError(f"{factor} fold needs at least one operand")
-    return functools.reduce(combine, operands)
-
-
 def equality_fold(lams) -> EigenList:
     """Left fold of the binary equality rule over an operand sequence."""
-    return _fold(equality_combine, lams, "equality")
+    lams = list(lams)
+    if not lams:
+        raise ValidationError("equality fold needs at least one operand")
+    return functools.reduce(equality_combine, lams)
 
 
 # ---------------------------------------------------------------------------
-# herald-lifted variants: branch-product composition
+# rules on heralded mixtures and on populations
 
 
 def _heavy(p: np.ndarray, cols):
@@ -333,24 +327,32 @@ def _heavy(p: np.ndarray, cols):
     return p[keep], [c[keep] for c in cols]
 
 
+def _in_blocks(block, rule: _Rule, msgs, rows: int):
+    """``block(s)`` on the slices s of range(rows) that keep the kernel
+    temporaries of `rule` on `msgs` near `_BLOCK_FLOATS` floats; the results'
+    columns are concatenated (a None column stays None).  Blocking never
+    changes a result."""
+    step = max(1, _BLOCK_FLOATS // (msgs[0].lams.shape[1] * rule.group.order))
+    parts = [block(slice(s, s + step)) for s in range(0, rows, step)]
+    if len(parts) == 1:
+        return parts[0]
+    return [None if col[0] is None else np.concatenate(col) for col in zip(*parts)]
+
+
 def _product_apply(msgs, rule: _Rule) -> HeraldedMessage:
     """Apply `rule` over the branch product of `msgs`, then merge duplicates.
 
     Probabilities multiply and labels concatenate, in lexicographic order of
     the input branch indices; products below `PROB_FLOOR` are dropped after
-    each factor.  The kernel runs on blocks of rows that keep its
-    temporaries near `_BLOCK_FLOATS` floats.
+    each factor.  So finite heralded mixtures are closed under every rule.
     """
     p, cols = _heavy(msgs[0].probs, [np.arange(len(msgs[0]))])
     for msg in msgs[1:]:
         head, tail = np.divmod(np.arange(p.size * len(msg)), len(msg))
         p, cols = _heavy(np.multiply.outer(p, msg.probs).ravel(), [c[head] for c in cols] + [tail])
-    step = max(1, _BLOCK_FLOATS // (msgs[0].lams.shape[1] * rule.group.order))
-    parts = [_run(rule, [m.lams[c[s:s + step]] for c, m in zip(cols, msgs)], s)
-             for s in range(0, p.size, step)]
-    if len(parts) > 1:
-        parts = [[None if col[0] is None else np.concatenate(col) for col in zip(*parts)]]
-    probs, lams, row, herald = parts[0]
+    probs, lams, row, herald = _in_blocks(
+        lambda s: _run(rule, [m.lams[c[s]] for c, m in zip(cols, msgs)], s.start),
+        rule, msgs, p.size)
     if rule.herald is not None:
         kind, G, index = rule.herald
         cols, p, herald = [c[row] for c in cols], p[row] * probs, (kind, G, index[herald])
@@ -390,11 +392,8 @@ class Tracker:
             return _product_apply(msgs, rule)
         S = len(msgs[0])
         u = np.zeros(S) if rule.herald is None else self.rng.random(S)
-        step = max(1, _BLOCK_FLOATS // (msgs[0].lams.shape[1] * rule.group.order))
-        parts = [sample_rows(rule, [m.lams[s:s + step] for m in msgs], u[s:s + step])
-                 for s in range(0, S, step)]
-        lams, h = parts[0] if len(parts) == 1 else [
-            None if c[0] is None else np.concatenate(c) for c in zip(*parts)]
+        lams, h = _in_blocks(lambda s: sample_rows(rule, [m.lams[s] for m in msgs], u[s]),
+                             rule, msgs, S)
         herald = None if h is None else (*rule.herald[:2], rule.herald[2][h])
         labels = product_labels([m._labels for m in msgs], [np.arange(S)] * len(msgs), herald)
         return HeraldedMessage._make(rule.group, msgs[0].probs, valid_lists(rule.group, lams),
@@ -403,42 +402,3 @@ class Tracker:
     def guard(self, msg: HeraldedMessage, prune_eps: float = 0.0) -> HeraldedMessage:
         return msg if self.rng is not None else guard(msg, None, prune_eps)
 
-
-def check_combine_m(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
-    return _product_apply([m1, m2], _check(_same_group(m1, m2, "check")))
-
-
-def equality_combine_m(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
-    return _product_apply([m1, m2], _equality(_same_group(m1, m2, "equality")))
-
-
-def equality_fold_m(msgs) -> HeraldedMessage:
-    return _fold(equality_combine_m, msgs, "equality")
-
-
-def check_fold_m(msgs) -> HeraldedMessage:
-    return _fold(check_combine_m, msgs, "check")
-
-
-def hom_push_m(msg: HeraldedMessage, H: HomSpec) -> HeraldedMessage:
-    return _product_apply([msg], _hom(msg.group, H))
-
-
-def hom_push_supported_m(msg: HeraldedMessage, H: HomSpec) -> HeraldedMessage:
-    return _product_apply([msg], _hom_supported(msg.group, H))
-
-
-def lift_along_hom_m(msg: HeraldedMessage, H: HomSpec) -> HeraldedMessage:
-    return _product_apply([msg], _lift(msg.group, H))
-
-
-def marginalize_split_m(msg: HeraldedMessage, keep: int) -> HeraldedMessage:
-    return _product_apply([msg], _marginalize(msg.group, keep))
-
-
-def apply_automorphism_m(msg: HeraldedMessage, phi: HomSpec) -> HeraldedMessage:
-    return _product_apply([msg], _automorphism(msg.group, phi))
-
-
-def adjoin_uniform_m(msg: HeraldedMessage, fresh: GroupSpec) -> HeraldedMessage:
-    return _product_apply([msg], _adjoin(msg.group, fresh))

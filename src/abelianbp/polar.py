@@ -51,7 +51,8 @@ def _arikan_rules(G: GroupSpec):
 def _apply(polar_rule, m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
     """A polar rule (relabel of the second operand or None, binary rule) over
     the branch product.  The relabel is a product step of its own, so minus
-    equals ``check_combine_m(m1, apply_automorphism_m(m2, inv))`` bit for bit."""
+    equals the two-step composition ``_product_apply([m1, _product_apply([m2],
+    _automorphism(G, inv))], _check(G))`` bit for bit."""
     relabel, rule = polar_rule
     if relabel is not None:
         m2 = _product_apply([m2], relabel)

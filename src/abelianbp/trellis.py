@@ -11,11 +11,12 @@ time-reversed sections.
 
 Each section step (forward, backward, extrinsic) is one composite of these
 factors, written once as a kernel of two sparse gathers (`_Section`) with
-three callers: `decode_block` runs it as one rule per step, over the branch
-product in exact mode and on a population of S sampled trajectories in
-sampled mode (one loop; the modes differ only in how `factors.Tracker`
-applies a rule), and density evolution on population columns.
-`branch_posterior` keeps the rule-by-rule composition as the reference.
+two callers: `decode_block` runs it as one rule per step (`_step_rule`), over
+the branch product in exact mode and on a population of S sampled
+trajectories in sampled mode (one loop; the modes differ only in how
+`factors.Tracker` applies a rule), and density evolution runs it on
+population columns.  `branch_posterior` composes the same factors rule by
+rule, as the reference the section kernels are tested against.
 
 Rational transfer functions G(D) = p(D)/q(D) over Z_n (with invertible q(0))
 compile to a single-parity section in controller canonical form; feedforward
@@ -34,8 +35,7 @@ import numpy as np
 from .characters import dual_map_table, tables_for
 from .eigenlists import EigenList, perfect_list, useless_list
 from .errors import ValidationError
-from .factors import (Tracker, _equality, _lift, _product_apply, _Rule, adjoin_uniform_m,
-                      equality_fold_m, lift_along_hom_m)
+from .factors import Tracker, _adjoin, _equality, _lift, _product_apply, _Rule
 from .groups import (
     GroupSpec,
     HomSpec,
@@ -166,17 +166,12 @@ def transfer_function_trellis(p, q, modulus: int) -> TrellisSpec:
 # message recursion
 
 
-@dataclass(frozen=True)
-class StateMessage:
-    message: HeraldedMessage
-    t: int
-    direction: str    # "fwd" or "bwd"
-
-
-def boundary_state(spec: TrellisSpec, t: int, direction: str) -> StateMessage:
+def _boundary(spec: TrellisSpec) -> HeraldedMessage:
+    """The state message at both ends of a block: perfect for a known
+    boundary state, useless for an unknown one."""
     lam = (perfect_list(spec.state_group) if spec.boundary == "known"
            else useless_list(spec.state_group))
-    return StateMessage(pure(lam), t, direction)
+    return pure(lam)
 
 
 def _as_message(x) -> HeraldedMessage:
@@ -187,10 +182,22 @@ def _as_message(x) -> HeraldedMessage:
     raise ValidationError(f"expected an eigen list or heralded message, got {type(x)}")
 
 
+def _messages(msgs, G: GroupSpec, optional: bool = False) -> list[HeraldedMessage]:
+    """Eigen lists or messages as messages on G; None is skipped if `optional`."""
+    msgs = [_as_message(m) for m in msgs if not (optional and m is None)]
+    if any(m.group.moduli != G.moduli for m in msgs):
+        raise ValidationError(f"messages on {[m.group for m in msgs]}, not {G}")
+    return msgs
+
+
 def _retag(msg: HeraldedMessage, tag: str) -> HeraldedMessage:
     """Prefix the herald labels added by the latest marginalization."""
     return relabel(msg, lambda labels: tuple(f"{tag}:{lab}" if lab.startswith("marg:") else lab
                                              for lab in labels))
+
+
+def _equality_fold(msgs, G: GroupSpec) -> HeraldedMessage:
+    return functools.reduce(lambda a, b: _product_apply([a, b], _equality(G)), msgs)
 
 
 def branch_posterior(spec: TrellisSpec, fwd=None, bwd=None, obs=(),
@@ -201,28 +208,25 @@ def branch_posterior(spec: TrellisSpec, fwd=None, bwd=None, obs=(),
     fresh symbol, the backward message lifted through the next-state map, each
     observation lifted along its output homomorphism, and the symbol-side
     messages (channel observation and incoming a priori) lifted along the
-    symbol projection.
+    symbol projection.  Each rule runs over the branch product of eigen lists
+    or heralded messages.
     """
-    parts = []
     if len(obs) > len(spec.outputs):
         raise ValidationError(
             f"{len(obs)} observations for {len(spec.outputs)} trellis outputs"
         )
-    if fwd is not None:
-        msg = fwd.message if isinstance(fwd, StateMessage) else _as_message(fwd)
-        parts.append(adjoin_uniform_m(msg, spec.symbol_group))
-    if bwd is not None:
-        msg = bwd.message if isinstance(bwd, StateMessage) else _as_message(bwd)
-        parts.append(lift_along_hom_m(msg, next_state_hom(spec)))
-    for i, ob in enumerate(obs):
-        parts.append(lift_along_hom_m(_as_message(ob), spec.outputs[i]))
-    sym_parts = [_as_message(m) for m in (symbol_obs, apriori) if m is not None]
-    if sym_parts:
-        sym = equality_fold_m(sym_parts)
-        parts.append(lift_along_hom_m(sym, symbol_projection(spec)))
+    G, S = spec.symbol_group, spec.state_group
+    parts = [_product_apply([m], _adjoin(S, G)) for m in _messages([fwd], S, True)]
+    parts += [_product_apply([m], _lift(S, next_state_hom(spec)))
+              for m in _messages([bwd], S, True)]
+    parts += [_product_apply([m], _lift(spec.output_group, L))
+              for m, L in zip(_messages(obs, spec.output_group), spec.outputs)]
+    sym = _messages((symbol_obs, apriori), G, True)
+    if sym:
+        parts.append(_product_apply([_equality_fold(sym, G)], _lift(G, symbol_projection(spec))))
     if not parts:
         raise ValidationError("branch posterior needs at least one incoming message")
-    return equality_fold_m(parts)
+    return _equality_fold(parts, spec.branch_group)
 
 
 def _gather(x: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -312,41 +316,6 @@ def _step_rule(spec: TrellisSpec, kind: str, n_obs: int) -> _Rule:
     return _Rule(kept, rows, ("marg", dropped, np.arange(dropped.order)))
 
 
-def _messages(msgs, G: GroupSpec, optional: bool = False) -> list[HeraldedMessage]:
-    """Eigen lists or messages as messages on G; None is skipped if `optional`."""
-    msgs = [_as_message(m) for m in msgs if not (optional and m is None)]
-    if any(m.group.moduli != G.moduli for m in msgs):
-        raise ValidationError(f"messages on {[m.group for m in msgs]}, not {G}")
-    return msgs
-
-
-def _step(spec: TrellisSpec, kind: str, states, obs, side=()) -> HeraldedMessage:
-    """A step as one rule over the branch product; ``side``: optional
-    symbol-side messages."""
-    msgs = [*_messages(states, spec.state_group), *_messages(obs, spec.output_group),
-            *_messages(side, spec.symbol_group, optional=True)]
-    return _product_apply(msgs, _step_rule(spec, kind, len(obs)))
-
-
-def forward_step(spec: TrellisSpec, fwd: StateMessage, obs, symbol_obs=None,
-                 apriori=None) -> StateMessage:
-    """One forward sweep step: combine, apply the section map, marginalize."""
-    nxt = _step(spec, "forward", [fwd.message], obs, (symbol_obs, apriori))
-    return StateMessage(_retag(nxt, f"fwd[t={fwd.t}]"), fwd.t + 1, "fwd")
-
-
-def backward_step(spec: TrellisSpec, bwd: StateMessage, obs, symbol_obs=None,
-                  apriori=None) -> StateMessage:
-    """One backward sweep step on the time-reversed section.
-
-    The branch is combined exactly as in the forward step (with the backward
-    message entering through the next-state map) and then marginalized onto
-    the current-state block, heralding the fresh symbol.
-    """
-    prev = _step(spec, "backward", [bwd.message], obs, (symbol_obs, apriori))
-    return StateMessage(_retag(prev, f"bwd[t={bwd.t - 1}]"), bwd.t - 1, "bwd")
-
-
 @dataclass(frozen=True)
 class SectionResult:
     t: int
@@ -382,7 +351,7 @@ def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
                                         *_messages(side, spec.symbol_group, True))]
               for obs, side in zip(obs_seq, zip(symbol_obs_seq or [None] * T,
                                                 apriori_seq or [None] * T))]
-    start = apply.entry(boundary_state(spec, 0, "fwd").message)
+    start = apply.entry(_boundary(spec))
     fwd, bwd = [start], [start]
     for t in range(T):
         nxt = apply.step(rule["forward", n_obs[t]], [fwd[t], *inputs[t]])
@@ -457,8 +426,6 @@ def unroll_to_tree(spec: TrellisSpec, obs_seq, root_t: int, symbol_obs_seq=None,
             factors[f"sysobs{t}"] = leaf(f"g{t}", _as_message(symbol_obs_seq[t]))
         if apriori_seq[t] is not None:
             factors[f"apr{t}"] = leaf(f"g{t}", _as_message(apriori_seq[t]))
-    boundary_lam = (perfect_list(sg) if spec.boundary == "known"
-                    else useless_list(sg))
-    factors["bound0"] = leaf("S0", pure(boundary_lam))
-    factors["boundT"] = leaf(f"S{T}", pure(boundary_lam))
+    factors["bound0"] = leaf("S0", _boundary(spec))
+    factors["boundT"] = leaf(f"S{T}", _boundary(spec))
     return FactorGraphSpec(variables, factors, f"g{root_t}")

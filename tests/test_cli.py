@@ -264,6 +264,8 @@ def test_de_heatmap_command(tmp_path, capsys):
     ("threshold", "--trials", "0"),
     ("heatmap", "--res", "-0.5"),
     ("heatmap", "--trials", "0"),
+    ("heatmap", "--lambda0-range", "2.9,2.5"),
+    ("heatmap", "--lambda0-range", "nan,2.5"),
 ])
 def test_de_drivers_reject_impossible_grids(tmp_path, capsys, monkeypatch, argv):
     from abelianbp import de
@@ -277,6 +279,16 @@ def test_de_drivers_reject_impossible_grids(tmp_path, capsys, monkeypatch, argv)
     code, out, err = run_cli(capsys, "de", *argv, "--turbo", str(t), "--seed", "1")
     assert code == 2 and not out
     assert json.loads(err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("value", ["2.5", "a,b"])
+def test_de_heatmap_rejects_malformed_lambda0_range(tmp_path, capsys, value):
+    t = tmp_path / "turbo.json"
+    t.write_text(to_json(dump_turbo(standard_turbo(3))))
+    code, out, err = run_cli(capsys, "de", "heatmap", "--turbo", str(t), "--seed", "1",
+                             "--lambda0-range", value)
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_stochastic_outputs_are_byte_identical(tmp_path, capsys):

@@ -334,6 +334,11 @@ def test_config_validation():
         DEConfig(population=0)
     with pytest.raises(ValidationError):
         DEConfig(err_threshold=2.0)
+    for bad in ({"max_iterations": 0}, {"stall_window": 0}, {"stall_rel": -0.1},
+                {"stall_rel": 1.0}, {"stall_rel": float("nan")}, {"stall_rel": float("inf")}):
+        with pytest.raises(ValidationError):
+            DEConfig(**bad)
+    DEConfig(max_iterations=1, stall_window=1, stall_rel=0.0)
 
 
 def _dense_window_branches(trellis, lam_ch, parity_mult, state, sym, fwd, bwd):

@@ -28,18 +28,19 @@ from abelianbp import (
 )
 from abelianbp import factors
 from abelianbp.factors import (
+    _adjoin,
+    _automorphism,
+    _check,
+    _equality,
+    _hom,
+    _hom_supported,
+    _lift,
+    _marginalize,
+    _product_apply,
     adjoin_uniform,
-    adjoin_uniform_m,
     apply_automorphism,
-    apply_automorphism_m,
-    check_combine_m,
-    equality_combine_m,
     hom_push,
-    hom_push_m,
-    hom_push_supported_m,
-    lift_along_hom_m,
     marginalize_split,
-    marginalize_split_m,
 )
 from abelianbp.groups import is_automorphism
 from abelianbp.messages import PROB_FLOOR, Branch
@@ -201,23 +202,26 @@ def test_batched_rules_match_per_branch_rules(data):
 def check_batched_rules(draw):
     G = draw(groups())
     m1, m2 = mixtures(draw, G), mixtures(draw, G)
-    same_mixture(check_combine_m(m1, m2), reference_m([m1, m2], check_combine))
-    same_mixture(equality_combine_m(m1, m2), reference_m([m1, m2], equality_combine))
+    same_mixture(_product_apply([m1, m2], _check(G)), reference_m([m1, m2], check_combine))
+    same_mixture(_product_apply([m1, m2], _equality(G)), reference_m([m1, m2], equality_combine))
     H = draw(homs(G))
-    same_mixture(hom_push_m(m1, H), reference_m([m1], lambda lam: hom_push(lam, H)))
+    same_mixture(_product_apply([m1], _hom(G, H)), reference_m([m1], lambda lam: hom_push(lam, H)))
     S = draw(surjective_homs(G))
     lifted = mixtures(draw, S.target)
-    same_mixture(lift_along_hom_m(lifted, S), reference_m([lifted], lambda lam: lift_along_hom(lam, S)))
-    supported = lift_along_hom_m(lifted, S)
-    same_mixture(hom_push_supported_m(supported, S),
+    same_mixture(_product_apply([lifted], _lift(S.target, S)),
+                 reference_m([lifted], lambda lam: lift_along_hom(lam, S)))
+    supported = _product_apply([lifted], _lift(S.target, S))
+    same_mixture(_product_apply([supported], _hom_supported(supported.group, S)),
                  reference_m([supported], lambda lam: hom_push_supported(lam, S)))
     keep = draw(st.integers(0, G.rank))
-    same_mixture(marginalize_split_m(m1, keep),
+    same_mixture(_product_apply([m1], _marginalize(G, keep)),
                  reference_m([m1], lambda lam: marginalize_split(lam, keep)))
     phi = draw(automorphisms(G))
-    same_mixture(apply_automorphism_m(m1, phi), reference_m([m1], lambda lam: apply_automorphism(lam, phi)))
+    same_mixture(_product_apply([m1], _automorphism(G, phi)),
+                 reference_m([m1], lambda lam: apply_automorphism(lam, phi)))
     fresh = GroupSpec((draw(st.integers(2, 4)),))
-    same_mixture(adjoin_uniform_m(m1, fresh), reference_m([m1], lambda lam: adjoin_uniform(lam, fresh)))
+    same_mixture(_product_apply([m1], _adjoin(G, fresh)),
+                 reference_m([m1], lambda lam: adjoin_uniform(lam, fresh)))
 
 
 @PROFILE

@@ -10,13 +10,13 @@ from abelianbp import (
     avg_holevo,
     avg_pgm_error,
     check_combine,
-    check_combine_m,
     equality_combine,
     merge_duplicates,
     perfect_list,
     pure,
     useless_list,
 )
+from abelianbp.factors import _check, _product_apply
 from abelianbp.messages import GUARD_PRUNE
 from abelianbp.trees import (
     FactorGraphSpec,
@@ -114,7 +114,7 @@ def test_depth_two_composition():
         "chk": FactorNode("check", ("vmid", "vc", "root")),
     }
     out = run_mp(FactorGraphSpec(variables, factors, "root"))
-    manual = check_combine_m(pure(equality_combine(lam_a, lam_b)), pure(lam_c))
+    manual = _product_apply([pure(equality_combine(lam_a, lam_b)), pure(lam_c)], _check(Z32))
     assert len(out) == len(manual)
     for b1, b2 in zip(out.branches, manual.branches):
         assert b1.prob == pytest.approx(b2.prob, abs=1e-12)
@@ -230,7 +230,6 @@ def test_branch_cap_guard(monkeypatch):
 def test_group_code_tree_composition():
     # twisted parity checks over Z4 compose from automorphism + check factors
     from abelianbp import HomSpec, apply_automorphism
-    from abelianbp.factors import check_combine_m
     Z4 = GroupSpec((4,))
     rng = np.random.default_rng(8)
     obs = []
@@ -251,9 +250,9 @@ def test_group_code_tree_composition():
         root="root",
     )
     got = run_mp(spec)
-    m_p1 = check_combine_m(pure(obs[0]), pure(apply_automorphism(obs[1], unit3)))
-    m_p2 = check_combine_m(pure(obs[2]), pure(obs[3]))
-    want = check_combine_m(m_p1, m_p2)
+    m_p1 = _product_apply([pure(obs[0]), pure(apply_automorphism(obs[1], unit3))], _check(Z4))
+    m_p2 = _product_apply([pure(obs[2]), pure(obs[3])], _check(Z4))
+    want = _product_apply([m_p1, m_p2], _check(Z4))
     assert avg_holevo(got) == pytest.approx(avg_holevo(want), abs=1e-10)
     assert avg_pgm_error(got) == pytest.approx(avg_pgm_error(want), abs=1e-10)
     key = lambda m: sorted((round(b.prob, 10), tuple(np.round(b.lam.values, 9)))

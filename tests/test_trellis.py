@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,24 +19,15 @@ from abelianbp import (
     pure,
     useless_list,
 )
-from abelianbp.factors import (
-    adjoin_uniform_m,
-    apply_automorphism_m,
-    equality_fold_m,
-    lift_along_hom_m,
-    marginalize_split_m,
-)
+from abelianbp.factors import _adjoin, _automorphism, _equality, _lift, _marginalize, _product_apply
 from abelianbp.groups import permute_coordinates
 from abelianbp.messages import GUARD_PRUNE, Branch, HeraldedMessage
 from abelianbp.trellis import (
-    StateMessage,
     TrellisSpec,
-    _step,
-    backward_step,
-    boundary_state,
+    _boundary,
+    _step_rule,
     branch_posterior,
     decode_block,
-    forward_step,
     next_state_hom,
     section_metrics,
     shift_register_trellis,
@@ -95,8 +87,8 @@ def test_validate_rejects_constant_output():
 
 def test_branch_posterior_perfect_obs():
     spec = shift_register_trellis(Z3, 1, [[1, 1]])
-    fwd = boundary_state(spec, 0, "fwd")
-    bwd = StateMessage(pure(perfect_list(spec.state_group)), 1, "bwd")
+    fwd = _boundary(spec)
+    bwd = pure(perfect_list(spec.state_group))
     branch = branch_posterior(spec, fwd=fwd, bwd=bwd, obs=[perfect_list(Z3)])
     assert avg_pgm_error(branch) == pytest.approx(0.0, abs=1e-12)
     for b in branch.branches:
@@ -105,9 +97,9 @@ def test_branch_posterior_perfect_obs():
 
 def test_branch_posterior_useless_obs():
     spec = shift_register_trellis(Z3, 1, [[1, 1]])
-    fwd = boundary_state(spec, 0, "fwd")
+    fwd = _boundary(spec)
     branch = branch_posterior(spec, fwd=fwd, obs=[useless_list(Z3)])
-    sym = marginalize_split_m(branch, 1)
+    sym = _product_apply([branch], _marginalize(branch.group, 1))
     assert avg_pgm_error(sym) == pytest.approx(1 - 1 / 3, abs=1e-12)
 
 
@@ -127,19 +119,33 @@ def test_forward_step_matches_manual_composition():
     rng = np.random.default_rng(1)
     spec = shift_register_trellis(Z3, 1, [[1, 1]])
     lam_ch = rand_lam(Z3, rng)
-    fwd = boundary_state(spec, 0, "fwd")
-    out = forward_step(spec, fwd, [lam_ch])
+    fwd = _boundary(spec)
+    out = _product_apply([fwd, pure(lam_ch)], _step_rule(spec, "forward", 1))
     # manual: adjoin, lift obs, combine, (identity section map), marginalize
-    lifted_obs = lift_along_hom_m(pure(lam_ch), spec.outputs[0])
-    prior = adjoin_uniform_m(fwd.message, Z3)
-    combined = equality_fold_m([prior, lifted_obs])
-    manual = marginalize_split_m(combined, 1)
-    got = merge_duplicates(out.message)
+    lifted_obs = _product_apply([pure(lam_ch)], _lift(Z3, spec.outputs[0]))
+    prior = _product_apply([fwd], _adjoin(spec.state_group, Z3))
+    combined = _product_apply([prior, lifted_obs], _equality(spec.branch_group))
+    manual = _product_apply([combined], _marginalize(spec.branch_group, 1))
+    got = merge_duplicates(out)
     want = merge_duplicates(manual)
     assert len(got) == len(want)
     for b1, b2 in zip(got.branches, want.branches):
         assert b1.prob == pytest.approx(b2.prob, abs=1e-12)
         assert np.max(np.abs(b1.lam.values - b2.lam.values)) < 1e-12
+
+
+def _step(spec, kind, msgs, n_obs):
+    """A section step over the branch product of eigen lists or messages."""
+    msgs = [m if isinstance(m, HeraldedMessage) else pure(m) for m in msgs]
+    return _product_apply(msgs, _step_rule(spec, kind, n_obs))
+
+
+def _marginalized(msg, keep, phi=None):
+    """`msg` relabelled by `phi` (if given), then marginalized to its first
+    `keep` coordinates: one product step each."""
+    if phi is not None:
+        msg = _product_apply([msg], _automorphism(msg.group, phi))
+    return _product_apply([msg], _marginalize(msg.group, keep))
 
 
 def _mixture(G, rng):
@@ -180,16 +186,14 @@ def test_section_kernels_match_step_by_step_composition(case):
     k, m = G.rank, spec.state_group.rank
     rotation = permute_coordinates(spec.branch_group, tuple(range(k, k + m)) + tuple(range(k)))
 
-    want = marginalize_split_m(apply_automorphism_m(
-        branch_posterior(spec, fwd=fwd, obs=obs, symbol_obs=sym, apriori=apr),
-        spec.section_automorphism), m)
-    _ensembles_close(forward_step(spec, StateMessage(fwd, 0, "fwd"), obs, sym, apr).message,
-                     want)
-    want = marginalize_split_m(apply_automorphism_m(
-        branch_posterior(spec, bwd=bwd, obs=obs, symbol_obs=sym), rotation), m)
-    _ensembles_close(backward_step(spec, StateMessage(bwd, 1, "bwd"), obs, sym).message, want)
-    want = marginalize_split_m(branch_posterior(spec, fwd=fwd, bwd=bwd, obs=obs), k)
-    _ensembles_close(_step(spec, "extrinsic", [fwd, bwd], obs), want)
+    want = _marginalized(
+        branch_posterior(spec, fwd=fwd, obs=obs, symbol_obs=sym, apriori=apr), m,
+        spec.section_automorphism)
+    _ensembles_close(_step(spec, "forward", [fwd, *obs, sym, apr], len(obs)), want)
+    want = _marginalized(branch_posterior(spec, bwd=bwd, obs=obs, symbol_obs=sym), m, rotation)
+    _ensembles_close(_step(spec, "backward", [bwd, *obs, sym], len(obs)), want)
+    want = _marginalized(branch_posterior(spec, fwd=fwd, bwd=bwd, obs=obs), k)
+    _ensembles_close(_step(spec, "extrinsic", [fwd, bwd, *obs], len(obs)), want)
 
 
 def test_perfect_and_useless_chains():
@@ -220,10 +224,13 @@ def _ensembles_close(m1, m2, tol=1e-9):
         assert np.max(np.abs(np.array(v1) - np.array(v2))) <= tol
 
 
-def test_trellis_tree_equivalence():
+@pytest.mark.parametrize("boundary", ["known", "unknown"])
+def test_trellis_tree_equivalence(boundary):
+    # both ends of the unrolled tree carry the boundary message decode_block starts from
     rng = np.random.default_rng(2)
     for spec in [shift_register_trellis(Z3, 1, [[1, 1]]),
                  transfer_function_trellis([1, 0, 1], [1, 1, 1], 3)]:
+        spec = replace(spec, boundary=boundary)
         T = 3
         obs = [[rand_lam(Z3, rng)] for _ in range(T)]
         sys = [rand_lam(Z3, rng) for _ in range(T)]
