@@ -6,7 +6,16 @@ marginalization, automorphism) keep tree message passing inside the class of
 finite heralded mixtures.  A dense linear-algebra oracle certifies every rule
 at small group orders, and polar/convolutional/turbo trackers plus Monte-Carlo
 density evolution build on the same calculus.
+
+Importing the package sets the BLAS and OpenMP thread variables to 1 unless
+the environment sets them: the dense products here are small, so a thread
+pool gains nothing and contends with other work (it acts if numpy loads later).
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .errors import NumericalError, ValidationError
 from .groups import (

@@ -34,11 +34,10 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import tables_for
-from .eigenlists import EigenList, holevo_info, useless_list
+from .eigenlists import EigenList, holevo_info, pgm_rows, useless_list
 from .errors import NumericalError, ValidationError
 from .factors import draw_heralds, equality_fold, lift_along_hom
 from .groups import GroupSpec
-from .messages import valid_lists
 from .trellis import (TrellisSpec, _gather, _section, transfer_function_trellis,
                       validate_trellis)
 
@@ -208,7 +207,7 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     q = G.order
     if population.ndim != 2 or population.shape[0] < 1 or population.shape[1] != q:
         raise ValidationError(f"population of shape {population.shape} is not (size, {q})")
-    population = valid_lists(G, population)
+    population = EigenList.checked_rows(G, population)
     if lam_ch.group.moduli != G.moduli:     # lift_along_hom checks the output group
         raise ValidationError("channel eigen list is not on the symbol group")
     fwd_k, bwd_k, ext_k = (_section(trellis, kind, len(trellis.outputs))
@@ -238,10 +237,10 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     step = max(1, _BLOCK_FLOATS // trellis.branch_group.order)
     for cols in (slice(lo, lo + step) for lo in range(0, B * m, step)):
         ext[:, cols] = _draw(ext_k.branch(fwd[:, cols], ext_w, bwd[:, cols]), u[cols])
-    ext = valid_lists(G, ext[:, :n].T)
+    ext = EigenList.checked_rows(G, ext[:, :n].T)
     apr = population.T[:, apr_idx[ctx:ctx + B].ravel()[:n]]
     post = _gather(_with_systematic(spec, lam_ch, ext.T), tables_for(G).sub, apr[:, None, :] / q)
-    err = float((1.0 - (np.sqrt(np.clip(post, 0.0, None)).sum(axis=0) / q) ** 2).mean())
+    err = float(pgm_rows(np.clip(post, 0.0, None).T).mean())
     if not math.isfinite(err):
         raise NumericalError(f"DE posterior error is {err}")
     return ext, err

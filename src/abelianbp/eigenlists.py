@@ -9,6 +9,10 @@ The first Gram-matrix row and the eigen list form an exact Fourier pair:
     gamma_g    = (1/|G|) * sum_chi lambda_chi * chi(g)
 
 Entropies are reported in bits.
+
+The eigen-list check (`EigenList.checked_rows`) and the per-row Holevo
+information and PGM error (`holevo_rows`, `pgm_rows`) are each written once,
+over the last axis of a batch; messages, trackers and DE call these.
 """
 
 from __future__ import annotations
@@ -35,23 +39,31 @@ class EigenList:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64).reshape(-1)
-        if arr.size != self.group.order:
-            raise ValidationError(
-                f"eigen list length {arr.size} != group order {self.group.order}"
-            )
-        if arr.min(initial=0.0) < -NEG_CLIP:
-            raise ValidationError(
-                f"negative eigen list entry {arr.min()} below -{NEG_CLIP}"
-            )
-        arr = np.clip(arr, 0.0, None)
-        n = self.group.order
-        if abs(arr.sum() - n) > TRACE_RTOL * n:
-            raise ValidationError(
-                f"eigen list sums to {arr.sum()}, expected {n} (rel tol {TRACE_RTOL})"
-            )
+        row = np.array(self.values, dtype=np.float64).reshape(1, -1)
+        arr = self.checked_rows(self.group, row)[0]
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def checked_rows(cls, group: GroupSpec, lams: np.ndarray) -> np.ndarray:
+        """The nonempty batch of eigen lists along the last axis of `lams`,
+        checked: length |G|, no entry below -`NEG_CLIP` (tiny negatives are
+        clipped to 0), sums within `TRACE_RTOL` of |G|.  A NaN list is a
+        `NumericalError`, any other breach a `ValidationError`."""
+        n = group.order
+        if lams.shape[-1] != n:
+            raise ValidationError(f"eigen list length {lams.shape[-1]} != group order {n}")
+        low = lams.min()
+        if low < -NEG_CLIP:
+            raise ValidationError(f"negative eigen list entry {low} below -{NEG_CLIP}")
+        if low <= 0:
+            lams = np.maximum(lams, 0.0)     # as np.clip, also -0.0 -> 0.0
+        sums, tol = lams.sum(axis=-1), TRACE_RTOL * n
+        if not (sums.min() >= n - tol and sums.max() <= n + tol):
+            s = sums[~(np.abs(sums - n) <= tol)][0]
+            raise (NumericalError if np.isnan(s) else ValidationError)(
+                f"eigen list sums to {s}, expected {n} (rel tol {TRACE_RTOL})")
+        return lams
 
     @classmethod
     def _of_valid(cls, group: GroupSpec, values: np.ndarray) -> EigenList:
@@ -89,11 +101,6 @@ class GramRow:
             raise ValidationError("gram row entry exceeds unit modulus")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-
-def validate(lam: EigenList) -> None:
-    """Re-run the eigen-list invariant checks (construction already enforces them)."""
-    EigenList(lam.group, lam.values)
 
 
 def perfect_list(G: GroupSpec) -> EigenList:
@@ -136,6 +143,19 @@ def pgm_error(lam: EigenList) -> float:
 def pgm_error_of(values: np.ndarray) -> float:
     """`pgm_error` of a raw eigen-list row."""
     return float(1.0 - (np.sqrt(values).sum() / values.size) ** 2)
+
+
+def holevo_rows(lams: np.ndarray) -> np.ndarray:
+    """`holevo_info` of each eigen list along the last axis of `lams`."""
+    mu = lams / lams.shape[-1]
+    logs = np.log2(mu, out=np.zeros_like(mu), where=mu > 0)
+    return -(mu * logs).sum(axis=-1)
+
+
+def pgm_rows(lams: np.ndarray) -> np.ndarray:
+    """`pgm_error` of each eigen list along the last axis of `lams`
+    (`float_power` squares as its ``** 2``)."""
+    return 1.0 - np.float_power(np.sqrt(lams).sum(axis=-1) / lams.shape[-1], 2)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .groups import (
     surjection_onto_image,
 )
 from .messages import (PROB_FLOOR, HeraldedMessage, _gather, guard, herald_rng, merge_duplicates,
-                       product_labels, valid_lists)
+                       product_labels)
 
 #: Kernel temporaries per block of branch tuples, in floats.
 _BLOCK_FLOATS = 1 << 18
@@ -396,8 +396,8 @@ class Tracker:
                              rule, msgs, S)
         herald = None if h is None else (*rule.herald[:2], rule.herald[2][h])
         labels = product_labels([m._labels for m in msgs], [np.arange(S)] * len(msgs), herald)
-        return HeraldedMessage._make(rule.group, msgs[0].probs, valid_lists(rule.group, lams),
-                                     labels)
+        return HeraldedMessage._make(rule.group, msgs[0].probs,
+                                     EigenList.checked_rows(rule.group, lams), labels)
 
     def guard(self, msg: HeraldedMessage, prune_eps: float = 0.0) -> HeraldedMessage:
         return msg if self.rng is not None else guard(msg, None, prune_eps)

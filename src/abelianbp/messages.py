@@ -3,10 +3,14 @@
 A message is a finite ensemble of (probability, eigen list, provenance labels)
 branches on one group, held as read-only arrays ``probs`` (k,) and ``lams``
 (k, |G|).  Rows are validated once, vectorised, where lists are made
-(`HeraldedMessage._checked`); merging, pruning and sampling only select or
-sum validated rows.  Labels record which heralds produced each branch and
-never affect numerics: they are a lazy provenance graph (`Labels`), rendered
-to strings only when `labels` or `branches` is read.
+(`HeraldedMessage._checked`, with the eigen-list check written once as
+`eigenlists.EigenList.checked_rows`); outside input takes the same path
+(`HeraldedMessage._from_arrays`).  Merging, pruning and sampling only select
+or sum validated rows.  The herald averages `avg_holevo` and `avg_pgm_error`
+reduce the per-row metrics that `eigenlists` states once (`holevo_rows`,
+`pgm_rows`).  Labels record which heralds produced each branch and never
+affect numerics: they are a lazy provenance graph (`Labels`), rendered to
+strings only when `labels` or `branches` is read.
 
 `merge_duplicates` takes O(k log k |G|) time and O(k |G|) memory: one
 lexsort, a vectorised scan of adjacent rows checked exactly against each
@@ -23,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .eigenlists import NEG_CLIP, TRACE_RTOL, EigenList
+from .eigenlists import EigenList, holevo_rows, pgm_rows
 from .errors import NumericalError, ValidationError
 from .groups import GroupSpec
 
@@ -86,58 +90,35 @@ def product_labels(parents, cols, herald=None) -> Labels:
 
 
 def _valid_rows(group: GroupSpec, probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Check new rows with `valid_lists` and the total probability; rules
-    make probabilities from nonnegative values only."""
+    """Check new rows: at least one branch, lists checked by
+    `EigenList.checked_rows`, nonnegative probabilities summing to 1."""
     if not probs.size:
         raise ValidationError("heralded message needs at least one branch")
-    lams = valid_lists(group, lams)
-    _check_total(probs)
-    return lams
-
-
-def valid_lists(group: GroupSpec, lams: np.ndarray) -> np.ndarray:
-    """Check a nonempty batch of eigen lists (the last axis) as `EigenList`
-    does, clipping tiny negatives; a NaN list is a `NumericalError`."""
-    n, low = group.order, lams.min()
-    if low < -NEG_CLIP:
-        raise ValidationError(f"negative eigen list entry {low} below -{NEG_CLIP}")
-    if low <= 0:
-        lams = np.maximum(lams, 0.0)     # as np.clip, also -0.0 -> 0.0
-    sums, tol = lams.sum(axis=-1), TRACE_RTOL * n
-    if not (sums.min() >= n - tol and sums.max() <= n + tol):
-        s = sums[~(np.abs(sums - n) <= tol)][0]
-        raise (NumericalError if np.isnan(s) else ValidationError)(
-            f"eigen list sums to {s}, expected {n} (rel tol {TRACE_RTOL})")
-    return lams
-
-
-def _check_total(probs: np.ndarray) -> None:
+    lams = EigenList.checked_rows(group, lams)
+    if probs.min() < 0:
+        raise ValidationError(f"negative branch probability {probs.min()}")
     if not abs(probs.sum() - 1.0) <= PROB_TOL:
         raise ValidationError(f"branch probabilities sum to {probs.sum()}, expected 1")
+    return lams
 
 
 class HeraldedMessage:
     """A heralded mixture on `group`.
 
-    ``HeraldedMessage(group, branches)`` builds one from `Branch` objects and
-    ``branches`` gives that view back; ``probs`` and ``lams`` are the data.
+    ``probs`` and ``lams`` are the data.  ``HeraldedMessage(group, branches)``
+    builds one from `Branch` objects and ``branches`` gives that view back;
+    inside the library messages are built and read only as arrays.
     """
 
     __slots__ = ("group", "probs", "lams", "_labels", "_branches")
 
     def __init__(self, group: GroupSpec, branches):
         branches = tuple(branches)
-        if not branches:
-            raise ValidationError("heralded message needs at least one branch")
         if any(b.lam.group.moduli != group.moduli for b in branches):
             raise ValidationError("branch eigen list on a different group")
-        probs = np.array([b.prob for b in branches], dtype=np.float64)
-        if probs.min() < 0:
-            raise ValidationError(f"negative branch probability {probs.min()}")
-        _check_total(probs)
-        self._set(group, probs, np.array([b.lam.values for b in branches]),
-                  Labels((), lambda: [tuple(b.labels) for b in branches]))
-        self._branches = branches
+        msg = self._from_arrays(group, [b.prob for b in branches],
+                                [b.lam.values for b in branches], [b.labels for b in branches])
+        self._set(group, msg.probs, msg.lams, msg._labels)
 
     def _set(self, group, probs, lams, labels):
         probs.flags.writeable = lams.flags.writeable = False
@@ -156,11 +137,19 @@ class HeraldedMessage:
         """Wrap new rows, validated by `_valid_rows`."""
         return cls._make(group, probs, _valid_rows(group, probs, lams), labels)
 
+    @classmethod
+    def _from_arrays(cls, group, probs, lams, labels) -> HeraldedMessage:
+        """A message from outside input: one probability, list and label
+        tuple per branch, checked by `_valid_rows`."""
+        labels = [tuple(labs) for labs in labels]
+        return cls._checked(group, np.array(probs, dtype=np.float64),
+                            np.array(lams, dtype=np.float64), Labels((), lambda: labels))
+
     def __len__(self):
         return self.probs.size
 
     def __reduce__(self):
-        return HeraldedMessage, (self.group, self.branches)
+        return HeraldedMessage._from_arrays, (self.group, self.probs, self.lams, self.labels)
 
     @property
     def labels(self) -> tuple[tuple[str, ...], ...]:
@@ -183,12 +172,6 @@ def pure(lam: EigenList, labels: tuple[str, ...] = ()) -> HeraldedMessage:
     """Degenerate mixture with a single herald value."""
     return HeraldedMessage._make(lam.group, _ONE, lam.values[None, :],
                                  Labels((), lambda: [tuple(labels)]))
-
-
-def relabel(msg: HeraldedMessage, fn) -> HeraldedMessage:
-    """The same mixture with each branch's label tuple mapped through `fn`."""
-    return HeraldedMessage._make(msg.group, msg.probs, msg.lams,
-                                 Labels((msg._labels,), lambda r: [fn(labs) for labs in r]))
 
 
 def _gather(msg: HeraldedMessage, probs, lams, members, bounds=None) -> HeraldedMessage:
@@ -363,12 +346,9 @@ def guard(msg: HeraldedMessage, rng: np.random.Generator | None,
 def avg_holevo(msg: HeraldedMessage) -> float:
     """Herald-averaged Holevo information in bits (herald is side information);
     branch terms are added in branch order, as a loop over branches would."""
-    mu = msg.lams / msg.group.order
-    logs = np.log2(mu, out=np.zeros_like(mu), where=mu > 0)
-    return float(sum((msg.probs * -(mu * logs).sum(axis=1)).tolist()))
+    return float(sum((msg.probs * holevo_rows(msg.lams)).tolist()))
 
 
 def avg_pgm_error(msg: HeraldedMessage) -> float:
-    """Herald-averaged `eigenlists.pgm_error` (`float_power` squares as its ``** 2``)."""
-    sq = np.float_power(np.sqrt(msg.lams).sum(axis=1) / msg.group.order, 2)
-    return float(sum((msg.probs * (1.0 - sq)).tolist()))
+    """Herald-averaged `eigenlists.pgm_error`, added in branch order."""
+    return float(sum((msg.probs * pgm_rows(msg.lams)).tolist()))

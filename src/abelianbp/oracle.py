@@ -34,7 +34,7 @@ from .groups import (
     is_automorphism,
     surjection_onto_image,
 )
-from .messages import Branch, HeraldedMessage
+from .messages import HeraldedMessage
 
 BLOCK_TOL = 1e-10      # allowed leakage outside herald blocks
 PURITY_TOL = 1e-8      # rank-1 consistency of conditioned blocks
@@ -248,14 +248,10 @@ def _blocks_to_message(group: GroupSpec, rho_by_h, herald_dim, block_dim,
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise NumericalError(f"herald probabilities sum to {total}")
-    branches = []
-    for h in range(herald_dim):
-        p = float(probs[h])
-        if p < 1e-13:
-            continue
-        lam = EigenList(group, diags[h] * (block_dim / p))
-        branches.append(Branch(p, lam, (labels[h],)))
-    return HeraldedMessage(group, tuple(branches))
+    live = np.flatnonzero(probs >= 1e-13)
+    return HeraldedMessage._from_arrays(group, probs[live],
+                                        diags[live] * (block_dim / probs[live])[:, None],
+                                        [(labels[h],) for h in live.tolist()])
 
 
 def simulate_check(lam1: EigenList, lam2: EigenList) -> HeraldedMessage:
@@ -423,13 +419,12 @@ def verify_rule(rule: str, G: GroupSpec, seed: int, count: int) -> dict:
 
     def compare(sim_msg, fast_msg):
         nonlocal max_dp, max_dl
-        fast = {b.labels[0]: b for b in fast_msg.branches}
-        if len(sim_msg.branches) != len(fast):
+        fast = {labels[0]: i for i, labels in enumerate(fast_msg.labels)}
+        if len(sim_msg) != len(fast):
             raise NumericalError("herald supports differ between paths")
-        for b in sim_msg.branches:
-            fb = fast[b.labels[0]]
-            max_dp = max(max_dp, abs(b.prob - fb.prob))
-            max_dl = max(max_dl, float(np.max(np.abs(b.lam.values - fb.lam.values))))
+        at = [fast[labels[0]] for labels in sim_msg.labels]
+        max_dp = max(max_dp, float(np.max(np.abs(sim_msg.probs - fast_msg.probs[at]))))
+        max_dl = max(max_dl, float(np.max(np.abs(sim_msg.lams - fast_msg.lams[at]))))
 
     for _ in range(count):
         if rule == "check":

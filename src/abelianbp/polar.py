@@ -31,13 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factors
-from .eigenlists import EigenList
+from .eigenlists import EigenList, holevo_rows, pgm_rows
 from .errors import ValidationError
 from .factors import _Rule, _automorphism, _equality, _product_apply, _same_group, sample_rows
 from .groups import (GroupSpec, HomSpec, direct_product, inversion_automorphism,
                      is_automorphism, is_surjective)
-from .messages import (HeraldedMessage, avg_holevo, avg_pgm_error, guard,
-                       herald_rng, pure, valid_lists)
+from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, guard, herald_rng, pure
 
 DEFAULT_EXACT_LEVELS = 4
 DEFAULT_SAMPLES = 1000
@@ -161,8 +160,8 @@ def _population(base: EigenList, levels: int, samples: int, rng, rules, width: i
         for p, k in itertools.product(range(0, prefixes, kp), range(0, half, kr)):
             P, K = slice(p, p + kp), slice(k, min(k + kr, half))
             A, B = pop[P, K], pop[P, half + k:half + K.stop]
-            kids = [valid_lists(G, _sampled_rows(rule, A.reshape(-1, n), B.reshape(-1, n),
-                                                 u[P, K].ravel())) for rule in rules]
+            kids = [EigenList.checked_rows(G, _sampled_rows(
+                rule, A.reshape(-1, n), B.reshape(-1, n), u[P, K].ravel())) for rule in rules]
             for half_rows, kid in zip((A, B), kids):
                 half_rows[:] = kid.reshape(half_rows.shape)
         pop = pop.reshape(2 * prefixes, half, n)
@@ -203,10 +202,8 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
     holevo, pgm = np.empty(len(pop)), np.empty(len(pop))       # per index
     step = max(1, factors._BLOCK_FLOATS // (samples * n))
     for i in range(0, len(pop), step):
-        mu = pop[i:i + step] / n
-        logs = np.log2(mu, out=np.zeros_like(mu), where=mu > 0)
-        holevo[i:i + step] = -(mu * logs).sum(axis=2).mean(axis=1)
-        pgm[i:i + step] = (1.0 - (np.sqrt(pop[i:i + step]).sum(axis=2) / n) ** 2).mean(axis=1)
+        holevo[i:i + step] = holevo_rows(pop[i:i + step]).mean(axis=1)
+        pgm[i:i + step] = pgm_rows(pop[i:i + step]).mean(axis=1)
     return [IndexStats(i, float(h), float(e)) for i, (h, e) in enumerate(zip(holevo, pgm))]
 
 

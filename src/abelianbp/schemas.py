@@ -31,7 +31,7 @@ from .de import DEConfig, TurboSpec
 from .eigenlists import EigenList
 from .errors import ValidationError
 from .groups import GroupSpec, HomSpec
-from .messages import Branch, HeraldedMessage
+from .messages import HeraldedMessage
 from .trees import FactorGraphSpec, FactorNode
 from .trellis import TrellisSpec, transfer_function_trellis
 
@@ -225,21 +225,21 @@ def dump_message(msg: HeraldedMessage) -> dict:
     return {
         "group": dump_group(msg.group),
         "branches": [
-            {"p": float(b.prob), "lambda": [float(v) for v in b.lam.values],
-             "label": list(b.labels)}
-            for b in msg.branches
+            {"p": p, "lambda": lam, "label": list(labels)}
+            for p, lam, labels in zip(msg.probs.tolist(), msg.lams.tolist(), msg.labels)
         ],
     }
 
 
 def parse_message(doc) -> HeraldedMessage:
     schema_validate(doc, "message")
-    G = parse_group(doc["group"])
-    branches = tuple(
-        Branch(float(b["p"]), EigenList(G, b["lambda"]), tuple(b.get("label", ())))
-        for b in doc["branches"]
-    )
-    return HeraldedMessage(G, branches)
+    G, branches = parse_group(doc["group"]), doc["branches"]
+    for b in branches:
+        if len(b["lambda"]) != G.order:
+            raise ValidationError(f"eigen list length {len(b['lambda'])} != group order {G.order}")
+    return HeraldedMessage._from_arrays(G, [b["p"] for b in branches],
+                                        [b["lambda"] for b in branches],
+                                        [b.get("label", ()) for b in branches])
 
 
 def parse_message_or_eigenlist(doc) -> HeraldedMessage:

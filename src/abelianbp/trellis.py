@@ -45,7 +45,7 @@ from .groups import (
     is_surjective,
     projection_hom,
 )
-from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, pure, relabel
+from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, pure
 
 
 @dataclass(frozen=True)
@@ -188,12 +188,6 @@ def _messages(msgs, G: GroupSpec, optional: bool = False) -> list[HeraldedMessag
     if any(m.group.moduli != G.moduli for m in msgs):
         raise ValidationError(f"messages on {[m.group for m in msgs]}, not {G}")
     return msgs
-
-
-def _retag(msg: HeraldedMessage, tag: str) -> HeraldedMessage:
-    """Prefix the herald labels added by the latest marginalization."""
-    return relabel(msg, lambda labels: tuple(f"{tag}:{lab}" if lab.startswith("marg:") else lab
-                                             for lab in labels))
 
 
 def _equality_fold(msgs, G: GroupSpec) -> HeraldedMessage:
@@ -354,11 +348,13 @@ def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
     start = apply.entry(_boundary(spec))
     fwd, bwd = [start], [start]
     for t in range(T):
-        nxt = apply.step(rule["forward", n_obs[t]], [fwd[t], *inputs[t]])
-        fwd.append(apply.guard(_retag(nxt, f"fwd[t={t}]"), prune_eps))
+        r = rule["forward", n_obs[t]]
+        r = r._replace(herald=(f"fwd[t={t}]:marg", *r.herald[1:]))
+        fwd.append(apply.guard(apply.step(r, [fwd[t], *inputs[t]]), prune_eps))
     for t in range(T - 1, -1, -1):
-        prev = apply.step(rule["backward", n_obs[t]], [bwd[-1], *inputs[t]])
-        bwd.append(apply.guard(_retag(prev, f"bwd[t={t}]"), prune_eps))
+        r = rule["backward", n_obs[t]]
+        r = r._replace(herald=(f"bwd[t={t}]:marg", *r.herald[1:]))
+        bwd.append(apply.guard(apply.step(r, [bwd[-1], *inputs[t]]), prune_eps))
     bwd.reverse()
     eq = _equality(spec.symbol_group)
     results = []

@@ -110,6 +110,34 @@ def test_schema_rejects_bad_sum():
         parse_eigenlist({"group": {"moduli": [3, 2]}, "values": [1, 1, 1, 1, 1, 0]})
 
 
+@pytest.mark.parametrize("branches", [
+    [{"p": 1.0, "lambda": [1, 1, 1, 1, 2]}],
+    [{"p": 0.5, "lambda": [1, 1, 1, 1, 1, 1]}, {"p": 0.5, "lambda": [3, 3]}],
+    [{"p": -0.5, "lambda": [1, 1, 1, 1, 1, 1]}, {"p": 1.5, "lambda": [6, 0, 0, 0, 0, 0]}],
+    [{"p": 0.5, "lambda": [1, 1, 1, 1, 1, 1]}, {"p": 0.4, "lambda": [6, 0, 0, 0, 0, 0]}],
+])
+def test_parse_message_rejects_bad_branches(branches):
+    with pytest.raises(ValidationError):
+        parse_message({"group": {"moduli": [3, 2]}, "branches": branches})
+
+
+def test_library_builds_and_reads_messages_as_arrays(monkeypatch):
+    from abelianbp import check_combine, messages
+    from abelianbp.oracle import verify_rule
+
+    msg = check_combine(LAM1, LAM2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Branch view was built")
+
+    monkeypatch.setattr(messages, "Branch", forbidden)
+    doc = dump_message(msg)
+    assert dump_message(parse_message(json.loads(to_json(doc)))) == doc
+    for rule in ("check", "equality", "hom", "marginalize", "automorphism",
+                 "gram", "covariance", "pgm", "entropy"):
+        assert verify_rule(rule, Z32, 1, 3)["ok"], rule
+
+
 # ---------------------------------------------------------------------------
 # CLI behavior
 
@@ -358,6 +386,20 @@ def test_polar_construct_nan_list_is_a_numerical_error(capsys):
                                "--mode", mode, "--seed", "1", "--samples", "5")
         assert code == 3
         assert json.loads(err)["error"] == "numerical"
+
+
+@pytest.mark.parametrize("argv", [
+    ("measures", "--lambda", "[NaN,1.5,1.5]", "--group", "[3]"),
+    ("factor", "equality", "--in", "nan.json", "ok.json"),
+    ("factor", "check", "--in", "nan.json", "ok.json"),
+])
+def test_nan_eigen_list_input_is_a_numerical_error(tmp_path, capsys, argv):
+    (tmp_path / "nan.json").write_text('{"group": {"moduli": [3]}, "values": [NaN, 1.5, 1.5]}')
+    (tmp_path / "ok.json").write_text('{"group": {"moduli": [3]}, "values": [2.3, 0.35, 0.35]}')
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "numerical"
 
 
 def _conv_files(tmp_path):

@@ -505,8 +505,8 @@ def test_lifted_hom_and_marginalize():
 
 
 def test_nan_list_in_a_mixture_is_a_numerical_error():
-    # EigenList itself lets NaN through; the herald lift must not
-    bad = pure(EigenList(Z3, [np.nan, 1.5, 1.5]))
+    # EigenList rejects NaN itself; a NaN row that reaches a mixture must not pass
+    bad = pure(EigenList._of_valid(Z3, np.array([np.nan, 1.5, 1.5])))
     for rule in (_equality(Z3), _check(Z3)):
         with pytest.raises(NumericalError):
             _product_apply([bad, pure(perfect_list(Z3))], rule)

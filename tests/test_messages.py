@@ -101,6 +101,25 @@ def test_prune():
         prune(two, 0.7)
 
 
+def test_pickle_round_trip_keeps_the_arrays():
+    import pickle
+
+    from abelianbp.factors import Tracker, _check
+
+    exact = merge_duplicates(check_combine(LAM1, EigenList(Z32, [1.5, 0.25, 1, 2, 0.5, 0.75])))
+    pruned = prune(exact, np.sort(exact.probs)[1])
+    tracker = Tracker("sampled", seed=3, prune_eps=0.0, samples=20)
+    sampled = tracker.step(_check(Z32), [tracker.entry(pure(LAM1, ("a",))),
+                                         tracker.entry(exact)])
+    assert len(pruned) < len(exact) and len(sampled) == 20
+    for msg in (exact, pruned, sampled):
+        back = pickle.loads(pickle.dumps(msg))
+        assert back.probs.tobytes() == msg.probs.tobytes()
+        assert back.lams.tobytes() == msg.lams.tobytes()
+        assert back.labels == msg.labels
+        assert not back.probs.flags.writeable and not back.lams.flags.writeable
+
+
 def test_guard_modes_and_dropped_mass(monkeypatch):
     msg = HeraldedMessage(Z32, (Branch(1 - 3e-13, LAM1), Branch(1e-13, LAM2),
                                 Branch(2e-13, useless_list(Z32))))

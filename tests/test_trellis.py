@@ -417,6 +417,20 @@ def test_decode_block_one_trajectory_labels():
             assert sum(lab.startswith("obs:") for lab in labels) == 1
 
 
+def test_decode_block_keeps_caller_labels_that_begin_with_marg():
+    # state steps name their own heralds; a caller's labels pass through as given
+    spec, obs, sym, apr = _constituent_block(T=4)
+    obs[2] = [HeraldedMessage(Z3, [Branch(b.prob, b.lam, ("marg:" + b.labels[0],))
+                                   for b in obs[2][0].branches])]
+    for mode, mine in (("exact", 2), ("sampled", 1)):
+        res = decode_block(spec, obs, mode=mode, seed=1, symbol_obs_seq=sym, apriori_seq=apr)
+        labels = {lab for r in res for labs in r.posterior.labels for lab in labs}
+        assert len(labels & {"marg:obs:a", "marg:obs:b"}) >= mine
+        steps = {lab for lab in labels if lab.startswith(("fwd[", "bwd["))}
+        assert steps and all(re.fullmatch(r"(fwd|bwd)\[t=\d\]:marg:\(\d\)", lab)
+                             for lab in steps), steps
+
+
 def test_decode_block_rejects_bad_sample_counts():
     spec, obs, sym, apr = _constituent_block(T=3)
     for mode in ("exact", "sampled"):
