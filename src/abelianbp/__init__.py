@@ -72,7 +72,6 @@ from .messages import (
     merge_duplicates,
     prune,
     pure,
-    sample,
 )
 from .factors import (
     adjoin_uniform,

@@ -12,11 +12,11 @@ window estimator.  Under the random-interleaver ensemble the exchange between
 constituents is exactly this population resampling, so no permutation is
 materialized.
 
-The recursion runs the forward, backward and extrinsic section kernels of
-`trellis` in sampled mode, one array column per block (sweeps) or tracked
-symbol (extrinsics), with the parity weights gathered once per update from
-the channel.  Elementwise operations in a fixed order (no BLAS) keep results
-bit-identical for any thread count and block size.
+The recursion runs the `trellis` section kernels on the sweeps of sampled
+`decode_block` (`trellis._sweep`), one array column per block (sweeps) or
+tracked symbol (extrinsics), with the parity weights gathered once per update
+from the channel.  Elementwise operations in a fixed order (no BLAS) keep
+results bit-identical for any thread count and block size.
 
 Extrinsic convention: the trellis-side message at a tracked symbol omits both
 symbol-side leaves (channel observation and a priori) of that symbol;
@@ -36,10 +36,10 @@ import numpy as np
 from .characters import tables_for
 from .eigenlists import EigenList, holevo_info, pgm_rows, useless_list
 from .errors import NumericalError, ValidationError
-from .factors import draw_heralds, equality_fold, lift_along_hom
+from .factors import equality_fold, lift_along_hom
 from .groups import GroupSpec
-from .trellis import (TrellisSpec, _gather, _section, transfer_function_trellis,
-                      validate_trellis)
+from .trellis import (_BLOCK_FLOATS, TrellisSpec, _draw, _gather, _section, _sweep,
+                      transfer_function_trellis, validate_trellis)
 
 
 def channel_family(q: int, lam0: float) -> EigenList:
@@ -158,11 +158,6 @@ class DEConfig:
             raise ValidationError("stall tolerance must lie in [0, 1)")
 
 
-# floats per branch array: de_iteration runs the extrinsic on column blocks
-# this small, so that every step's arrays stay in cache
-_BLOCK_FLOATS = 1 << 15
-
-
 def _fold(lam: EigenList, uses: int, G: GroupSpec) -> EigenList:
     """`uses` channel observations, equality-combined (useless if none)."""
     return equality_fold([lam] * uses) if uses else useless_list(G)
@@ -174,15 +169,6 @@ def _with_systematic(spec: TurboSpec, lam_ch: EigenList, lists: np.ndarray) -> n
     G = spec.symbol_group
     fold = _fold(lam_ch, spec.systematic_mult, G).values[:, None] / G.order
     return _gather(fold, tables_for(G).sub, lists.reshape(G.order, 1, -1)).reshape(lists.shape)
-
-
-def _draw(branch: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Marginalize a (rest, herald, n) branch array on one herald per column,
-    drawn at the uniforms ``u`` by `factors.draw_heralds`."""
-    rest, heralds, n = branch.shape
-    p = branch.sum(axis=0) / (rest * heralds)
-    h, cols = draw_heralds(p, u), np.arange(n)
-    return branch[:, h, cols] / (heralds * p[h, cols])
 
 
 def _block_sections(n: int) -> int:
@@ -226,17 +212,16 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     u = rng.random((2 * (B + ctx - 1) + B, m))
     sym = _with_systematic(spec, lam_ch, population.T[:, apr_idx])      # (q, sections, m)
     boundary = np.repeat(useless_list(trellis.state_group).values[:, None], m, axis=1)
-    fwd, bwd = [boundary], [boundary]
-    for t in range(ctx + B - 1):
-        fwd.append(_draw(fwd_k.branch(fwd[-1], fwd_w, sym[:, t]), u[t]))
-        bwd.append(_draw(bwd_k.branch(bwd[-1], bwd_w, sym[:, -1 - t]), u[ctx + B - 1 + t]))
+    L = ctx + B - 1                                # sweep steps
+    fwd, _ = _sweep(boundary, ((fwd_k.branch, fwd_w, sym[:, t]) for t in range(L)), u[:L])
+    bwd, _ = _sweep(boundary, ((bwd_k.branch, bwd_w, sym[:, -1 - t]) for t in range(L)), u[L:-B])
     # states around the tracked sections ctx .. ctx + B - 1; column s * m + block
-    fwd = np.stack(fwd[ctx:], axis=1).reshape(len(boundary), -1)
-    bwd = np.stack(bwd[::-1][:B], axis=1).reshape(len(boundary), -1)
+    fwd = fwd[ctx:].transpose(1, 0, 2).reshape(len(boundary), -1)
+    bwd = bwd[::-1][:B].transpose(1, 0, 2).reshape(len(boundary), -1)
     ext, u = np.empty((q, B * m)), u[-B:].ravel()
     step = max(1, _BLOCK_FLOATS // trellis.branch_group.order)
     for cols in (slice(lo, lo + step) for lo in range(0, B * m, step)):
-        ext[:, cols] = _draw(ext_k.branch(fwd[:, cols], ext_w, bwd[:, cols]), u[cols])
+        ext[:, cols] = _draw(ext_k.branch(fwd[:, cols], ext_w, bwd[:, cols]), u[cols])[0]
     ext = EigenList.checked_rows(G, ext[:, :n].T)
     apr = population.T[:, apr_idx[ctx:ctx + B].ravel()[:n]]
     post = _gather(_with_systematic(spec, lam_ch, ext.T), tables_for(G).sub, apr[:, None, :] / q)

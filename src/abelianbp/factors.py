@@ -400,5 +400,5 @@ class Tracker:
                                      EigenList.checked_rows(rule.group, lams), labels)
 
     def guard(self, msg: HeraldedMessage, prune_eps: float = 0.0) -> HeraldedMessage:
-        return msg if self.rng is not None else guard(msg, None, prune_eps)
+        return msg if self.rng is not None else guard(msg, prune_eps)
 

@@ -5,8 +5,8 @@ branches on one group, held as read-only arrays ``probs`` (k,) and ``lams``
 (k, |G|).  Rows are validated once, vectorised, where lists are made
 (`HeraldedMessage._checked`, with the eigen-list check written once as
 `eigenlists.EigenList.checked_rows`); outside input takes the same path
-(`HeraldedMessage._from_arrays`).  Merging, pruning and sampling only select
-or sum validated rows.  The herald averages `avg_holevo` and `avg_pgm_error`
+(`HeraldedMessage._from_arrays`).  Merging and pruning only select or sum
+validated rows.  The herald averages `avg_holevo` and `avg_pgm_error`
 reduce the per-row metrics that `eigenlists` states once (`holevo_rows`,
 `pgm_rows`).  Labels record which heralds produced each branch and never
 affect numerics: they are a lazy provenance graph (`Labels`), rendered to
@@ -98,7 +98,8 @@ def _valid_rows(group: GroupSpec, probs: np.ndarray, lams: np.ndarray) -> np.nda
     if probs.min() < 0:
         raise ValidationError(f"negative branch probability {probs.min()}")
     if not abs(probs.sum() - 1.0) <= PROB_TOL:
-        raise ValidationError(f"branch probabilities sum to {probs.sum()}, expected 1")
+        raise (NumericalError if np.isnan(probs.sum()) else ValidationError)(
+            f"branch probabilities sum to {probs.sum()}, expected 1")
     return lams
 
 
@@ -278,18 +279,6 @@ def prune(msg: HeraldedMessage, eps: float) -> HeraldedMessage:
     return _gather(msg, kept / sum(kept.tolist()), msg.lams[keep], keep)
 
 
-def _draw(msg: HeraldedMessage, rng: np.random.Generator) -> int:
-    probs = msg.probs
-    u = rng.random()
-    return min(int(np.searchsorted(np.cumsum(probs), u * probs.sum(), side="right")), len(msg) - 1)
-
-
-def sample(msg: HeraldedMessage, rng: np.random.Generator) -> tuple[EigenList, tuple[str, ...]]:
-    """Draw one branch; deterministic given the generator state."""
-    idx = _draw(msg, rng)
-    return EigenList._of_valid(msg.group, msg.lams[idx]), msg._labels.render()[idx]
-
-
 def check_prune_eps(eps: float) -> None:
     if not 0 <= eps < 0.5:
         raise ValidationError(f"prune threshold {eps} outside [0, 0.5)")
@@ -321,19 +310,14 @@ class GuardWarning(RuntimeWarning):
         self.branches, self.dropped = branches, dropped
 
 
-def guard(msg: HeraldedMessage, rng: np.random.Generator | None,
-          prune_eps: float = 0.0) -> HeraldedMessage:
+def guard(msg: HeraldedMessage, prune_eps: float = 0.0) -> HeraldedMessage:
     """The mixture policy that exact trackers apply after a rule.
 
-    Exact mode prunes at `prune_eps`; past `BRANCH_CAP` branches it also
-    prunes at `GUARD_PRUNE` and warns (`GuardWarning`) with the branch count
-    and the probability mass dropped.  With `rng` it keeps one drawn herald;
-    no tracker calls that branch any more (sampled trackers run populations,
-    `factors.Tracker`), and the tests keep it as the one-trajectory reference.
+    It prunes at `prune_eps`; past `BRANCH_CAP` branches it also prunes at
+    `GUARD_PRUNE` and warns (`GuardWarning`) with the branch count and the
+    probability mass dropped.  (Sampled trackers run populations instead,
+    `factors.Tracker`.)
     """
-    if rng is not None:
-        idx = _draw(msg, rng)
-        return _gather(msg, _ONE, msg.lams[idx:idx + 1], np.array([idx]))
     if prune_eps > 0:
         msg = prune(msg, prune_eps)
     if len(msg) > BRANCH_CAP:

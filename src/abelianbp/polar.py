@@ -194,7 +194,7 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
     if rng is None:
         channels = [pure(base)]
         for _ in range(levels):
-            channels = [guard(_apply(rule, msg, msg), None, prune_eps)
+            channels = [guard(_apply(rule, msg, msg), prune_eps)
                         for msg in channels for rule in rules]
         return [IndexStats(i, avg_holevo(ch), avg_pgm_error(ch))
                 for i, ch in enumerate(channels)]

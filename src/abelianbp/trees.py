@@ -32,7 +32,7 @@ a rule is one call on the aligned rows plus one herald draw per row.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .eigenlists import EigenList, useless_list
 from .errors import ValidationError
@@ -65,6 +65,8 @@ class FactorGraphSpec:
     variables: dict[str, GroupSpec]
     factors: dict[str, FactorNode]
     root: str
+    # the contents that last passed `validate_tree` in `run_mp`
+    _valid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def leaf(var: str, message) -> FactorNode:
@@ -231,7 +233,10 @@ def run_mp(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,
     over seeds each branch is distributed as the exact mixture.
     """
     apply = Tracker(mode, seed, prune_eps, samples)
-    validate_tree(spec)
+    contents = (spec.root, tuple(spec.variables.items()), tuple(spec.factors.items()))
+    if spec._valid != contents:     # validated once per contents; nodes are immutable
+        validate_tree(spec)
+        spec._valid = contents
     return _Engine(spec, apply, prune_eps).variable_message(spec.root, None)
 
 

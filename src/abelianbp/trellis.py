@@ -10,13 +10,12 @@ marginalize the discarded coordinate.  The backward recursion mirrors it on
 time-reversed sections.
 
 Each section step (forward, backward, extrinsic) is one composite of these
-factors, written once as a kernel of two sparse gathers (`_Section`) with
-two callers: `decode_block` runs it as one rule per step (`_step_rule`), over
-the branch product in exact mode and on a population of S sampled
-trajectories in sampled mode (one loop; the modes differ only in how
-`factors.Tracker` applies a rule), and density evolution runs it on
-population columns.  `branch_posterior` composes the same factors rule by
-rule, as the reference the section kernels are tested against.
+factors, written once as a kernel of two sparse gathers on (size, n) sample
+columns (`_Section`).  Exact `decode_block` runs it as one rule per step over
+the branch product (`_step_rule`, `factors.Tracker`).  Sampled `decode_block`
+and density evolution run it bare: a sweep is one kernel call and one herald
+draw per step for all tracked trajectories (`_sweep`), and the extrinsics are
+batched on column blocks.
 
 Rational transfer functions G(D) = p(D)/q(D) over Z_n (with invertible q(0))
 compile to a single-parity section in controller canonical form; feedforward
@@ -35,7 +34,7 @@ import numpy as np
 from .characters import dual_map_table, tables_for
 from .eigenlists import EigenList, perfect_list, useless_list
 from .errors import ValidationError
-from .factors import Tracker, _adjoin, _equality, _lift, _product_apply, _Rule
+from .factors import Tracker, _equality, _lift, _Rule, draw_heralds
 from .groups import (
     GroupSpec,
     HomSpec,
@@ -45,7 +44,7 @@ from .groups import (
     is_surjective,
     projection_hom,
 )
-from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, pure
+from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, product_labels, pure
 
 
 @dataclass(frozen=True)
@@ -190,39 +189,6 @@ def _messages(msgs, G: GroupSpec, optional: bool = False) -> list[HeraldedMessag
     return msgs
 
 
-def _equality_fold(msgs, G: GroupSpec) -> HeraldedMessage:
-    return functools.reduce(lambda a, b: _product_apply([a, b], _equality(G)), msgs)
-
-
-def branch_posterior(spec: TrellisSpec, fwd=None, bwd=None, obs=(),
-                     symbol_obs=None, apriori=None) -> HeraldedMessage:
-    """Combined message on the branch variable (fresh symbol, state).
-
-    Equality-combines: the forward state message lifted by adjoining a uniform
-    fresh symbol, the backward message lifted through the next-state map, each
-    observation lifted along its output homomorphism, and the symbol-side
-    messages (channel observation and incoming a priori) lifted along the
-    symbol projection.  Each rule runs over the branch product of eigen lists
-    or heralded messages.
-    """
-    if len(obs) > len(spec.outputs):
-        raise ValidationError(
-            f"{len(obs)} observations for {len(spec.outputs)} trellis outputs"
-        )
-    G, S = spec.symbol_group, spec.state_group
-    parts = [_product_apply([m], _adjoin(S, G)) for m in _messages([fwd], S, True)]
-    parts += [_product_apply([m], _lift(S, next_state_hom(spec)))
-              for m in _messages([bwd], S, True)]
-    parts += [_product_apply([m], _lift(spec.output_group, L))
-              for m, L in zip(_messages(obs, spec.output_group), spec.outputs)]
-    sym = _messages((symbol_obs, apriori), G, True)
-    if sym:
-        parts.append(_product_apply([_equality_fold(sym, G)], _lift(G, symbol_projection(spec))))
-    if not parts:
-        raise ValidationError("branch posterior needs at least one incoming message")
-    return _equality_fold(parts, spec.branch_group)
-
-
 def _gather(x: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``sum_k x[idx[:, k]] * w[k]`` on (in, n) sample columns ``x``, for an
     (out, K) row table ``idx`` and weights ``w`` that broadcast to (K, out, n).
@@ -283,12 +249,36 @@ def _section(spec: TrellisSpec, kind: str, n_obs: int) -> _Section:
     return _Section(lambda parity: parity[par.T] * (q / nb), branch)
 
 
+# floats per (branch, column) array: sampled decoding computes section weights
+# and extrinsics on blocks of sections this small, so that they stay in cache
+_BLOCK_FLOATS = 1 << 15
+
+
+def _draw(branch: np.ndarray, u: np.ndarray):
+    """Marginalize a (rest, herald, n) branch array on one herald per column,
+    drawn at the uniforms ``u`` by `factors.draw_heralds`; returns the
+    (rest, n) lists and the n heralds."""
+    rest, heralds, n = branch.shape
+    p = branch.sum(axis=0) / (rest * heralds)
+    h, cols = draw_heralds(p, u), np.arange(n)
+    return branch[:, h, cols] / (heralds * p[h, cols]), h
+
+
+def _sweep(state: np.ndarray, steps, u: np.ndarray):
+    """A sampled recursion from (size, n) state columns: step k marginalizes
+    ``branch(state, weights, second)``, ``steps[k] = (branch, weights, second)``,
+    at ``u[k]``.  Returns all (size, n) states, `state` first, and the heralds."""
+    states, heralds = np.empty((len(u) + 1, *state.shape)), np.empty(u.shape, np.intp)
+    states[0] = state
+    for k, (branch, weights, second) in enumerate(steps):
+        states[k + 1], heralds[k] = _draw(branch(states[k], weights, second), u[k])
+    return states, heralds
+
+
 @functools.lru_cache(maxsize=None)
 def _step_rule(spec: TrellisSpec, kind: str, n_obs: int) -> _Rule:
     """A step as one rule on rows of (state, [backward state,] observations...,
     symbol messages...); the symbol messages are equality-combined first."""
-    if n_obs > len(spec.outputs):
-        raise ValidationError(f"{n_obs} observations for {len(spec.outputs)} trellis outputs")
     sec, states = _section(spec, kind, n_obs), 2 if kind == "extrinsic" else 1
     kept, dropped = ((spec.symbol_group, spec.state_group) if states == 2
                      else (spec.state_group, spec.symbol_group))
@@ -327,25 +317,29 @@ def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
     and a priori) of section t itself; the posterior equality-combines them
     back in, which reproduces the full branch marginal exactly.
 
-    Exact mode passes every state, extrinsic and posterior message through
-    `messages.guard`; only state messages are pruned at ``prune_eps``.
-    Sampled mode (seed required) tracks `samples` herald trajectories at
-    once (`factors.Tracker`): each input is drawn to one branch per
-    trajectory, each step is one rule call and one herald draw for all of
-    them, and every message holds one row per trajectory, of probability
-    1/samples, so `section_metrics` gives the means over trajectories.
+    Exact mode runs each step as one rule over the branch product and passes
+    every state, extrinsic and posterior message through `messages.guard`;
+    only state messages are pruned at ``prune_eps``.  Sampled mode (seed
+    required) tracks `samples` herald trajectories at once: each input is
+    drawn to one branch per trajectory, each sweep step is one kernel call and
+    one herald draw for all of them (`_sampled_block`), and every message
+    holds one row per trajectory, of probability 1/samples.
     """
     validate_trellis(spec)
     apply = Tracker(mode, seed, prune_eps, samples)
     T = len(obs_seq)
     n_obs = [len(obs) for obs in obs_seq]
-    rule = {(kind, n): _step_rule(spec, kind, n) for n in set(n_obs)
-            for kind in ("forward", "backward", "extrinsic")}
+    if max(n_obs, default=0) > len(spec.outputs):
+        raise ValidationError(f"{max(n_obs)} observations for {len(spec.outputs)} trellis outputs")
     inputs = [[apply.entry(m) for m in (*_messages(obs, spec.output_group),
                                         *_messages(side, spec.symbol_group, True))]
               for obs, side in zip(obs_seq, zip(symbol_obs_seq or [None] * T,
                                                 apriori_seq or [None] * T))]
     start = apply.entry(_boundary(spec))
+    if apply.rng is not None:
+        return _sampled_block(spec, inputs, n_obs, start, apply.rng)
+    rule = {(kind, n): _step_rule(spec, kind, n) for n in set(n_obs)
+            for kind in ("forward", "backward", "extrinsic")}
     fwd, bwd = [start], [start]
     for t in range(T):
         r = rule["forward", n_obs[t]]
@@ -364,6 +358,79 @@ def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
         for m in inputs[t][n:]:
             post = apply.step(eq, [post, m])
         results.append(SectionResult(t, apply.guard(post), ext))
+    return results
+
+
+def _sampled_block(spec: TrellisSpec, inputs, n_obs, start: HeraldedMessage,
+                   rng) -> list[SectionResult]:
+    """Sampled `decode_block`, trajectories as columns, on blocks of sections
+    with equal observation counts and at most `_BLOCK_FLOATS` floats per
+    branch array.  Uniforms are drawn up front for the forward sweep, the
+    backward sweep (row k: section T - 1 - k) and the extrinsics."""
+    T, S, G, GS = len(inputs), len(start), spec.symbol_group, spec.state_group
+    u_fwd, u_bwd, u_ext = (rng.random((T, S)) for _ in range(3))
+    eq_b, eq_g = _equality(spec.branch_group), _equality(G)
+    none_b, none_g = (useless_list(g).values[:, None] for g in (spec.branch_group, G))
+    size = max(1, _BLOCK_FLOATS // (spec.branch_group.order * S))
+    blocks, lo = [], 0
+    for t in range(1, T + 1):
+        if t == T or n_obs[t] != n_obs[lo] or t - lo == size:
+            blocks.append(range(lo, t))
+            lo = t
+    # each section's symbol-side list, for both sweeps
+    sides = [functools.reduce(eq_g.rows, [m.lams for m in ins[n:]]).T if len(ins) > n
+             else none_g for ins, n in zip(inputs, n_obs)]
+
+    def weights(kind, ts):      # on the parity lists: lifted observations, equality-combined
+        n = n_obs[ts[0]]
+        lifted = [_lift(spec.output_group, L).rows(np.concatenate([inputs[t][i].lams for t in ts]))
+                  for i, L in enumerate(spec.outputs[:n])]
+        parity = functools.reduce(eq_b.rows, lifted).T if n else none_b.repeat(len(ts) * S, 1)
+        return _section(spec, kind, n).weights(parity)
+
+    def steps(kind, order):
+        for ts in order:
+            branch, w = _section(spec, kind, n_obs[ts[0]]).branch, weights(kind, ts)
+            for j in (range(len(ts)) if kind == "forward" else reversed(range(len(ts)))):
+                yield branch, w[:, :, j * S:(j + 1) * S], sides[ts[j]]
+
+    fwd, fh = _sweep(start.lams.T, steps("forward", blocks), u_fwd)
+    bwd, bh = _sweep(start.lams.T, steps("backward", blocks[::-1]), u_bwd)
+    for states in (fwd, bwd):
+        EigenList.checked_rows(GS, states.transpose(0, 2, 1))
+    bwd = bwd[::-1]                     # bwd[t]: the backward state of sections t .. T - 1
+    ext, post = np.empty((T * S, G.order)), np.empty((T * S, G.order))
+    eh = np.empty((T, S), np.intp)
+    for ts in blocks:
+        lo, hi, n, cols = ts.start, ts.stop, n_obs[ts.start], slice(ts.start * S, ts.stop * S)
+        f, b = (x.transpose(1, 0, 2).reshape(GS.order, -1)
+                for x in (fwd[lo:hi], bwd[lo + 1:hi + 1]))
+        kernel = _section(spec, "extrinsic", n)
+        lists, h = _draw(kernel.branch(f, weights("extrinsic", ts), b), u_ext[lo:hi].ravel())
+        ext[cols] = EigenList.checked_rows(G, lists.T)
+        eh[lo:hi] = h.reshape(-1, S)
+        # the posteriors fold in each section's symbol-side messages in turn
+        acc, k = ext[cols].copy(), np.array([len(inputs[t]) - n for t in ts])
+        for j in range(k.max()):
+            y = np.concatenate([inputs[t][n + j].lams for t in ts if len(inputs[t]) - n > j])
+            acc[np.repeat(k > j, S)] = eq_g.rows(acc[np.repeat(k > j, S)], y)
+        post[cols] = EigenList.checked_rows(G, acc)
+    every, labs = np.arange(S), [[m._labels for m in ins] for ins in inputs]
+
+    def node(parents, herald=None):
+        return product_labels(parents, [every] * len(parents), herald)
+
+    f_lab, b_lab = [start._labels], [start._labels]     # b_lab[k]: boundary T - k
+    for t in range(T):
+        f_lab.append(node([f_lab[t], *labs[t]], (f"fwd[t={t}]:marg", G, fh[t])))
+        b_lab.append(node([b_lab[t], *labs[T - 1 - t]], (f"bwd[t={T - 1 - t}]:marg", G, bh[t])))
+    results = []
+    for t, n in enumerate(n_obs):
+        e_lab = node([f_lab[t], b_lab[T - 1 - t], *labs[t][:n]], ("marg", GS, eh[t]))
+        p_lab = functools.reduce(lambda acc, lab: node([acc, lab]), labs[t][n:], e_lab)
+        at = slice(t * S, (t + 1) * S)
+        results.append(SectionResult(t, HeraldedMessage._make(G, start.probs, post[at], p_lab),
+                                     HeraldedMessage._make(G, start.probs, ext[at], e_lab)))
     return results
 
 

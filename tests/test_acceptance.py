@@ -31,7 +31,6 @@ from abelianbp.characters import coset_table_for_hom
 from abelianbp.de import DEConfig, heatmap, holevo_threshold, standard_turbo, threshold_bisect
 from abelianbp.factors import apply_automorphism, hom_push, hom_push_supported
 from abelianbp.groups import inversion_automorphism, surjection_onto_image
-from abelianbp.messages import sample
 from abelianbp.polar import synthesize
 from abelianbp.schemas import to_json
 from abelianbp.trees import run_mp

@@ -402,6 +402,25 @@ def test_nan_eigen_list_input_is_a_numerical_error(tmp_path, capsys, argv):
     assert json.loads(err)["error"] == "numerical"
 
 
+def test_nan_herald_probability_in_a_message_is_a_numerical_error(tmp_path, capsys):
+    """A leaf branch of probability NaN is a numerical error (exit 3), as a
+    NaN eigen list is, not a validation error."""
+    spec = FactorGraphSpec({"a": Z32, "root": Z32},
+                           {"la": leaf("a", LAM1), "eq": FactorNode("equality", ("a", "root"))},
+                           "root")
+    doc = dump_graph(spec)
+    leaf_doc = next(f for f in doc["factors"].values() if f["kind"] == "leaf")
+    leaf_doc["message"]["branches"][0]["p"] = math.nan
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(doc))
+    assert "NaN" in g.read_text()
+    for mode in ("exact", "sampled"):
+        code, out, err = run_cli(capsys, "mp", "run", "--graph", str(g), "--mode", mode,
+                                 "--seed", "1")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "numerical"
+
+
 def _conv_files(tmp_path):
     t, ch = tmp_path / "trellis.json", tmp_path / "channel.json"
     t.write_text('{"version": 1, "transfer_function": {"p": [1, 0, 1], "q": [1, 1, 1], '

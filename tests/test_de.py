@@ -316,14 +316,15 @@ def test_de_iteration_rejects_invalid_populations(row):
 
 def test_draw_skips_a_zero_probability_first_herald():
     """u = 0 draws the first herald of positive probability, in the shared
-    herald draw and in DE's column draw (which divided 0 by 0 there)."""
+    herald draw and in the sweeps' column draw (which divided 0 by 0 there)."""
     from abelianbp.factors import draw_heralds
+    from abelianbp.trellis import _draw
 
     probs = np.array([[0.0, 0.0], [0.25, 1e-16], [0.75, 1.0]])
     assert draw_heralds(probs, np.zeros(2)).tolist() == [1, 2]
     branch = np.zeros((3, 3, 1))
     branch[:, 1:, 0] = [[2.0, 1.0], [0.5, 1.0], [0.5, 1.0]]
-    out = de._draw(branch, np.zeros(1))
+    out, _ = _draw(branch, np.zeros(1))
     assert np.allclose(out[:, 0], [2.0, 0.5, 0.5])
 
 

@@ -19,10 +19,10 @@ from abelianbp import (
     pgm_error,
     prune,
     pure,
-    sample,
     useless_list,
 )
-from abelianbp.messages import DEFAULT_MERGE_TOL, Branch, guard
+from abelianbp.messages import DEFAULT_MERGE_TOL, Branch
+from one_trajectory import guard, sample
 
 Z32 = GroupSpec((3, 2))
 LAM1 = EigenList(Z32, [2, 1, 0, 2, 1, 0])

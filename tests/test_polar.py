@@ -211,7 +211,7 @@ def test_select_info_set():
 def _recursive_sampler(base, levels, seed, samples):
     """Per-sample (holevo, pgm) arrays of each index, drawn as earlier
     releases did: a fresh recursion through 2^levels leaves per sample."""
-    from abelianbp.messages import guard
+    from one_trajectory import guard
 
     def rec(bits, depth, rng):
         if depth == len(bits):

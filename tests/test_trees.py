@@ -356,3 +356,32 @@ def test_run_mp_rejects_bad_sample_counts():
         for samples in (0, -1):
             with pytest.raises(ValidationError, match="samples"):
                 run_mp(spec, mode=mode, seed=1, samples=samples)
+
+
+def test_run_mp_validates_a_spec_once_until_it_changes(monkeypatch):
+    """Repeated runs on one spec validate it once; a spec made invalid after
+    a run (a second combining factor, a new root, a replaced leaf) is
+    validated again and rejected."""
+    import abelianbp.trees as trees
+
+    calls = []
+    monkeypatch.setattr(trees, "validate_tree", lambda spec: calls.append(spec) or
+                        validate_tree(spec))
+    spec = chain_graph([LAM1, LAM2], kind="check")
+    for seed in range(3):
+        run_mp(spec, mode="sampled", seed=seed)
+    assert len(calls) == 1
+    breaks = [
+        lambda s: s.factors.__setitem__("again", FactorNode("equality", ("v0", "root"))),
+        lambda s: setattr(s, "root", "nowhere"),
+        lambda s: s.factors.__setitem__("leaf0", leaf("v0", EigenList(Z3, [1, 1, 1]))),
+        lambda s: s.variables.__setitem__("v1", Z3),
+    ]
+    for brk in breaks:
+        spec = chain_graph([LAM1, LAM2], kind="check")
+        run_mp(spec)
+        brk(spec)
+        with pytest.raises(ValidationError):
+            run_mp(spec)
+        with pytest.raises(ValidationError):
+            run_mp(spec, mode="sampled", seed=1)

@@ -1,3 +1,4 @@
+import functools
 import re
 from dataclasses import replace
 
@@ -19,18 +20,20 @@ from abelianbp import (
     pure,
     useless_list,
 )
-from abelianbp.factors import _adjoin, _automorphism, _equality, _lift, _marginalize, _product_apply
+from abelianbp.factors import (Tracker, _adjoin, _automorphism, _equality, _lift, _marginalize,
+                               _product_apply)
 from abelianbp.groups import permute_coordinates
 from abelianbp.messages import GUARD_PRUNE, Branch, HeraldedMessage
 from abelianbp.trellis import (
     TrellisSpec,
     _boundary,
+    _messages,
     _step_rule,
-    branch_posterior,
     decode_block,
     next_state_hom,
     section_metrics,
     shift_register_trellis,
+    symbol_projection,
     transfer_function_trellis,
     unroll_to_tree,
     validate_trellis,
@@ -44,6 +47,41 @@ def rand_lam(G, rng):
     v = rng.gamma(1.0, size=G.order)
     v *= G.order / v.sum()
     return EigenList(G, v)
+
+
+def _equality_fold(msgs, G: GroupSpec) -> HeraldedMessage:
+    return functools.reduce(lambda a, b: _product_apply([a, b], _equality(G)), msgs)
+
+
+def branch_posterior(spec: TrellisSpec, fwd=None, bwd=None, obs=(),
+                     symbol_obs=None, apriori=None) -> HeraldedMessage:
+    """Combined message on the branch variable (fresh symbol, state): the
+    rule-by-rule reference the section kernels are tested against.
+
+    Equality-combines: the forward state message lifted by adjoining a uniform
+    fresh symbol, the backward message lifted through the next-state map, each
+    observation lifted along its output homomorphism, and the symbol-side
+    messages (channel observation and incoming a priori) lifted along the
+    symbol projection.  Each rule runs over the branch product of eigen lists
+    or heralded messages.
+    """
+    if len(obs) > len(spec.outputs):
+        raise ValidationError(
+            f"{len(obs)} observations for {len(spec.outputs)} trellis outputs"
+        )
+    G, S = spec.symbol_group, spec.state_group
+    parts = [_product_apply([m], _adjoin(S, G)) for m in _messages([fwd], S, True)]
+    parts += [_product_apply([m], _lift(S, next_state_hom(spec)))
+              for m in _messages([bwd], S, True)]
+    parts += [_product_apply([m], _lift(spec.output_group, L))
+              for m, L in zip(_messages(obs, spec.output_group), spec.outputs)]
+    sym = _messages((symbol_obs, apriori), G, True)
+    if sym:
+        parts.append(_product_apply([_equality_fold(sym, G)], _lift(G, symbol_projection(spec))))
+    if not parts:
+        raise ValidationError("branch posterior needs at least one incoming message")
+    return _equality_fold(parts, spec.branch_group)
+
 
 
 def test_shift_register_validates():
@@ -380,8 +418,10 @@ def test_decode_block_population_matches_exact():
 
 
 def test_decode_block_population_bytes_fixed(monkeypatch):
-    # one seed gives one result, whatever the row blocking of the kernels
+    # one seed gives one result, whatever the row blocking of the kernels and
+    # the section blocking of the sweeps, extrinsics and posteriors
     import abelianbp.factors as factors
+    import abelianbp.trellis as trellis
 
     spec, obs, sym, apr = _constituent_block(T=4)
 
@@ -395,6 +435,81 @@ def test_decode_block_population_bytes_fixed(monkeypatch):
     for floats in (1, 27 * 9 * 7):
         monkeypatch.setattr(factors, "_BLOCK_FLOATS", floats)
         assert run() == first
+    for floats in (1, 27 * 60 * 2):          # one and two sections per block
+        monkeypatch.setattr(trellis, "_BLOCK_FLOATS", floats)
+        assert run() == first
+
+
+def _tracker_decode(spec, obs_seq, seed, symbol_obs_seq=None, apriori_seq=None, samples=1):
+    """Sampled `decode_block` as a loop of tracker steps: each step one
+    `_step_rule` call through `Tracker("sampled")`, which draws the step's
+    uniforms when it runs.  Returns (posterior, extrinsic) per section."""
+    apply = Tracker("sampled", seed, 0.0, samples)
+    T, n_obs = len(obs_seq), [len(obs) for obs in obs_seq]
+    rule = {(kind, n): _step_rule(spec, kind, n) for n in set(n_obs)
+            for kind in ("forward", "backward", "extrinsic")}
+    inputs = [[apply.entry(m) for m in (*_messages(obs, spec.output_group),
+                                        *_messages(side, spec.symbol_group, True))]
+              for obs, side in zip(obs_seq, zip(symbol_obs_seq or [None] * T,
+                                                apriori_seq or [None] * T))]
+    start = apply.entry(_boundary(spec))
+    fwd, bwd = [start], [start]
+    for t in range(T):
+        r = rule["forward", n_obs[t]]
+        r = r._replace(herald=(f"fwd[t={t}]:marg", *r.herald[1:]))
+        fwd.append(apply.step(r, [fwd[t], *inputs[t]]))
+    for t in range(T - 1, -1, -1):
+        r = rule["backward", n_obs[t]]
+        r = r._replace(herald=(f"bwd[t={t}]:marg", *r.herald[1:]))
+        bwd.append(apply.step(r, [bwd[-1], *inputs[t]]))
+    bwd.reverse()
+    results = []
+    for t, n in enumerate(n_obs):
+        ext = apply.step(rule["extrinsic", n], [fwd[t], bwd[t + 1], *inputs[t][:n]])
+        post = ext
+        for m in inputs[t][n:]:
+            post = apply.step(_equality(spec.symbol_group), [post, m])
+        results.append((post, ext))
+    return results
+
+
+def _identity_cases():
+    rng = np.random.default_rng(21)
+    spec, obs, sym, apr = _constituent_block(T=6)
+    two = shift_register_trellis(Z3, 2, [[1, 1, 0], [1, 0, 2]])
+    counts = [2, 1, 0, 2, 0, 1, 2]
+    v4, q5 = _section_cases()["z2xz2"][0], transfer_function_trellis([1, 0, 1], [1, 1, 1], 5)
+    V, Z5 = v4.symbol_group, GroupSpec((5,))
+    return {
+        "constituent": (spec, obs, sym, apr),
+        "no-symbol-side": (spec, obs, None, None),
+        "unknown-boundary": (replace(spec, boundary="unknown"), obs, sym, apr),
+        "two-output-varying-obs": (two, [[rand_lam(Z3, rng) for _ in range(c)] for c in counts],
+                                   [rand_lam(Z3, rng) if t % 3 else None for t in range(7)],
+                                   None),
+        "z2xz2": (v4, [[rand_lam(GroupSpec((2,)), rng) for _ in range(2)] for _ in range(5)],
+                  [rand_lam(V, rng) for _ in range(5)], [None, rand_lam(V, rng), None, None,
+                                                         rand_lam(V, rng)]),
+        "q5": (q5, [[rand_lam(Z5, rng)] for _ in range(6)], [rand_lam(Z5, rng) for _ in range(6)],
+               [rand_lam(Z5, rng) if t % 2 else None for t in range(6)]),
+    }
+
+
+@pytest.mark.parametrize("samples", [1, 60])
+@pytest.mark.parametrize("case", list(_identity_cases()))
+def test_sampled_decode_block_matches_tracker_loop_bytes(case, samples):
+    """The bare sweeps and batched passes give the bytes of the tracker loop:
+    lists, probabilities and labels of every posterior and extrinsic."""
+    spec, obs, sym, apr = _identity_cases()[case]
+    want = _tracker_decode(spec, obs, 3, symbol_obs_seq=sym, apriori_seq=apr, samples=samples)
+    got = decode_block(spec, obs, mode="sampled", seed=3, symbol_obs_seq=sym, apriori_seq=apr,
+                       samples=samples)
+    assert len(got) == len(want)
+    for r, msgs in zip(got, want):
+        for msg, ref in zip((r.posterior, r.extrinsic), msgs):
+            assert msg.lams.tobytes() == ref.lams.tobytes()
+            assert msg.probs.tobytes() == ref.probs.tobytes()
+            assert msg.labels == ref.labels
 
 
 def test_decode_block_one_trajectory_labels():
