@@ -161,10 +161,8 @@ def dual_image(H: HomSpec) -> DualSubgroup:
     non-surjective hom should restrict to the image first
     (`groups.surjection_onto_image`).
     """
-    hom_validate(H)
-    pulled = {dual_map(H, xi).index for xi in
-              (char_from_index(H.target, t) for t in range(H.target.order))}
-    if len(pulled) != H.target.order:
+    pulled = dual_map_table(H).tolist()
+    if len(set(pulled)) != H.target.order:
         raise ValidationError(
             "hom is not surjective; restrict to its image before taking the dual image"
         )
@@ -191,18 +189,12 @@ class CosetTable:
         return self.subgroup.group
 
 
-def _lex_order_indices(G: GroupSpec):
-    """All character indices sorted lexicographically by residue tuple."""
-    idx = sorted(range(G.order), key=lambda i: G.from_index(i).residues)
-    return idx
-
-
 def coset_table(sub: DualSubgroup) -> CosetTable:
     """Cosets of `sub`; representatives are lexicographically smallest tuples."""
     G = sub.group
     assigned = {}
     reps = []
-    for i in _lex_order_indices(G):
+    for i in sorted(range(G.order), key=lambda i: G.from_index(i).residues):   # lex order
         if i in assigned:
             continue
         reps.append(i)
@@ -216,20 +208,10 @@ def coset_table(sub: DualSubgroup) -> CosetTable:
 @functools.lru_cache(maxsize=None)
 def coset_table_for_hom(H: HomSpec) -> CosetTable:
     """Coset table of Im(dual_map) with residuals indexed by target characters."""
-    sub = dual_image(H)
-    G = H.source
-    pull = dual_map_table(H)
-    assigned = {}
-    reps = []
-    for i in _lex_order_indices(G):
-        if i in assigned:
-            continue
-        reps.append(i)
-        rep_chi = char_from_index(G, i)
-        for xi_idx in range(H.target.order):
-            member = dual_op(rep_chi, char_from_index(G, int(pull[xi_idx]))).index
-            assigned[member] = (i, xi_idx)
-    return CosetTable(sub, tuple(reps), assigned)
+    table = coset_table(dual_image(H))
+    xi_of = {pulled: xi for xi, pulled in enumerate(dual_map_table(H).tolist())}
+    return CosetTable(table.subgroup, table.reps,
+                      {chi: (rep, xi_of[s]) for chi, (rep, s) in table.membership.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,9 @@ class TurboSpec:
             for p, c in zip(self.parity_mults, self.constituents)
         ):
             raise ValidationError("turbo spec carries no informative stream")
+        if self.target_rate is not None and self.target_rate != self.rate:
+            raise ValidationError(f"target rate {self.target_rate} differs from the rate "
+                                  f"{self.rate} of the stream multiplicities")
 
     @property
     def symbol_group(self) -> GroupSpec:

@@ -16,10 +16,12 @@ Each rule is stated once, as a kernel on a batch of lists, one per row
 HeraldedMessage.  Kernels gather with `np.take`, whose C-ordered result makes
 numpy sum each row in the same order as one 1-D list.
 
-Trackers apply rules through `Tracker`: exact mode over the branch product
-of heralded mixtures (`_product_apply`), sampled mode on populations of herald
+Trackers apply rules through `Tracker`, which checks a run's mode, prune
+threshold, sample count and seed: exact mode over the branch product of
+heralded mixtures (`_product_apply`), sampled mode on populations of herald
 trajectories, one kernel call and one herald draw per rule application; both
-run the kernel on the same row blocks (`_in_blocks`).
+run the kernel on the same row blocks (`_in_blocks`).  Adjoining a uniform
+symbol is `_lift` along the projection that drops it.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ from .groups import (
     direct_product,
     hom_validate,
     is_automorphism,
+    projection_hom,
     surjection_onto_image,
 )
-from .messages import (PROB_FLOOR, HeraldedMessage, _gather, guard, herald_rng, merge_duplicates,
-                       product_labels)
+from .messages import (PROB_FLOOR, HeraldedMessage, _gather, check_prune_eps, guard,
+                       merge_duplicates, product_labels)
 
 #: Kernel temporaries per block of branch tuples, in floats.
 _BLOCK_FLOATS = 1 << 18
@@ -165,13 +168,8 @@ def _automorphism(G: GroupSpec, phi: HomSpec) -> _Rule:
 
 @functools.lru_cache(maxsize=None)
 def _adjoin(G: GroupSpec, fresh: GroupSpec) -> _Rule:
-    out_group, nf = direct_product(fresh, G), fresh.order
-
-    def rows(A):
-        out = np.zeros((len(A), out_group.order))
-        out.reshape(len(A), G.order, nf)[:, :, 0] = nf * A   # index = eta + nf * zeta
-        return out
-    return _Rule(out_group, rows)
+    drop = projection_hom(direct_product(fresh, G), range(fresh.rank, fresh.rank + G.rank))
+    return _lift(G, drop)
 
 
 def _run(rule: _Rule, operands, offset: int = 0):
@@ -301,8 +299,8 @@ def adjoin_uniform(lam: EigenList, fresh: GroupSpec) -> EigenList:
     """Adjoin an independent uniform symbol as a new *first* coordinate.
 
     Output lives on fresh x G with mass ``|fresh| * lam[zeta]`` on the
-    (trivial, zeta) slice; identical to lifting along the projection that
-    drops the fresh coordinate.
+    (trivial, zeta) slice: the lift (`lift_along_hom`) along the projection
+    that drops the fresh coordinate.
     """
     return _pure(_adjoin(lam.group, fresh), lam)
 
@@ -364,7 +362,8 @@ def _product_apply(msgs, rule: _Rule) -> HeraldedMessage:
 
 
 class Tracker:
-    """How a tracker run applies rules, after `herald_rng`'s checks.
+    """How a tracker run applies rules, after checking its mode, prune
+    threshold, sample count and seed; `rng` is None in exact mode.
 
     Exact mode runs a rule over the branch product of its input mixtures
     (`_product_apply`), and `guard` is `messages.guard`.  Sampled mode runs
@@ -377,7 +376,14 @@ class Tracker:
     """
 
     def __init__(self, mode: str, seed: int | None, prune_eps: float, samples: int = 1):
-        self.rng, self.samples = herald_rng(mode, seed, prune_eps, samples), samples
+        if mode not in ("exact", "sampled"):
+            raise ValidationError(f"unknown mode {mode!r}")
+        check_prune_eps(prune_eps)
+        if samples < 1:
+            raise ValidationError(f"samples must be at least 1, got {samples}")
+        if mode == "sampled" and seed is None:
+            raise ValidationError("sampled mode requires a seed")
+        self.rng, self.samples = None if mode == "exact" else np.random.default_rng(seed), samples
 
     def entry(self, msg: HeraldedMessage) -> HeraldedMessage:
         S, k = self.samples, len(msg)
@@ -395,7 +401,7 @@ class Tracker:
         lams, h = _in_blocks(lambda s: sample_rows(rule, [m.lams[s] for m in msgs], u[s]),
                              rule, msgs, S)
         herald = None if h is None else (*rule.herald[:2], rule.herald[2][h])
-        labels = product_labels([m._labels for m in msgs], [np.arange(S)] * len(msgs), herald)
+        labels = product_labels([m._labels for m in msgs], [None] * len(msgs), herald)
         return HeraldedMessage._make(rule.group, msgs[0].probs,
                                      EigenList.checked_rows(rule.group, lams), labels)
 

@@ -178,14 +178,6 @@ def hom_validate(H: HomSpec) -> None:
                 )
 
 
-def is_valid_hom(H: HomSpec) -> bool:
-    try:
-        hom_validate(H)
-    except ValidationError:
-        return False
-    return True
-
-
 def hom_eval(H: HomSpec, g: GroupElement) -> GroupElement:
     if g.group.moduli != H.source.moduli:
         raise ValidationError("element does not belong to the source group")
@@ -239,7 +231,9 @@ def is_surjective(H: HomSpec) -> bool:
 def is_automorphism(H: HomSpec) -> bool:
     if H.source.moduli != H.target.moduli:
         return False
-    if not is_valid_hom(H):
+    try:
+        hom_validate(H)
+    except ValidationError:
         return False
     return len(hom_image(H)) == H.source.order
 

@@ -75,17 +75,18 @@ class Labels:
 
 def product_labels(parents, cols, herald=None) -> Labels:
     """Branch o of a branch product: the labels of branch ``cols[j][o]`` of
-    each parent j, then its herald label; ``herald`` is (kind, group, index
-    per branch)."""
+    each parent j (of branch o itself where ``cols[j]`` is None), then its
+    herald label; ``herald`` is (kind, group, index per branch)."""
     def build(*rendered):
-        rows = zip(*(c.tolist() for c in cols)) if cols else [()] * len(herald[2])
-        labs = [sum((r[i] for r, i in zip(rendered, row)), ()) for row in rows]
+        rows = [r if c is None else [r[i] for i in c.tolist()] for r, c in zip(rendered, cols)]
+        labs = (functools.reduce(lambda a, b: list(map(tuple.__add__, a, b)), rows) if rows
+                else [()] * len(herald[2]))
         if herald is None:
             return labs
         kind, G, hidx = herald
-        names = {h: f"{kind}:({','.join(map(str, G.from_index(h).residues))})"
+        names = {h: (f"{kind}:({','.join(map(str, G.from_index(h).residues))})",)
                  for h in set(hidx.tolist())}
-        return [lab + (names[h],) for lab, h in zip(labs, hidx.tolist())]
+        return list(map(tuple.__add__, labs, map(names.__getitem__, hidx.tolist())))
     return Labels(parents, build)
 
 
@@ -282,22 +283,6 @@ def prune(msg: HeraldedMessage, eps: float) -> HeraldedMessage:
 def check_prune_eps(eps: float) -> None:
     if not 0 <= eps < 0.5:
         raise ValidationError(f"prune threshold {eps} outside [0, 0.5)")
-
-
-def herald_rng(mode: str, seed: int | None, prune_eps: float,
-               samples: int = 1) -> np.random.Generator | None:
-    """Check a tracker's mode, prune threshold and sample count; the herald
-    generator in sampled mode, else None."""
-    if mode not in ("exact", "sampled"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    check_prune_eps(prune_eps)
-    if samples < 1:
-        raise ValidationError(f"samples must be at least 1, got {samples}")
-    if mode == "exact":
-        return None
-    if seed is None:
-        raise ValidationError("sampled mode requires a seed")
-    return np.random.default_rng(seed)
 
 
 class GuardWarning(RuntimeWarning):

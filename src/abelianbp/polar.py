@@ -36,7 +36,7 @@ from .errors import ValidationError
 from .factors import _Rule, _automorphism, _equality, _product_apply, _same_group, sample_rows
 from .groups import (GroupSpec, HomSpec, direct_product, inversion_automorphism,
                      is_automorphism, is_surjective)
-from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, guard, herald_rng, pure
+from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, guard, pure
 
 DEFAULT_EXACT_LEVELS = 4
 DEFAULT_SAMPLES = 1000
@@ -187,7 +187,7 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
         raise ValidationError("levels must be nonnegative")
     if mode == "auto":
         mode = "exact" if levels <= DEFAULT_EXACT_LEVELS else "sampled"
-    rng = herald_rng(mode, seed, prune_eps, samples)
+    rng = factors.Tracker(mode, seed, prune_eps, samples).rng
     G, n = base.group, base.group.order
     rules = (_arikan_rules(G) if kernel is None
              else (_kernel_minus_rule(G, kernel), _kernel_plus_rule(G, kernel)))

@@ -21,6 +21,8 @@ document re-parses to bit-identical values.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 from fractions import Fraction
 
@@ -179,11 +181,18 @@ def schema_validate(document, kind: str) -> None:
     """
     if kind not in SCHEMAS:
         raise ValidationError(f"unknown schema kind {kind!r}")
-    try:
-        jsonschema.validate(document, SCHEMAS[kind])
-    except jsonschema.ValidationError as exc:
+    # the error `jsonschema.validate` raises, without checking the schema again
+    exc = jsonschema.exceptions.best_match(_validator(kind).iter_errors(document))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
         raise ValidationError(f"{kind} schema violation at {path}: {exc.message}") from exc
+
+
+@functools.lru_cache(maxsize=None)
+def _validator(kind: str):
+    cls = jsonschema.validators.validator_for(SCHEMAS[kind])
+    cls.check_schema(SCHEMAS[kind])
+    return cls(SCHEMAS[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +320,8 @@ def parse_trellis(doc) -> TrellisSpec:
             )
         spec = transfer_function_trellis(tf["p"], tf["q"], tf["modulus"])
         if "boundary" in doc or doc.get("block_length") is not None:
-            from dataclasses import replace
-            spec = replace(spec, boundary=doc.get("boundary", spec.boundary),
-                           block_length=doc.get("block_length"))
+            spec = dataclasses.replace(spec, boundary=doc.get("boundary", spec.boundary),
+                                       block_length=doc.get("block_length"))
         return spec
     needed = {"symbol_group", "memory", "output_group", "outputs",
               "section_automorphism"}
@@ -344,7 +352,10 @@ def dump_turbo(spec: TurboSpec) -> dict:
 
 def parse_turbo(doc) -> TurboSpec:
     schema_validate(doc, "turbo")
-    rate = Fraction(doc["target_rate"]) if "target_rate" in doc else None
+    try:
+        rate = Fraction(doc["target_rate"]) if "target_rate" in doc else None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"target_rate {doc['target_rate']!r} is not a fraction") from exc
     return TurboSpec(
         tuple(parse_trellis(c) for c in doc["constituents"]),
         systematic_mult=doc.get("systematic_mult", 1),
@@ -354,16 +365,7 @@ def parse_turbo(doc) -> TurboSpec:
 
 
 def dump_deconfig(cfg: DEConfig) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "population": cfg.population,
-        "max_iterations": cfg.max_iterations,
-        "window": cfg.window,
-        "err_threshold": cfg.err_threshold,
-        "stall_rel": cfg.stall_rel,
-        "stall_window": cfg.stall_window,
-        "master_seed": cfg.master_seed,
-    }
+    return {"version": SCHEMA_VERSION, **dataclasses.asdict(cfg)}
 
 
 def parse_deconfig(doc) -> DEConfig:

@@ -15,7 +15,8 @@ columns (`_Section`).  Exact `decode_block` runs it as one rule per step over
 the branch product (`_step_rule`, `factors.Tracker`).  Sampled `decode_block`
 and density evolution run it bare: a sweep is one kernel call and one herald
 draw per step for all tracked trajectories (`_sweep`), and the extrinsics are
-batched on column blocks.
+batched on column blocks.  Both modes of `decode_block` build a section's
+parity and symbol-side lists with `_input_lists`.
 
 Rational transfer functions G(D) = p(D)/q(D) over Z_n (with invertible q(0))
 compile to a single-parity section in controller canonical form; feedforward
@@ -276,24 +277,33 @@ def _sweep(state: np.ndarray, steps, u: np.ndarray):
 
 
 @functools.lru_cache(maxsize=None)
+def _input_lists(spec: TrellisSpec):
+    """``build(obs, sym, width)``: a section's parity list (its lifted
+    observations, equality-combined) and symbol-side list (its symbol messages,
+    equality-combined), as (|B|, width) and (q, width) columns from (width, .)
+    operand rows; useless without operands."""
+    lifts = [_lift(spec.output_group, L).rows for L in spec.outputs]
+    kinds = [(_equality(g).rows, useless_list(g).values[:, None])
+             for g in (spec.branch_group, spec.symbol_group)]
+
+    def build(obs, sym, width: int):
+        return [functools.reduce(eq, xs).T if xs else nil.repeat(width, 1)
+                for (eq, nil), xs in zip(kinds, ([f(o) for f, o in zip(lifts, obs)], sym))]
+    return build
+
+
+@functools.lru_cache(maxsize=None)
 def _step_rule(spec: TrellisSpec, kind: str, n_obs: int) -> _Rule:
     """A step as one rule on rows of (state, [backward state,] observations...,
-    symbol messages...); the symbol messages are equality-combined first."""
+    symbol messages...); the section's input lists come from `_input_lists`."""
     sec, states = _section(spec, kind, n_obs), 2 if kind == "extrinsic" else 1
     kept, dropped = ((spec.symbol_group, spec.state_group) if states == 2
                      else (spec.state_group, spec.symbol_group))
-    lifts = [_lift(spec.output_group, L) for L in spec.outputs[:n_obs]]
-    eq_b, eq_g = _equality(spec.branch_group), _equality(spec.symbol_group)
-    none_b = useless_list(spec.branch_group).values[:, None]
-    none_g = useless_list(spec.symbol_group).values[:, None]
-    nb, nd = spec.branch_group.order, dropped.order
+    build, nb, nd = _input_lists(spec), spec.branch_group.order, dropped.order
 
     def rows(*ops):
-        obs, sym = ops[states:states + n_obs], ops[states + n_obs:]
-        parity = (functools.reduce(eq_b.rows, [f.rows(o) for f, o in zip(lifts, obs)]).T
-                  if obs else none_b)
-        second = ops[1].T if states == 2 else (
-            functools.reduce(eq_g.rows, sym).T if sym else none_g)
+        parity, side = build(ops[states:states + n_obs], ops[states + n_obs:], len(ops[0]))
+        second = ops[1].T if states == 2 else side
         grid = sec.branch(ops[0].T, sec.weights(parity), second).transpose(2, 1, 0)
         probs = grid.sum(axis=2) / nb
         return probs, lambda sel: grid[sel] / (nd * probs[sel])[:, None]
@@ -369,8 +379,7 @@ def _sampled_block(spec: TrellisSpec, inputs, n_obs, start: HeraldedMessage,
     backward sweep (row k: section T - 1 - k) and the extrinsics."""
     T, S, G, GS = len(inputs), len(start), spec.symbol_group, spec.state_group
     u_fwd, u_bwd, u_ext = (rng.random((T, S)) for _ in range(3))
-    eq_b, eq_g = _equality(spec.branch_group), _equality(G)
-    none_b, none_g = (useless_list(g).values[:, None] for g in (spec.branch_group, G))
+    eq_g, build = _equality(G), _input_lists(spec)
     size = max(1, _BLOCK_FLOATS // (spec.branch_group.order * S))
     blocks, lo = [], 0
     for t in range(1, T + 1):
@@ -378,15 +387,12 @@ def _sampled_block(spec: TrellisSpec, inputs, n_obs, start: HeraldedMessage,
             blocks.append(range(lo, t))
             lo = t
     # each section's symbol-side list, for both sweeps
-    sides = [functools.reduce(eq_g.rows, [m.lams for m in ins[n:]]).T if len(ins) > n
-             else none_g for ins, n in zip(inputs, n_obs)]
+    sides = [build([], [m.lams for m in ins[n:]], S)[1] for ins, n in zip(inputs, n_obs)]
 
-    def weights(kind, ts):      # on the parity lists: lifted observations, equality-combined
+    def weights(kind, ts):      # on the block's parity lists
         n = n_obs[ts[0]]
-        lifted = [_lift(spec.output_group, L).rows(np.concatenate([inputs[t][i].lams for t in ts]))
-                  for i, L in enumerate(spec.outputs[:n])]
-        parity = functools.reduce(eq_b.rows, lifted).T if n else none_b.repeat(len(ts) * S, 1)
-        return _section(spec, kind, n).weights(parity)
+        obs = [np.concatenate([inputs[t][i].lams for t in ts]) for i in range(n)]
+        return _section(spec, kind, n).weights(build(obs, [], len(ts) * S)[0])
 
     def steps(kind, order):
         for ts in order:
@@ -415,10 +421,10 @@ def _sampled_block(spec: TrellisSpec, inputs, n_obs, start: HeraldedMessage,
             y = np.concatenate([inputs[t][n + j].lams for t in ts if len(inputs[t]) - n > j])
             acc[np.repeat(k > j, S)] = eq_g.rows(acc[np.repeat(k > j, S)], y)
         post[cols] = EigenList.checked_rows(G, acc)
-    every, labs = np.arange(S), [[m._labels for m in ins] for ins in inputs]
+    labs = [[m._labels for m in ins] for ins in inputs]
 
     def node(parents, herald=None):
-        return product_labels(parents, [every] * len(parents), herald)
+        return product_labels(parents, [None] * len(parents), herald)
 
     f_lab, b_lab = [start._labels], [start._labels]     # b_lab[k]: boundary T - k
     for t in range(T):

@@ -1,12 +1,13 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from abelianbp import EigenList, GroupSpec
 from abelianbp.cli import main
-from abelianbp.de import DEConfig, standard_turbo
+from abelianbp.de import DEConfig, TurboSpec, standard_turbo
 from abelianbp.schemas import (
     dump_deconfig,
     dump_eigenlist,
@@ -25,7 +26,7 @@ from abelianbp.schemas import (
 )
 from abelianbp.errors import ValidationError
 from abelianbp.trees import FactorGraphSpec, FactorNode, leaf
-from abelianbp.trellis import transfer_function_trellis
+from abelianbp.trellis import transfer_function_trellis, unroll_to_tree
 
 Z32 = GroupSpec((3, 2))
 LAM1 = EigenList(Z32, [2, 1, 0, 2, 1, 0])
@@ -96,6 +97,25 @@ def test_turbo_and_config_roundtrip():
     cfg = DEConfig(population=10, window=5, master_seed=3)
     back_cfg = parse_deconfig(json.loads(to_json(dump_deconfig(cfg))))
     assert back_cfg == cfg
+
+
+def test_parsing_a_graph_checks_each_schema_at_most_once(monkeypatch):
+    import jsonschema
+
+    from abelianbp.schemas import SCHEMAS
+
+    lam = EigenList(GroupSpec((3,)), [2.3, 0.35, 0.35])
+    doc = json.loads(to_json(dump_graph(unroll_to_tree(
+        transfer_function_trellis([1, 0, 1], [1, 1, 1], 3), [[lam]] * 2, 1,
+        symbol_obs_seq=[lam] * 2))))
+    cls, seen = jsonschema.validators.validator_for(SCHEMAS["graph"]), []
+    check = cls.check_schema
+    monkeypatch.setattr(cls, "check_schema", staticmethod(
+        lambda schema, *args, **kwargs: (seen.append(id(schema)), check(schema, *args, **kwargs))))
+    assert parse_graph(doc).root == parse_graph(doc).root == "g1"
+    kinds = {id(schema): kind for kind, schema in SCHEMAS.items()}
+    assert {kinds[i] for i in seen} <= {"graph", "group", "hom", "message"}
+    assert len(seen) == len(set(seen))
 
 
 def test_schema_rejects_unknown_fields():
@@ -271,6 +291,23 @@ def test_de_threshold_command_fast(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert 1.0 < doc["lambda_de"] < 3.0
     assert doc["holevo_threshold"] == pytest.approx(2.7287, abs=1e-3)
+
+
+@pytest.mark.parametrize("rate", ["1/2", "1/4", "one third", "1/0"])
+def test_de_threshold_rejects_a_target_rate_the_streams_do_not_give(tmp_path, capsys, rate):
+    doc = dump_turbo(standard_turbo(3))
+    documented = {**doc, "target_rate": "1/3"}     # the example in docs/file-formats.md
+    assert parse_turbo(json.loads(to_json(documented))).target_rate == Fraction(1, 3)
+    t, cfg = tmp_path / "turbo.json", tmp_path / "cfg.json"
+    t.write_text(to_json({**doc, "target_rate": rate}))
+    cfg.write_text(to_json(dump_deconfig(
+        DEConfig(population=100, max_iterations=10, window=11, master_seed=1))))
+    code, out, err = run_cli(capsys, "de", "threshold", "--turbo", str(t), "--config", str(cfg),
+                             "--resolution", "0.25", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "validation"
+    with pytest.raises(ValidationError, match="target rate"):
+        TurboSpec(standard_turbo(3).constituents, target_rate=Fraction(1, 2))
 
 
 def test_de_heatmap_command(tmp_path, capsys):

@@ -356,6 +356,18 @@ def test_adjoin_uniform():
         assert np.max(np.abs(adj.values - lift_along_hom(lam, proj).values)) < 1e-12
 
 
+@pytest.mark.parametrize("moduli", [(3,), (3, 2), (4,)])
+@pytest.mark.parametrize("fresh", [(2,), (3,), (2, 2)])
+def test_adjoin_uniform_is_the_lift_along_the_dropping_projection(moduli, fresh):
+    G, F = GroupSpec(moduli), GroupSpec(fresh)
+    rng = np.random.default_rng(len(moduli) * 10 + len(fresh) + moduli[0] * fresh[0])
+    drop = projection_hom(GroupSpec(fresh + moduli), range(len(fresh), len(fresh) + len(moduli)))
+    for lam in [useless_list(G), perfect_list(G)] + [rand_lam(G, rng) for _ in range(10)]:
+        adj = adjoin_uniform(lam, F)
+        assert adj.group.moduli == fresh + moduli
+        assert adj.values.tobytes() == lift_along_hom(lam, drop).values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
