@@ -8,7 +8,8 @@ like elements (self-duality):
 Character indices share the canonical mixed-radix linear order of elements
 (first coordinate fastest).  Phases are accumulated as exact integers over a
 common denominator lcm(n_j) before a single complex exponential, so unit-circle
-values carry no accumulation error.
+values carry no accumulation error.  The dual map of a hom is itself a hom,
+`dual_hom`, so `groups.hom_table` is the single place where it acts on indices.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ from .groups import (
     GroupElement,
     GroupSpec,
     HomSpec,
+    digits,
+    hom_eval,
+    hom_table,
     hom_validate,
+    index_array,
 )
 
 
@@ -90,35 +95,31 @@ def dual_inv(c: CharIndex) -> CharIndex:
 # dual maps of homomorphisms
 
 
-def dual_map(H: HomSpec, xi: CharIndex) -> CharIndex:
-    """Pullback of the target character `xi` along H: (xi o H) on the source.
+@functools.lru_cache(maxsize=None)
+def dual_hom(H: HomSpec) -> HomSpec:
+    """The dual map of H, a hom from the target's characters to the source's.
 
-    Closed form: coordinate j of the result is
+    Closed form: it pulls xi = (r_i) back to the character with coordinate j
     ``sum_i r_i * (n_j * M[i][j] / m_i)  mod n_j`` -- every summand is an
-    integer exactly when H is a valid homomorphism.
+    integer exactly when H is a valid homomorphism, and the matrix
+    ``n_j * M[i][j] / m_i`` is a valid hom since ``m_i`` times it is 0 mod n_j.
     """
+    hom_validate(H)
+    return HomSpec(H.target, H.source, tuple(
+        tuple(n * H.matrix[i][j] // m for i, m in enumerate(H.target.moduli))
+        for j, n in enumerate(H.source.moduli)))
+
+
+def dual_map(H: HomSpec, xi: CharIndex) -> CharIndex:
+    """Pullback of the target character `xi` along H: (xi o H) on the source."""
     if xi.group.moduli != H.target.moduli:
         raise ValidationError("character does not belong to the target group")
-    hom_validate(H)
-    res = []
-    for j, n in enumerate(H.source.moduli):
-        acc = 0
-        for i, m in enumerate(H.target.moduli):
-            acc += xi.residues[i] * ((n * H.matrix[i][j]) // m)
-        res.append(acc % n)
-    return CharIndex(H.source, tuple(res))
+    return CharIndex(H.source, hom_eval(dual_hom(H), H.target.element(xi.residues)).residues)
 
 
-@functools.lru_cache(maxsize=None)
 def dual_map_table(H: HomSpec) -> np.ndarray:
     """Array mapping each target character index to its pullback's source index."""
-    hom_validate(H)
-    n2 = H.target.order
-    out = np.empty(n2, dtype=np.int64)
-    for t in range(n2):
-        out[t] = dual_map(H, char_from_index(H.target, t)).index
-    out.setflags(write=False)
-    return out
+    return hom_table(dual_hom(H))
 
 
 @dataclass(frozen=True)
@@ -137,17 +138,16 @@ class DualSubgroup:
             raise ValidationError("dual subgroup must contain the trivial character")
         if self.group.order % len(mem) != 0:
             raise ValidationError("subgroup size does not divide the dual order")
-        member_set = set(mem)
-        for i in mem:
-            ci = char_from_index(self.group, i)
-            if dual_inv(ci).index not in member_set:
-                raise ValidationError(f"dual subgroup not closed under inverse at {ci}")
+        if not (0 <= mem[0] and mem[-1] < self.group.order):
+            raise ValidationError(f"member index out of range for order {self.group.order}")
+        res = digits(self.group, mem)
+        outside = np.flatnonzero(~np.isin(index_array(self.group, -res), mem))
+        if outside.size:
+            ci = CharIndex(self.group, res[outside[0]])
+            raise ValidationError(f"dual subgroup not closed under inverse at {ci}")
         # closure under the dual product (sufficient with inverses above)
-        for i in mem:
-            ci = char_from_index(self.group, i)
-            for j in mem:
-                if dual_op(ci, char_from_index(self.group, j)).index not in member_set:
-                    raise ValidationError("dual subgroup not closed under product")
+        if not all(np.isin(index_array(self.group, res + r), mem).all() for r in res):
+            raise ValidationError("dual subgroup not closed under product")
 
     @property
     def size(self) -> int:
@@ -192,16 +192,15 @@ class CosetTable:
 def coset_table(sub: DualSubgroup) -> CosetTable:
     """Cosets of `sub`; representatives are lexicographically smallest tuples."""
     G = sub.group
+    members = digits(G, sub.members)
+    d = digits(G, np.arange(G.order))
     assigned = {}
     reps = []
-    for i in sorted(range(G.order), key=lambda i: G.from_index(i).residues):   # lex order
-        if i in assigned:
-            continue
-        reps.append(i)
-        rep_chi = char_from_index(G, i)
-        for s in sub.members:
-            member = dual_op(rep_chi, char_from_index(G, s)).index
-            assigned[member] = (i, s)
+    for i in sorted(range(G.order), key=d.tolist().__getitem__):   # lex order
+        if i not in assigned:
+            reps.append(i)
+            coset = index_array(G, d[i] + members).tolist()
+            assigned.update(zip(coset, ((i, s) for s in sub.members)))
     return CosetTable(sub, tuple(reps), assigned)
 
 
@@ -226,34 +225,13 @@ class GroupTables:
     """
 
     def __init__(self, moduli: tuple[int, ...]):
-        G = GroupSpec(moduli)
-        self.group = G
-        N = G.order
-        k = G.rank
-        digits = np.zeros((N, k), dtype=np.int64)
-        tmp = np.arange(N)
-        for j, n in enumerate(moduli):
-            digits[:, j] = tmp % n
-            tmp = tmp // n
-        self.digits = digits
-        strides = np.empty(k, dtype=np.int64)
-        s = 1
-        for j, n in enumerate(moduli):
-            strides[j] = s
-            s *= n
-        add = np.zeros((N, N), dtype=np.int64)
-        neg = np.zeros(N, dtype=np.int64)
-        for j, n in enumerate(moduli):
-            add += ((digits[:, None, j] + digits[None, :, j]) % n) * strides[j]
-            neg += ((-digits[:, j]) % n) * strides[j]
-        self.add = add
-        self.neg = neg
-        self.sub = add[:, neg]
+        G = self.group = GroupSpec(moduli)
+        d = self.digits = digits(G, np.arange(G.order))
+        self.add = np.stack([index_array(G, d + row) for row in d])   # rows: no N^2 x rank array
+        self.neg = index_array(G, -d)
+        self.sub = self.add[:, self.neg]
         L = G.exponent()
-        phase = np.zeros((N, N), dtype=np.int64)
-        for j, n in enumerate(moduli):
-            w = L // n
-            phase = (phase + np.outer(digits[:, j], digits[:, j]) * w) % L
+        phase = (d * np.array([L // n for n in moduli], dtype=np.int64)) @ d.T % L
         self.chars = np.exp(2j * np.pi * phase / L)
 
     @property

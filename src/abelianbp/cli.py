@@ -101,13 +101,10 @@ def _emit(doc, path=None):
         sys.stdout.write(text)
 
 
-def _parse_lambda(args) -> EigenList:
-    if args.infile:
-        return parse_eigenlist(_load_json(args.infile))
-    if args.lam is None or args.group is None:
-        raise ValidationError("need either --in FILE or both --lambda and --group")
-    return EigenList(parse_group(_inline_or_file(args.group)),
-                     json.loads(args.lam))
+def _inline_lambda(args) -> EigenList:
+    """--group and --lambda, checked by the eigen-list schema as --in is."""
+    group = dump_group(parse_group(_inline_or_file(args.group)))
+    return parse_eigenlist({"group": group, "values": json.loads(args.lam)})
 
 
 def build_parser() -> _Parser:
@@ -219,7 +216,7 @@ def _cmd_factor(args):
     kind = args.kind
     if kind in ("check", "equality") and len(lams) != 2:
         raise ValidationError(f"{kind} expects exactly two eigen lists")
-    if kind in ("hom", "hom-supported", "lift") and args.hom is None:
+    if kind in ("hom", "hom-supported", "lift", "automorphism") and args.hom is None:
         raise ValidationError(f"{kind} needs --hom")
     if kind == "check":
         out = check_combine(lams[0], lams[1])
@@ -242,7 +239,12 @@ def _cmd_factor(args):
 
 
 def _cmd_measures(args):
-    lam = _parse_lambda(args)
+    if args.infile:
+        lam = parse_eigenlist(_load_json(args.infile))
+    elif args.lam is None or args.group is None:
+        raise ValidationError("need either --in FILE or both --lambda and --group")
+    else:
+        lam = _inline_lambda(args)
     _emit({"holevo_bits": holevo_info(lam), "fidelity": channel_fidelity(lam),
            "pgm_error": pgm_error(lam)}, args.out)
 
@@ -270,8 +272,7 @@ def _cmd_mp_run(args):
 
 
 def _cmd_polar_construct(args):
-    G = parse_group(_inline_or_file(args.group))
-    lam = EigenList(G, json.loads(args.lam))
+    lam = _inline_lambda(args)
     mode = args.mode
     if mode == "auto":
         mode = "exact" if args.levels <= DEFAULT_EXACT_LEVELS else "sampled"

@@ -38,6 +38,7 @@ from .eigenlists import EigenList, holevo_info, pgm_rows, useless_list
 from .errors import NumericalError, ValidationError
 from .factors import equality_fold, lift_along_hom
 from .groups import GroupSpec
+from .messages import check_seed
 from .trellis import (_BLOCK_FLOATS, TrellisSpec, _draw, _gather, _section, _sweep,
                       transfer_function_trellis, validate_trellis)
 
@@ -56,13 +57,23 @@ def channel_family(q: int, lam0: float) -> EigenList:
     return EigenList(GroupSpec((q,)), [lam0] + [rest] * (q - 1))
 
 
+def parse_fraction(text: str, name: str) -> Fraction:
+    """`text` as an exact fraction such as "1/3"; `name` labels the error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{name} {text!r} is not a fraction") from exc
+
+
 def holevo_threshold(q: int, rate) -> float:
     """The lam0 where the family's Holevo information meets rate * log2(q).
 
     The information is strictly decreasing in lam0 on [1, q], so plain
     bisection resolves the crossing.
     """
-    rate = float(Fraction(rate) if isinstance(rate, str) else rate)
+    if q < 2:
+        raise ValidationError(f"q must be at least 2, got {q}")
+    rate = float(parse_fraction(rate, "rate") if isinstance(rate, str) else rate)
     if not 0.0 < rate < 1.0:
         raise ValidationError("rate must lie in (0, 1)")
     target = rate * math.log2(q)
@@ -159,6 +170,7 @@ class DEConfig:
             raise ValidationError("max_iterations and stall_window must be at least 1")
         if not 0.0 <= self.stall_rel < 1.0:
             raise ValidationError("stall tolerance must lie in [0, 1)")
+        check_seed(self.master_seed)
 
 
 def _fold(lam: EigenList, uses: int, G: GroupSpec) -> EigenList:
@@ -257,6 +269,7 @@ def de_run(spec: TurboSpec, config: DEConfig, channel, seed: int | None = None) 
     else:
         lam_ch = channel_family(spec.symbol_group.order, float(channel))
     seed = config.master_seed if seed is None else seed
+    check_seed(seed)
     pop = np.tile(useless_list(spec.symbol_group).values, (config.population, 1))
     result = DEResult(converged=False)
     for it in range(config.max_iterations):

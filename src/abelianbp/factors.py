@@ -38,12 +38,11 @@ from .groups import (
     GroupSpec,
     HomSpec,
     direct_product,
-    hom_validate,
     is_automorphism,
     projection_hom,
     surjection_onto_image,
 )
-from .messages import (PROB_FLOOR, HeraldedMessage, _gather, check_prune_eps, guard,
+from .messages import (PROB_FLOOR, HeraldedMessage, _gather, check_prune_eps, check_seed, guard,
                        merge_duplicates, product_labels)
 
 #: Kernel temporaries per block of branch tuples, in floats.
@@ -92,7 +91,6 @@ def _equality(G: GroupSpec) -> _Rule:
 def _hom(G: GroupSpec, H: HomSpec) -> _Rule:
     if G.moduli != H.source.moduli:
         raise ValidationError("eigen list does not live on the hom's source group")
-    hom_validate(H)
     surj, _ = surjection_onto_image(H)
     reps = np.array(coset_table_for_hom(surj).reps)
     n1, n2 = surj.source.order, surj.target.order
@@ -109,7 +107,6 @@ def _hom(G: GroupSpec, H: HomSpec) -> _Rule:
 def _surjective_pull(G: GroupSpec, on: GroupSpec, H: HomSpec, message: str) -> np.ndarray:
     if G.moduli != on.moduli:
         raise ValidationError(f"eigen list does not live on the hom's {message}")
-    hom_validate(H)
     pull = dual_map_table(H)
     if len(set(pull.tolist())) != H.target.order:
         raise ValidationError("hom is not surjective; restrict to its image first")
@@ -379,6 +376,7 @@ class Tracker:
         if mode not in ("exact", "sampled"):
             raise ValidationError(f"unknown mode {mode!r}")
         check_prune_eps(prune_eps)
+        check_seed(seed)
         if samples < 1:
             raise ValidationError(f"samples must be at least 1, got {samples}")
         if mode == "sampled" and seed is None:

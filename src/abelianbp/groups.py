@@ -10,15 +10,17 @@ mixed-radix expansion with the *first* coordinate fastest:
 
     index = a_0 + n_0 * (a_1 + n_1 * (a_2 + ...))
 
-All enumeration throughout the package follows this order.
+All enumeration throughout the package follows this order (`digits` and
+`index_array`).  `hom_table` is the single place where a hom acts on indices.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NumericalError, ValidationError
 
@@ -111,14 +113,10 @@ class GroupElement:
         return "(" + ",".join(map(str, self.residues)) + ")"
 
 
-def _require_same_group(g1: GroupElement, g2: GroupElement):
-    if g1.group.moduli != g2.group.moduli:
-        raise ValidationError(f"group mismatch: {g1.group} vs {g2.group}")
-
-
 def group_op(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Componentwise sum mod the moduli."""
-    _require_same_group(g1, g2)
+    if g1.group.moduli != g2.group.moduli:
+        raise ValidationError(f"group mismatch: {g1.group} vs {g2.group}")
     res = tuple((a + b) % n for a, b, n in zip(g1.residues, g2.residues, g1.group.moduli))
     return GroupElement(g1.group, res)
 
@@ -132,6 +130,25 @@ def element_order(g: GroupElement) -> int:
     if not g.group.moduli:
         return 1
     return math.lcm(*(n // math.gcd(a, n) for a, n in zip(g.residues, g.group.moduli)))
+
+
+def _strides(G: GroupSpec) -> np.ndarray:
+    """Place values of the canonical index; stride j is the index of e_j.
+    Exact Python integers once the order leaves int64."""
+    return np.cumprod((1,) + G.moduli, dtype=np.int64 if G.order < 2**63 else object)[:-1]
+
+
+def digits(G: GroupSpec, idx) -> np.ndarray:
+    """Residues of canonical indices, on a new last axis of length ``G.rank``."""
+    s = _strides(G)
+    return np.asarray(idx, dtype=s.dtype)[..., None] // s % np.array(G.moduli, s.dtype)
+
+
+def index_array(G: GroupSpec, residues) -> np.ndarray:
+    """Canonical indices of residue vectors on the last axis, each residue
+    taken mod its modulus; the inverse of `digits`."""
+    s = _strides(G)
+    return np.asarray(residues, dtype=s.dtype) % np.array(G.moduli, s.dtype) @ s
 
 
 # ---------------------------------------------------------------------------
@@ -188,43 +205,47 @@ def hom_eval(H: HomSpec, g: GroupElement) -> GroupElement:
     return GroupElement(H.target, res)
 
 
-def _check_enumeration_cap(H: HomSpec, cap: int):
+def _matrix(H: HomSpec, dtype) -> np.ndarray:
+    return np.array(H.matrix, dtype=dtype).reshape(H.target.rank, H.source.rank)
+
+
+@functools.lru_cache(maxsize=256)
+def hom_table(H: HomSpec) -> np.ndarray:
+    """Read-only array: the target index of H at every source index."""
+    hom_validate(H)
+    # every row sum of digit times entry is below |source| * |target|
+    dtype = np.int64 if H.source.order * H.target.order < 2**63 else object
+    images = digits(H.source, np.arange(H.source.order)).astype(dtype) @ _matrix(H, dtype).T
+    out = index_array(H.target, images % np.array(H.target.moduli, dtype))
+    out.setflags(write=False)
+    return out
+
+
+def _image_indices(H: HomSpec, cap: int) -> list[int]:
     if H.source.order > cap:
         raise ValidationError(
             f"source order {H.source.order} exceeds enumeration cap {cap}"
         )
+    return sorted(set(hom_table(H).tolist()))
 
 
 def hom_kernel(H: HomSpec, cap: int = ENUMERATION_CAP) -> tuple[GroupElement, ...]:
     """Kernel by exhaustive enumeration, in canonical index order."""
-    _check_enumeration_cap(H, cap)
-    hom_validate(H)
-    ker = []
-    image = set()
-    for g in H.source.elements():
-        h = hom_eval(H, g)
-        image.add(h.index)
-        if h.is_identity():
-            ker.append(g)
+    image = _image_indices(H, cap)
+    ker = np.flatnonzero(hom_table(H) == 0)
     if len(ker) * len(image) != H.source.order:  # pragma: no cover - structural identity
         raise NumericalError("|G| != |ker|*|Im| during enumeration")
-    return tuple(ker)
+    return tuple(H.source.from_index(i) for i in ker.tolist())
 
 
 def hom_image(H: HomSpec, cap: int = ENUMERATION_CAP) -> tuple[GroupElement, ...]:
     """Image subgroup as a tuple of target elements, sorted by canonical index."""
-    _check_enumeration_cap(H, cap)
-    hom_validate(H)
-    seen = {}
-    for g in H.source.elements():
-        h = hom_eval(H, g)
-        seen.setdefault(h.index, h)
-    return tuple(seen[i] for i in sorted(seen))
+    return tuple(H.target.from_index(i) for i in _image_indices(H, cap))
 
 
 @functools.lru_cache(maxsize=None)
 def is_surjective(H: HomSpec) -> bool:
-    return len(hom_image(H)) == H.target.order
+    return len(_image_indices(H, ENUMERATION_CAP)) == H.target.order
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,47 +256,37 @@ def is_automorphism(H: HomSpec) -> bool:
         hom_validate(H)
     except ValidationError:
         return False
-    return len(hom_image(H)) == H.source.order
+    return len(_image_indices(H, ENUMERATION_CAP)) == H.source.order
+
+
+def _from_columns(source: GroupSpec, target: GroupSpec, images) -> HomSpec:
+    """The hom sending generator e_j of `source` to target index ``images[j]``."""
+    return HomSpec(source, target, tuple(map(tuple, digits(target, images).T.tolist())))
 
 
 def invert_automorphism(H: HomSpec) -> HomSpec:
     """Inverse map, recovered from generator images after table inversion."""
     if not is_automorphism(H):
         raise ValidationError("not an automorphism; cannot invert")
-    G = H.source
-    table = {hom_eval(H, g).index: g for g in G.elements()}
-    cols = []
-    for j in range(G.rank):
-        gen = G.element(tuple(1 if t == j else 0 for t in range(G.rank)))
-        cols.append(table[gen.index].residues)
-    matrix = tuple(tuple(cols[j][i] for j in range(G.rank)) for i in range(G.rank))
-    return HomSpec(G, G, matrix)
+    return _from_columns(H.source, H.source, np.argsort(hom_table(H))[_strides(H.source)])
 
 
 def identity_hom(G: GroupSpec) -> HomSpec:
-    mat = tuple(tuple(1 if i == j else 0 for j in range(G.rank)) for i in range(G.rank))
-    return HomSpec(G, G, mat)
+    return projection_hom(G, range(G.rank))
 
 
 @functools.lru_cache(maxsize=None)
 def inversion_automorphism(G: GroupSpec) -> HomSpec:
     """g -> g^{-1}; an automorphism of every abelian group."""
-    mat = tuple(tuple((n - 1) if i == j else 0 for j in range(G.rank))
-                for i, n in enumerate(G.moduli))
-    return HomSpec(G, G, mat)
+    return HomSpec(G, G, tuple(tuple(-x for x in row) for row in identity_hom(G).matrix))
 
 
 def compose_homs(outer: HomSpec, inner: HomSpec) -> HomSpec:
     """outer o inner; valid whenever both factors are valid."""
     if inner.target.moduli != outer.source.moduli:
         raise ValidationError("hom composition: inner target != outer source")
-    rows = []
-    for i, m in enumerate(outer.target.moduli):
-        rows.append(tuple(
-            sum(outer.matrix[i][k] * inner.matrix[k][j] for k in range(inner.target.rank)) % m
-            for j in range(inner.source.rank)
-        ))
-    return HomSpec(inner.source, outer.target, tuple(rows))
+    product = (_matrix(outer, object) @ _matrix(inner, object)).tolist()   # exact integers
+    return HomSpec(inner.source, outer.target, tuple(map(tuple, product)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +315,7 @@ def permute_coordinates(G: GroupSpec, perm) -> HomSpec:
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(G.rank)):
         raise ValidationError(f"{perm} is not a permutation of range({G.rank})")
-    target = GroupSpec(tuple(G.moduli[p] for p in perm))
-    mat = tuple(tuple(1 if j == perm[i] else 0 for j in range(G.rank))
-                for i in range(target.rank))
-    return HomSpec(G, target, mat)
+    return projection_hom(G, perm)
 
 
 def projection_hom(G: GroupSpec, coords) -> HomSpec:
@@ -386,56 +394,29 @@ def surjection_onto_image(H: HomSpec) -> tuple[HomSpec, HomSpec]:
     inclusion, with ``H == embed o surj``.  If H is already surjective it is
     returned unchanged together with the identity embedding.
     """
-    hom_validate(H)
-    img = hom_image(H)
+    img = _image_indices(H, ENUMERATION_CAP)
     if len(img) == H.target.order:
         return H, identity_hom(H.target)
 
     # Coordinate-wise decomposition whenever the image is the product of its
-    # projections; this keeps the restricted coordinates recognizable.
-    projs = [sorted({el.residues[i] for el in img}) for i in range(H.target.rank)]
-    sizes = [len(p) for p in projs]
-    if math.prod(sizes) == len(img) and all(
-        projs[i] == [k * (m // sizes[i]) for k in range(sizes[i])]
-        for i, m in enumerate(H.target.moduli)
-    ):
+    # projections (each a subgroup of Z_m, so the multiples of m / size); this
+    # keeps the restricted coordinates recognizable.
+    sizes = [len(set(col)) for col in digits(H.target, img).T.tolist()]
+    if math.prod(sizes) == len(img):
         kept = [i for i, d in enumerate(sizes) if d >= 2]
         new_group = GroupSpec(tuple(sizes[i] for i in kept))
-        step = {i: H.target.moduli[i] // sizes[i] for i in kept}
-        surj = HomSpec(H.source, new_group, tuple(
-            tuple(H.matrix[i][j] // step[i] for j in range(H.source.rank)) for i in kept
-        ))
-        embed = HomSpec(new_group, H.target, tuple(
-            tuple(step[i] if (i in kept and kept.index(i) == jj) else 0
-                  for jj in range(len(kept)))
-            for i in range(H.target.rank)
-        ))
+        columns = [H.target.moduli[i] // sizes[i] * _strides(H.target)[i] for i in kept]
     else:
-        basis, orders = subgroup_decomposition(list(img), H.target)
+        basis, orders = subgroup_decomposition(hom_image(H), H.target)
         new_group = GroupSpec(tuple(orders))
-        # discrete-log table over the basis
-        table = {}
-        for combo in itertools.product(*(range(o) for o in orders)):
-            el = H.target.identity()
-            for b, k in zip(basis, combo):
-                for _ in range(k):
-                    el = group_op(el, b)
-            table.setdefault(el.index, combo)
-        if len(table) != len(img):  # pragma: no cover - defensive
-            raise NumericalError("cyclic decomposition is not a direct sum")
-        cols = []
-        for j in range(H.source.rank):
-            gen = H.source.element(tuple(1 if t == j else 0 for t in range(H.source.rank)))
-            cols.append(table[hom_eval(H, gen).index])
-        surj = HomSpec(H.source, new_group,
-                       tuple(tuple(cols[j][i] for j in range(H.source.rank))
-                             for i in range(new_group.rank)))
-        embed = HomSpec(new_group, H.target,
-                        tuple(tuple(basis[j].residues[i] for j in range(len(basis)))
-                              for i in range(H.target.rank)))
-    hom_validate(surj)
-    hom_validate(embed)
-    for g in H.source.elements():
-        if hom_eval(embed, hom_eval(surj, g)).index != hom_eval(H, g).index:
-            raise NumericalError("image factorization failed")  # pragma: no cover
+        columns = [b.index for b in basis]
+    embed = _from_columns(new_group, H.target, columns)
+    # discrete log over the image basis: the inverse of the embedding's table
+    log = dict(zip(hom_table(embed).tolist(), range(new_group.order)))
+    if len(log) != len(img):  # pragma: no cover - defensive
+        raise NumericalError("cyclic decomposition is not a direct sum")
+    images = hom_table(H)[_strides(H.source)].tolist()
+    surj = _from_columns(H.source, new_group, [log[h] for h in images])
+    if not np.array_equal(hom_table(embed)[hom_table(surj)], hom_table(H)):
+        raise NumericalError("image factorization failed")  # pragma: no cover
     return surj, embed

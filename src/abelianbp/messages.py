@@ -285,6 +285,12 @@ def check_prune_eps(eps: float) -> None:
         raise ValidationError(f"prune threshold {eps} outside [0, 0.5)")
 
 
+def check_seed(seed: int | None) -> None:
+    """Seeds are nonnegative integers, as numpy's seed sequences require."""
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed {seed} is negative")
+
+
 class GuardWarning(RuntimeWarning):
     """The branch cap pruned a mixture of `branches` branches, dropping
     probability mass `dropped`."""

@@ -34,7 +34,7 @@ from .groups import (
     is_automorphism,
     surjection_onto_image,
 )
-from .messages import HeraldedMessage
+from .messages import HeraldedMessage, check_seed
 
 BLOCK_TOL = 1e-10      # allowed leakage outside herald blocks
 PURITY_TOL = 1e-8      # rank-1 consistency of conditioned blocks
@@ -413,6 +413,7 @@ def verify_rule(rule: str, G: GroupSpec, seed: int, count: int) -> dict:
 
     if count < 1:
         raise ValidationError(f"count must be at least 1, got {count}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     max_dp = 0.0
     max_dl = 0.0
@@ -440,7 +441,7 @@ def verify_rule(rule: str, G: GroupSpec, seed: int, count: int) -> dict:
             H = random_hom(G, rng)
             compare(simulate_hom(lam, H), hom_push(lam, H))
         elif rule == "marginalize":
-            U = G if G.rank >= 2 else GroupSpec(G.moduli + (2,))
+            U = G if G.rank >= 2 else GroupSpec(G.moduli + (2,) * (2 - G.rank))
             lam = random_eigenlist(U, rng)
             keep = int(rng.integers(1, U.rank))
             compare(simulate_marginalize(lam, keep), marginalize_split(lam, keep))

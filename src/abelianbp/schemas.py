@@ -24,12 +24,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-from fractions import Fraction
 
 import jsonschema
 
 from . import SCHEMA_VERSION
-from .de import DEConfig, TurboSpec
+from .de import DEConfig, TurboSpec, parse_fraction
 from .eigenlists import EigenList
 from .errors import ValidationError
 from .groups import GroupSpec, HomSpec
@@ -154,7 +153,7 @@ _DECONFIG = {
         "err_threshold": {"type": "number"},
         "stall_rel": {"type": "number"},
         "stall_window": {"type": "integer", "minimum": 1},
-        "master_seed": {"type": "integer"},
+        "master_seed": {"type": "integer", "minimum": 0},
     },
     "required": ["version"],
     "additionalProperties": False,
@@ -352,10 +351,7 @@ def dump_turbo(spec: TurboSpec) -> dict:
 
 def parse_turbo(doc) -> TurboSpec:
     schema_validate(doc, "turbo")
-    try:
-        rate = Fraction(doc["target_rate"]) if "target_rate" in doc else None
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"target_rate {doc['target_rate']!r} is not a fraction") from exc
+    rate = parse_fraction(doc["target_rate"], "target_rate") if "target_rate" in doc else None
     return TurboSpec(
         tuple(parse_trellis(c) for c in doc["constituents"]),
         systematic_mult=doc.get("systematic_mult", 1),

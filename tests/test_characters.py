@@ -157,3 +157,20 @@ def test_coset_table_from_bare_subgroup():
         assert s in sub.members
         prod = dual_op(char_from_index(G432, rep), char_from_index(G432, s))
         assert prod.index == chi
+
+
+@pytest.mark.parametrize("members, match", [
+    ((0, 1, 1), "duplicate"),
+    ((1, 2), "trivial character"),
+    ((0, 1, 2, 3), "does not divide"),
+    ((0, 1), "inverse"),
+    ((0, 4, 5), "product"),
+    ((0, 6), "out of range"),
+    ((-6, 0), "out of range"),
+])
+def test_dual_subgroup_rejects_non_subgroups(members, match):
+    from abelianbp.characters import DualSubgroup
+
+    # on Z3xZ2, index 1 is chi(1,0) and 4 is chi(1,1), the inverses of 2 and 5
+    with pytest.raises(ValidationError, match=match):
+        DualSubgroup(Z32, members)

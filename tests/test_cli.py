@@ -485,6 +485,50 @@ def test_bad_counts_exit_2_with_empty_stdout(tmp_path, capsys):
         assert json.loads(err)["error"] == "validation"
 
 
+_SEED = ("--mode", "sampled", "--seed", "-1")
+
+
+@pytest.mark.parametrize("argv", [
+    *(("measures", "--lambda", lam, "--group", "[3]")
+      for lam in ('{"a":1}', '"abc"', "[[1,1,1]]")),
+    *(("polar", "construct", "--group", "[3]", "--lambda", lam, "--levels", "1")
+      for lam in ('{"a":1}', '"abc"', "[[1,1,1]]")),
+    *(("de", "holevo", "--q", "3", "--rate", rate) for rate in ("abc", "1/0", "nan", "inf")),
+    *(("de", "holevo", "--q", q, "--rate", "1/2") for q in ("0", "-2")),
+    ("factor", "automorphism", "--in", "<lam>"),
+    ("verify", "--rule", "check", "--group", "[3]", "--seed", "-1"),
+    ("polar", "construct", "--group", "[3]", "--lambda", "[2.3,0.35,0.35]", "--levels", "2",
+     *_SEED),
+    ("conv", "analyze", "--trellis", "<trellis>", "--channel", "<channel>", "--T", "3", *_SEED),
+    ("mp", "run", "--graph", "<graph>", *_SEED),
+    ("de", "threshold", "--turbo", "<turbo>", "--seed", "-1"),
+    ("de", "heatmap", "--turbo", "<turbo>", "--seed", "-1"),
+    ("de", "threshold", "--turbo", "<turbo>", "--config", "<config>"),
+])
+def test_invalid_inline_values_and_seeds_exit_2(tmp_path, capsys, argv):
+    files = {"lam": dump_eigenlist(LAM1), "turbo": dump_turbo(standard_turbo(3)),
+             "config": {**dump_deconfig(DEConfig()), "master_seed": -1},
+             "graph": dump_graph(FactorGraphSpec(
+                 {"a": Z32, "root": Z32},
+                 {"la": leaf("a", LAM1), "eq": FactorNode("equality", ("a", "root"))}, "root"))}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(to_json(doc))
+    conv = _conv_files(tmp_path)
+    paths = {f"<{name}>": str(tmp_path / f"{name}.json") for name in files}
+    paths.update({"<trellis>": conv[1], "<channel>": conv[3]})
+    code, out, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("rule", ["marginalize", "all"])
+def test_verify_runs_on_the_trivial_group(capsys, rule):
+    code, out, err = run_cli(capsys, "verify", "--rule", rule, "--group", "[]", "--seed", "1",
+                             "--count", "5")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"] is True
+
+
 def test_sampled_commands_report_means_over_samples(tmp_path, capsys):
     from abelianbp.messages import avg_holevo, avg_pgm_error
     from abelianbp.trees import run_mp

@@ -189,3 +189,41 @@ def test_element_order():
     assert element_order(Z32.element((1, 1))) == 6
     assert element_order(Z32.identity()) == 1
     assert element_order(Z4.element((2,))) == 2
+
+
+@pytest.mark.parametrize("moduli", [(4, 3, 2), (2, 2, 2), (6,), ()])
+def test_hom_table_agrees_with_hom_eval(moduli):
+    from abelianbp.groups import hom_table
+    from abelianbp.oracle import random_hom
+
+    G = GroupSpec(moduli)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        H = random_hom(G, rng)
+        assert hom_table(H).tolist() == [hom_eval(H, g).index for g in G.elements()]
+
+
+@pytest.mark.parametrize("H, table", [
+    # 2 * 2^62 leaves int64 although the target order 3 * 2^61 does not
+    (HomSpec(GroupSpec((3,)), GroupSpec((3 * 2**61,)), ((2**62,),)), [0, 2**62, 2**61]),
+    # target order 2^80: (0, 2^39) has index 2^79
+    (HomSpec(GroupSpec((2,)), GroupSpec((2**40, 2**40)), ((0,), (2**39,))), [0, 2**79]),
+])
+def test_hom_table_stays_exact_past_int64(H, table):
+    from abelianbp.groups import hom_table
+
+    assert hom_table(H).tolist() == table == [hom_eval(H, g).index for g in H.source.elements()]
+    assert hom_kernel(H) == (H.source.identity(),)
+    surj, embed = surjection_onto_image(H)
+    assert surj.target.order == H.source.order
+    assert compose_homs(embed, surj) == H
+
+
+def test_is_automorphism_rejects_invalid_homs_and_raises_past_the_cap():
+    from abelianbp.groups import ENUMERATION_CAP
+
+    assert not is_automorphism(HomSpec(Z32, Z32, ((1, 1), (0, 1))))   # 2*1 != 0 mod 3
+    big = GroupSpec((1001, 1001))
+    assert big.order > ENUMERATION_CAP
+    with pytest.raises(ValidationError, match="enumeration cap"):
+        is_automorphism(identity_hom(big))
