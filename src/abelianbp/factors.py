@@ -16,12 +16,12 @@ Each rule is stated once, as a kernel on a batch of lists, one per row
 HeraldedMessage.  Kernels gather with `np.take`, whose C-ordered result makes
 numpy sum each row in the same order as one 1-D list.
 
-Trackers apply rules through `Tracker`, which checks a run's mode, prune
-threshold, sample count and seed: exact mode over the branch product of
-heralded mixtures (`_product_apply`), sampled mode on populations of herald
-trajectories, one kernel call and one herald draw per rule application; both
-run the kernel on the same row blocks (`_in_blocks`).  Adjoining a uniform
-symbol is `_lift` along the projection that drops it.
+Trackers check a run's settings with `Tracker` and apply rules in exact mode
+over the branch product of heralded mixtures (`Tracker.step`), in sampled
+mode on populations of herald trajectories, one kernel call and one herald
+draw per rule application (`sample_rows`); both run the kernel on the same
+row blocks (`_in_blocks`).  Adjoining a uniform symbol is `_lift` along the
+projection that drops it.
 """
 
 from __future__ import annotations
@@ -132,10 +132,11 @@ def _hom_supported(G: GroupSpec, H: HomSpec) -> _Rule:
 @functools.lru_cache(maxsize=None)
 def _lift(G: GroupSpec, H: HomSpec) -> _Rule:
     pull = _surjective_pull(G, H.target, H, "target group")
+    n, scale = H.source.order, H.source.order / H.target.order
 
     def rows(A):
-        out = np.zeros((len(A), H.source.order))
-        out[:, pull] = A * (H.source.order / H.target.order)
+        out = np.zeros((len(A), n))
+        out[:, pull] = A * scale
         return out
     return _Rule(H.source, rows)
 
@@ -322,15 +323,15 @@ def _heavy(p: np.ndarray, cols):
     return p[keep], [c[keep] for c in cols]
 
 
-def _in_blocks(block, rule: _Rule, msgs, rows: int):
+def _in_blocks(block, rule: _Rule, width: int, rows: int):
     """``block(s)`` on the slices s of range(rows) that keep the kernel
-    temporaries of `rule` on `msgs` near `_BLOCK_FLOATS` floats; the results'
-    columns are concatenated (a None column stays None).  Blocking never
-    changes a result."""
-    step = max(1, _BLOCK_FLOATS // (msgs[0].lams.shape[1] * rule.group.order))
+    temporaries of `rule` on operands of `width` columns near `_BLOCK_FLOATS`
+    floats; the results' columns are concatenated (a None column stays None).
+    Blocking never changes a result."""
+    step = max(1, _BLOCK_FLOATS // (width * rule.group.order))
+    if step >= rows:
+        return block(slice(0, rows))
     parts = [block(slice(s, s + step)) for s in range(0, rows, step)]
-    if len(parts) == 1:
-        return parts[0]
     return [None if col[0] is None else np.concatenate(col) for col in zip(*parts)]
 
 
@@ -347,7 +348,7 @@ def _product_apply(msgs, rule: _Rule) -> HeraldedMessage:
         p, cols = _heavy(np.multiply.outer(p, msg.probs).ravel(), [c[head] for c in cols] + [tail])
     probs, lams, row, herald = _in_blocks(
         lambda s: _run(rule, [m.lams[c[s]] for c, m in zip(cols, msgs)], s.start),
-        rule, msgs, p.size)
+        rule, msgs[0].lams.shape[1], p.size)
     if rule.herald is not None:
         kind, G, index = rule.herald
         cols, p, herald = [c[row] for c in cols], p[row] * probs, (kind, G, index[herald])
@@ -359,17 +360,18 @@ def _product_apply(msgs, rule: _Rule) -> HeraldedMessage:
 
 
 class Tracker:
-    """How a tracker run applies rules, after checking its mode, prune
-    threshold, sample count and seed; `rng` is None in exact mode.
+    """A tracker run's mode, prune threshold, sample count and seed, checked;
+    `rng` is None in exact mode.
 
     Exact mode runs a rule over the branch product of its input mixtures
-    (`_product_apply`), and `guard` is `messages.guard`.  Sampled mode runs
-    populations: a message holds `samples` row-aligned herald trajectories,
-    rows of probability 1/samples.  `entry` broadcasts a one-branch input and
-    draws one branch per row of a mixture; `step` runs a rule once on the
-    aligned operand rows (in blocks, which do not change the result) and a
-    heralded rule keeps in each row the herald drawn at one uniform per row,
-    drawn up front (`sample_rows`); labels record the heralds drawn.
+    (`step`, `_product_apply`) and guards the output (`guard`,
+    `messages.guard`).  Sampled mode runs populations: a message holds
+    `samples` row-aligned herald trajectories, rows of probability 1/samples.
+    `entry` broadcasts a one-branch input and draws one branch per row of a
+    mixture; the sampled trackers then run each rule as one bare kernel call
+    on the aligned rows (`sample_rows`, in blocks that do not change the
+    result), whose heralded rules keep in each row the herald drawn at one
+    uniform per row.
     """
 
     def __init__(self, mode: str, seed: int | None, prune_eps: float, samples: int = 1):
@@ -392,17 +394,7 @@ class Tracker:
         return _gather(msg, np.full(S, 1.0 / S), msg.lams[idx], idx)
 
     def step(self, rule: _Rule, msgs) -> HeraldedMessage:
-        if self.rng is None:
-            return _product_apply(msgs, rule)
-        S = len(msgs[0])
-        u = np.zeros(S) if rule.herald is None else self.rng.random(S)
-        lams, h = _in_blocks(lambda s: sample_rows(rule, [m.lams[s] for m in msgs], u[s]),
-                             rule, msgs, S)
-        herald = None if h is None else (*rule.herald[:2], rule.herald[2][h])
-        labels = product_labels([m._labels for m in msgs], [None] * len(msgs), herald)
-        return HeraldedMessage._make(rule.group, msgs[0].probs,
-                                     EigenList.checked_rows(rule.group, lams), labels)
+        return _product_apply(msgs, rule)
 
     def guard(self, msg: HeraldedMessage, prune_eps: float = 0.0) -> HeraldedMessage:
-        return msg if self.rng is not None else guard(msg, prune_eps)
-
+        return guard(msg, prune_eps)

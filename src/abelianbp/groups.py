@@ -211,8 +211,12 @@ def _matrix(H: HomSpec, dtype) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def hom_table(H: HomSpec) -> np.ndarray:
-    """Read-only array: the target index of H at every source index."""
+    """Read-only array: the target index of H at every source index; a source
+    above `ENUMERATION_CAP` is a `ValidationError`."""
     hom_validate(H)
+    if H.source.order > ENUMERATION_CAP:
+        raise ValidationError(
+            f"source order {H.source.order} exceeds enumeration cap {ENUMERATION_CAP}")
     # every row sum of digit times entry is below |source| * |target|
     dtype = np.int64 if H.source.order * H.target.order < 2**63 else object
     images = digits(H.source, np.arange(H.source.order)).astype(dtype) @ _matrix(H, dtype).T

@@ -21,22 +21,28 @@ factors.  Supported factor kinds:
 ``automorphism``
     Edges ``(in, out)`` on one group; relabeling in both directions.
 
-One recursion serves both modes, which differ only in how `factors.Tracker`
-applies a rule.  Exact mode runs it over the branch product of the input
-mixtures and guards the output (`messages.guard`: duplicates merged, pruned
-past `messages.BRANCH_CAP` with a warning).  Sampled mode carries S
-row-aligned herald trajectories: each leaf is drawn to one branch per row and
-a rule is one call on the aligned rows plus one herald draw per row.
+`run_mp` validates a graph and compiles it into a flat post-order schedule
+(`_compile`) once per graph contents, and runs it without recursion.
+Exact mode runs each step through `factors.Tracker` over the branch product
+of its input mixtures and guards the output (`messages.guard`).  Sampled mode
+carries S row-aligned herald trajectories: each leaf is drawn to one branch
+per row, a step is one bare kernel call plus one herald draw per row, and
+rows are checked in batches.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import factors
 from .eigenlists import EigenList, useless_list
 from .errors import ValidationError
-from .factors import Tracker, _automorphism, _check, _equality, _hom, _lift, _marginalize
+from .factors import (Tracker, _automorphism, _check, _equality, _hom, _in_blocks, _lift,
+                      _marginalize, sample_rows)
 from .groups import (
     GroupSpec,
     HomSpec,
@@ -46,7 +52,8 @@ from .groups import (
     is_surjective,
     projection_hom,
 )
-from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, merge_duplicates, pure
+from .messages import (HeraldedMessage, avg_holevo, avg_pgm_error, merge_duplicates,
+                       product_labels, pure)
 
 FACTOR_KINDS = ("leaf", "equality", "check", "hom", "marginalize", "automorphism")
 
@@ -65,8 +72,8 @@ class FactorGraphSpec:
     variables: dict[str, GroupSpec]
     factors: dict[str, FactorNode]
     root: str
-    # the contents that last passed `validate_tree` in `run_mp`
-    _valid: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (contents, `_compile` schedule) of the contents that last passed `validate_tree`
+    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def leaf(var: str, message) -> FactorNode:
@@ -156,69 +163,98 @@ def _validate_signature(spec: FactorGraphSpec, fid: str, f: FactorNode) -> None:
             raise ValidationError(f"automorphism factor {fid!r}: map is not an automorphism")
 
 
-class _Engine:
-    """Root-directed recursion; `apply` (a `factors.Tracker`) decides how
-    each rule runs, so one recursion serves both modes."""
+def _compile(spec: FactorGraphSpec) -> list[tuple]:
+    """A valid tree's root-directed message passing as a post-order schedule,
+    built with an explicit stack in the order of a recursion from the root: a
+    node's incoming messages first, in edge order, then its own steps.  Entry
+    j is ``(op, inputs, guard)``: a leaf entry (``op`` a message, duplicates
+    merged, no inputs) or a `factors._Rule` step on the outputs of the entries
+    in ``inputs``, guarded in exact mode if ``guard``.  Each output has one
+    consumer; the last entry's is the root posterior."""
+    groups, incident = spec.variables, {v: [] for v in spec.variables}
+    for fid, f in spec.factors.items():
+        for v in f.edges:
+            incident[v].append(fid)
+    schedule = []
 
-    def __init__(self, spec, apply, prune_eps):
-        self.spec, self.apply, self.prune_eps = spec, apply, prune_eps
-        self.incident = {v: [] for v in spec.variables}
-        for fid, f in spec.factors.items():
-            for v in f.edges:
-                self.incident[v].append(fid)
+    def emit(op, inputs=(), guard=True) -> int:
+        schedule.append((op, inputs, guard))
+        return len(schedule) - 1
 
-    def _rule(self, rule, msgs) -> HeraldedMessage:
-        return self.apply.guard(self.apply.step(rule, msgs), self.prune_eps)
+    def fold(rule):
+        return lambda slots: functools.reduce(lambda acc, s: emit(rule, (acc, s)), slots)
 
-    def _fold(self, rule, msgs) -> HeraldedMessage:
-        acc = msgs[0]
-        for m in msgs[1:]:
-            acc = self._rule(rule, [acc, m])
-        return acc
-
-    def _push(self, rule, v: str, fid: str) -> HeraldedMessage:
-        return self._rule(rule, [self.variable_message(v, fid)])
-
-    def variable_message(self, v: str, toward: str | None) -> HeraldedMessage:
-        G = self.spec.variables[v]
-        msgs = [self.factor_message(fid, v) for fid in self.incident[v] if fid != toward]
-        if not msgs:
-            return self.apply.entry(pure(useless_list(G)))
-        return self._fold(_equality(G), msgs)
-
-    def factor_message(self, fid: str, toward: str) -> HeraldedMessage:
-        f, groups = self.spec.factors[fid], self.spec.variables
+    def plan(node):     # (incoming nodes, finish: their output slots -> output slot)
+        kind, name, toward = node
+        if kind == "inv":           # an input of a check factor read toward an input
+            G = groups[name]
+            inv = _automorphism(G, inversion_automorphism(G))
+            return [("v", name, toward)], lambda s: emit(inv, s, guard=False)
+        if kind == "v":
+            G = groups[name]
+            into = [("f", fid, name) for fid in incident[name] if fid != toward]
+            return into, (fold(_equality(G)) if into else
+                          lambda _: emit(pure(useless_list(G)), guard=False))
+        f = spec.factors[name]
         if f.kind == "leaf":
-            return self.apply.guard(self.apply.entry(merge_duplicates(f.message)), self.prune_eps)
+            return [], lambda _: emit(merge_duplicates(f.message))
+        into = [("v", v, name) for v in f.edges if v != toward]
         if f.kind == "equality":
-            return self._fold(_equality(groups[toward]),
-                              [self.variable_message(v, fid) for v in f.edges if v != toward])
+            return into, fold(_equality(groups[toward]))
         if f.kind == "check":
-            inputs, out = f.edges[:-1], f.edges[-1]
-            G = groups[out]
-            if toward == out:
-                msgs = [self.variable_message(v, fid) for v in inputs]
-            else:
-                inv = _automorphism(G, inversion_automorphism(G))
-                msgs = [self.variable_message(out, fid)] + [
-                    self.apply.step(inv, [self.variable_message(v, fid)])
-                    for v in inputs if v != toward]
-            return self._fold(_check(G), msgs)
+            out = f.edges[-1]
+            if toward != out:
+                into = [("v", out, name)] + [("inv", v, name) for v in f.edges[:-1] if v != toward]
+            return into, fold(_check(groups[out]))
         vin, vout = f.edges
         if f.kind == "hom":
-            if toward == vout:
-                return self._push(_hom(groups[vin], f.hom), vin, fid)
-            return self._push(_lift(groups[vout], f.hom), vout, fid)
-        if f.kind == "marginalize":
-            if toward == vout:
-                return self._push(_marginalize(groups[vin], f.keep), vin, fid)
-            return self._push(_lift(groups[vout], projection_hom(groups[vin], range(f.keep))),
-                              vout, fid)
-        if f.kind == "automorphism":
-            if toward == vout:
-                return self._push(_automorphism(groups[vin], f.hom), vin, fid)
-            return self._push(_automorphism(groups[vout], invert_automorphism(f.hom)), vout, fid)
-        raise ValidationError(f"unknown factor kind {f.kind!r}")  # pragma: no cover
+            rule = _hom(groups[vin], f.hom) if toward == vout else _lift(groups[vout], f.hom)
+        elif f.kind == "marginalize":
+            rule = (_marginalize(groups[vin], f.keep) if toward == vout else
+                    _lift(groups[vout], projection_hom(groups[vin], range(f.keep))))
+        else:
+            rule = (_automorphism(groups[vin], f.hom) if toward == vout else
+                    _automorphism(groups[vout], invert_automorphism(f.hom)))
+        return into, lambda s: emit(rule, s)
+
+    stack = [(*plan(("v", spec.root, None)), [])]
+    while stack:
+        into, finish, slots = stack[-1]
+        if len(slots) < len(into):
+            stack.append((*plan(into[len(slots)]), []))
+        else:
+            stack.pop()
+            (stack[-1][2] if stack else []).append(finish(slots))
+    return schedule
+
+
+def _run_sampled(schedule, apply: Tracker) -> HeraldedMessage:
+    """The schedule on populations of `apply.samples` rows: leaves are drawn
+    by `apply.entry`, and a step is one `factors.sample_rows` call on bare
+    arrays (in blocks), with its uniforms drawn when it runs.  Its rows are
+    checked by `EigenList.checked_rows` in one batch per output group,
+    flushed once the batches hold `factors._BLOCK_FLOATS` floats and at the
+    last entry (a step, unless the root only meets a leaf)."""
+    S, last = apply.samples, len(schedule) - 1
+    out, pending, held, no_u = {}, {}, 0, np.zeros(S)      # out[j]: (rows, labels)
+    for j, (op, inputs, _) in enumerate(schedule):
+        if not inputs:
+            msg = apply.entry(op)
+            out[j] = msg.lams, msg._labels
+            continue
+        ops, parents = zip(*[out.pop(i) for i in inputs])
+        u = no_u if op.herald is None else apply.rng.random(S)
+        lams, h = _in_blocks(lambda s: sample_rows(op, [a[s] for a in ops], u[s]),
+                             op, ops[0].shape[1], S)
+        herald = None if h is None else (*op.herald[:2], op.herald[2][h])
+        out[j] = lams, product_labels(parents, [None] * len(parents), herald)
+        pending.setdefault(op.group.moduli, [op.group]).append(lams)
+        held += lams.size
+        if held >= factors._BLOCK_FLOATS or j == last:
+            for group, *rows in pending.values():
+                EigenList.checked_rows(group, np.concatenate(rows))
+            pending, held = {}, 0
+    return HeraldedMessage._make(op.group, np.full(S, 1.0 / S), *out[last])
 
 
 def run_mp(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,
@@ -234,10 +270,17 @@ def run_mp(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,
     """
     apply = Tracker(mode, seed, prune_eps, samples)
     contents = (spec.root, tuple(spec.variables.items()), tuple(spec.factors.items()))
-    if spec._valid != contents:     # validated once per contents; nodes are immutable
+    if spec._compiled is None or spec._compiled[0] != contents:   # nodes are immutable
         validate_tree(spec)
-        spec._valid = contents
-    return _Engine(spec, apply, prune_eps).variable_message(spec.root, None)
+        spec._compiled = (contents, _compile(spec))
+    schedule = spec._compiled[1]
+    if apply.rng is not None:
+        return _run_sampled(schedule, apply)
+    out = {}        # each output is freed when its one consumer reads it
+    for j, (op, inputs, guard) in enumerate(schedule):
+        msg = apply.step(op, [out.pop(i) for i in inputs]) if inputs else apply.entry(op)
+        out[j] = apply.guard(msg, prune_eps) if guard else msg
+    return out[j]
 
 
 def root_metrics(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,

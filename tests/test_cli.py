@@ -458,6 +458,35 @@ def test_nan_herald_probability_in_a_message_is_a_numerical_error(tmp_path, caps
         assert json.loads(err)["error"] == "numerical"
 
 
+def test_nan_row_mid_schedule_exits_3(tmp_path, capsys, monkeypatch):
+    """A kernel that emits a NaN row in the middle of `mp run` is a numerical
+    error (exit 3) with empty stdout, in both modes."""
+    import abelianbp.trees as trees
+    from test_trees import chain_graph, nan_on_call
+
+    g = tmp_path / "g.json"
+    g.write_text(to_json(dump_graph(chain_graph([LAM1, LAM2, LAM1]))))
+    for mode in ("exact", "sampled"):
+        monkeypatch.setattr(trees, "_equality", nan_on_call(2))
+        code, out, err = run_cli(capsys, "mp", "run", "--graph", str(g), "--mode", mode,
+                                 "--seed", "1", "--samples", "3")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "numerical"
+
+
+def test_hom_past_the_enumeration_cap_exits_2(tmp_path, capsys):
+    """`factor hom-supported` with a hom into Z_{3*2^61}, whose dual map
+    would enumerate the target, is a validation error (exit 2)."""
+    lam, hom = tmp_path / "lam.json", tmp_path / "hom.json"
+    lam.write_text('{"group": {"moduli": [3]}, "values": [2.3, 0.35, 0.35]}')
+    hom.write_text(json.dumps({"source": {"moduli": [3]}, "target": {"moduli": [3 * 2**61]},
+                               "matrix": [[2**62]]}))
+    code, out, err = run_cli(capsys, "factor", "hom-supported", "--in", str(lam),
+                             "--hom", str(hom))
+    assert (code, out) == (2, "")
+    assert "enumeration cap" in json.loads(err)["message"]
+
+
 def _conv_files(tmp_path):
     t, ch = tmp_path / "trellis.json", tmp_path / "channel.json"
     t.write_text('{"version": 1, "transfer_function": {"p": [1, 0, 1], "q": [1, 1, 1], '

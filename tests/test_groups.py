@@ -219,6 +219,18 @@ def test_hom_table_stays_exact_past_int64(H, table):
     assert compose_homs(embed, surj) == H
 
 
+def test_hom_table_raises_past_the_enumeration_cap():
+    from abelianbp.characters import dual_map_table
+    from abelianbp.groups import ENUMERATION_CAP, hom_table
+
+    big = GroupSpec((1001, 1001))
+    assert big.order > ENUMERATION_CAP
+    with pytest.raises(ValidationError, match="enumeration cap"):
+        hom_table(identity_hom(big))
+    with pytest.raises(ValidationError, match="enumeration cap"):
+        dual_map_table(HomSpec(GroupSpec((3,)), GroupSpec((3 * 2**61,)), ((2**62,),)))
+
+
 def test_is_automorphism_rejects_invalid_homs_and_raises_past_the_cap():
     from abelianbp.groups import ENUMERATION_CAP
 

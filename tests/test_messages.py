@@ -104,11 +104,12 @@ def test_prune():
 def test_pickle_round_trip_keeps_the_arrays():
     import pickle
 
-    from abelianbp.factors import Tracker, _check
+    from abelianbp.factors import _check
+    from population_tracker import PopulationTracker
 
     exact = merge_duplicates(check_combine(LAM1, EigenList(Z32, [1.5, 0.25, 1, 2, 0.5, 0.75])))
     pruned = prune(exact, np.sort(exact.probs)[1])
-    tracker = Tracker("sampled", seed=3, prune_eps=0.0, samples=20)
+    tracker = PopulationTracker("sampled", seed=3, prune_eps=0.0, samples=20)
     sampled = tracker.step(_check(Z32), [tracker.entry(pure(LAM1, ("a",))),
                                          tracker.entry(exact)])
     assert len(pruned) < len(exact) and len(sampled) == 20

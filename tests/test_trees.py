@@ -16,8 +16,11 @@ from abelianbp import (
     pure,
     useless_list,
 )
-from abelianbp.factors import _check, _product_apply
-from abelianbp.messages import GUARD_PRUNE
+from abelianbp.errors import NumericalError
+from abelianbp.factors import (_automorphism, _check, _equality, _hom, _lift, _marginalize,
+                               _product_apply)
+from abelianbp.groups import invert_automorphism, inversion_automorphism, projection_hom
+from abelianbp.messages import GUARD_PRUNE, HeraldedMessage
 from abelianbp.trees import (
     FactorGraphSpec,
     FactorNode,
@@ -26,6 +29,7 @@ from abelianbp.trees import (
     run_mp,
     validate_tree,
 )
+from population_tracker import PopulationTracker
 
 Z3 = GroupSpec((3,))
 Z32 = GroupSpec((3, 2))
@@ -385,3 +389,177 @@ def test_run_mp_validates_a_spec_once_until_it_changes(monkeypatch):
             run_mp(spec)
         with pytest.raises(ValidationError):
             run_mp(spec, mode="sampled", seed=1)
+
+
+class _Engine:
+    """The root-directed recursion that `run_mp` compiled away, kept as the
+    reference: `apply` (a `PopulationTracker`) decides how each rule runs, and
+    sampled steps draw their uniforms when they run."""
+
+    def __init__(self, spec, apply, prune_eps):
+        self.spec, self.apply, self.prune_eps = spec, apply, prune_eps
+        self.incident = {v: [] for v in spec.variables}
+        for fid, f in spec.factors.items():
+            for v in f.edges:
+                self.incident[v].append(fid)
+
+    def _rule(self, rule, msgs):
+        return self.apply.guard(self.apply.step(rule, msgs), self.prune_eps)
+
+    def _fold(self, rule, msgs):
+        acc = msgs[0]
+        for m in msgs[1:]:
+            acc = self._rule(rule, [acc, m])
+        return acc
+
+    def _push(self, rule, v, fid):
+        return self._rule(rule, [self.variable_message(v, fid)])
+
+    def variable_message(self, v, toward):
+        G = self.spec.variables[v]
+        msgs = [self.factor_message(fid, v) for fid in self.incident[v] if fid != toward]
+        if not msgs:
+            return self.apply.entry(pure(useless_list(G)))
+        return self._fold(_equality(G), msgs)
+
+    def factor_message(self, fid, toward):
+        f, groups = self.spec.factors[fid], self.spec.variables
+        if f.kind == "leaf":
+            return self.apply.guard(self.apply.entry(merge_duplicates(f.message)), self.prune_eps)
+        if f.kind == "equality":
+            return self._fold(_equality(groups[toward]),
+                              [self.variable_message(v, fid) for v in f.edges if v != toward])
+        if f.kind == "check":
+            inputs, out = f.edges[:-1], f.edges[-1]
+            G = groups[out]
+            if toward == out:
+                msgs = [self.variable_message(v, fid) for v in inputs]
+            else:
+                inv = _automorphism(G, inversion_automorphism(G))
+                msgs = [self.variable_message(out, fid)] + [
+                    self.apply.step(inv, [self.variable_message(v, fid)])
+                    for v in inputs if v != toward]
+            return self._fold(_check(G), msgs)
+        vin, vout = f.edges
+        if f.kind == "hom":
+            if toward == vout:
+                return self._push(_hom(groups[vin], f.hom), vin, fid)
+            return self._push(_lift(groups[vout], f.hom), vout, fid)
+        if f.kind == "marginalize":
+            if toward == vout:
+                return self._push(_marginalize(groups[vin], f.keep), vin, fid)
+            return self._push(_lift(groups[vout], projection_hom(groups[vin], range(f.keep))),
+                              vout, fid)
+        if toward == vout:
+            return self._push(_automorphism(groups[vin], f.hom), vin, fid)
+        return self._push(_automorphism(groups[vout], invert_automorphism(f.hom)), vout, fid)
+
+
+def _recursion_mp(spec, mode="exact", seed=None, prune_eps=0.0, samples=1):
+    validate_tree(spec)
+    apply = PopulationTracker(mode, seed, prune_eps, samples)
+    return _Engine(spec, apply, prune_eps).variable_message(spec.root, None)
+
+
+def _unrolled(T, root_t):
+    from abelianbp.de import channel_family
+    from abelianbp.trellis import transfer_function_trellis, unroll_to_tree
+
+    lam = channel_family(3, 2.3)
+    return unroll_to_tree(transfer_function_trellis([1, 0, 1], [1, 1, 1], 3), [[lam]] * T,
+                          root_t, symbol_obs_seq=[lam] * T)
+
+
+def _mixture_chain():
+    """A check chain whose middle leaf is a three-branch mixture."""
+    from abelianbp.messages import Branch
+
+    rng = np.random.default_rng(5)
+    lams = [EigenList(Z32, v * 6 / v.sum()) for v in rng.gamma(1.0, size=(5, 6))]
+    mix = HeraldedMessage(Z32, [Branch(p, lam, (f"mix:{i}",))
+                                for i, (p, lam) in enumerate(zip((0.2, 0.5, 0.3), lams[2:]))])
+    return chain_graph([lams[0], mix, lams[1]], kind="check")
+
+
+def _toward_check_input():
+    return FactorGraphSpec({"g1": Z32, "g2": Z32, "h": Z32},
+                           {"lh": leaf("h", LAM1), "lg2": leaf("g2", LAM2),
+                            "chk": FactorNode("check", ("g1", "g2", "h"))}, "g1")
+
+
+_SCHEDULE_CASES = {
+    **{f"every-kind-S{S}": (every_kind_graph, "sampled", S) for S in (1, 40, 20000)},
+    "every-kind-exact": (every_kind_graph, "exact", 1),
+    **{f"mixture-chain-{m}": (_mixture_chain, m, 30) for m in ("exact", "sampled")},
+    **{f"toward-check-input-{m}": (_toward_check_input, m, 25) for m in ("exact", "sampled")},
+    "unrolled-T6-exact": (lambda: _unrolled(6, 3), "exact", 1),
+    **{f"unrolled-T{T}-S{S}": (lambda T=T: _unrolled(T, T // 2), "sampled", S)
+       for T in (6, 60) for S in (1, 50)},
+}
+
+
+@pytest.mark.parametrize("case", _SCHEDULE_CASES)
+def test_schedule_matches_recursion_bytes(case):
+    """The compiled schedule returns the recursion's root posterior: equal
+    list and probability bytes and equal labels, with the same seed."""
+    build, mode, samples = _SCHEDULE_CASES[case]
+    spec = build()
+    for seed in (0, 7):
+        got = run_mp(spec, mode=mode, seed=seed, samples=samples)
+        want = _recursion_mp(spec, mode=mode, seed=seed, samples=samples)
+        assert got.group == want.group
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert got.lams.tobytes() == want.lams.tobytes()
+        assert got.labels == want.labels
+
+
+def test_deep_trees_need_no_recursion():
+    """Trees deeper than Python's recursion limit run in both modes; the
+    recursion fails on the same equality chain."""
+    deep = run_mp(_unrolled(400, 0), mode="sampled", seed=1)
+    assert len(deep) == 1 and deep.group == Z3
+    n = 1500
+    rng = np.random.default_rng(3)
+    variables = {f"v{i}": Z3 for i in range(n)}
+    factors = {f"eq{i}": FactorNode("equality", (f"v{i}", f"v{i + 1}")) for i in range(n - 1)}
+    factors.update({f"l{i}": leaf(f"v{i}", EigenList(Z3, v * 3 / v.sum()))
+                    for i, v in enumerate(rng.gamma(5.0, size=(n, 3)))})
+    chain = FactorGraphSpec(variables, factors, f"v{n - 1}")
+    got = run_mp(chain)
+    assert len(got) == 1 and got.lams.sum() == pytest.approx(3.0)
+    with pytest.raises(RecursionError):
+        _recursion_mp(chain)
+
+
+def nan_on_call(at):
+    """A stand-in for `factors._equality` whose rules, all counted together,
+    emit a NaN first row on call `at`."""
+    calls = []
+
+    def make(G):
+        rule = _equality(G)
+
+        def rows(*operands):
+            out = rule.rows(*operands)
+            calls.append(G)
+            if len(calls) == at:
+                out = out.copy()
+                out[0] = np.nan
+            return out
+        return rule._replace(rows=rows)
+    return make
+
+
+@pytest.mark.parametrize("mode, floats", [("exact", None), ("sampled", None), ("sampled", 1)])
+def test_nan_row_mid_schedule_is_a_numerical_error(monkeypatch, mode, floats):
+    """A kernel that emits a NaN row in the middle of a run is a
+    `NumericalError` in both modes, whenever the row check runs."""
+    import abelianbp.factors as factors
+    import abelianbp.trees as trees
+
+    monkeypatch.setattr(trees, "_equality", nan_on_call(2))
+    if floats is not None:
+        monkeypatch.setattr(factors, "_BLOCK_FLOATS", floats)
+    spec = chain_graph([LAM1, LAM2, EigenList(Z32, [3, 1, 0, 1, 1, 0]), LAM1])
+    with pytest.raises(NumericalError):
+        run_mp(spec, mode=mode, seed=1, samples=5)

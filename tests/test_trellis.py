@@ -20,7 +20,7 @@ from abelianbp import (
     pure,
     useless_list,
 )
-from abelianbp.factors import (Tracker, _adjoin, _automorphism, _equality, _lift, _marginalize,
+from abelianbp.factors import (_adjoin, _automorphism, _equality, _lift, _marginalize,
                                _product_apply)
 from abelianbp.groups import permute_coordinates
 from abelianbp.messages import GUARD_PRUNE, Branch, HeraldedMessage
@@ -39,6 +39,7 @@ from abelianbp.trellis import (
     validate_trellis,
 )
 from abelianbp.trees import run_mp
+from population_tracker import PopulationTracker
 
 Z3 = GroupSpec((3,))
 
@@ -442,9 +443,9 @@ def test_decode_block_population_bytes_fixed(monkeypatch):
 
 def _tracker_decode(spec, obs_seq, seed, symbol_obs_seq=None, apriori_seq=None, samples=1):
     """Sampled `decode_block` as a loop of tracker steps: each step one
-    `_step_rule` call through `Tracker("sampled")`, which draws the step's
-    uniforms when it runs.  Returns (posterior, extrinsic) per section."""
-    apply = Tracker("sampled", seed, 0.0, samples)
+    `_step_rule` call through `PopulationTracker("sampled")`, which draws the
+    step's uniforms when it runs.  Returns (posterior, extrinsic) per section."""
+    apply = PopulationTracker("sampled", seed, 0.0, samples)
     T, n_obs = len(obs_seq), [len(obs) for obs in obs_seq]
     rule = {(kind, n): _step_rule(spec, kind, n) for n in set(n_obs)
             for kind in ("forward", "backward", "extrinsic")}
