@@ -35,8 +35,9 @@ print("  lam2 =", lam2.values, f" I = {holevo_info(lam2):.4f} bits")
 
 print("\n--- check factor: heralded mixture over the dual group ---")
 msg = check_combine(lam1, lam2)
-for b in merge_duplicates(msg).branches:
-    print(f"  p = {b.prob:.4f}  lam = {np.round(b.lam.values, 4)}  heralds {b.labels}")
+merged = merge_duplicates(msg)
+for p, lam, heralds in zip(merged.probs.tolist(), merged.lams, merged.labels):
+    print(f"  p = {p:.4f}  lam = {np.round(lam, 4)}  heralds {heralds}")
 print(f"  herald-averaged information: {avg_holevo(msg):.4f} bits")
 
 print("\n--- equality factor: one combined channel ---")
@@ -59,14 +60,13 @@ for u in range(4):
             vals[G1.index_of((u, v, w))] = {(0, 0): 2, (1, 1): 2, (2, 0): 1,
                                             (0, 1): 1, (2, 1): 1, (3, 1): 1}.get((u, w), 0)
 pushed = hom_push(EigenList(G1, vals), phi)
-for b in pushed.branches:
-    print(f"  herald {b.labels[0]}: p = {b.prob:.4f}, list sums to "
-          f"{b.lam.values.sum():.1f} on {G2}")
+for p, lam, heralds in zip(pushed.probs.tolist(), pushed.lams, pushed.labels):
+    print(f"  herald {heralds[0]}: p = {p:.4f}, list sums to {lam.sum():.1f} on {G2}")
 
 print("\n--- lift and marginalize round trip on Z3 x Z2 ---")
 proj = projection_hom(G, (0,))
 lifted = lift_along_hom(EigenList(GroupSpec((3,)), [1, 1, 1]), proj)
 print("  lift of the perfect Z3 list:", lifted.values)
 marg = marginalize_split(lifted, 1)
-print("  marginalizing back:", [(round(b.prob, 4), b.lam.values.tolist())
-                                for b in marg.branches])
+print("  marginalizing back:", [(round(p, 4), lam.tolist())
+                                for p, lam in zip(marg.probs.tolist(), marg.lams)])

@@ -30,8 +30,8 @@ spec = FactorGraphSpec(
 
 msg = run_mp(spec)
 print(f"exact root message: {len(msg)} heralded branches")
-for b in msg.branches[:4]:
-    print(f"  p = {b.prob:.4f}  lam = {np.round(b.lam.values, 4)}")
+for p, lam in zip(msg.probs[:4].tolist(), msg.lams[:4]):
+    print(f"  p = {p:.4f}  lam = {np.round(lam, 4)}")
 print("  ...")
 
 exact = root_metrics(spec)

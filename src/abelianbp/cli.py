@@ -34,7 +34,7 @@ from .factors import (
 from .groups import GroupSpec
 from .messages import avg_holevo, avg_pgm_error
 from .oracle import verify_rule
-from .polar import DEFAULT_EXACT_LEVELS, DEFAULT_SAMPLES, select_info_set, synthesize
+from .polar import DEFAULT_SAMPLES, resolve_mode, select_info_set, synthesize
 from .schemas import (
     dump_eigenlist,
     dump_group,
@@ -105,6 +105,14 @@ def _inline_lambda(args) -> EigenList:
     """--group and --lambda, checked by the eigen-list schema as --in is."""
     group = dump_group(parse_group(_inline_or_file(args.group)))
     return parse_eigenlist({"group": group, "values": json.loads(args.lam)})
+
+
+def _check_seed(args):
+    """Sampled modes need --seed; checked before any input is read."""
+    # mp run, polar construct and conv analyze have a mode; only polar's can be auto
+    mode = resolve_mode(getattr(args, "mode", None), getattr(args, "levels", 0))
+    if mode == "sampled" and args.seed is None:
+        raise _UsageError("--seed is required in sampled mode")
 
 
 def build_parser() -> _Parser:
@@ -261,8 +269,6 @@ def _cmd_verify(args):
 
 
 def _cmd_mp_run(args):
-    if args.mode == "sampled" and args.seed is None:
-        raise _UsageError("--seed is required in sampled mode")
     spec = parse_graph(_load_json(args.graph))
     msg = run_mp(spec, mode=args.mode, seed=args.seed, prune_eps=args.prune,
                  samples=args.samples)
@@ -273,12 +279,7 @@ def _cmd_mp_run(args):
 
 def _cmd_polar_construct(args):
     lam = _inline_lambda(args)
-    mode = args.mode
-    if mode == "auto":
-        mode = "exact" if args.levels <= DEFAULT_EXACT_LEVELS else "sampled"
-    if mode == "sampled" and args.seed is None:
-        raise _UsageError("--seed is required in sampled mode")
-    stats = synthesize(lam, args.levels, mode=mode, seed=args.seed,
+    stats = synthesize(lam, args.levels, mode=args.mode, seed=args.seed,
                        prune_eps=args.prune, samples=args.samples)
     rows = [(s.index, s.avg_holevo, s.avg_pgm_error) for s in stats]
     _write_csv(args.out, ["index", "avg_holevo_bits", "avg_pgm_error"], rows)
@@ -292,8 +293,6 @@ def _cmd_conv_analyze(args):
         raise ValidationError(f"--T must be at least 1, got {args.T}")
     spec = parse_trellis(_load_json(args.trellis))
     lam = parse_eigenlist(_load_json(args.channel))
-    if args.mode == "sampled" and args.seed is None:
-        raise _UsageError("--seed is required in sampled mode")
     obs = [[lam] * len(spec.outputs) for _ in range(args.T)]
     sys_obs = [lam] * args.T if args.systematic else None
     results = decode_block(spec, obs, mode=args.mode, seed=args.seed,
@@ -356,6 +355,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_seed(args)
         if args.command == "groups":
             _cmd_groups_info(args)
         elif args.command == "factor":

@@ -17,7 +17,7 @@ HeraldedMessage.  Kernels gather with `np.take`, whose C-ordered result makes
 numpy sum each row in the same order as one 1-D list.
 
 Trackers check a run's settings with `Tracker` and apply rules in exact mode
-over the branch product of heralded mixtures (`Tracker.step`), in sampled
+over the branch product of heralded mixtures (`_product_apply`), in sampled
 mode on populations of herald trajectories, one kernel call and one herald
 draw per rule application (`sample_rows`); both run the kernel on the same
 row blocks (`_in_blocks`).  Adjoining a uniform symbol is `_lift` along the
@@ -42,7 +42,7 @@ from .groups import (
     projection_hom,
     surjection_onto_image,
 )
-from .messages import (PROB_FLOOR, HeraldedMessage, _gather, check_prune_eps, check_seed, guard,
+from .messages import (PROB_FLOOR, HeraldedMessage, _gather, check_prune_eps, check_seed,
                        merge_duplicates, product_labels)
 
 #: Kernel temporaries per block of branch tuples, in floats.
@@ -363,15 +363,15 @@ class Tracker:
     """A tracker run's mode, prune threshold, sample count and seed, checked;
     `rng` is None in exact mode.
 
-    Exact mode runs a rule over the branch product of its input mixtures
-    (`step`, `_product_apply`) and guards the output (`guard`,
-    `messages.guard`).  Sampled mode runs populations: a message holds
-    `samples` row-aligned herald trajectories, rows of probability 1/samples.
-    `entry` broadcasts a one-branch input and draws one branch per row of a
-    mixture; the sampled trackers then run each rule as one bare kernel call
-    on the aligned rows (`sample_rows`, in blocks that do not change the
-    result), whose heralded rules keep in each row the herald drawn at one
-    uniform per row.
+    Exact trackers run a rule over the branch product of its input mixtures
+    (`_product_apply`) and guard the output (`messages.guard`); `entry`
+    returns their inputs as they are.  Sampled mode runs populations: a
+    message holds `samples` row-aligned herald trajectories, rows of
+    probability 1/samples.  `entry` broadcasts a one-branch input and draws
+    one branch per row of a mixture; the sampled trackers then run each rule
+    as one bare kernel call on the aligned rows (`sample_rows`, in blocks that
+    do not change the result), whose heralded rules keep in each row the
+    herald drawn at one uniform per row.
     """
 
     def __init__(self, mode: str, seed: int | None, prune_eps: float, samples: int = 1):
@@ -392,9 +392,3 @@ class Tracker:
         idx = (np.zeros(S, np.intp) if k == 1 else
                draw_heralds(np.broadcast_to(msg.probs[:, None], (k, S)), self.rng.random(S)))
         return _gather(msg, np.full(S, 1.0 / S), msg.lams[idx], idx)
-
-    def step(self, rule: _Rule, msgs) -> HeraldedMessage:
-        return _product_apply(msgs, rule)
-
-    def guard(self, msg: HeraldedMessage, prune_eps: float = 0.0) -> HeraldedMessage:
-        return guard(msg, prune_eps)

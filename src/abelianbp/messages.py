@@ -5,12 +5,13 @@ branches on one group, held as read-only arrays ``probs`` (k,) and ``lams``
 (k, |G|).  Rows are validated once, vectorised, where lists are made
 (`HeraldedMessage._checked`, with the eigen-list check written once as
 `eigenlists.EigenList.checked_rows`); outside input takes the same path
-(`HeraldedMessage._from_arrays`).  Merging and pruning only select or sum
-validated rows.  The herald averages `avg_holevo` and `avg_pgm_error`
-reduce the per-row metrics that `eigenlists` states once (`holevo_rows`,
-`pgm_rows`).  Labels record which heralds produced each branch and never
-affect numerics: they are a lazy provenance graph (`Labels`), rendered to
-strings only when `labels` or `branches` is read.
+through the one public constructor, `HeraldedMessage.of`, and an eigen list
+becomes a one-branch message by `pure` (`as_message` takes either).  Merging
+and pruning only select or sum validated rows.  The herald averages
+`avg_holevo` and `avg_pgm_error` reduce the per-row metrics that `eigenlists`
+states once (`holevo_rows`, `pgm_rows`).  Labels record which heralds
+produced each branch and never affect numerics: they are a lazy provenance
+graph (`Labels`), rendered to strings only when `labels` is read.
 
 `merge_duplicates` takes O(k log k |G|) time and O(k |G|) memory: one
 lexsort, a vectorised scan of adjacent rows checked exactly against each
@@ -42,6 +43,8 @@ GUARD_PRUNE = 1e-12
 
 @dataclass(frozen=True)
 class Branch:
+    """A branch of the `HeraldedMessage.branches` view; only ``perfbench/tracing.py`` reads it."""
+
     prob: float
     lam: EigenList
     labels: tuple[str, ...] = ()
@@ -105,33 +108,19 @@ def _valid_rows(group: GroupSpec, probs: np.ndarray, lams: np.ndarray) -> np.nda
 
 
 class HeraldedMessage:
-    """A heralded mixture on `group`.
-
-    ``probs`` and ``lams`` are the data.  ``HeraldedMessage(group, branches)``
-    builds one from `Branch` objects and ``branches`` gives that view back;
-    inside the library messages are built and read only as arrays.
+    """A heralded mixture on `group`: the read-only arrays ``probs`` and
+    ``lams`` and lazy labels.  Outside input is built with `of`; inside the
+    library messages are built and read only as arrays.
     """
 
-    __slots__ = ("group", "probs", "lams", "_labels", "_branches")
-
-    def __init__(self, group: GroupSpec, branches):
-        branches = tuple(branches)
-        if any(b.lam.group.moduli != group.moduli for b in branches):
-            raise ValidationError("branch eigen list on a different group")
-        msg = self._from_arrays(group, [b.prob for b in branches],
-                                [b.lam.values for b in branches], [b.labels for b in branches])
-        self._set(group, msg.probs, msg.lams, msg._labels)
-
-    def _set(self, group, probs, lams, labels):
-        probs.flags.writeable = lams.flags.writeable = False
-        self.group, self.probs, self.lams, self._labels = group, probs, lams, labels
-        self._branches = None
+    __slots__ = ("group", "probs", "lams", "_labels")
 
     @classmethod
     def _make(cls, group, probs, lams, labels) -> HeraldedMessage:
         """Wrap rows that are already validated."""
+        probs.flags.writeable = lams.flags.writeable = False
         msg = object.__new__(cls)
-        msg._set(group, probs, lams, labels)
+        msg.group, msg.probs, msg.lams, msg._labels = group, probs, lams, labels
         return msg
 
     @classmethod
@@ -140,18 +129,28 @@ class HeraldedMessage:
         return cls._make(group, probs, _valid_rows(group, probs, lams), labels)
 
     @classmethod
-    def _from_arrays(cls, group, probs, lams, labels) -> HeraldedMessage:
-        """A message from outside input: one probability, list and label
-        tuple per branch, checked by `_valid_rows`."""
-        labels = [tuple(labs) for labs in labels]
-        return cls._checked(group, np.array(probs, dtype=np.float64),
-                            np.array(lams, dtype=np.float64), Labels((), lambda: labels))
+    def of(cls, group: GroupSpec, probs, lams, labels=None) -> HeraldedMessage:
+        """A message from outside input: k branch probabilities, a (k, |G|)
+        array of eigen lists and k label tuples (empty ones by default),
+        checked by `_valid_rows`."""
+        try:
+            probs, lams = np.array(probs, dtype=np.float64), np.array(lams, dtype=np.float64)
+        except ValueError as exc:       # ragged rows, or entries that are not numbers
+            raise ValidationError(f"branches are not numeric arrays: {exc}") from None
+        k = probs.size
+        labels = [()] * k if labels is None else [tuple(labs) for labs in labels]
+        # an empty message is left to `_valid_rows`, which names that fault
+        if k and (probs.ndim != 1 or lams.ndim != 2 or len(lams) != k or len(labels) != k):
+            raise ValidationError(
+                f"branch probabilities of shape {probs.shape}, eigen lists of shape "
+                f"{lams.shape} and {len(labels)} label tuples do not match")
+        return cls._checked(group, probs, lams, Labels((), lambda: labels))
 
     def __len__(self):
         return self.probs.size
 
     def __reduce__(self):
-        return HeraldedMessage._from_arrays, (self.group, self.probs, self.lams, self.labels)
+        return HeraldedMessage.of, (self.group, self.probs, self.lams, self.labels)
 
     @property
     def labels(self) -> tuple[tuple[str, ...], ...]:
@@ -159,21 +158,26 @@ class HeraldedMessage:
 
     @property
     def branches(self) -> tuple[Branch, ...]:
-        if self._branches is None:
-            self._branches = tuple(
-                Branch(p, EigenList._of_valid(self.group, row), labs)
-                for p, row, labs in zip(self.probs.tolist(), self.lams, self._labels.render()))
-        return self._branches
+        """`Branch` objects, built on each read; only ``perfbench/tracing.py`` reads them."""
+        return tuple(Branch(p, EigenList._of_valid(self.group, row), labs)
+                     for p, row, labs in zip(self.probs.tolist(), self.lams, self._labels.render()))
 
 
 _ONE = np.ones(1)
-_ONE.flags.writeable = False
 
 
-def pure(lam: EigenList, labels: tuple[str, ...] = ()) -> HeraldedMessage:
-    """Degenerate mixture with a single herald value."""
-    return HeraldedMessage._make(lam.group, _ONE, lam.values[None, :],
-                                 Labels((), lambda: [tuple(labels)]))
+def pure(lam: EigenList) -> HeraldedMessage:
+    """Degenerate mixture with a single herald value and no labels."""
+    return HeraldedMessage._make(lam.group, _ONE, lam.values[None, :], Labels((), lambda: [()]))
+
+
+def as_message(x) -> HeraldedMessage:
+    """An eigen list as its one-branch message (`pure`); a message as it is."""
+    if isinstance(x, HeraldedMessage):
+        return x
+    if isinstance(x, EigenList):
+        return pure(x)
+    raise ValidationError(f"expected an eigen list or heralded message, got {type(x)}")
 
 
 def _gather(msg: HeraldedMessage, probs, lams, members, bounds=None) -> HeraldedMessage:

@@ -249,9 +249,8 @@ def _blocks_to_message(group: GroupSpec, rho_by_h, herald_dim, block_dim,
     if abs(total - 1.0) > 1e-10:
         raise NumericalError(f"herald probabilities sum to {total}")
     live = np.flatnonzero(probs >= 1e-13)
-    return HeraldedMessage._from_arrays(group, probs[live],
-                                        diags[live] * (block_dim / probs[live])[:, None],
-                                        [(labels[h],) for h in live.tolist()])
+    return HeraldedMessage.of(group, probs[live], diags[live] * (block_dim / probs[live])[:, None],
+                              [(labels[h],) for h in live.tolist()])
 
 
 def simulate_check(lam1: EigenList, lam2: EigenList) -> HeraldedMessage:

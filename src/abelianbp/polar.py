@@ -168,6 +168,11 @@ def _population(base: EigenList, levels: int, samples: int, rng, rules, width: i
     return pop
 
 
+def resolve_mode(mode: str, levels: int) -> str:
+    """``auto`` is exact up to `DEFAULT_EXACT_LEVELS` levels, sampled beyond."""
+    return mode if mode != "auto" else "exact" if levels <= DEFAULT_EXACT_LEVELS else "sampled"
+
+
 def synthesize(base: EigenList, levels: int, mode: str = "auto",
                seed: int | None = None, prune_eps: float = 0.0,
                samples: int = DEFAULT_SAMPLES,
@@ -177,17 +182,14 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
     Index bit convention: writing the index in binary, the most significant
     bit selects the transform applied directly to the base channel and the
     least significant bit the outermost one; bit 0 means minus, 1 means plus.
-    ``mode`` is ``exact``, ``sampled``, or ``auto`` (exact up to
-    `DEFAULT_EXACT_LEVELS` levels, sampled beyond).  Sampled mode averages
-    `samples` independent herald trajectories per index, drawn by the
+    ``mode`` is ``exact``, ``sampled`` or ``auto`` (`resolve_mode`).  Sampled
+    mode averages `samples` herald trajectories per index, drawn by the
     population sampler from the generator of `seed` in levels * 2^levels *
     samples rows; its values differ from earlier releases for the same seed.
     """
     if levels < 0:
         raise ValidationError("levels must be nonnegative")
-    if mode == "auto":
-        mode = "exact" if levels <= DEFAULT_EXACT_LEVELS else "sampled"
-    rng = factors.Tracker(mode, seed, prune_eps, samples).rng
+    rng = factors.Tracker(resolve_mode(mode, levels), seed, prune_eps, samples).rng
     G, n = base.group, base.group.order
     rules = (_arikan_rules(G) if kernel is None
              else (_kernel_minus_rule(G, kernel), _kernel_plus_rule(G, kernel)))

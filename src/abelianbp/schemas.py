@@ -32,7 +32,7 @@ from .de import DEConfig, TurboSpec, parse_fraction
 from .eigenlists import EigenList
 from .errors import ValidationError
 from .groups import GroupSpec, HomSpec
-from .messages import HeraldedMessage
+from .messages import HeraldedMessage, pure
 from .trees import FactorGraphSpec, FactorNode
 from .trellis import TrellisSpec, transfer_function_trellis
 
@@ -242,17 +242,11 @@ def dump_message(msg: HeraldedMessage) -> dict:
 def parse_message(doc) -> HeraldedMessage:
     schema_validate(doc, "message")
     G, branches = parse_group(doc["group"]), doc["branches"]
-    for b in branches:
-        if len(b["lambda"]) != G.order:
-            raise ValidationError(f"eigen list length {len(b['lambda'])} != group order {G.order}")
-    return HeraldedMessage._from_arrays(G, [b["p"] for b in branches],
-                                        [b["lambda"] for b in branches],
-                                        [b.get("label", ()) for b in branches])
+    return HeraldedMessage.of(G, [b["p"] for b in branches], [b["lambda"] for b in branches],
+                              [b.get("label", ()) for b in branches])
 
 
 def parse_message_or_eigenlist(doc) -> HeraldedMessage:
-    from .messages import pure
-
     if isinstance(doc, dict) and "branches" in doc:
         return parse_message(doc)
     return pure(parse_eigenlist(doc))

@@ -23,11 +23,11 @@ factors.  Supported factor kinds:
 
 `run_mp` validates a graph and compiles it into a flat post-order schedule
 (`_compile`) once per graph contents, and runs it without recursion.
-Exact mode runs each step through `factors.Tracker` over the branch product
-of its input mixtures and guards the output (`messages.guard`).  Sampled mode
-carries S row-aligned herald trajectories: each leaf is drawn to one branch
-per row, a step is one bare kernel call plus one herald draw per row, and
-rows are checked in batches.
+Exact mode runs each step over the branch product of its input mixtures
+(`factors._product_apply`) and guards the output (`messages.guard`).  Sampled
+mode carries S row-aligned herald trajectories: each leaf is drawn to one
+branch per row, a step is one bare kernel call plus one herald draw per row,
+and rows are checked in batches.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from . import factors
 from .eigenlists import EigenList, useless_list
 from .errors import ValidationError
 from .factors import (Tracker, _automorphism, _check, _equality, _hom, _in_blocks, _lift,
-                      _marginalize, sample_rows)
+                      _marginalize, _product_apply, sample_rows)
 from .groups import (
     GroupSpec,
     HomSpec,
@@ -52,8 +52,8 @@ from .groups import (
     is_surjective,
     projection_hom,
 )
-from .messages import (HeraldedMessage, avg_holevo, avg_pgm_error, merge_duplicates,
-                       product_labels, pure)
+from .messages import (HeraldedMessage, as_message, avg_holevo, avg_pgm_error, guard,
+                       merge_duplicates, product_labels, pure)
 
 FACTOR_KINDS = ("leaf", "equality", "check", "hom", "marginalize", "automorphism")
 
@@ -77,9 +77,7 @@ class FactorGraphSpec:
 
 
 def leaf(var: str, message) -> FactorNode:
-    if isinstance(message, EigenList):
-        message = pure(message)
-    return FactorNode("leaf", (var,), message=message)
+    return FactorNode("leaf", (var,), message=as_message(message))
 
 
 def validate_tree(spec: FactorGraphSpec) -> None:
@@ -277,9 +275,9 @@ def run_mp(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,
     if apply.rng is not None:
         return _run_sampled(schedule, apply)
     out = {}        # each output is freed when its one consumer reads it
-    for j, (op, inputs, guard) in enumerate(schedule):
-        msg = apply.step(op, [out.pop(i) for i in inputs]) if inputs else apply.entry(op)
-        out[j] = apply.guard(msg, prune_eps) if guard else msg
+    for j, (op, inputs, guarded) in enumerate(schedule):
+        msg = _product_apply([out.pop(i) for i in inputs], op) if inputs else op
+        out[j] = guard(msg, prune_eps) if guarded else msg
     return out[j]
 
 

@@ -12,11 +12,11 @@ time-reversed sections.
 Each section step (forward, backward, extrinsic) is one composite of these
 factors, written once as a kernel of two sparse gathers on (size, n) sample
 columns (`_Section`).  Exact `decode_block` runs it as one rule per step over
-the branch product (`_step_rule`, `factors.Tracker`).  Sampled `decode_block`
-and density evolution run it bare: a sweep is one kernel call and one herald
-draw per step for all tracked trajectories (`_sweep`), and the extrinsics are
-batched on column blocks.  Both modes of `decode_block` build a section's
-parity and symbol-side lists with `_input_lists`.
+the branch product (`_step_rule`, `factors._product_apply`).  Sampled
+`decode_block` and density evolution run it bare: a sweep is one kernel call
+and one herald draw per step for all tracked trajectories (`_sweep`), and the
+extrinsics are batched on column blocks.  Both modes of `decode_block` build a
+section's parity and symbol-side lists with `_input_lists`.
 
 Rational transfer functions G(D) = p(D)/q(D) over Z_n (with invertible q(0))
 compile to a single-parity section in controller canonical form; feedforward
@@ -35,7 +35,7 @@ import numpy as np
 from .characters import dual_map_table, tables_for
 from .eigenlists import EigenList, perfect_list, useless_list
 from .errors import ValidationError
-from .factors import Tracker, _equality, _lift, _Rule, draw_heralds
+from .factors import Tracker, _equality, _lift, _product_apply, _Rule, draw_heralds
 from .groups import (
     GroupSpec,
     HomSpec,
@@ -45,7 +45,8 @@ from .groups import (
     is_surjective,
     projection_hom,
 )
-from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, product_labels, pure
+from .messages import (HeraldedMessage, as_message, avg_holevo, avg_pgm_error, guard,
+                       product_labels, pure)
 
 
 @dataclass(frozen=True)
@@ -174,17 +175,9 @@ def _boundary(spec: TrellisSpec) -> HeraldedMessage:
     return pure(lam)
 
 
-def _as_message(x) -> HeraldedMessage:
-    if isinstance(x, HeraldedMessage):
-        return x
-    if isinstance(x, EigenList):
-        return pure(x)
-    raise ValidationError(f"expected an eigen list or heralded message, got {type(x)}")
-
-
 def _messages(msgs, G: GroupSpec, optional: bool = False) -> list[HeraldedMessage]:
     """Eigen lists or messages as messages on G; None is skipped if `optional`."""
-    msgs = [_as_message(m) for m in msgs if not (optional and m is None)]
+    msgs = [as_message(m) for m in msgs if not (optional and m is None)]
     if any(m.group.moduli != G.moduli for m in msgs):
         raise ValidationError(f"messages on {[m.group for m in msgs]}, not {G}")
     return msgs
@@ -354,20 +347,20 @@ def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
     for t in range(T):
         r = rule["forward", n_obs[t]]
         r = r._replace(herald=(f"fwd[t={t}]:marg", *r.herald[1:]))
-        fwd.append(apply.guard(apply.step(r, [fwd[t], *inputs[t]]), prune_eps))
+        fwd.append(guard(_product_apply([fwd[t], *inputs[t]], r), prune_eps))
     for t in range(T - 1, -1, -1):
         r = rule["backward", n_obs[t]]
         r = r._replace(herald=(f"bwd[t={t}]:marg", *r.herald[1:]))
-        bwd.append(apply.guard(apply.step(r, [bwd[-1], *inputs[t]]), prune_eps))
+        bwd.append(guard(_product_apply([bwd[-1], *inputs[t]], r), prune_eps))
     bwd.reverse()
     eq = _equality(spec.symbol_group)
     results = []
     for t, n in enumerate(n_obs):
-        ext = apply.guard(apply.step(rule["extrinsic", n], [fwd[t], bwd[t + 1], *inputs[t][:n]]))
+        ext = guard(_product_apply([fwd[t], bwd[t + 1], *inputs[t][:n]], rule["extrinsic", n]))
         post = ext
         for m in inputs[t][n:]:
-            post = apply.step(eq, [post, m])
-        results.append(SectionResult(t, apply.guard(post), ext))
+            post = _product_apply([post, m], eq)
+        results.append(SectionResult(t, guard(post), ext))
     return results
 
 
@@ -490,11 +483,11 @@ def unroll_to_tree(spec: TrellisSpec, obs_seq, root_t: int, symbol_obs_seq=None,
             variables[xid] = spec.output_group
             factors[f"out{t}_{i}"] = FactorNode("hom", (f"B{t}", xid),
                                                 hom=spec.outputs[i])
-            factors[f"obs{t}_{i}"] = leaf(xid, _as_message(ob))
+            factors[f"obs{t}_{i}"] = leaf(xid, ob)
         if symbol_obs_seq[t] is not None:
-            factors[f"sysobs{t}"] = leaf(f"g{t}", _as_message(symbol_obs_seq[t]))
+            factors[f"sysobs{t}"] = leaf(f"g{t}", symbol_obs_seq[t])
         if apriori_seq[t] is not None:
-            factors[f"apr{t}"] = leaf(f"g{t}", _as_message(apriori_seq[t]))
+            factors[f"apr{t}"] = leaf(f"g{t}", apriori_seq[t])
     factors["bound0"] = leaf("S0", _boundary(spec))
     factors["boundT"] = leaf(f"S{T}", _boundary(spec))
     return FactorGraphSpec(variables, factors, f"g{root_t}")

@@ -40,6 +40,7 @@ from abelianbp.trellis import (
     transfer_function_trellis,
     unroll_to_tree,
 )
+from message_rows import rows
 
 Z32 = GroupSpec((3, 2))
 G432 = GroupSpec((4, 3, 2))
@@ -72,12 +73,12 @@ def test_criterion_01_check_factor_worked_example():
         (2, 0): (1 / 12, [0, 0, 2, 0, 0, 4]),
         (2, 1): (1 / 12, [0, 0, 2, 0, 0, 4]),
     }
-    by_label = {b.labels[0]: b for b in msg.branches}
+    by_label = {b.labels[0]: b for b in rows(msg)}
     assert len(by_label) == 6
     for (u, v), (p, lam) in expected.items():
         b = by_label[f"check:({u},{v})"]
         assert abs(b.prob - p) <= 1e-12
-        assert np.max(np.abs(b.lam.values - lam)) <= 1e-12
+        assert np.max(np.abs(b.lam - lam)) <= 1e-12
     assert len(merge_duplicates(msg)) == 3
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -113,14 +114,14 @@ def test_criterion_03_homomorphism_worked_examples():
     # surjective example: probabilities 3/4 and 1/4
     lam = _patterned_list({(0, 0): 2, (1, 1): 2, (2, 0): 1, (0, 1): 1,
                             (2, 1): 1, (3, 1): 1})
-    out = {b.labels[0]: b for b in hom_push(lam, HOM_A_PLUS_2C).branches}
+    out = {b.labels[0]: b for b in rows(hom_push(lam, HOM_A_PLUS_2C))}
     b0, b1 = out["hom:(0,0,0)"], out["hom:(0,0,1)"]
     assert abs(b0.prob - 3 / 4) <= 1e-12 and abs(b1.prob - 1 / 4) <= 1e-12
     for r in range(4):
         for s in range(3):
-            assert abs(b0.lam.values[G43.index_of((r, s))]
+            assert abs(b0.lam[G43.index_of((r, s))]
                        - (4 / 3 if r <= 1 else 2 / 3)) <= 1e-12
-            assert abs(b1.lam.values[G43.index_of((r, s))]
+            assert abs(b1.lam[G43.index_of((r, s))]
                        - (2.0 if r % 2 == 0 else 0.0)) <= 1e-12
 
     # non-surjective example: restriction to the image, probabilities
@@ -131,7 +132,7 @@ def test_criterion_03_homomorphism_worked_examples():
     ct2 = coset_table_for_hom(surj)
     assert {G432.from_index(i).residues for i in ct2.reps} == {
         (0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)}
-    out2 = {b.labels[0]: b for b in hom_push(lam, H2).branches}
+    out2 = {b.labels[0]: b for b in rows(hom_push(lam, H2))}
     I = surj.target
     expected2 = {
         "hom:(0,0,0)": (3 / 8, {0: 4 / 3, 1: 2 / 3}),
@@ -143,7 +144,7 @@ def test_criterion_03_homomorphism_worked_examples():
         assert abs(out2[lab].prob - p) <= 1e-12
         for r in range(2):
             for s in range(3):
-                assert abs(out2[lab].lam.values[I.index_of((r, s))] - vals[r]) <= 1e-12
+                assert abs(out2[lab].lam[I.index_of((r, s))] - vals[r]) <= 1e-12
 
     # supported example: single output list with the 1, 1/2, 3/2, 1 pattern
     lam3 = _patterned_list({(0, 0): 2, (1, 1): 1, (2, 0): 3, (3, 1): 2})
@@ -226,21 +227,20 @@ def test_criterion_07_zq_reduction():
                                * np.conj(np.fft.fft(b.values))).real
             probs_ref = corr / q**2
             msg = {int(br.labels[0].split("(")[1][:-1]): br
-                   for br in check_combine(a, b).branches}
+                   for br in rows(check_combine(a, b))}
             for c in range(q):
                 if probs_ref[c] < 1e-15:
                     continue
                 lam_ref = a.values[(c + np.arange(q)) % q] * b.values / (q * probs_ref[c])
                 worst = max(worst, abs(msg[c].prob - probs_ref[c]))
-                worst = max(worst, float(np.max(np.abs(msg[c].lam.values - lam_ref))))
+                worst = max(worst, float(np.max(np.abs(msg[c].lam - lam_ref))))
     assert worst <= 1e-10
     _report(7, f"cyclic-group reduction matches DFT reference, max dev {worst:.2e}")
 
 
 def _ensemble_key(msg):
     merged = merge_duplicates(msg, 1e-9)
-    return sorted((tuple(np.round(b.lam.values, 10)), b.prob)
-                  for b in merged.branches)
+    return sorted((tuple(np.round(b.lam, 10)), b.prob) for b in rows(merged))
 
 
 def test_criterion_08_trellis_tree_equivalence():
@@ -322,7 +322,7 @@ def test_criterion_11_determinism(de_threshold_result):
     runs = set()
     for _ in range(2):
         res = decode_block(spec_t, obs, mode="sampled", seed=77)
-        runs.add(to_json([[float(v) for v in r.posterior.branches[0].lam.values]
+        runs.add(to_json([[float(v) for v in r.posterior.lams[0]]
                           for r in res]))
     assert len(runs) == 1
 

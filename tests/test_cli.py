@@ -27,6 +27,7 @@ from abelianbp.schemas import (
 from abelianbp.errors import ValidationError
 from abelianbp.trees import FactorGraphSpec, FactorNode, leaf
 from abelianbp.trellis import transfer_function_trellis, unroll_to_tree
+from message_rows import rows
 
 Z32 = GroupSpec((3, 2))
 LAM1 = EigenList(Z32, [2, 1, 0, 2, 1, 0])
@@ -57,9 +58,9 @@ def test_message_roundtrip():
     doc = dump_message(msg)
     back = parse_message(json.loads(to_json(doc)))
     assert len(back) == len(msg)
-    for b1, b2 in zip(back.branches, msg.branches):
+    for b1, b2 in zip(rows(back), rows(msg)):
         assert b1.prob == b2.prob
-        assert np.array_equal(b1.lam.values, b2.lam.values)
+        assert np.array_equal(b1.lam, b2.lam)
         assert b1.labels == b2.labels
 
 
@@ -75,7 +76,7 @@ def test_graph_roundtrip():
     back = parse_graph(json.loads(to_json(doc)))
     assert back.root == "root"
     assert back.factors["chk"].kind == "check"
-    assert np.array_equal(back.factors["la"].message.branches[0].lam.values,
+    assert np.array_equal(back.factors["la"].message.lams[0],
                           LAM1.values)
 
 
@@ -142,10 +143,19 @@ def test_parse_message_rejects_bad_branches(branches):
 
 
 def test_library_builds_and_reads_messages_as_arrays(monkeypatch):
+    """No library path builds the `Branch` view: the dense oracle, the JSON
+    boundary, and the tree, trellis and polar trackers in both modes."""
     from abelianbp import check_combine, messages
+    from abelianbp.de import channel_family
     from abelianbp.oracle import verify_rule
+    from abelianbp.polar import synthesize
+    from abelianbp.trees import run_mp
+    from abelianbp.trellis import decode_block
+    from test_trees import every_kind_graph
 
     msg = check_combine(LAM1, LAM2)
+    graph, lam = every_kind_graph(), channel_family(3, 2.3)
+    spec = transfer_function_trellis([1, 0, 1], [1, 1, 1], 3)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the Branch view was built")
@@ -156,6 +166,12 @@ def test_library_builds_and_reads_messages_as_arrays(monkeypatch):
     for rule in ("check", "equality", "hom", "marginalize", "automorphism",
                  "gram", "covariance", "pgm", "entropy"):
         assert verify_rule(rule, Z32, 1, 3)["ok"], rule
+    for mode in ("exact", "sampled"):
+        assert dump_message(run_mp(graph, mode=mode, seed=1, samples=5))["branches"]
+        results = decode_block(spec, [[lam]] * 3, mode=mode, seed=1, symbol_obs_seq=[lam] * 3,
+                               samples=5)
+        assert all(dump_message(m)["branches"] for r in results for m in (r.posterior, r.extrinsic))
+        assert len(synthesize(lam, 2, mode=mode, seed=1, samples=5)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +220,26 @@ def test_validation_exit_code(tmp_path, capsys):
 def test_usage_exit_code(capsys):
     code, _, err = run_cli(capsys, "mp", "run", "--graph", "x.json",
                            "--mode", "sampled")
-    assert code in (1, 2)  # missing seed -> usage; then file check would be 2
-    assert json.loads(err)["error"] in ("usage", "validation")
+    assert code == 1  # missing seed -> usage, before the file is read
+    assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ("mp", "run", "--graph", "missing.json", "--mode", "sampled"),
+    ("conv", "analyze", "--trellis", "missing.json", "--channel", "missing.json", "--T", "3",
+     "--mode", "sampled"),
+    ("polar", "construct", "--group", "@missing.json", "--lambda", "[2,1,0]", "--levels", "2",
+     "--mode", "sampled"),
+    ("polar", "construct", "--group", "@missing.json", "--lambda", "[2,1,0]", "--levels", "5"),
+])
+def test_sampled_mode_without_seed_is_usage_before_inputs_are_read(tmp_path, monkeypatch,
+                                                                   capsys, argv):
+    """Sampled mode (explicit, or `auto` past its exact levels) without --seed
+    exits 1 whatever the inputs: the seed is checked before any is read."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_prune_threshold_is_validated_in_every_mode(tmp_path, capsys):

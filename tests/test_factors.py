@@ -32,7 +32,8 @@ from abelianbp import (
 )
 from abelianbp.factors import (_check, _equality, _hom, _hom_supported, _lift, _marginalize,
                                _product_apply, equality_fold)
-from abelianbp.messages import Branch, HeraldedMessage
+from abelianbp.messages import HeraldedMessage
+from message_rows import rows
 
 Z3 = GroupSpec((3,))
 Z32 = GroupSpec((3, 2))
@@ -54,7 +55,7 @@ def rand_lam(G, rng):
 
 
 def by_label(msg):
-    return {b.labels[0]: b for b in msg.branches}
+    return {b.labels[0]: b for b in rows(msg)}
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +74,7 @@ def test_check_worked_example():
         ("check:(2,1)", 1 / 12, [0, 0, 2, 0, 0, 4]),
     ]:
         assert d[lab].prob == pytest.approx(p, abs=1e-15)
-        assert np.max(np.abs(d[lab].lam.values - lam)) < 1e-12
+        assert np.max(np.abs(d[lab].lam - lam)) < 1e-12
 
 
 def test_check_useless_partner():
@@ -86,7 +87,7 @@ def test_check_useless_partner():
             assert lab not in d
         else:
             assert d[lab].prob == pytest.approx(LAM1.values[c] / 6)
-            assert np.allclose(d[lab].lam.values, useless_list(Z32).values)
+            assert np.allclose(d[lab].lam, useless_list(Z32).values)
 
 
 def test_check_perfect_partner_reindexes():
@@ -97,7 +98,7 @@ def test_check_perfect_partner_reindexes():
     for c in range(6):
         lab = f"check:({','.join(map(str, Z32.from_index(c).residues))})"
         assert d[lab].prob == pytest.approx(1 / 6)
-        assert np.max(np.abs(d[lab].lam.values - LAM1.values[add[c]])) < 1e-12
+        assert np.max(np.abs(d[lab].lam - LAM1.values[add[c]])) < 1e-12
 
 
 def test_check_group_mismatch():
@@ -110,9 +111,9 @@ def test_check_outputs_are_valid():
     for G in TEST_GROUPS:
         for _ in range(10):
             msg = check_combine(rand_lam(G, rng), rand_lam(G, rng))
-            assert sum(b.prob for b in msg.branches) == pytest.approx(1.0, abs=1e-12)
-            for b in msg.branches:
-                assert b.lam.values.sum() == pytest.approx(G.order, rel=1e-9)
+            assert sum(msg.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
+            for b in rows(msg):
+                assert b.lam.sum() == pytest.approx(G.order, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +182,10 @@ def test_zq_reduction():
             assert np.max(np.abs(eq.values - _cyclic_equality(a.values, b.values))) < 1e-10
             probs, branches = _cyclic_check(a.values, b.values)
             msg = check_combine(a, b)
-            d = {int(b_.labels[0].split("(")[1][:-1]): b_ for b_ in msg.branches}
+            d = {int(b_.labels[0].split("(")[1][:-1]): b_ for b_ in rows(msg)}
             for c, (p, lam) in branches.items():
                 assert d[c].prob == pytest.approx(p, abs=1e-10)
-                assert np.max(np.abs(d[c].lam.values - lam)) < 1e-10
+                assert np.max(np.abs(d[c].lam - lam)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +215,13 @@ def test_hom_push_worked_example():
     for r in range(4):
         for s in range(3):
             expect = 4 / 3 if r in (0, 1) else 2 / 3
-            assert b0.lam.values[G43.index_of((r, s))] == pytest.approx(expect, abs=1e-12)
+            assert b0.lam[G43.index_of((r, s))] == pytest.approx(expect, abs=1e-12)
     b1 = d["hom:(0,0,1)"]
     assert b1.prob == pytest.approx(1 / 4, abs=1e-15)
     for r in range(4):
         for s in range(3):
             expect = 2.0 if r % 2 == 0 else 0.0
-            assert b1.lam.values[G43.index_of((r, s))] == pytest.approx(expect, abs=1e-12)
+            assert b1.lam[G43.index_of((r, s))] == pytest.approx(expect, abs=1e-12)
 
 
 def test_hom_push_non_surjective_worked_example():
@@ -239,15 +240,15 @@ def test_hom_push_non_surjective_worked_example():
         assert d[lab].prob == pytest.approx(p, abs=1e-15)
         for r in range(2):
             for s in range(3):
-                assert d[lab].lam.values[I.index_of((r, s))] == pytest.approx(
+                assert d[lab].lam[I.index_of((r, s))] == pytest.approx(
                     vals[r], abs=1e-12)
 
 
 def test_hom_push_identity():
     out = hom_push(LAM1, identity_hom(Z32))
     assert len(out) == 1
-    assert out.branches[0].prob == pytest.approx(1.0)
-    assert np.allclose(out.branches[0].lam.values, LAM1.values)
+    assert out.probs[0] == pytest.approx(1.0)
+    assert np.allclose(out.lams[0], LAM1.values)
 
 
 def test_hom_push_supported_worked_example():
@@ -292,14 +293,14 @@ def test_marginalize_examples():
     lifted = EigenList(Z32, [2, 2, 2, 0, 0, 0])
     msg = marginalize_split(lifted, 1)
     assert len(msg) == 1
-    assert msg.branches[0].prob == pytest.approx(1.0)
-    assert np.allclose(msg.branches[0].lam.values, 1.0)
+    assert msg.probs[0] == pytest.approx(1.0)
+    assert np.allclose(msg.lams[0], 1.0)
 
     uniform = perfect_list(Z32)
     msg2 = marginalize_split(uniform, 1)
-    assert [b.prob for b in msg2.branches] == pytest.approx([0.5, 0.5])
-    for b in msg2.branches:
-        assert np.allclose(b.lam.values, 1.0)
+    assert [b.prob for b in rows(msg2)] == pytest.approx([0.5, 0.5])
+    for b in rows(msg2):
+        assert np.allclose(b.lam, 1.0)
 
     # separable case: lam(chi, eta) = a[chi] * b[eta] / normalization
     rng = np.random.default_rng(15)
@@ -307,11 +308,11 @@ def test_marginalize_examples():
     prod = np.outer(b.values, a.values).reshape(-1) / 1.0
     lam = EigenList(Z32, prod)
     msg3 = marginalize_split(lam, 1)
-    d = {b_.labels[0]: b_ for b_ in msg3.branches}
+    d = {b_.labels[0]: b_ for b_ in rows(msg3)}
     for e in range(2):
         lab = f"marg:({e})"
         assert d[lab].prob == pytest.approx(b.values[e] / 2)
-        assert np.max(np.abs(d[lab].lam.values - a.values)) < 1e-12
+        assert np.max(np.abs(d[lab].lam - a.values)) < 1e-12
 
 
 def test_marginalize_rejects_bad_split():
@@ -424,14 +425,14 @@ def test_check_swap_relabeling():
     for G in (Z3, Z32):
         t = tables_for(G)
         a, b = rand_lam(G, rng), rand_lam(G, rng)
-        orig = {b_.labels[0]: b_ for b_ in check_combine(a, b).branches}
-        for br in check_combine(b, a).branches:
+        orig = {b_.labels[0]: b_ for b_ in rows(check_combine(a, b))}
+        for br in rows(check_combine(b, a)):
             residues = [int(x) for x in br.labels[0].split("(")[1][:-1].split(",")]
             chi = G.index_of(residues)
             partner = orig[_label_of(G, t.neg[chi])]
             assert br.prob == pytest.approx(partner.prob, abs=1e-12)
-            reindexed = partner.lam.values[t.add[chi]]
-            assert np.max(np.abs(br.lam.values - reindexed)) < 1e-12
+            reindexed = partner.lam[t.add[chi]]
+            assert np.max(np.abs(br.lam - reindexed)) < 1e-12
 
 
 def _label_of(G, idx):
@@ -446,29 +447,27 @@ def test_lifted_rules_match_pure_on_pure_inputs():
     m = _product_apply([pure(LAM1), pure(LAM2)], _check(Z32))
     base = merge_duplicates(check_combine(LAM1, LAM2))
     assert len(m) == len(base)
-    for b1, b2 in zip(m.branches, base.branches):
+    for b1, b2 in zip(rows(m), rows(base)):
         assert b1.prob == pytest.approx(b2.prob, abs=1e-12)
-        assert np.max(np.abs(b1.lam.values - b2.lam.values)) < 1e-12
+        assert np.max(np.abs(b1.lam - b2.lam)) < 1e-12
 
     eq = _product_apply([pure(LAM1), pure(LAM2)], _equality(Z32))
     assert len(eq) == 1
-    assert np.max(np.abs(eq.branches[0].lam.values
-                         - equality_combine(LAM1, LAM2).values)) < 1e-12
+    assert np.max(np.abs(eq.lams[0] - equality_combine(LAM1, LAM2).values)) < 1e-12
 
 
 def test_lifted_equality_branch_product():
     lam3 = EigenList(Z32, [3, 1, 0, 1, 1, 0])
-    m1 = HeraldedMessage(Z32, (Branch(0.3, LAM1, ("x0",)), Branch(0.7, LAM2, ("x1",))))
-    m2 = HeraldedMessage(Z32, (Branch(0.6, lam3, ("y0",)),
-                               Branch(0.4, useless_list(Z32), ("y1",))))
+    m1 = HeraldedMessage.of(Z32, [0.3, 0.7], [LAM1.values, LAM2.values], [("x0",), ("x1",)])
+    m2 = HeraldedMessage.of(Z32, [0.6, 0.4], [lam3.values, useless_list(Z32).values],
+                            [("y0",), ("y1",)])
     out = _product_apply([m1, m2], _equality(Z32))
     assert len(out) <= 4
-    assert sum(b.prob for b in out.branches) == pytest.approx(1.0, abs=1e-12)
-    d = {b.labels: b for b in out.branches}
+    assert sum(out.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
+    d = {b.labels: b for b in rows(out)}
     assert d[("x0", "y0")].prob == pytest.approx(0.18)
-    assert np.max(np.abs(d[("x0", "y0")].lam.values
-                         - equality_combine(LAM1, lam3).values)) < 1e-12
-    assert np.max(np.abs(d[("x1", "y1")].lam.values - LAM2.values)) < 1e-12
+    assert np.max(np.abs(d[("x0", "y0")].lam - equality_combine(LAM1, lam3).values)) < 1e-12
+    assert np.max(np.abs(d[("x1", "y1")].lam - LAM2.values)) < 1e-12
 
 
 def _product_fold(rule, msgs):
@@ -491,25 +490,23 @@ def test_lifted_fold_order_invariance():
 
 
 def test_lifted_supported_hom():
-    from abelianbp.messages import Branch, HeraldedMessage as HM
     proj = projection_hom(Z32, (0,))
     rng = np.random.default_rng(23)
     lams = [lift_along_hom(rand_lam(Z3, rng), proj) for _ in range(2)]
-    msg = HM(Z32, (Branch(0.4, lams[0], ("x0",)), Branch(0.6, lams[1], ("x1",))))
+    msg = HeraldedMessage.of(Z32, [0.4, 0.6], [lam.values for lam in lams], [("x0",), ("x1",)])
     out = _product_apply([msg], _hom_supported(Z32, proj))
     assert out.group.moduli == (3,)
-    d = {b.labels: b for b in out.branches}
+    d = {b.labels: b for b in rows(out)}
     for key, lam in zip([("x0",), ("x1",)], lams):
-        assert np.max(np.abs(d[key].lam.values
-                             - hom_push_supported(lam, proj).values)) < 1e-12
+        assert np.max(np.abs(d[key].lam - hom_push_supported(lam, proj).values)) < 1e-12
 
 
 def test_lifted_hom_and_marginalize():
-    m = HeraldedMessage(G432, (Branch(0.5, _mixed_support_input(), ("x0",)),
-                               Branch(0.5, perfect_list(G432), ("x1",))))
+    m = HeraldedMessage.of(G432, [0.5, 0.5], [_mixed_support_input().values,
+                                              perfect_list(G432).values], [("x0",), ("x1",)])
     out = _product_apply([m], _hom(G432, HOM_A_PLUS_2C))
     assert out.group.moduli == (4, 3)
-    assert sum(b.prob for b in out.branches) == pytest.approx(1.0, abs=1e-12)
+    assert sum(out.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
     mm = _product_apply([pure(perfect_list(Z32))], _marginalize(Z32, 1))
     assert mm.group.moduli == (3,)
     ml = _product_apply([pure(perfect_list(Z3))], _lift(Z3, projection_hom(Z32, (0,))))

@@ -21,7 +21,7 @@ from abelianbp import (
     pure,
     useless_list,
 )
-from abelianbp.messages import DEFAULT_MERGE_TOL, Branch
+from abelianbp.messages import DEFAULT_MERGE_TOL
 from one_trajectory import guard, sample
 
 Z32 = GroupSpec((3, 2))
@@ -35,34 +35,72 @@ def worked_check_ensemble():
 
 def test_pure():
     msg = pure(perfect_list(Z32))
-    assert len(msg) == 1 and msg.branches[0].prob == 1.0
-    msg2 = pure(useless_list(Z32), labels=("leaf",))
-    assert msg2.branches[0].labels == ("leaf",)
+    assert len(msg) == 1 and msg.probs[0] == 1.0
     pure(LAM1)
+
+
+def test_as_message_takes_an_eigen_list_or_a_message():
+    from abelianbp.messages import as_message
+    from abelianbp.trees import leaf
+    from abelianbp.trellis import decode_block, transfer_function_trellis, unroll_to_tree
+
+    msg = check_combine(LAM1, LAM2)
+    assert as_message(msg) is msg
+    one = as_message(LAM1)
+    assert len(one) == 1 and np.array_equal(one.lams[0], LAM1.values) and one.labels == ((),)
+    spec, raw = transfer_function_trellis([1, 0, 1], [1, 1, 1], 3), [1.0, 1.0, 1.0]
+    for build in (lambda: as_message(LAM1.values), lambda: as_message(None),
+                  lambda: leaf("v", list(LAM1.values)),
+                  lambda: decode_block(spec, [[raw]]),
+                  lambda: unroll_to_tree(spec, [[raw]], 0)):
+        with pytest.raises(ValidationError, match="expected an eigen list or heralded message"):
+            build()
 
 
 def test_probability_validation():
     with pytest.raises(ValidationError):
-        HeraldedMessage(Z32, (Branch(0.5, LAM1), Branch(0.4, LAM2)))
+        HeraldedMessage.of(Z32, [0.5, 0.4], [LAM1.values, LAM2.values])
     with pytest.raises(ValidationError):
-        HeraldedMessage(Z32, (Branch(-0.1, LAM1), Branch(1.1, LAM2)))
+        HeraldedMessage.of(Z32, [-0.1, 1.1], [LAM1.values, LAM2.values])
+
+
+def test_of_checks_shapes():
+    rows = [LAM1.values, LAM2.values, LAM1.values]
+    for probs, lams, labels in (([0.5, 0.5], rows, None),          # 3 lists for 2 branches
+                                ([1.0], rows[:1], [("a",), ("b",)]),  # 2 label tuples for 1
+                                ([0.5, 0.5], rows[:2], [("a",)]),
+                                ([[0.5, 0.5]], rows[:2], None),     # probabilities not 1-D
+                                ([1.0], LAM1.values, None),         # lists not (k, |G|)
+                                ([1.0], [rows[:1]], None)):
+        with pytest.raises(ValidationError, match="do not match"):
+            HeraldedMessage.of(Z32, probs, lams, labels)
+    with pytest.raises(ValidationError, match="eigen list length 5 != group order 6"):
+        HeraldedMessage.of(Z32, [1.0], [LAM1.values[:5]])
+    with pytest.raises(ValidationError, match="not numeric arrays"):
+        HeraldedMessage.of(Z32, [0.5, 0.5], [LAM1.values, LAM2.values[:5]])
+    for labels in (None, [("a",)]):
+        with pytest.raises(ValidationError, match="needs at least one branch"):
+            HeraldedMessage.of(Z32, [], [], labels)
+    msg = HeraldedMessage.of(Z32, [0.5, 0.5], rows[:2], [("a",), ("b", "c")])
+    assert msg.labels == (("a",), ("b", "c"))
+    assert HeraldedMessage.of(Z32, [1.0], rows[:1]).labels == ((),)
 
 
 def test_merge_duplicates_on_check_output():
     merged = merge_duplicates(worked_check_ensemble())
     assert len(merged) == 3
-    probs = [b.prob for b in merged.branches]
+    probs = merged.probs.tolist()
     assert probs == pytest.approx([1 / 3, 1 / 2, 1 / 6])
-    assert np.allclose(merged.branches[0].lam.values, [4, 0, 0, 2, 0, 0])
+    assert np.allclose(merged.lams[0], [4, 0, 0, 2, 0, 0])
     # labels concatenate
-    assert merged.branches[0].labels == ("check:(0,0)", "check:(0,1)")
+    assert merged.labels[0] == ("check:(0,0)", "check:(0,1)")
 
 
 def test_merge_noop_on_distinct_branches():
-    msg = HeraldedMessage(Z32, (Branch(0.5, LAM1, ("a",)), Branch(0.5, LAM2, ("b",))))
+    msg = HeraldedMessage.of(Z32, [0.5, 0.5], [LAM1.values, LAM2.values], [("a",), ("b",)])
     merged = merge_duplicates(msg)
     assert len(merged) == 2
-    assert merged.branches[0].labels == ("a",)
+    assert merged.labels[0] == ("a",)
 
 
 def test_merge_survives_lex_interloper():
@@ -72,30 +110,29 @@ def test_merge_survives_lex_interloper():
     dup1 = EigenList(G, [1.0, 0.0, 2.0, 1.0])
     dup2 = EigenList(G, [1.0, 1e-12, 2.0 - 2e-12, 1.0 + 1e-12])
     interloper = EigenList(G, [1.0, 5e-13, 1.5, 1.5 - 5e-13])
-    msg = HeraldedMessage(G, (Branch(0.3, dup1, ("a",)),
-                              Branch(0.3, interloper, ("w",)),
-                              Branch(0.4, dup2, ("b",))))
+    msg = HeraldedMessage.of(G, [0.3, 0.3, 0.4], [dup1.values, interloper.values, dup2.values],
+                             [("a",), ("w",), ("b",)])
     out = merge_duplicates(msg, tol=1e-9)
     assert len(out) == 2
-    labels = {b.labels for b in out.branches}
+    labels = set(out.labels)
     assert ("a", "b") in labels
     assert ("w",) in labels
 
 
 def test_merge_identical_branches():
-    msg = HeraldedMessage(Z32, (Branch(0.4, LAM1), Branch(0.6, LAM1)))
+    msg = HeraldedMessage.of(Z32, [0.4, 0.6], [LAM1.values, LAM1.values])
     merged = merge_duplicates(msg)
     assert len(merged) == 1
-    assert merged.branches[0].prob == pytest.approx(1.0)
+    assert merged.probs[0] == pytest.approx(1.0)
 
 
 def test_prune():
     msg = worked_check_ensemble()
     assert prune(msg, 0.0) is msg
-    two = HeraldedMessage(Z32, (Branch(1e-20, LAM1), Branch(1 - 1e-20, LAM2)))
+    two = HeraldedMessage.of(Z32, [1e-20, 1 - 1e-20], [LAM1.values, LAM2.values])
     pruned = prune(two, 1e-15)
     assert len(pruned) == 1
-    assert pruned.branches[0].prob == pytest.approx(1.0)
+    assert pruned.probs[0] == pytest.approx(1.0)
     assert len(prune(merge_duplicates(msg), 0.05)) == 3  # all probs >= 1/6
     with pytest.raises(ValidationError):
         prune(two, 0.7)
@@ -110,8 +147,8 @@ def test_pickle_round_trip_keeps_the_arrays():
     exact = merge_duplicates(check_combine(LAM1, EigenList(Z32, [1.5, 0.25, 1, 2, 0.5, 0.75])))
     pruned = prune(exact, np.sort(exact.probs)[1])
     tracker = PopulationTracker("sampled", seed=3, prune_eps=0.0, samples=20)
-    sampled = tracker.step(_check(Z32), [tracker.entry(pure(LAM1, ("a",))),
-                                         tracker.entry(exact)])
+    labelled = HeraldedMessage.of(Z32, [1.0], [LAM1.values], [("a",)])
+    sampled = tracker.step(_check(Z32), [tracker.entry(labelled), tracker.entry(exact)])
     assert len(pruned) < len(exact) and len(sampled) == 20
     for msg in (exact, pruned, sampled):
         back = pickle.loads(pickle.dumps(msg))
@@ -122,19 +159,19 @@ def test_pickle_round_trip_keeps_the_arrays():
 
 
 def test_guard_modes_and_dropped_mass(monkeypatch):
-    msg = HeraldedMessage(Z32, (Branch(1 - 3e-13, LAM1), Branch(1e-13, LAM2),
-                                Branch(2e-13, useless_list(Z32))))
+    msg = HeraldedMessage.of(Z32, [1 - 3e-13, 1e-13, 2e-13],
+                             [LAM1.values, LAM2.values, useless_list(Z32).values])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert guard(msg, None) is msg
         assert len(guard(msg, None, prune_eps=0.01)) == 1
         drawn = guard(msg, np.random.default_rng(0), prune_eps=0.01)
-    assert len(drawn) == 1 and drawn.branches[0].prob == 1.0
+    assert len(drawn) == 1 and drawn.probs[0] == 1.0
     monkeypatch.setattr("abelianbp.messages.BRANCH_CAP", 2)
     with pytest.warns(RuntimeWarning, match=r"branch count 3 exceeds cap 2; .* mass 3e-13$"):
         out = guard(msg, None)
     assert len(out) == 1
-    assert np.array_equal(out.branches[0].lam.values, LAM1.values)
+    assert np.array_equal(out.lams[0], LAM1.values)
 
 
 def test_merge_and_prune_preserve_metrics():
@@ -143,7 +180,7 @@ def test_merge_and_prune_preserve_metrics():
         out = f(msg)
         assert avg_holevo(out) == pytest.approx(avg_holevo(msg), abs=1e-12)
         assert avg_pgm_error(out) == pytest.approx(avg_pgm_error(msg), abs=1e-12)
-        assert sum(b.prob for b in out.branches) == pytest.approx(1.0, abs=1e-12)
+        assert sum(out.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sample_single_branch():
@@ -158,7 +195,7 @@ def test_sample_frequencies():
     rng = np.random.default_rng(123)
     counts = np.zeros(3)
     n = 100_000
-    keys = [tuple(np.round(b.lam.values, 9)) for b in msg.branches]
+    keys = [tuple(np.round(row, 9)) for row in msg.lams]
     for _ in range(n):
         lam, _ = sample(msg, rng)
         counts[keys.index(tuple(np.round(lam.values, 9)))] += 1
@@ -178,12 +215,12 @@ def test_avg_metrics():
     msg = pure(LAM1)
     assert avg_holevo(msg) == pytest.approx(holevo_info(LAM1))
     assert avg_pgm_error(msg) == pytest.approx(pgm_error(LAM1))
-    half = HeraldedMessage(Z32, (Branch(0.5, perfect_list(Z32)),
-                                 Branch(0.5, useless_list(Z32))))
+    half = HeraldedMessage.of(Z32, [0.5, 0.5], [perfect_list(Z32).values, useless_list(Z32).values])
     assert avg_pgm_error(half) == pytest.approx((1 - 1 / 6) / 2)
     # frozen expectation computed from the three merged branch lists
     merged = merge_duplicates(worked_check_ensemble())
-    expected = sum(b.prob * holevo_info(b.lam) for b in merged.branches)
+    expected = sum(p * holevo_info(EigenList(Z32, row))
+                   for p, row in zip(merged.probs.tolist(), merged.lams))
     assert avg_holevo(merged) == pytest.approx(expected, abs=1e-12)
 
 
@@ -192,7 +229,7 @@ def reference_merge(msg, tol=DEFAULT_MERGE_TOL):
     of the lexsorted lists, then a pairwise repair over the representatives."""
     if len(msg) == 1:
         return msg
-    mats = np.stack([b.lam.values for b in msg.branches])
+    mats = msg.lams
     order = np.lexsort(mats.T[::-1])
     clusters = []
     rep = None
@@ -213,12 +250,12 @@ def reference_merge(msg, tol=DEFAULT_MERGE_TOL):
     for idxs in merged:
         idxs.sort()
     merged.sort(key=min)
-    out = []
+    probs, labs, out = msg.probs.tolist(), msg.labels, []
     for idxs in merged:
-        prob = float(sum(msg.branches[i].prob for i in idxs))
-        labels = tuple(lab for i in idxs for lab in msg.branches[i].labels)
-        out.append(Branch(prob, msg.branches[idxs[0]].lam, labels))
-    return HeraldedMessage(msg.group, tuple(out))
+        prob = float(sum(probs[i] for i in idxs))
+        labels = tuple(lab for i in idxs for lab in labs[i])
+        out.append((prob, mats[idxs[0]], labels))
+    return HeraldedMessage.of(msg.group, *zip(*out))
 
 
 @st.composite
@@ -264,8 +301,8 @@ def mixtures_with_duplicates(draw):
             rows[at:at] = [interloper, dup]
     probs = rng.random(len(rows)) + 0.01
     probs /= probs.sum()
-    msg = HeraldedMessage(G, tuple(Branch(float(p), EigenList(G, row), (f"b{i}",))
-                                   for i, (p, row) in enumerate(zip(probs, rows))))
+    msg = HeraldedMessage.of(G, probs, [EigenList(G, row).values for row in rows],
+                             [(f"b{i}",) for i in range(len(rows))])
     tol = draw(st.sampled_from([DEFAULT_MERGE_TOL, 1e-12, 0.0]))
     return msg, tol
 
@@ -276,10 +313,9 @@ def test_merge_matches_quadratic_reference(case):
     msg, tol = case
     got, want = merge_duplicates(msg, tol), reference_merge(msg, tol)
     assert len(got) == len(want)
-    for g, w in zip(got.branches, want.branches):
-        assert g.labels == w.labels
-        assert np.array_equal(g.lam.values, w.lam.values)
-        assert abs(g.prob - w.prob) <= 1e-15
+    assert got.labels == want.labels
+    assert np.array_equal(got.lams, want.lams)
+    assert np.abs(got.probs - want.probs).max() <= 1e-15
 
 
 def test_mixture_metrics_match_the_branch_loop():
@@ -294,9 +330,8 @@ def test_mixture_metrics_match_the_branch_loop():
             lams[rng.random((k, n)) < 0.2] = 0.0
             lams[:, 0] += 1e-3
             probs = rng.random(k)
-            msg = HeraldedMessage(G, [
-                Branch(p, EigenList(G, row * n / row.sum()))
-                for p, row in zip(probs / probs.sum(), lams)])
+            msg = HeraldedMessage.of(G, probs / probs.sum(),
+                                     [EigenList(G, row * n / row.sum()).values for row in lams])
             pairs = list(zip(msg.probs.tolist(), msg.lams))
             holevo = sum(p * entropy_bits(row / n) for p, row in pairs)
             pgm = sum(p * pgm_error_of(row) for p, row in pairs)

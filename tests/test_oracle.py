@@ -18,6 +18,7 @@ from abelianbp import (
     useless_list,
 )
 from abelianbp import oracle
+from message_rows import rows
 
 Z32 = GroupSpec((3, 2))
 Z4 = GroupSpec((4,))
@@ -35,12 +36,12 @@ def rand_lam(G, rng):
 
 
 def assert_messages_match(sim, fast, ptol=1e-10, ltol=1e-9):
-    d = {b.labels[0]: b for b in fast.branches}
-    assert len(sim.branches) == len(fast.branches)
-    for b in sim.branches:
+    d = {b.labels[0]: b for b in rows(fast)}
+    assert len(sim) == len(fast)
+    for b in rows(sim):
         fb = d[b.labels[0]]
         assert abs(b.prob - fb.prob) <= ptol
-        assert np.max(np.abs(b.lam.values - fb.lam.values)) <= ltol
+        assert np.max(np.abs(b.lam - fb.lam)) <= ltol
 
 
 def test_jacobi_identity_and_diag():
@@ -320,16 +321,16 @@ def rejected(rule, G):
 
 def test_verify_rule_rejects_a_broken_fast_path(monkeypatch):
     from abelianbp import factors
-    from abelianbp.messages import Branch, HeraldedMessage
+    from abelianbp.messages import HeraldedMessage
 
     assert not rejected("check", Z32) and not rejected("equality", Z32)
     check, equality = factors.check_combine, factors.equality_combine
 
     def swapped(a, b):
         msg = check(a, b)
-        b0, b1, *rest = msg.branches
-        return HeraldedMessage(msg.group, (Branch(b1.prob, b0.lam, b0.labels),
-                                           Branch(b0.prob, b1.lam, b1.labels), *rest))
+        probs = msg.probs.copy()
+        probs[[0, 1]] = probs[[1, 0]]
+        return HeraldedMessage.of(msg.group, probs, msg.lams, msg.labels)
 
     def perturbed(a, b):
         values = np.array(equality(a, b).values)

@@ -25,6 +25,7 @@ from abelianbp.polar import (
     select_info_set,
     synthesize,
 )
+from message_rows import rows
 
 Z3 = GroupSpec((3,))
 Z32 = GroupSpec((3, 2))
@@ -45,9 +46,9 @@ def test_polar_minus_matches_two_step_composition():
     manual = merge_duplicates(check_combine(LAM1, relabeled))
     out = polar_minus(pure(LAM1), pure(LAM2))
     assert len(out) == len(manual)
-    for b1, b2 in zip(out.branches, manual.branches):
+    for b1, b2 in zip(rows(out), rows(manual)):
         assert b1.prob == pytest.approx(b2.prob, abs=1e-12)
-        assert np.max(np.abs(b1.lam.values - b2.lam.values)) < 1e-12
+        assert np.max(np.abs(b1.lam - b2.lam)) < 1e-12
 
 
 def test_polar_minus_useless_partner():
@@ -58,20 +59,19 @@ def test_polar_minus_useless_partner():
 def test_polar_minus_both_useless():
     out = polar_minus(pure(useless_list(Z32)), pure(useless_list(Z32)))
     assert len(out) == 1
-    assert np.allclose(out.branches[0].lam.values, useless_list(Z32).values)
+    assert np.allclose(out.lams[0], useless_list(Z32).values)
 
 
 def test_polar_plus_examples():
     out = polar_plus(pure(LAM1), pure(LAM2))
     assert len(out) == 1
-    assert np.max(np.abs(out.branches[0].lam.values
-                         - [1.5, 0.5, 1.0, 1.5, 0.5, 1.0])) < 1e-12
+    assert np.max(np.abs(out.lams[0] - [1.5, 0.5, 1.0, 1.5, 0.5, 1.0])) < 1e-12
     # useless partner: identity
     out2 = polar_plus(pure(LAM1), pure(useless_list(Z32)))
-    assert np.max(np.abs(out2.branches[0].lam.values - LAM1.values)) < 1e-12
+    assert np.max(np.abs(out2.lams[0] - LAM1.values)) < 1e-12
     # perfect partner: perfect
     out3 = polar_plus(pure(LAM1), pure(perfect_list(Z32)))
-    assert np.allclose(out3.branches[0].lam.values, 1.0)
+    assert np.allclose(out3.lams[0], 1.0)
 
 
 def test_synthesize_level_one_extremes():
@@ -188,8 +188,7 @@ def test_generic_kernel_reduces_to_standard_rules():
         assert avg_pgm_error(km) == pytest.approx(avg_pgm_error(pm), abs=1e-9)
         kp = kernel_plus(pure(a), pure(b), K)
         assert len(kp) == 1
-        assert np.max(np.abs(kp.branches[0].lam.values
-                             - equality_combine(a, b).values)) < 1e-10
+        assert np.max(np.abs(kp.lams[0] - equality_combine(a, b).values)) < 1e-10
 
 
 def test_select_info_set():

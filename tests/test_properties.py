@@ -43,8 +43,9 @@ from abelianbp.factors import (
     marginalize_split,
 )
 from abelianbp.groups import is_automorphism
-from abelianbp.messages import PROB_FLOOR, Branch
+from abelianbp.messages import PROB_FLOOR
 from abelianbp.polar import polar_minus, polar_plus
+from message_rows import rows
 
 MAX_ORDER = 24
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -113,8 +114,8 @@ def mixtures(draw, G):
     """A heralded mixture of one to three random lists with distinct labels."""
     k = draw(st.integers(1, 3))
     w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
-    return HeraldedMessage(G, tuple(Branch(float(p), eigen_lists(draw, G), (f"x{i}",))
-                                    for i, p in enumerate(w / w.sum())))
+    return HeraldedMessage.of(G, w / w.sum(), [eigen_lists(draw, G).values for _ in range(k)],
+                              [(f"x{i}",) for i in range(k)])
 
 
 def close(a: EigenList, b: EigenList) -> bool:
@@ -167,28 +168,28 @@ def reference_m(msgs, rule):
     out = []
     stack = [((), 1.0, ())]
     for msg in msgs:
-        grown = [(lams + (b.lam,), p * b.prob, labels + b.labels)
-                 for (lams, p, labels) in stack for b in msg.branches]
+        grown = [(lams + (EigenList(msg.group, b.lam),), p * b.prob, labels + b.labels)
+                 for (lams, p, labels) in stack for b in rows(msg)]
         stack = [e for e in grown if e[1] >= PROB_FLOOR] or grown
     for lams, p, labels in stack:
         result = rule(*lams)
         group = result.group
         if isinstance(result, HeraldedMessage):
-            out += [Branch(p * b.prob, b.lam, labels + b.labels) for b in result.branches]
+            out += [(p * b.prob, b.lam, labels + b.labels) for b in rows(result)]
         else:
-            out.append(Branch(p, result, labels))
-    total = sum(b.prob for b in out)
-    return merge_duplicates(HeraldedMessage(
-        group, tuple(Branch(b.prob / total, b.lam, b.labels) for b in out)))
+            out.append((p, result.values, labels))
+    probs, lams, labels = zip(*out)
+    total = sum(probs)
+    return merge_duplicates(HeraldedMessage.of(group, [q / total for q in probs], lams, labels))
 
 
 def same_mixture(got, want):
     assert got.group.moduli == want.group.moduli
     assert len(got) == len(want)
-    for g, w in zip(got.branches, want.branches):
+    for g, w in zip(rows(got), rows(want)):
         assert g.labels == w.labels
         assert abs(g.prob - w.prob) <= 1e-12
-        assert np.max(np.abs(g.lam.values - w.lam.values)) <= 1e-12
+        assert np.max(np.abs(g.lam - w.lam)) <= 1e-12
 
 
 @PROFILE

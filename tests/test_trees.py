@@ -55,7 +55,7 @@ def test_validate_single_leaf():
     spec = FactorGraphSpec({"v": Z32}, {"l": leaf("v", LAM1)}, "v")
     validate_tree(spec)
     out = run_mp(spec)
-    assert np.allclose(out.branches[0].lam.values, LAM1.values)
+    assert np.allclose(out.lams[0], LAM1.values)
 
 
 def test_validate_rejects_cycle():
@@ -94,17 +94,16 @@ def test_validate_rejects_disconnected():
 def test_equality_graph_reproduces_rule():
     out = run_mp(chain_graph([LAM1, LAM2]))
     assert len(out) == 1
-    assert np.max(np.abs(out.branches[0].lam.values
-                         - equality_combine(LAM1, LAM2).values)) < 1e-12
+    assert np.max(np.abs(out.lams[0] - equality_combine(LAM1, LAM2).values)) < 1e-12
 
 
 def test_check_graph_reproduces_ensemble():
     out = run_mp(chain_graph([LAM1, LAM2], kind="check"))
     base = merge_duplicates(check_combine(LAM1, LAM2))
     assert len(out) == len(base)
-    for b1, b2 in zip(out.branches, base.branches):
-        assert b1.prob == pytest.approx(b2.prob, abs=1e-12)
-        assert np.max(np.abs(b1.lam.values - b2.lam.values)) < 1e-12
+    for p1, p2, l1, l2 in zip(out.probs, base.probs, out.lams, base.lams):
+        assert p1 == pytest.approx(p2, abs=1e-12)
+        assert np.max(np.abs(l1 - l2)) < 1e-12
 
 
 def test_depth_two_composition():
@@ -120,9 +119,9 @@ def test_depth_two_composition():
     out = run_mp(FactorGraphSpec(variables, factors, "root"))
     manual = _product_apply([pure(equality_combine(lam_a, lam_b)), pure(lam_c)], _check(Z32))
     assert len(out) == len(manual)
-    for b1, b2 in zip(out.branches, manual.branches):
-        assert b1.prob == pytest.approx(b2.prob, abs=1e-12)
-        assert np.max(np.abs(b1.lam.values - b2.lam.values)) < 1e-12
+    for p1, p2, l1, l2 in zip(out.probs, manual.probs, out.lams, manual.lams):
+        assert p1 == pytest.approx(p2, abs=1e-12)
+        assert np.max(np.abs(l1 - l2)) < 1e-12
 
 
 def test_root_metrics_extremes():
@@ -147,9 +146,9 @@ def test_message_toward_check_input():
     manual = check_combine(LAM1, apply_automorphism(LAM2, inversion_automorphism(Z32)))
     manual = merge_duplicates(manual)
     assert len(out) == len(manual)
-    for b1, b2 in zip(out.branches, manual.branches):
-        assert b1.prob == pytest.approx(b2.prob, abs=1e-12)
-        assert np.max(np.abs(b1.lam.values - b2.lam.values)) < 1e-12
+    for p1, p2, l1, l2 in zip(out.probs, manual.probs, out.lams, manual.lams):
+        assert p1 == pytest.approx(p2, abs=1e-12)
+        assert np.max(np.abs(l1 - l2)) < 1e-12
 
 
 def test_hom_marginalize_automorphism_edges():
@@ -164,7 +163,7 @@ def test_hom_marginalize_automorphism_edges():
     spec = FactorGraphSpec(variables, factors, "out")
     out = run_mp(spec)
     assert out.group.moduli == (3,)
-    assert sum(b.prob for b in out.branches) == pytest.approx(1.0)
+    assert sum(out.probs.tolist()) == pytest.approx(1.0)
 
     variables2 = {"big": Z32, "kept": Z3}
     factors2 = {
@@ -175,9 +174,9 @@ def test_hom_marginalize_automorphism_edges():
     from abelianbp import marginalize_split
     manual = merge_duplicates(marginalize_split(LAM1, 1))
     assert len(out2) == len(manual)
-    for b1, b2 in zip(out2.branches, manual.branches):
-        assert b1.prob == pytest.approx(b2.prob, abs=1e-12)
-        assert np.max(np.abs(b1.lam.values - b2.lam.values)) < 1e-12
+    for p1, p2, l1, l2 in zip(out2.probs, manual.probs, out2.lams, manual.lams):
+        assert p1 == pytest.approx(p2, abs=1e-12)
+        assert np.max(np.abs(l1 - l2)) < 1e-12
 
 
 def test_schedule_permutation_invariance():
@@ -211,8 +210,8 @@ def test_sampled_mode_deterministic():
     spec = chain_graph([LAM1, LAM2], kind="check")
     a = run_mp(spec, mode="sampled", seed=99)
     b = run_mp(spec, mode="sampled", seed=99)
-    assert a.branches[0].labels == b.branches[0].labels
-    assert np.array_equal(a.branches[0].lam.values, b.branches[0].lam.values)
+    assert a.labels[0] == b.labels[0]
+    assert np.array_equal(a.lams[0], b.lams[0])
 
 
 def test_branch_cap_guard(monkeypatch):
@@ -228,7 +227,7 @@ def test_branch_cap_guard(monkeypatch):
     for w in record:
         count, mass = re.search(r"branch count (\d+) .* mass (\S+)$", str(w.message)).groups()
         assert 0 <= float(mass) <= int(count) * GUARD_PRUNE
-    assert sum(b.prob for b in out.branches) == pytest.approx(1.0, abs=1e-9)
+    assert sum(out.probs.tolist()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_group_code_tree_composition():
@@ -259,8 +258,8 @@ def test_group_code_tree_composition():
     want = _product_apply([m_p1, m_p2], _check(Z4))
     assert avg_holevo(got) == pytest.approx(avg_holevo(want), abs=1e-10)
     assert avg_pgm_error(got) == pytest.approx(avg_pgm_error(want), abs=1e-10)
-    key = lambda m: sorted((round(b.prob, 10), tuple(np.round(b.lam.values, 9)))
-                           for b in m.branches)
+    key = lambda m: sorted((round(p, 10), tuple(np.round(row, 9)))
+                           for p, row in zip(m.probs.tolist(), m.lams))
     assert key(got) == key(want)
 
 
@@ -269,16 +268,15 @@ def test_intermediate_messages_stay_valid():
     lams = [LAM1, LAM2]
     for kind in ("equality", "check"):
         out = run_mp(chain_graph(lams, kind=kind))
-        assert sum(b.prob for b in out.branches) == pytest.approx(1.0, abs=1e-9)
-        for b in out.branches:
-            assert b.lam.values.sum() == pytest.approx(6.0, rel=1e-6)
+        assert sum(out.probs.tolist()) == pytest.approx(1.0, abs=1e-9)
+        for row in out.lams:
+            assert row.sum() == pytest.approx(6.0, rel=1e-6)
 
 
 def every_kind_graph():
     """Check, marginalize, hom and automorphism factors in both directions and
     an equality factor, with a two-branch mixture leaf; rooted at r."""
     from abelianbp import HomSpec
-    from abelianbp.messages import Branch, HeraldedMessage
 
     rng = np.random.default_rng(21)
 
@@ -286,8 +284,8 @@ def every_kind_graph():
         v = rng.gamma(1.0, size=G.order)
         return EigenList(G, v * G.order / v.sum())
 
-    mix = HeraldedMessage(Z32, [Branch(0.3, lam(Z32), ("la:0",)),
-                                Branch(0.7, lam(Z32), ("la:1",))])
+    mix = HeraldedMessage.of(Z32, [0.3, 0.7], [lam(Z32).values, lam(Z32).values],
+                             [("la:0",), ("la:1",)])
     negate = HomSpec(Z32, Z32, ((2, 0), (0, 1)))     # g -> -g on the Z3 block
     return FactorGraphSpec(
         {"r": Z3, "m": Z3, "s": Z3, "p": Z32, "a": Z32, "b": Z32, "d": Z32, "u": Z32,
@@ -346,12 +344,13 @@ def test_population_rows_are_exact_branches():
     rng = np.random.default_rng(2)
     lams = [EigenList(Z32, v * 6 / v.sum()) for v in rng.gamma(1.0, size=(3, 6))]
     spec = chain_graph(lams, kind="check")
-    exact = {b.labels: b.lam.values for b in run_mp(spec).branches}
+    exact_msg = run_mp(spec)
+    exact = dict(zip(exact_msg.labels, exact_msg.lams))
     msg = run_mp(spec, mode="sampled", seed=4, samples=200)
     for labels, row in zip(msg.labels, msg.lams):
         assert np.allclose(row, exact[labels], atol=1e-9)
     one = run_mp(spec, mode="sampled", seed=4)
-    assert len(one) == 1 and one.branches[0].labels in exact
+    assert len(one) == 1 and one.labels[0] in exact
 
 
 def test_run_mp_rejects_bad_sample_counts():
@@ -472,12 +471,10 @@ def _unrolled(T, root_t):
 
 def _mixture_chain():
     """A check chain whose middle leaf is a three-branch mixture."""
-    from abelianbp.messages import Branch
-
     rng = np.random.default_rng(5)
     lams = [EigenList(Z32, v * 6 / v.sum()) for v in rng.gamma(1.0, size=(5, 6))]
-    mix = HeraldedMessage(Z32, [Branch(p, lam, (f"mix:{i}",))
-                                for i, (p, lam) in enumerate(zip((0.2, 0.5, 0.3), lams[2:]))])
+    mix = HeraldedMessage.of(Z32, (0.2, 0.5, 0.3), [lam.values for lam in lams[2:]],
+                             [(f"mix:{i}",) for i in range(3)])
     return chain_graph([lams[0], mix, lams[1]], kind="check")
 
 

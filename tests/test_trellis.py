@@ -23,7 +23,7 @@ from abelianbp import (
 from abelianbp.factors import (_adjoin, _automorphism, _equality, _lift, _marginalize,
                                _product_apply)
 from abelianbp.groups import permute_coordinates
-from abelianbp.messages import GUARD_PRUNE, Branch, HeraldedMessage
+from abelianbp.messages import GUARD_PRUNE, HeraldedMessage, as_message
 from abelianbp.trellis import (
     TrellisSpec,
     _boundary,
@@ -39,6 +39,7 @@ from abelianbp.trellis import (
     validate_trellis,
 )
 from abelianbp.trees import run_mp
+from message_rows import rows
 from population_tracker import PopulationTracker
 
 Z3 = GroupSpec((3,))
@@ -130,8 +131,8 @@ def test_branch_posterior_perfect_obs():
     bwd = pure(perfect_list(spec.state_group))
     branch = branch_posterior(spec, fwd=fwd, bwd=bwd, obs=[perfect_list(Z3)])
     assert avg_pgm_error(branch) == pytest.approx(0.0, abs=1e-12)
-    for b in branch.branches:
-        assert np.allclose(b.lam.values, 1.0)
+    for b in rows(branch):
+        assert np.allclose(b.lam, 1.0)
 
 
 def test_branch_posterior_useless_obs():
@@ -151,7 +152,7 @@ def test_degenerate_single_section_is_repetition():
     res = decode_block(spec, [[a, b]], symbol_obs_seq=[sym])[0]
     manual = equality_combine(equality_combine(a, b), sym)
     assert len(res.posterior) == 1
-    assert np.max(np.abs(res.posterior.branches[0].lam.values - manual.values)) < 1e-9
+    assert np.max(np.abs(res.posterior.lams[0] - manual.values)) < 1e-9
 
 
 def test_forward_step_matches_manual_composition():
@@ -168,14 +169,14 @@ def test_forward_step_matches_manual_composition():
     got = merge_duplicates(out)
     want = merge_duplicates(manual)
     assert len(got) == len(want)
-    for b1, b2 in zip(got.branches, want.branches):
+    for b1, b2 in zip(rows(got), rows(want)):
         assert b1.prob == pytest.approx(b2.prob, abs=1e-12)
-        assert np.max(np.abs(b1.lam.values - b2.lam.values)) < 1e-12
+        assert np.max(np.abs(b1.lam - b2.lam)) < 1e-12
 
 
 def _step(spec, kind, msgs, n_obs):
     """A section step over the branch product of eigen lists or messages."""
-    msgs = [m if isinstance(m, HeraldedMessage) else pure(m) for m in msgs]
+    msgs = [as_message(m) for m in msgs]
     return _product_apply(msgs, _step_rule(spec, kind, n_obs))
 
 
@@ -188,8 +189,8 @@ def _marginalized(msg, keep, phi=None):
 
 
 def _mixture(G, rng):
-    return HeraldedMessage(G, [Branch(0.3, rand_lam(G, rng), ("a",)),
-                               Branch(0.7, rand_lam(G, rng), ("b",))])
+    return HeraldedMessage.of(G, [0.3, 0.7], [rand_lam(G, rng).values, rand_lam(G, rng).values],
+                              [("a",), ("b",)])
 
 
 def _section_cases():
@@ -251,7 +252,7 @@ def test_perfect_and_useless_chains():
 def _ensemble_key(msg):
     merged = merge_duplicates(msg, 1e-9)
     return sorted(
-        (tuple(np.round(b.lam.values, 9)), round(b.prob, 10)) for b in merged.branches
+        (tuple(np.round(b.lam, 9)), round(b.prob, 10)) for b in rows(merged)
     )
 
 
@@ -326,8 +327,7 @@ def test_decode_block_sampled_deterministic():
     r1 = decode_block(spec, obs, mode="sampled", seed=11)
     r2 = decode_block(spec, obs, mode="sampled", seed=11)
     for a, b in zip(r1, r2):
-        assert np.array_equal(a.posterior.branches[0].lam.values,
-                              b.posterior.branches[0].lam.values)
+        assert np.array_equal(a.posterior.lams[0], b.posterior.lams[0])
 
 
 def test_decode_block_sampled_converges_to_exact():
@@ -380,7 +380,7 @@ def test_decode_block_guard_reports_dropped_mass(monkeypatch):
     assert max(dropped) > 0
     for r in results:
         for msg in (r.posterior, r.extrinsic):
-            assert sum(b.prob for b in msg.branches) == pytest.approx(1.0, abs=1e-12)
+            assert sum(msg.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 def row_metrics(msg):
@@ -396,8 +396,9 @@ def _constituent_block(T=5, seed=12):
     two-branch mixture observation at section 2, a priori lists at odd t."""
     rng = np.random.default_rng(seed)
     obs = [[rand_lam(Z3, rng)] for _ in range(T)]
-    obs[2] = [HeraldedMessage(Z3, [Branch(0.35, rand_lam(Z3, rng), ("obs:a",)),
-                                   Branch(0.65, rand_lam(Z3, rng), ("obs:b",))])]
+    obs[2] = [HeraldedMessage.of(Z3, [0.35, 0.65], [rand_lam(Z3, rng).values,
+                                                    rand_lam(Z3, rng).values],
+                                 [("obs:a",), ("obs:b",)])]
     sym = [rand_lam(Z3, rng) for _ in range(T)]
     apr = [rand_lam(Z3, rng) if t % 2 else None for t in range(T)]
     return transfer_function_trellis([1, 0, 1], [1, 1, 1], 3), obs, sym, apr
@@ -524,8 +525,8 @@ def test_decode_block_one_trajectory_labels():
                                apriori_seq=apr)
         for t, (r, e) in enumerate(zip(sampled, exact)):
             assert len(r.posterior) == len(r.extrinsic) == 1
-            labels = r.posterior.branches[0].labels
-            assert labels == r.extrinsic.branches[0].labels
+            labels = r.posterior.labels[0]
+            assert labels == r.extrinsic.labels[0]
             assert set(labels) <= set(sum(e.posterior.labels, ()))
             assert sum(lab.startswith("fwd[") for lab in labels) == t
             assert sum(lab.startswith("bwd[") for lab in labels) == T - 1 - t
@@ -536,8 +537,9 @@ def test_decode_block_one_trajectory_labels():
 def test_decode_block_keeps_caller_labels_that_begin_with_marg():
     # state steps name their own heralds; a caller's labels pass through as given
     spec, obs, sym, apr = _constituent_block(T=4)
-    obs[2] = [HeraldedMessage(Z3, [Branch(b.prob, b.lam, ("marg:" + b.labels[0],))
-                                   for b in obs[2][0].branches])]
+    mix = obs[2][0]
+    obs[2] = [HeraldedMessage.of(Z3, mix.probs, mix.lams,
+                                 [("marg:" + labs[0],) for labs in mix.labels])]
     for mode, mine in (("exact", 2), ("sampled", 1)):
         res = decode_block(spec, obs, mode=mode, seed=1, symbol_obs_seq=sym, apriori_seq=apr)
         labels = {lab for r in res for labs in r.posterior.labels for lab in labs}
