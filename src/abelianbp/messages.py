@@ -296,13 +296,13 @@ def check_seed(seed: int | None) -> None:
 
 
 class GuardWarning(RuntimeWarning):
-    """The branch cap pruned a mixture of `branches` branches, dropping
+    """The branch cap pruned a mixture of `count` branches, dropping
     probability mass `dropped`."""
 
-    def __init__(self, branches: int, dropped: float):
-        super().__init__(f"branch count {branches} exceeds cap {BRANCH_CAP}; pruning at "
+    def __init__(self, count: int, dropped: float):
+        super().__init__(f"branch count {count} exceeds cap {BRANCH_CAP}; pruning at "
                          f"{GUARD_PRUNE} drops probability mass {dropped:.6g}")
-        self.branches, self.dropped = branches, dropped
+        self.count, self.dropped = count, dropped
 
 
 def guard(msg: HeraldedMessage, prune_eps: float = 0.0) -> HeraldedMessage:

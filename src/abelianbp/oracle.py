@@ -7,13 +7,14 @@ states from first principles,
 
 forms induced density matrices for each factor, applies the explicit
 unitaries/isometries that reveal the herald structure, and reads probabilities
-and eigen lists off the resulting blocks.  The work is batched numpy: a
-factor's tensor states for every herald come from one stacked array, and each
-density matrix is split into all of its herald blocks at once (leakage,
-traces, diagonals and purities in one call each).  Eigendecompositions use an
-in-package cyclic Jacobi sweep in round-robin order (Brent & Luk 1985): each
-round rotates floor(n/2) disjoint index pairs together.  No LAPACK eigensolver
-or SVD is used, keeping this code path independent of external numerics.
+and eigen lists off the resulting blocks.  The work runs on numpy stacks of
+at most ``_BLOCK_FLOATS`` entries: a factor's density matrices are built as
+stacks, each split into all of its herald blocks at once.  Eigendecompositions
+use an in-package cyclic Jacobi sweep in round-robin order (Brent & Luk 1985)
+that rotates floor(n/2) disjoint index pairs of every matrix in a stack
+together, so ``verify_rule`` runs one Jacobi pass per stack of instances.  No
+LAPACK eigensolver or SVD is used, keeping this code path independent of
+external numerics.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .errors import NumericalError, ValidationError
 from .groups import (
     GroupSpec,
     HomSpec,
-    hom_eval,
+    digits,
+    hom_table,
     invert_automorphism,
     is_automorphism,
     surjection_onto_image,
@@ -39,6 +41,7 @@ from .messages import HeraldedMessage, check_seed
 BLOCK_TOL = 1e-10      # allowed leakage outside herald blocks
 PURITY_TOL = 1e-8      # rank-1 consistency of conditioned blocks
 MAX_DIM = 256
+_BLOCK_FLOATS = 1 << 15  # entries per stack; a Jacobi stack holds A and V, 2 n^2 per matrix
 
 
 def state_matrix(lam: EigenList) -> np.ndarray:
@@ -71,81 +74,104 @@ def _round_robin(n: int) -> np.ndarray:
     return rounds
 
 
+def _stacks(total: int, entries: int) -> list[slice]:
+    """Slices of range(total), each as many items of ``entries`` as fit ``_BLOCK_FLOATS``."""
+    step = max(1, _BLOCK_FLOATS // entries)
+    return [slice(i, i + step) for i in range(0, total, step)]
+
+
 def jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix or (b, n, n) stack by cyclic Jacobi rotations.
 
     Each sweep visits every off-diagonal pair once in round-robin order
     (Brent & Luk 1985): n-1 rounds (n for odd n) of floor(n/2) disjoint pairs.
     Disjoint rotations commute, so a round computes all of its angles from
     the same matrix, then makes one vectorised update of the paired columns
     of A and V and one of the paired rows of A: O(n^2) per round, O(n^3) per
-    sweep.  No LAPACK eigensolver is used.
+    sweep, for every matrix of a stack at once.  No LAPACK eigensolver is used.
 
     Returns ``(eigenvalues, eigenvectors)`` with columns as eigenvectors,
-    sorted in descending eigenvalue order.  Terminates when the off-diagonal
-    Frobenius norm drops below ``tol * ||A||_F``; raises on non-convergence.
+    sorted in descending eigenvalue order (stacked as the input).  A matrix
+    stops rotating once its off-diagonal Frobenius norm is below ``tol *
+    ||A||_F``, so its result does not depend on its stack; raises on
+    non-convergence.
     """
     A = np.array(A, dtype=np.complex128)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValidationError("jacobi_eigh expects a square matrix")
+    n = A.shape[-1]
+    if A.ndim not in (2, 3) or A.shape[-2] != n:
+        raise ValidationError("jacobi_eigh expects a square matrix or a stack of them")
     if n > MAX_DIM:
         raise ValidationError(f"dimension {n} exceeds oracle cap {MAX_DIM}")
-    if np.max(np.abs(A - A.conj().T)) > 1e-10 * max(1.0, np.abs(A).max()):
+    single, A = A.ndim == 2, A.reshape(-1, n, n)
+    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    if np.any(np.abs(A - A.conj().swapaxes(1, 2)).max(axis=(1, 2)) > 1e-10 * scale):
         raise ValidationError("matrix is not Hermitian")
     # A on top of V: a rotation acts on the same columns of both
-    AV = np.vstack([(A + A.conj().T) / 2.0, np.eye(n, dtype=np.complex128)])
-    A, V = AV[:n], AV[n:]
-    norm = np.sqrt((np.abs(A) ** 2).sum())
-    if norm == 0:
-        return np.zeros(n), V
+    AV = np.concatenate([(A + A.conj().swapaxes(1, 2)) / 2.0,
+                         np.tile(np.eye(n), (len(A), 1, 1))], axis=1)
+    off_diagonal = 1.0 - np.eye(n)
 
-    def offdiag():
-        off = A - np.diag(np.diag(A))
-        return np.sqrt((np.abs(off) ** 2).sum())
+    def frobenius(A):
+        return np.sqrt((np.abs(A) ** 2).reshape(len(A), -1).sum(axis=1))
 
+    norm = frobenius(AV[:, :n])
+    live, S = np.arange(len(AV)), AV
     for _ in range(max_sweeps):
-        if offdiag() <= tol * norm:
+        rotate = ~(frobenius(S[:, :n] * off_diagonal) <= tol * norm[live])
+        if not rotate.all():        # converged matrices leave the rotating stack
+            AV[live[~rotate]] = S[~rotate]
+            live, S = live[rotate], S[rotate]
+        if not live.size:
             break
+        A = S[:, :n]
         for p, q in _round_robin(n):
-            apq = A[p, q]
-            live = np.abs(apq) >= 1e-300
-            if not live.all():
-                p, q, apq = p[live], q[live], apq[live]
+            m, k = np.nonzero(np.abs(A[:, p, q]) >= 1e-300)
+            p, q = p[k], q[k]
+            apq = A[m, p, q]
             # unitary 2x2 rotations diagonalizing the (p,q) blocks
             phase = apq / np.abs(apq)
-            theta = 0.5 * np.arctan2(2.0 * np.abs(apq), A[p, p].real - A[q, q].real)
-            c = np.cos(theta)
-            s = np.sin(theta) * phase
+            theta = 0.5 * np.arctan2(2.0 * np.abs(apq), A[m, p, p].real - A[m, q, q].real)
+            c = np.cos(theta)[:, None]
+            s = (np.sin(theta) * phase)[:, None]
             # columns: [p, q] <- [c*p + conj(s)*q, c*q - s*p]
-            Mp, Mq = AV[:, p], AV[:, q]
-            AV[:, p], AV[:, q] = Mp * c + Mq * s.conj(), Mq * c - Mp * s
+            Mp, Mq = S[m, :, p], S[m, :, q]
+            S[m, :, p] = Mp * c + Mq * s.conj()
+            S[m, :, q] = Mq * c - Mp * s
             # rows: [p, q] <- [c*p + s*q, c*q - conj(s)*p]
-            Ap, Aq = A[p, :], A[q, :]
-            c, s = c[:, None], s[:, None]
-            A[p, :], A[q, :] = c * Ap + s * Aq, c * Aq - s.conj() * Ap
+            Ap, Aq = A[m, p, :], A[m, q, :]
+            A[m, p, :], A[m, q, :] = c * Ap + s * Aq, c * Aq - s.conj() * Ap
     else:
         raise NumericalError("jacobi_eigh did not converge")
-    w = np.diag(A).real.copy()
-    order = np.argsort(-w)
-    return w[order], V[:, order]
+    w = np.diagonal(AV[:, :n], axis1=1, axis2=2).real.copy()
+    order = np.argsort(-w, axis=1)
+    w[norm == 0], order[norm == 0] = 0.0, np.arange(n)
+    w = np.take_along_axis(w, order, axis=1)
+    V = np.take_along_axis(AV[:, n:], order[:, None, :], axis=2)
+    return (w[0], V[0]) if single else (w, V)
 
 
-def _check_residual(A: np.ndarray, w: np.ndarray, V: np.ndarray):
-    res = np.max(np.abs(A @ V - V * w[None, :]))
-    if res > 1e-9 * max(1.0, np.abs(w).max()):
-        raise NumericalError(f"eigenpair residual {res} too large")
+def _average_state_spectra(lams):
+    """``(psi, w, V)`` per list: rho_bar = psi psi^H / |G| and its eigenpairs,
+    from one Jacobi run per bounded stack of lists over one group."""
+    for chunk in (lams[s] for s in _stacks(len(lams), 2 * lams[0].group.order ** 2)):
+        psis = [state_matrix(lam) for lam in chunk]
+        rhos = np.stack([psi @ psi.conj().T / lam.group.order for psi, lam in zip(psis, chunk)])
+        ws, Vs = jacobi_eigh(rhos)
+        for psi, rho, w, V in zip(psis, rhos, ws, Vs):
+            res = np.max(np.abs(rho @ V - V * w[None, :]))
+            if res > 1e-9 * max(1.0, np.abs(w).max()):
+                raise NumericalError(f"eigenpair residual {res} too large")
+            yield psi, w, V
+
+
+def _entropy(psi, w, V) -> float:
+    w = w[w > 1e-15]
+    return float(-(w * np.log2(w)).sum())
 
 
 def entropy_of_average_state(lam: EigenList) -> float:
     """S(rho_bar) in bits via dense eigendecomposition; equals H(mu)."""
-    psi = state_matrix(lam)
-    n = lam.group.order
-    rho = psi @ psi.conj().T / n
-    w, V = jacobi_eigh(rho)
-    _check_residual(rho, w, V)
-    w = w[w > 1e-15]
-    return float(-(w * np.log2(w)).sum())
+    return _entropy(*next(_average_state_spectra([lam])))
 
 
 def verify_gram_diagonalization(lam: EigenList) -> dict:
@@ -181,18 +207,8 @@ def verify_covariance(lam: EigenList) -> dict:
     return {"max_deviation": worst, "ok": True}
 
 
-def pgm_bruteforce(lam: EigenList) -> float:
-    """PGM error from the explicit square-root measurement.
-
-    Builds rho_bar, inverts its square root on the support (eigenvalues below
-    1e-12 are excluded), and averages the success amplitudes.
-    """
-    G = lam.group
-    n = G.order
-    psi = state_matrix(lam)
-    rho = psi @ psi.conj().T / n
-    w, V = jacobi_eigh(rho)
-    _check_residual(rho, w, V)
+def _pgm_error(psi, w, V) -> float:
+    n = psi.shape[1]
     keep = w > 1e-12
     inv_sqrt = (V[:, keep] * (1.0 / np.sqrt(w[keep]))[None, :]) @ V[:, keep].conj().T
     amps = (psi.conj() * (inv_sqrt @ psi)).sum(axis=0)     # <psi_g| rho^-1/2 |psi_g>
@@ -200,44 +216,52 @@ def pgm_bruteforce(lam: EigenList) -> float:
     return 1.0 - success / n
 
 
+def pgm_bruteforce(lam: EigenList) -> float:
+    """PGM error from the explicit square-root measurement.
+
+    Builds rho_bar, inverts its square root on the support (eigenvalues below
+    1e-12 are excluded), and averages the success amplitudes.
+    """
+    return _pgm_error(*next(_average_state_spectra([lam])))
+
+
 # ---------------------------------------------------------------------------
 # factor simulations
 
 
-def _blocks_to_message(group: GroupSpec, rho_by_h, herald_dim, block_dim,
+def _blocks_to_message(group: GroupSpec, rho_stacks, herald_dim, block_dim,
                        herald_first, labels):
     """Extract ensemble (p_h, eigen list) from per-input block structure.
 
-    Each density matrix is split into all of its herald-indexed diagonal
-    blocks at once; the herald is the slow index when ``herald_first`` and
-    the fast one otherwise.  No matrix element may connect different herald
-    values.  For every group input the conditioned block must be rank one
-    with h-independent diagonal; the diagonal (in the character basis) times
-    the block dimension is the branch eigen list.
+    Each (m, D, D) stack of per-input density matrices is split into all of
+    its herald-indexed diagonal blocks at once; the herald is the slow index
+    when ``herald_first`` and the fast one otherwise.  No matrix element may
+    connect different herald values.  For every group input the conditioned
+    block must be rank one with h-independent diagonal; the diagonal (in the
+    character basis) times the block dimension is the branch eigen list.
     """
-    hs = np.arange(herald_dim)
+    H, B = herald_dim, block_dim
+    hs = np.arange(H)
     probs = diags = None
-    for rho in rho_by_h:
+    for rho in rho_stacks:
         if herald_first:
-            T = rho.reshape(herald_dim, block_dim, herald_dim, block_dim)
+            T = rho.reshape(-1, H, B, H, B)
         else:
-            T = rho.reshape(block_dim, herald_dim, block_dim, herald_dim).transpose(1, 0, 3, 2)
+            T = rho.reshape(-1, B, H, B, H).transpose(0, 2, 1, 4, 3)
         off = np.abs(T)
-        off[hs, :, hs, :] = 0.0
+        off[:, hs, :, hs, :] = 0.0
         leak = float(off.max())
         if leak > BLOCK_TOL:
             raise NumericalError(f"herald blocks are not diagonal: leakage {leak}")
-        blocks = T[hs, :, hs, :]                      # (herald, block, block)
-        traces = np.trace(blocks, axis1=1, axis2=2).real
-        diag = np.diagonal(blocks, axis1=1, axis2=2).real
+        blocks = T[:, hs, :, hs, :].swapaxes(0, 1)     # (input, herald, block, block)
+        traces = np.trace(blocks, axis1=2, axis2=3).real
+        diag = np.diagonal(blocks, axis1=2, axis2=3).real
         if probs is None:
-            probs, diags = traces, diag
-        else:
-            if np.max(np.abs(traces - probs)) > BLOCK_TOL:
-                raise NumericalError("herald probabilities depend on the group input")
-            live = probs >= 1e-13
-            if np.max(np.abs(diag - diags)[live], initial=0.0) > 1e-9:
-                raise NumericalError("block diagonals depend on the group input")
+            probs, diags = traces[0], diag[0]
+        if np.max(np.abs(traces - probs)) > BLOCK_TOL:
+            raise NumericalError("herald probabilities depend on the group input")
+        if np.max(np.abs(diag - diags)[:, probs >= 1e-13], initial=0.0) > 1e-9:
+            raise NumericalError("block diagonals depend on the group input")
         live = traces > 1e-9
         purity = (np.abs(blocks[live]) ** 2).sum(axis=(1, 2)) / traces[live] ** 2
         bad = np.abs(purity - 1.0) > PURITY_TOL
@@ -259,8 +283,8 @@ def simulate_check(lam1: EigenList, lam2: EigenList) -> HeraldedMessage:
     Builds rho_h = (1/|G|) sum_{g1} |psi1_{g1}><..| x |psi2_{g1^{-1}h}><..|,
     applies the relabeling unitary |chi>|chi'> -> |chi chi'^{-1}>|chi'>, and
     reads the ensemble from the herald blocks.  The tensor states of every
-    herald are one stacked array W[g1, h, :]; each rho_h is one product of
-    its W rows.
+    herald are one stacked array W[g1, h, :]; each bounded stack of rho_h is
+    one batched product of its W rows.
     """
     if lam1.group.moduli != lam2.group.moduli:
         raise ValidationError("check simulation: group mismatch")
@@ -278,34 +302,43 @@ def simulate_check(lam1: EigenList, lam2: EigenList) -> HeraldedMessage:
     perm = np.empty(n * n, dtype=np.int64)
     perm[t.add[c, t.neg[cp]] * n + cp] = c * n + cp
     W = W[:, :, perm]
-    Wc = W.conj() / n
-    rho_by_h = (W[:, h].T @ Wc[:, h] for h in range(n))
-    labels = [f"check:({','.join(map(str, G.from_index(c).residues))})" for c in range(n)]
-    return _blocks_to_message(G, rho_by_h, n, n, True, labels)
+    Wt, Wc = W.transpose(1, 2, 0), (W.conj() / n).transpose(1, 0, 2)
+    rho_stacks = (Wt[s] @ Wc[s] for s in _stacks(n, n ** 4))
+    labels = [f"check:({','.join(map(str, r))})" for r in digits(G, range(n)).tolist()]
+    return _blocks_to_message(G, rho_stacks, n, n, True, labels)
+
+
+def _equality_lists(pairs) -> list[EigenList]:
+    """``simulate_equality`` on (lam1, lam2) pairs over one group, with one
+    Jacobi cross-check per bounded stack of gram matrices."""
+    out = []
+    for s in _stacks(len(pairs), 2 * pairs[0][0].group.order ** 2):
+        grams = []
+        for lam1, lam2 in pairs[s]:
+            if lam1.group.moduli != lam2.group.moduli:
+                raise ValidationError("equality simulation: group mismatch")
+            G, t = lam1.group, tables_for(lam1.group)
+            psi1, psi2 = state_matrix(lam1), state_matrix(lam2)
+            gram = (psi1.conj().T @ psi1) * (psi2.conj().T @ psi2)
+            row = gram[0]
+            circ = float(np.max(np.abs(gram - row[t.add[t.neg]])))
+            if circ > BLOCK_TOL * G.order:
+                raise NumericalError(f"combined gram matrix is not circulant: {circ}")
+            lam = t.chars.conj().T @ row
+            if np.max(np.abs(lam.imag)) > 1e-9:
+                raise NumericalError("combined eigen list is not real")
+            out.append(EigenList(G, np.clip(lam.real, 0.0, None)))
+            grams.append(gram)
+        # cross-check each multiset against a dense eigendecomposition
+        for w, lam in zip(jacobi_eigh(np.stack(grams))[0], out[s]):
+            if np.max(np.abs(np.sort(w) - np.sort(lam.values))) > 1e-8 * max(1.0, lam.group.order):
+                raise NumericalError("gram eigenvalues disagree with the character transform")
+    return out
 
 
 def simulate_equality(lam1: EigenList, lam2: EigenList) -> EigenList:
     """Dense simulation of the equality factor via the tensor-state Gram matrix."""
-    if lam1.group.moduli != lam2.group.moduli:
-        raise ValidationError("equality simulation: group mismatch")
-    G = lam1.group
-    t = tables_for(G)
-    psi1 = state_matrix(lam1)
-    psi2 = state_matrix(lam2)
-    gram = (psi1.conj().T @ psi1) * (psi2.conj().T @ psi2)
-    row = gram[0]
-    circ = float(np.max(np.abs(gram - row[t.add[t.neg]])))
-    if circ > BLOCK_TOL * G.order:
-        raise NumericalError(f"combined gram matrix is not circulant: {circ}")
-    lam = t.chars.conj().T @ row
-    if np.max(np.abs(lam.imag)) > 1e-9:
-        raise NumericalError("combined eigen list is not real")
-    out = EigenList(G, np.clip(lam.real, 0.0, None))
-    # cross-check the multiset against a dense eigendecomposition
-    w, _ = jacobi_eigh(gram.astype(np.complex128))
-    if np.max(np.abs(np.sort(w) - np.sort(out.values))) > 1e-8 * max(1.0, G.order):
-        raise NumericalError("gram eigenvalues disagree with the character transform")
-    return out
+    return _equality_lists([(lam1, lam2)])[0]
 
 
 def simulate_hom(lam: EigenList, H: HomSpec) -> HeraldedMessage:
@@ -333,11 +366,12 @@ def simulate_hom(lam: EigenList, H: HomSpec) -> HeraldedMessage:
     V[np.arange(n1), t1.add[reps[None, :], pull[:, None]].ravel()] = 1.0
     if np.max(np.abs(V.T @ V - np.eye(n1))) > 1e-12:
         raise NumericalError("coset isometry is not an isometry")
-    image = np.array([hom_eval(surj, g).index for g in G1.elements()])
-    fibers = (psi[:, image == h] for h in range(n2))
-    rho_by_h = (V @ (F @ F.conj().T / F.shape[1]) @ V.T for F in fibers)
-    labels = [f"hom:({','.join(map(str, G1.from_index(r).residues))})" for r in reps]
-    return _blocks_to_message(G2, rho_by_h, nrep, n2, False, labels)
+    image = hom_table(surj)
+    F = np.stack([psi[:, image == h] for h in range(n2)])     # fibres: kernel cosets
+    rho_stacks = (V @ (F[s] @ F[s].conj().swapaxes(1, 2) / F.shape[2]) @ V.T
+                  for s in _stacks(n2, n1 * n1))
+    labels = [f"hom:({','.join(map(str, r))})" for r in digits(G1, reps).tolist()]
+    return _blocks_to_message(G2, rho_stacks, nrep, n2, False, labels)
 
 
 def simulate_marginalize(lam: EigenList, keep: int) -> HeraldedMessage:
@@ -354,12 +388,13 @@ def simulate_marginalize(lam: EigenList, keep: int) -> HeraldedMessage:
     n1, n2 = G1.order, G2.order
     if U.order > 144:
         raise ValidationError("dimension exceeds the oracle cap")
-    # psi[:, g1 + n1 * g2] is fibre[:, g2, g1]
-    fibre = state_matrix(lam).reshape(U.order, n2, n1)
-    rho_by_h = (fibre[:, :, g1] @ fibre[:, :, g1].conj().T / n2 for g1 in range(n1))
-    labels = [f"marg:({','.join(map(str, G2.from_index(e).residues))})" for e in range(n2)]
+    # psi[:, g1 + n1 * g2] is fibre[g1, :, g2]
+    fibre = state_matrix(lam).reshape(U.order, n2, n1).transpose(2, 0, 1)
+    rho_stacks = (fibre[s] @ fibre[s].conj().swapaxes(1, 2) / n2
+                  for s in _stacks(n1, U.order ** 2))
+    labels = [f"marg:({','.join(map(str, r))})" for r in digits(G2, range(n2)).tolist()]
     # combined dual index = chi + n1 * eta: eta blocks are the slow digits
-    return _blocks_to_message(G1, rho_by_h, n2, n1, True, labels)
+    return _blocks_to_message(G1, rho_stacks, n2, n1, True, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +434,9 @@ def verify_rule(rule: str, G: GroupSpec, seed: int, count: int) -> dict:
 
     Returns a machine-readable report with the worst deviations observed.
     ``rule`` is one of check, equality, hom, marginalize, automorphism (factor
-    rules) or gram, covariance, pgm, entropy (scalar certifications).
+    rules) or gram, covariance, pgm, entropy (scalar certifications).  All
+    ``count`` instances are drawn first; the equality, pgm and entropy rules
+    then diagonalise bounded stacks of them in one Jacobi run each.
     """
     from .eigenlists import holevo_info, pgm_error
     from .factors import (
@@ -414,57 +451,50 @@ def verify_rule(rule: str, G: GroupSpec, seed: int, count: int) -> dict:
         raise ValidationError(f"count must be at least 1, got {count}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    max_dp = 0.0
-    max_dl = 0.0
-
-    def compare(sim_msg, fast_msg):
-        nonlocal max_dp, max_dl
-        fast = {labels[0]: i for i, labels in enumerate(fast_msg.labels)}
-        if len(sim_msg) != len(fast):
-            raise NumericalError("herald supports differ between paths")
-        at = [fast[labels[0]] for labels in sim_msg.labels]
-        max_dp = max(max_dp, float(np.max(np.abs(sim_msg.probs - fast_msg.probs[at]))))
-        max_dl = max(max_dl, float(np.max(np.abs(sim_msg.lams - fast_msg.lams[at]))))
-
-    for _ in range(count):
-        if rule == "check":
-            a, b = random_eigenlist(G, rng), random_eigenlist(G, rng)
-            compare(simulate_check(a, b), check_combine(a, b))
-        elif rule == "equality":
-            a, b = random_eigenlist(G, rng), random_eigenlist(G, rng)
-            dev = float(np.max(np.abs(simulate_equality(a, b).values
-                                      - equality_combine(a, b).values)))
-            max_dl = max(max_dl, dev)
-        elif rule == "hom":
-            lam = random_eigenlist(G, rng)
-            H = random_hom(G, rng)
-            compare(simulate_hom(lam, H), hom_push(lam, H))
-        elif rule == "marginalize":
-            U = G if G.rank >= 2 else GroupSpec(G.moduli + (2,) * (2 - G.rank))
-            lam = random_eigenlist(U, rng)
-            keep = int(rng.integers(1, U.rank))
-            compare(simulate_marginalize(lam, keep), marginalize_split(lam, keep))
-        elif rule == "automorphism":
-            lam = random_eigenlist(G, rng)
-            phi = random_automorphism(G, rng)
-            dev = float(np.max(np.abs(simulate_automorphism(lam, phi).values
-                                      - apply_automorphism(lam, phi).values)))
-            max_dl = max(max_dl, dev)
-        elif rule == "gram":
-            report = verify_gram_diagonalization(random_eigenlist(G, rng))
-            max_dl = max(max_dl, report["max_eigen_residual"],
-                         report["max_circulance_dev"])
-        elif rule == "covariance":
-            report = verify_covariance(random_eigenlist(G, rng))
-            max_dl = max(max_dl, report["max_deviation"])
-        elif rule == "pgm":
-            lam = random_eigenlist(G, rng)
-            max_dl = max(max_dl, abs(pgm_bruteforce(lam) - pgm_error(lam)))
-        elif rule == "entropy":
-            lam = random_eigenlist(G, rng)
-            max_dl = max(max_dl, abs(entropy_of_average_state(lam) - holevo_info(lam)))
-        else:
-            raise ValidationError(f"unknown verification rule {rule!r}")
+    U = G if G.rank >= 2 else GroupSpec(G.moduli + (2,) * (2 - G.rank))
+    draws = {
+        "check": lambda: (random_eigenlist(G, rng), random_eigenlist(G, rng)),
+        "hom": lambda: (random_eigenlist(G, rng), random_hom(G, rng)),
+        "marginalize": lambda: (random_eigenlist(U, rng), int(rng.integers(1, U.rank))),
+        "automorphism": lambda: (random_eigenlist(G, rng), random_automorphism(G, rng)),
+    }
+    draws["equality"] = draws["check"]
+    for scalar in ("gram", "covariance", "pgm", "entropy"):
+        draws[scalar] = lambda: (random_eigenlist(G, rng),)
+    if rule not in draws:
+        raise ValidationError(f"unknown verification rule {rule!r}")
+    inputs = [draws[rule]() for _ in range(count)]
+    lams = [args[0] for args in inputs]
+    dps, dls = [], []
+    if rule in ("check", "hom", "marginalize"):
+        simulate, fast = {"check": (simulate_check, check_combine),
+                          "hom": (simulate_hom, hom_push),
+                          "marginalize": (simulate_marginalize, marginalize_split)}[rule]
+        for args in inputs:
+            sim_msg, fast_msg = simulate(*args), fast(*args)
+            at = {labels[0]: i for i, labels in enumerate(fast_msg.labels)}
+            if len(sim_msg) != len(at):
+                raise NumericalError("herald supports differ between paths")
+            at = [at[labels[0]] for labels in sim_msg.labels]
+            dps.append(np.max(np.abs(sim_msg.probs - fast_msg.probs[at])))
+            dls.append(np.max(np.abs(sim_msg.lams - fast_msg.lams[at])))
+    elif rule == "equality":
+        dls = [np.max(np.abs(sim.values - equality_combine(*args).values))
+               for sim, args in zip(_equality_lists(inputs), inputs)]
+    elif rule == "automorphism":
+        dls = [np.max(np.abs(simulate_automorphism(*args).values
+                             - apply_automorphism(*args).values)) for args in inputs]
+    elif rule == "gram":
+        for lam in lams:
+            report = verify_gram_diagonalization(lam)
+            dls += [report["max_eigen_residual"], report["max_circulance_dev"]]
+    elif rule == "covariance":
+        dls = [verify_covariance(lam)["max_deviation"] for lam in lams]
+    else:
+        scalar, fast = (_pgm_error, pgm_error) if rule == "pgm" else (_entropy, holevo_info)
+        dls = [abs(scalar(*spectrum) - fast(lam))
+               for spectrum, lam in zip(_average_state_spectra(lams), lams)]
+    max_dp, max_dl = (max([0.0, *map(float, d)]) for d in (dps, dls))
     tol = {"pgm": 1e-9, "entropy": 1e-8}.get(rule, 1e-9)
     return {
         "rule": rule,
@@ -484,7 +514,7 @@ def simulate_automorphism(lam: EigenList, phi: HomSpec) -> EigenList:
     t = tables_for(G)
     inv = invert_automorphism(phi)
     psi = state_matrix(lam)
-    perm = np.array([hom_eval(inv, g).index for g in G.elements()])
+    perm = hom_table(inv)
     relabeled = psi[:, perm]
     gram = relabeled.conj().T @ relabeled
     row = gram[0]

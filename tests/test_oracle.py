@@ -236,8 +236,9 @@ def test_simulate_check_states_match_the_loop_reference(monkeypatch, moduli):
     seen = []
     split = oracle._blocks_to_message
 
-    def capture(group, rho_by_h, *args):
-        seen.extend(rho_by_h)
+    def capture(group, rho_stacks, *args):
+        for stack in rho_stacks:
+            seen.extend(stack)
         return split(group, seen, *args)
 
     monkeypatch.setattr(oracle, "_blocks_to_message", capture)
@@ -400,3 +401,117 @@ def test_oracle_needs_no_lapack_eigensolver_and_no_fast_path(monkeypatch):
     oracle.verify_covariance(a)
     oracle.pgm_bruteforce(a)
     oracle.entropy_of_average_state(a)
+
+
+def test_jacobi_stack_equals_per_matrix_runs_byte_for_byte():
+    from abelianbp import ValidationError
+
+    psi = oracle.state_matrix(equality_combine(LAM1, LAM2))
+    gram = psi.conj().T @ psi                               # dense: several sweeps
+    diag = np.diag([3.0, 1.0, 2.0, 0.5, 0.0, 1.0])          # 0 sweeps
+    near = diag + 1e-4 * np.ones((6, 6))                     # converges sweeps earlier
+    stacks = [np.stack([diag, gram, np.zeros((6, 6)), near, gram.conj()]),
+              np.array([[[2.5]], [[0.0]], [[-1.0]]])]
+    for stack in stacks:
+        w, V = oracle.jacobi_eigh(stack)
+        assert w.shape == stack.shape[:2] and V.shape == stack.shape
+        for A, wi, Vi in zip(stack, w, V):
+            w1, V1 = oracle.jacobi_eigh(A)
+            assert wi.tobytes() == w1.tobytes() and Vi.tobytes() == V1.tobytes()
+    broken = stacks[0].copy()
+    broken[2, 0, 1] = 1.0
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        oracle.jacobi_eigh(broken)
+    with pytest.raises(ValidationError, match="square"):
+        oracle.jacobi_eigh(np.zeros((2, 2, 2, 2)))
+
+
+def loop_verify_rule(rule, G, seed, count):
+    """``verify_rule`` one instance at a time through the public single-instance
+    functions, drawing from the same generator in the same order."""
+    from abelianbp.messages import check_seed
+
+    check_seed(seed)
+    rng = np.random.default_rng(seed)
+    max_dp = max_dl = 0.0
+    for _ in range(count):
+        lam = oracle.random_eigenlist(G, rng)
+        if rule in ("check", "hom", "marginalize"):
+            if rule == "check":
+                args = (lam, oracle.random_eigenlist(G, rng))
+                sim, fast = oracle.simulate_check(*args), check_combine(*args)
+            elif rule == "hom":
+                args = (lam, oracle.random_hom(G, rng))
+                sim, fast = oracle.simulate_hom(*args), hom_push(*args)
+            else:
+                args = (lam, int(rng.integers(1, G.rank)))
+                sim, fast = oracle.simulate_marginalize(*args), marginalize_split(*args)
+            at = {labels[0]: i for i, labels in enumerate(fast.labels)}
+            assert len(at) == len(sim)
+            at = [at[labels[0]] for labels in sim.labels]
+            max_dp = max(max_dp, float(np.max(np.abs(sim.probs - fast.probs[at]))))
+            max_dl = max(max_dl, float(np.max(np.abs(sim.lams - fast.lams[at]))))
+        elif rule == "equality":
+            b = oracle.random_eigenlist(G, rng)
+            max_dl = max(max_dl, float(np.max(np.abs(
+                oracle.simulate_equality(lam, b).values - equality_combine(lam, b).values))))
+        elif rule == "automorphism":
+            phi = oracle.random_automorphism(G, rng)
+            max_dl = max(max_dl, float(np.max(np.abs(
+                oracle.simulate_automorphism(lam, phi).values
+                - apply_automorphism(lam, phi).values))))
+        elif rule == "gram":
+            report = oracle.verify_gram_diagonalization(lam)
+            max_dl = max(max_dl, report["max_eigen_residual"], report["max_circulance_dev"])
+        elif rule == "covariance":
+            max_dl = max(max_dl, oracle.verify_covariance(lam)["max_deviation"])
+        elif rule == "pgm":
+            max_dl = max(max_dl, abs(oracle.pgm_bruteforce(lam) - pgm_error(lam)))
+        else:
+            max_dl = max(max_dl, abs(oracle.entropy_of_average_state(lam) - holevo_info(lam)))
+    tol = {"pgm": 1e-9, "entropy": 1e-8}.get(rule, 1e-9)
+    return {"rule": rule, "group": str(G), "count": count, "max_prob_deviation": max_dp,
+            "max_list_deviation": max_dl, "ok": max_dp <= 1e-10 and max_dl <= tol}
+
+
+ALL_RULES = ("check", "equality", "hom", "marginalize", "automorphism",
+             "gram", "covariance", "pgm", "entropy")
+
+
+@pytest.mark.parametrize("budget", [None, 500])
+@pytest.mark.parametrize("moduli", [(3, 2), (4, 3), (2, 2, 3)])
+def test_verify_rule_matches_the_per_instance_loop(monkeypatch, moduli, budget):
+    import json
+
+    if budget:      # a small budget splits instances and heralds over several stacks
+        monkeypatch.setattr(oracle, "_BLOCK_FLOATS", budget)
+    G = GroupSpec(moduli)
+    for rule in ALL_RULES:
+        assert json.dumps(oracle.verify_rule(rule, G, 3, 20)) == \
+            json.dumps(loop_verify_rule(rule, G, 3, 20)), rule
+
+
+def test_verify_rule_stacks_stay_within_the_budget(monkeypatch):
+    G = GroupSpec((4, 3))
+    shapes = {"jacobi": [], "blocks": []}
+    jacobi, split = oracle.jacobi_eigh, oracle._blocks_to_message
+
+    def spy_jacobi(A, *args, **kwargs):
+        shapes["jacobi"].append(np.shape(A))
+        return jacobi(A, *args, **kwargs)
+
+    def spy_split(group, rho_stacks, *args):
+        def seen():
+            for stack in rho_stacks:
+                shapes["blocks"].append(np.shape(stack))
+                yield stack
+        return split(group, seen(), *args)
+
+    monkeypatch.setattr(oracle, "jacobi_eigh", spy_jacobi)
+    monkeypatch.setattr(oracle, "_blocks_to_message", spy_split)
+    for rule in ("check", "equality", "hom", "marginalize", "pgm", "entropy"):
+        assert oracle.verify_rule(rule, G, 4, 200)["ok"], rule
+    assert shapes["blocks"] and max(map(np.prod, shapes["blocks"])) <= oracle._BLOCK_FLOATS
+    # a Jacobi stack holds A on top of V: twice its input
+    assert 2 * max(map(np.prod, shapes["jacobi"])) <= oracle._BLOCK_FLOATS
+    assert sum(s[0] for s in shapes["jacobi"]) == 3 * 200 and max(shapes["jacobi"])[0] > 1

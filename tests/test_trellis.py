@@ -375,7 +375,7 @@ def test_decode_block_guard_reports_dropped_mass(monkeypatch):
     for w in record:
         count, mass = re.search(r"branch count (\d+) .* mass (\S+)$", str(w.message)).groups()
         assert 0 <= float(mass) <= int(count) * GUARD_PRUNE
-        assert (w.message.branches, f"{w.message.dropped:.6g}") == (int(count), mass)
+        assert (w.message.count, f"{w.message.dropped:.6g}") == (int(count), mass)
         dropped.append(float(mass))
     assert max(dropped) > 0
     for r in results:
