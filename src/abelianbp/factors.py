@@ -12,9 +12,11 @@ Five local factors act on messages:
 * automorphism -- permutation of the eigen list by the dual map.
 
 Each rule is stated once, as a kernel on a batch of lists, one per row
-(`_Rule`).  The pure rules are 1-row calls and return an EigenList or a
-HeraldedMessage.  Kernels gather with `np.take`, whose C-ordered result makes
-numpy sum each row in the same order as one 1-D list.
+(`_Rule`).  A check read toward an input, and polar minus, is the check with
+its second operand inverted (`_check_inverse`).  The pure rules are 1-row
+calls and return an EigenList or a HeraldedMessage.  Kernels gather with
+`np.take`, whose C-ordered result makes numpy sum each row in the same order
+as one 1-D list.
 
 Trackers check a run's settings with `Tracker` and apply rules in exact mode
 over the branch product of heralded mixtures (`_product_apply`), in sampled
@@ -38,6 +40,7 @@ from .groups import (
     GroupSpec,
     HomSpec,
     direct_product,
+    inversion_automorphism,
     is_automorphism,
     projection_hom,
     surjection_onto_image,
@@ -162,6 +165,14 @@ def _automorphism(G: GroupSpec, phi: HomSpec) -> _Rule:
         raise ValidationError("factor parameter is not an automorphism")
     pull = dual_map_table(phi)
     return _Rule(G, lambda A: np.take(A, pull, axis=1))
+
+
+@functools.lru_cache(maxsize=None)
+def _check_inverse(G: GroupSpec) -> _Rule:
+    """The check rule with its second operand relabelled by g -> g^{-1}: read
+    toward an input, h = g1 g2 is g1 = h g2^{-1}.  Polar minus is this rule."""
+    check, inv = _check(G), _automorphism(G, inversion_automorphism(G))
+    return check._replace(rows=lambda A, B: check.rows(A, inv.rows(B)))
 
 
 @functools.lru_cache(maxsize=None)

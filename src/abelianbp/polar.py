@@ -3,15 +3,15 @@
 One level of the standard kernel ``(u1, u2) -> (u1 u2, u2)`` maps two channel
 copies to a bad/good pair:
 
-    minus = check(W1, relabel of W2 by g -> g^{-1})
+    minus = check(W1, relabel of W2 by g -> g^{-1})   (`factors._check_inverse`)
     plus  = equality(W1, W2)
 
 Alternative kernels, automorphisms of G x G, decompose into lift, equality
 and marginalization (minus) and automorphism and equality (plus) factors;
-they are validated but carry no frozen reference vectors.  Both modes share
-one pair of rules per group and kernel, built from the row rules of `factors`.
+they are validated but carry no frozen reference vectors.  Each transform is
+one rule on operand rows (`factors._Rule`), and both modes run the same rule.
 
-Exact mode runs the rules over branch products of heralded mixtures.
+Exact mode runs a rule over the branch product of two heralded mixtures.
 Sampled mode is the population construction of Tal and Vardy with herald
 sampling: level d holds a population of rows per MSB-first index prefix; a
 level pairs row j with row j + half in each population, keeps one drawn
@@ -33,39 +33,23 @@ import numpy as np
 from . import factors
 from .eigenlists import EigenList, holevo_rows, pgm_rows
 from .errors import ValidationError
-from .factors import _Rule, _automorphism, _equality, _product_apply, _same_group, sample_rows
-from .groups import (GroupSpec, HomSpec, direct_product, inversion_automorphism,
-                     is_automorphism, is_surjective)
+from .factors import (_Rule, _automorphism, _check_inverse, _equality, _product_apply, _same_group,
+                      sample_rows)
+from .groups import GroupSpec, HomSpec, direct_product, is_automorphism, is_surjective
 from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, guard, pure
 
 DEFAULT_EXACT_LEVELS = 4
 DEFAULT_SAMPLES = 1000
 
 
-@functools.lru_cache(maxsize=None)
-def _arikan_rules(G: GroupSpec):
-    return (_automorphism(G, inversion_automorphism(G)), factors._check(G)), (None, _equality(G))
-
-
-def _apply(polar_rule, m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
-    """A polar rule (relabel of the second operand or None, binary rule) over
-    the branch product.  The relabel is a product step of its own, so minus
-    equals the two-step composition ``_product_apply([m1, _product_apply([m2],
-    _automorphism(G, inv))], _check(G))`` bit for bit."""
-    relabel, rule = polar_rule
-    if relabel is not None:
-        m2 = _product_apply([m2], relabel)
-    return _product_apply([m1, m2], rule)
-
-
 def polar_minus(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
     """Bad synthetic channel: check with the second input relabelled by g -> g^{-1}."""
-    return _apply(_arikan_rules(_same_group(m1, m2, "polar minus"))[0], m1, m2)
+    return _product_apply([m1, m2], _check_inverse(_same_group(m1, m2, "polar minus")))
 
 
 def polar_plus(m1: HeraldedMessage, m2: HeraldedMessage) -> HeraldedMessage:
     """Good synthetic channel: equality combination."""
-    return _apply(_arikan_rules(_same_group(m1, m2, "polar plus"))[1], m1, m2)
+    return _product_apply([m1, m2], _equality(_same_group(m1, m2, "polar plus")))
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +83,7 @@ def _kernel_minus_rule(G: GroupSpec, kernel: HomSpec):
         raise ValidationError("kernel output map is not surjective")
     lift1, lift2 = (factors._lift(G, out) for out in outs)
     eq, marg = _equality(GG), factors._marginalize(GG, G.rank)
-    return None, _Rule(G, lambda A, B: marg.rows(eq.rows(lift1.rows(A), lift2.rows(B))),
-                       marg.herald)
+    return _Rule(G, lambda A, B: marg.rows(eq.rows(lift1.rows(A), lift2.rows(B))), marg.herald)
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,20 +96,20 @@ def _kernel_plus_rule(G: GroupSpec, kernel: HomSpec):
         raise ValidationError(
             "unsupported kernel: second-column block is neither zero nor an automorphism")
     auts, eq = [c if c is None else _automorphism(G, c) for c in blocks], _equality(G)
-    return None, _Rule(G, lambda *ops: functools.reduce(
+    return _Rule(G, lambda *ops: functools.reduce(
         eq.rows, [aut.rows(op) for aut, op in zip(auts, ops) if aut is not None]))
 
 
 def kernel_minus(m1: HeraldedMessage, m2: HeraldedMessage, kernel: HomSpec) -> HeraldedMessage:
     """Bad channel of a generic kernel: lift, combine, marginalize u2 away."""
-    return _apply(_kernel_minus_rule(_same_group(m1, m2, "kernel minus"), kernel), m1, m2)
+    return _product_apply([m1, m2], _kernel_minus_rule(_same_group(m1, m2, "kernel minus"), kernel))
 
 
 def kernel_plus(m1: HeraldedMessage, m2: HeraldedMessage, kernel: HomSpec) -> HeraldedMessage:
     """Good channel of a generic kernel, u1 known: output i sees u2 through the
     second-column block c_i (covariance absorbs the shift by u1), so this is
     the equality of the outputs relabelled by their nonzero blocks."""
-    return _apply(_kernel_plus_rule(_same_group(m1, m2, "kernel plus"), kernel), m1, m2)
+    return _product_apply([m1, m2], _kernel_plus_rule(_same_group(m1, m2, "kernel plus"), kernel))
 
 
 @dataclass(frozen=True)
@@ -134,12 +117,6 @@ class IndexStats:
     index: int
     avg_holevo: float
     avg_pgm_error: float
-
-
-def _sampled_rows(polar_rule, A: np.ndarray, B: np.ndarray, u: np.ndarray):
-    """A polar rule on the row pairs (A, B), by `factors.sample_rows`."""
-    relabel, rule = polar_rule
-    return sample_rows(rule, [A, B if relabel is None else relabel.rows(B)], u)[0]
 
 
 def _population(base: EigenList, levels: int, samples: int, rng, rules, width: int):
@@ -160,8 +137,8 @@ def _population(base: EigenList, levels: int, samples: int, rng, rules, width: i
         for p, k in itertools.product(range(0, prefixes, kp), range(0, half, kr)):
             P, K = slice(p, p + kp), slice(k, min(k + kr, half))
             A, B = pop[P, K], pop[P, half + k:half + K.stop]
-            kids = [EigenList.checked_rows(G, _sampled_rows(
-                rule, A.reshape(-1, n), B.reshape(-1, n), u[P, K].ravel())) for rule in rules]
+            kids = [EigenList.checked_rows(G, sample_rows(
+                rule, [A.reshape(-1, n), B.reshape(-1, n)], u[P, K].ravel())[0]) for rule in rules]
             for half_rows, kid in zip((A, B), kids):
                 half_rows[:] = kid.reshape(half_rows.shape)
         pop = pop.reshape(2 * prefixes, half, n)
@@ -191,12 +168,12 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
         raise ValidationError("levels must be nonnegative")
     rng = factors.Tracker(resolve_mode(mode, levels), seed, prune_eps, samples).rng
     G, n = base.group, base.group.order
-    rules = (_arikan_rules(G) if kernel is None
+    rules = ((_check_inverse(G), _equality(G)) if kernel is None
              else (_kernel_minus_rule(G, kernel), _kernel_plus_rule(G, kernel)))
     if rng is None:
         channels = [pure(base)]
         for _ in range(levels):
-            channels = [guard(_apply(rule, msg, msg), prune_eps)
+            channels = [guard(_product_apply([msg, msg], rule), prune_eps)
                         for msg in channels for rule in rules]
         return [IndexStats(i, avg_holevo(ch), avg_pgm_error(ch))
                 for i, ch in enumerate(channels)]

@@ -123,7 +123,6 @@ _TRELLIS = {
         "output_group": _GROUP,
         "outputs": {"type": "array", "items": _HOM},
         "section_automorphism": _HOM,
-        "block_length": {"type": ["integer", "null"]},
         "boundary": {"enum": ["known", "unknown"]},
     },
     "required": ["version"],
@@ -297,7 +296,6 @@ def dump_trellis(spec: TrellisSpec) -> dict:
         "output_group": dump_group(spec.output_group),
         "outputs": [dump_hom(L) for L in spec.outputs],
         "section_automorphism": dump_hom(spec.section_automorphism),
-        "block_length": spec.block_length,
         "boundary": spec.boundary,
     }
 
@@ -306,16 +304,13 @@ def parse_trellis(doc) -> TrellisSpec:
     schema_validate(doc, "trellis")
     if "transfer_function" in doc:
         tf = doc["transfer_function"]
-        extra = set(doc) - {"version", "transfer_function", "boundary", "block_length"}
+        extra = set(doc) - {"version", "transfer_function", "boundary"}
         if extra:
             raise ValidationError(
                 f"transfer_function shorthand does not mix with fields {sorted(extra)}"
             )
         spec = transfer_function_trellis(tf["p"], tf["q"], tf["modulus"])
-        if "boundary" in doc or doc.get("block_length") is not None:
-            spec = dataclasses.replace(spec, boundary=doc.get("boundary", spec.boundary),
-                                       block_length=doc.get("block_length"))
-        return spec
+        return dataclasses.replace(spec, boundary=doc.get("boundary", spec.boundary))
     needed = {"symbol_group", "memory", "output_group", "outputs",
               "section_automorphism"}
     missing = needed - set(doc)
@@ -326,7 +321,6 @@ def parse_trellis(doc) -> TrellisSpec:
         parse_group(doc["output_group"]),
         tuple(parse_hom(L) for L in doc["outputs"]),
         parse_hom(doc["section_automorphism"]),
-        block_length=doc.get("block_length"),
         boundary=doc.get("boundary", "known"),
     )
 

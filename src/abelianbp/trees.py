@@ -10,8 +10,9 @@ factors.  Supported factor kinds:
     the equality-combination of the others.
 ``check``
     Parity constraint ``h = g1 g2 ... gd`` with the *last* edge playing h;
-    toward h the inputs fold through the check rule, toward an input the
-    constraint is rewritten with inverses (an automorphism relabel).
+    toward h the inputs fold through the check rule, toward an input g_i the
+    message is h times the other inputs' inverses, a fold of
+    `factors._check_inverse` over h and the other inputs.
 ``hom``
     Edges ``(in, out)`` with a surjective homomorphism; toward `out` the
     message pushes through the coset rule, toward `in` it lifts back.
@@ -21,8 +22,9 @@ factors.  Supported factor kinds:
 ``automorphism``
     Edges ``(in, out)`` on one group; relabeling in both directions.
 
-`run_mp` validates a graph and compiles it into a flat post-order schedule
-(`_compile`) once per graph contents, and runs it without recursion.
+`validate_tree` checks a graph and, in the same walk from the root, compiles
+it into a flat post-order schedule; `run_mp` keeps that schedule per graph
+contents and runs it without recursion.
 Exact mode runs each step over the branch product of its input mixtures
 (`factors._product_apply`) and guards the output (`messages.guard`).  Sampled
 mode carries S row-aligned herald trajectories: each leaf is drawn to one
@@ -33,7 +35,6 @@ and rows are checked in batches.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,13 +42,12 @@ import numpy as np
 from . import factors
 from .eigenlists import EigenList, useless_list
 from .errors import ValidationError
-from .factors import (Tracker, _automorphism, _check, _equality, _hom, _in_blocks, _lift,
-                      _marginalize, _product_apply, sample_rows)
+from .factors import (Tracker, _automorphism, _check, _check_inverse, _equality, _hom, _in_blocks,
+                      _lift, _marginalize, _product_apply, sample_rows)
 from .groups import (
     GroupSpec,
     HomSpec,
     invert_automorphism,
-    inversion_automorphism,
     is_automorphism,
     is_surjective,
     projection_hom,
@@ -72,51 +72,12 @@ class FactorGraphSpec:
     variables: dict[str, GroupSpec]
     factors: dict[str, FactorNode]
     root: str
-    # (contents, `_compile` schedule) of the contents that last passed `validate_tree`
+    # (contents, schedule) of the contents that last passed `validate_tree`
     _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def leaf(var: str, message) -> FactorNode:
     return FactorNode("leaf", (var,), message=as_message(message))
-
-
-def validate_tree(spec: FactorGraphSpec) -> None:
-    """Check bipartite consistency, connectivity, acyclicity, and signatures."""
-    if spec.root not in spec.variables:
-        raise ValidationError(f"root variable {spec.root!r} is not declared")
-    incident: dict[str, list[str]] = {v: [] for v in spec.variables}
-    edge_count = 0
-    for fid, f in spec.factors.items():
-        if f.kind not in FACTOR_KINDS:
-            raise ValidationError(f"factor {fid!r}: unknown kind {f.kind!r}")
-        if len(set(f.edges)) != len(f.edges):
-            raise ValidationError(f"factor {fid!r} repeats a variable (cycle)")
-        for v in f.edges:
-            if v not in spec.variables:
-                raise ValidationError(f"factor {fid!r} references unknown variable {v!r}")
-            incident[v].append(fid)
-            edge_count += 1
-        _validate_signature(spec, fid, f)
-    n_nodes = len(spec.variables) + len(spec.factors)
-    if edge_count != n_nodes - 1:
-        raise ValidationError(
-            f"not a tree: {edge_count} edges for {n_nodes} nodes (cycle or disconnect)"
-        )
-    # connectivity by BFS over the bipartite graph
-    seen = {("v", spec.root)}
-    queue = deque([("v", spec.root)])
-    while queue:
-        kind, node = queue.popleft()
-        neighbors = (
-            [("f", fid) for fid in incident[node]] if kind == "v"
-            else [("v", v) for v in spec.factors[node].edges]
-        )
-        for nb in neighbors:
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    if len(seen) != n_nodes:
-        raise ValidationError("graph is disconnected from the root")
 
 
 def _validate_signature(spec: FactorGraphSpec, fid: str, f: FactorNode) -> None:
@@ -161,19 +122,31 @@ def _validate_signature(spec: FactorGraphSpec, fid: str, f: FactorNode) -> None:
             raise ValidationError(f"automorphism factor {fid!r}: map is not an automorphism")
 
 
-def _compile(spec: FactorGraphSpec) -> list[tuple]:
-    """A valid tree's root-directed message passing as a post-order schedule,
-    built with an explicit stack in the order of a recursion from the root: a
+def validate_tree(spec: FactorGraphSpec) -> list[tuple]:
+    """Check the root, the factor kinds, edges and signatures, then walk the
+    graph from the root, which checks that it is a connected tree, and return
+    its root-directed message passing as a post-order schedule.
+
+    The walk uses an explicit stack and follows a recursion from the root: a
     node's incoming messages first, in edge order, then its own steps.  Entry
     j is ``(op, inputs, guard)``: a leaf entry (``op`` a message, duplicates
     merged, no inputs) or a `factors._Rule` step on the outputs of the entries
     in ``inputs``, guarded in exact mode if ``guard``.  Each output has one
     consumer; the last entry's is the root posterior."""
+    if spec.root not in spec.variables:
+        raise ValidationError(f"root variable {spec.root!r} is not declared")
     groups, incident = spec.variables, {v: [] for v in spec.variables}
     for fid, f in spec.factors.items():
+        if f.kind not in FACTOR_KINDS:
+            raise ValidationError(f"factor {fid!r}: unknown kind {f.kind!r}")
+        if len(set(f.edges)) != len(f.edges):
+            raise ValidationError(f"factor {fid!r} repeats a variable (cycle)")
         for v in f.edges:
+            if v not in spec.variables:
+                raise ValidationError(f"factor {fid!r} references unknown variable {v!r}")
             incident[v].append(fid)
-    schedule = []
+        _validate_signature(spec, fid, f)
+    schedule, seen = [], set()
 
     def emit(op, inputs=(), guard=True) -> int:
         schedule.append((op, inputs, guard))
@@ -184,10 +157,9 @@ def _compile(spec: FactorGraphSpec) -> list[tuple]:
 
     def plan(node):     # (incoming nodes, finish: their output slots -> output slot)
         kind, name, toward = node
-        if kind == "inv":           # an input of a check factor read toward an input
-            G = groups[name]
-            inv = _automorphism(G, inversion_automorphism(G))
-            return [("v", name, toward)], lambda s: emit(inv, s, guard=False)
+        if (kind, name) in seen:
+            raise ValidationError(f"not a tree: {name!r} is reached twice from the root (cycle)")
+        seen.add((kind, name))
         if kind == "v":
             G = groups[name]
             into = [("f", fid, name) for fid in incident[name] if fid != toward]
@@ -201,8 +173,8 @@ def _compile(spec: FactorGraphSpec) -> list[tuple]:
             return into, fold(_equality(groups[toward]))
         if f.kind == "check":
             out = f.edges[-1]
-            if toward != out:
-                into = [("v", out, name)] + [("inv", v, name) for v in f.edges[:-1] if v != toward]
+            if toward != out:       # toward g_i: h times the other inputs' inverses
+                return [("v", out, name)] + into[:-1], fold(_check_inverse(groups[out]))
             return into, fold(_check(groups[out]))
         vin, vout = f.edges
         if f.kind == "hom":
@@ -223,6 +195,8 @@ def _compile(spec: FactorGraphSpec) -> list[tuple]:
         else:
             stack.pop()
             (stack[-1][2] if stack else []).append(finish(slots))
+    if len(seen) < len(spec.variables) + len(spec.factors):
+        raise ValidationError("graph is disconnected from the root")
     return schedule
 
 
@@ -231,8 +205,9 @@ def _run_sampled(schedule, apply: Tracker) -> HeraldedMessage:
     by `apply.entry`, and a step is one `factors.sample_rows` call on bare
     arrays (in blocks), with its uniforms drawn when it runs.  Its rows are
     checked by `EigenList.checked_rows` in one batch per output group,
-    flushed once the batches hold `factors._BLOCK_FLOATS` floats and at the
-    last entry (a step, unless the root only meets a leaf)."""
+    flushed once the batches hold `factors._BLOCK_FLOATS // 8` floats (the
+    budget of the trellis and oracle batches) and at the last entry (a step,
+    unless the root only meets a leaf)."""
     S, last = apply.samples, len(schedule) - 1
     out, pending, held, no_u = {}, {}, 0, np.zeros(S)      # out[j]: (rows, labels)
     for j, (op, inputs, _) in enumerate(schedule):
@@ -248,7 +223,7 @@ def _run_sampled(schedule, apply: Tracker) -> HeraldedMessage:
         out[j] = lams, product_labels(parents, [None] * len(parents), herald)
         pending.setdefault(op.group.moduli, [op.group]).append(lams)
         held += lams.size
-        if held >= factors._BLOCK_FLOATS or j == last:
+        if held >= factors._BLOCK_FLOATS // 8 or j == last:
             for group, *rows in pending.values():
                 EigenList.checked_rows(group, np.concatenate(rows))
             pending, held = {}, 0
@@ -269,8 +244,7 @@ def run_mp(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,
     apply = Tracker(mode, seed, prune_eps, samples)
     contents = (spec.root, tuple(spec.variables.items()), tuple(spec.factors.items()))
     if spec._compiled is None or spec._compiled[0] != contents:   # nodes are immutable
-        validate_tree(spec)
-        spec._compiled = (contents, _compile(spec))
+        spec._compiled = (contents, validate_tree(spec))
     schedule = spec._compiled[1]
     if apply.rng is not None:
         return _run_sampled(schedule, apply)

@@ -58,7 +58,6 @@ class TrellisSpec:
     output_group: GroupSpec
     outputs: tuple[HomSpec, ...]            # branch -> output_group, surjective
     section_automorphism: HomSpec           # branch -> (next state, discarded)
-    block_length: int | None = None
     boundary: str = "known"
 
     def __post_init__(self):

@@ -91,6 +91,23 @@ def test_trellis_roundtrip_and_shorthand():
     assert short.section_automorphism.matrix == spec.section_automorphism.matrix
 
 
+def test_trellis_documents_carry_no_block_length(tmp_path, capsys):
+    """A trellis is one section: no dumped document names a block length, and
+    one that does is rejected like any unknown field (exit 2)."""
+    spec = transfer_function_trellis([1, 0, 1], [1, 1, 1], 3)
+    assert "block_length" not in dump_trellis(spec)
+    short = {"version": 1, "transfer_function": {"p": [1, 0, 1], "q": [1, 1, 1], "modulus": 3}}
+    for doc in ({**dump_trellis(spec), "block_length": 8}, {**short, "block_length": 8}):
+        with pytest.raises(ValidationError):
+            parse_trellis(json.loads(to_json(doc)))
+    t, ch = tmp_path / "t.json", tmp_path / "ch.json"
+    t.write_text(to_json({**short, "block_length": 8}))
+    ch.write_text(to_json(dump_eigenlist(EigenList(GroupSpec((3,)), [1, 1, 1]))))
+    code, _, _ = run_cli(capsys, "conv", "analyze", "--trellis", str(t), "--channel", str(ch),
+                         "--T", "2", "--systematic")
+    assert code == 2
+
+
 def test_turbo_and_config_roundtrip():
     spec = standard_turbo(3)
     back = parse_turbo(json.loads(to_json(dump_turbo(spec))))

@@ -30,8 +30,8 @@ from abelianbp import (
     pure,
     useless_list,
 )
-from abelianbp.factors import (_check, _equality, _hom, _hom_supported, _lift, _marginalize,
-                               _product_apply, equality_fold)
+from abelianbp.factors import (_automorphism, _check, _check_inverse, _equality, _hom,
+                               _hom_supported, _lift, _marginalize, _product_apply, equality_fold)
 from abelianbp.messages import HeraldedMessage
 from message_rows import rows
 
@@ -519,3 +519,18 @@ def test_nan_list_in_a_mixture_is_a_numerical_error():
     for rule in (_equality(Z3), _check(Z3)):
         with pytest.raises(NumericalError):
             _product_apply([bad, pure(perfect_list(Z3))], rule)
+
+
+@pytest.mark.parametrize("moduli", [(3,), (3, 2), (2, 2, 3)])
+def test_check_inverse_is_check_after_inverting_the_second_operand(moduli):
+    """`_check_inverse` equals the two-step composition bit for bit: herald
+    probabilities and the finished lists of every kept cell."""
+    G = GroupSpec(moduli)
+    rng = np.random.default_rng(len(moduli))
+    A, B = (np.array([rand_lam(G, rng).values for _ in range(7)]) for _ in range(2))
+    probs, finish = _check_inverse(G).rows(A, B)
+    want_probs, want_finish = _check(G).rows(A, _automorphism(G, inversion_automorphism(G)).rows(B))
+    assert probs.tobytes() == want_probs.tobytes()
+    keep = probs >= 1e-3
+    assert finish(keep).tobytes() == want_finish(keep).tobytes()
+    assert _check_inverse(G).herald is _check(G).herald

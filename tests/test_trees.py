@@ -17,8 +17,8 @@ from abelianbp import (
     useless_list,
 )
 from abelianbp.errors import NumericalError
-from abelianbp.factors import (_automorphism, _check, _equality, _hom, _lift, _marginalize,
-                               _product_apply)
+from abelianbp.factors import (_automorphism, _check, _check_inverse, _equality, _hom, _lift,
+                               _marginalize, _product_apply)
 from abelianbp.groups import invert_automorphism, inversion_automorphism, projection_hom
 from abelianbp.messages import GUARD_PRUNE, HeraldedMessage
 from abelianbp.trees import (
@@ -560,3 +560,40 @@ def test_nan_row_mid_schedule_is_a_numerical_error(monkeypatch, mode, floats):
     spec = chain_graph([LAM1, LAM2, EigenList(Z32, [3, 1, 0, 1, 1, 0]), LAM1])
     with pytest.raises(NumericalError):
         run_mp(spec, mode=mode, seed=1, samples=5)
+
+
+def test_check_toward_an_input_runs_no_automorphism_step():
+    """Read toward an input, a check folds `_check_inverse` over its output
+    and its other inputs; the schedule holds no inversion step."""
+    steps = [op for op, inputs, _ in validate_tree(_toward_check_input()) if inputs]
+    assert len(steps) == 1 and steps[0] is _check_inverse(Z32)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_check_toward_a_middle_input_matches_recursion_bytes(mode):
+    """A degree-3 check read toward its middle input gives the recursion's
+    bytes, which invert each other input in a step of its own."""
+    rng = np.random.default_rng(9)
+    lams = [EigenList(Z32, v * 6 / v.sum()) for v in rng.gamma(1.0, size=(3, 6))]
+    spec = FactorGraphSpec({"g1": Z32, "g2": Z32, "g3": Z32, "h": Z32},
+                           {"l1": leaf("g1", lams[0]), "l3": leaf("g3", lams[1]),
+                            "lh": leaf("h", lams[2]),
+                            "chk": FactorNode("check", ("g1", "g2", "g3", "h"))}, "g2")
+    got = run_mp(spec, mode=mode, seed=3, samples=30)
+    want = _recursion_mp(spec, mode=mode, seed=3, samples=30)
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert got.lams.tobytes() == want.lams.tobytes()
+    assert got.labels == want.labels
+
+
+def test_validate_rejects_a_cycle_with_tree_edge_count():
+    """Two equality factors on (a, b) and an isolated c: four edges for five
+    nodes, but the root's component has a cycle.  The walk from the root
+    stops when it reaches a node twice."""
+    spec = FactorGraphSpec(
+        {"a": Z32, "b": Z32, "c": Z32},
+        {"f1": FactorNode("equality", ("a", "b")), "f2": FactorNode("equality", ("a", "b"))},
+        "a",
+    )
+    with pytest.raises(ValidationError, match="not a tree"):
+        validate_tree(spec)
