@@ -26,6 +26,8 @@ from .groups import (
     GroupSpec,
     HomSpec,
     digits,
+    group_inv,
+    group_op,
     hom_eval,
     hom_table,
     hom_validate,
@@ -33,31 +35,15 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class CharIndex:
-    """A character of `group`, identified by its residue vector."""
-
-    group: GroupSpec
-    residues: tuple[int, ...]
-
-    def __post_init__(self):
-        res = tuple(int(u) for u in self.residues)
-        object.__setattr__(self, "residues", res)
-        if len(res) != self.group.rank:
-            raise ValidationError("character index length != group rank")
-        for u, n in zip(res, self.group.moduli):
-            if not 0 <= u < n:
-                raise ValidationError(f"character residue {u} out of range for modulus {n}")
-
-    @property
-    def index(self) -> int:
-        return self.group.index_of(self.residues)
+class CharIndex(GroupElement):
+    """A character of `group`, identified by its residue vector (self-duality):
+    validated, indexed and compared as a `GroupElement`."""
 
     def is_trivial(self) -> bool:
-        return all(u == 0 for u in self.residues)
+        return self.is_identity()
 
     def __str__(self):
-        return "chi(" + ",".join(map(str, self.residues)) + ")"
+        return "chi" + super().__str__()
 
 
 def trivial_char(G: GroupSpec) -> CharIndex:
@@ -80,15 +66,12 @@ def char_eval(chi: CharIndex, g: GroupElement) -> complex:
 
 
 def dual_op(c1: CharIndex, c2: CharIndex) -> CharIndex:
-    """Pointwise product of characters: residue-wise modular sum."""
-    if c1.group.moduli != c2.group.moduli:
-        raise ValidationError("dual group mismatch")
-    res = tuple((u + v) % n for u, v, n in zip(c1.residues, c2.residues, c1.group.moduli))
-    return CharIndex(c1.group, res)
+    """Pointwise product of characters: the group operation on residues."""
+    return CharIndex(c1.group, group_op(c1, c2).residues)
 
 
 def dual_inv(c: CharIndex) -> CharIndex:
-    return CharIndex(c.group, tuple((-u) % n for u, n in zip(c.residues, c.group.moduli)))
+    return CharIndex(c.group, group_inv(c).residues)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +97,7 @@ def dual_map(H: HomSpec, xi: CharIndex) -> CharIndex:
     """Pullback of the target character `xi` along H: (xi o H) on the source."""
     if xi.group.moduli != H.target.moduli:
         raise ValidationError("character does not belong to the target group")
-    return CharIndex(H.source, hom_eval(dual_hom(H), H.target.element(xi.residues)).residues)
+    return CharIndex(H.source, hom_eval(dual_hom(H), xi).residues)
 
 
 def dual_map_table(H: HomSpec) -> np.ndarray:

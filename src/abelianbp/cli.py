@@ -16,8 +16,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import SCHEMA_VERSION, __version__
 from .de import DEConfig, channel_family, heatmap, holevo_threshold, threshold_bisect
 from .eigenlists import EigenList, channel_fidelity, holevo_info, pgm_error
@@ -31,9 +29,8 @@ from .factors import (
     lift_along_hom,
     marginalize_split,
 )
-from .groups import GroupSpec
 from .messages import avg_holevo, avg_pgm_error
-from .oracle import verify_rule
+from .oracle import RULES, verify_rule
 from .polar import DEFAULT_SAMPLES, resolve_mode, select_info_set, synthesize
 from .schemas import (
     dump_eigenlist,
@@ -80,25 +77,24 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _write(text: str, path):
+    """Write `text` to the file `path`, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", path)
 
 
 def _emit(doc, path=None):
-    text = to_json(doc) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(to_json(doc) + "\n", path)
 
 
 def _inline_lambda(args) -> EigenList:
@@ -115,6 +111,25 @@ def _check_seed(args):
         raise _UsageError("--seed is required in sampled mode")
 
 
+#: ``factor`` kinds: (eigen lists taken, rule, the option giving its last argument).
+_FACTORS = {
+    "check": (2, check_combine, None),
+    "equality": (2, equality_combine, None),
+    "hom": (1, hom_push, "hom"),
+    "hom-supported": (1, hom_push_supported, "hom"),
+    "lift": (1, lift_along_hom, "hom"),
+    "marginalize": (1, marginalize_split, "keep"),
+    "automorphism": (1, apply_automorphism, "hom"),
+}
+
+
+def _leaf(sub, name: str, handler, **kw) -> _Parser:
+    """A leaf subcommand's parser, which carries its handler as the ``handler`` default."""
+    parser = sub.add_parser(name, **kw)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="abelianbp", description=__doc__)
     top.add_argument("--version", action="version",
@@ -123,29 +138,25 @@ def build_parser() -> _Parser:
 
     groups = sub.add_parser("groups", help="group utilities")
     gsub = groups.add_subparsers(dest="subcommand", required=True)
-    ginfo = gsub.add_parser("info", help="order, rank, exponent of a group")
+    ginfo = _leaf(gsub, "info", _cmd_groups_info, help="order, rank, exponent of a group")
     ginfo.add_argument("--group", required=True)
 
-    factor = sub.add_parser("factor", help="apply one local update rule")
-    factor.add_argument("kind", choices=["check", "equality", "hom", "hom-supported",
-                                         "lift", "marginalize", "automorphism"])
+    factor = _leaf(sub, "factor", _cmd_factor, help="apply one local update rule")
+    factor.add_argument("kind", choices=list(_FACTORS))
     factor.add_argument("--in", dest="inputs", nargs="+", required=True,
                         help="eigen-list JSON file(s)")
     factor.add_argument("--hom", help="hom JSON (hom kinds)")
     factor.add_argument("--keep", type=int, help="split point (marginalize)")
     factor.add_argument("--out")
 
-    measures = sub.add_parser("measures", help="scalar functionals of one eigen list")
+    measures = _leaf(sub, "measures", _cmd_measures, help="scalar functionals of one eigen list")
     measures.add_argument("--in", dest="infile")
     measures.add_argument("--lambda", dest="lam")
     measures.add_argument("--group")
     measures.add_argument("--out")
 
-    verify = sub.add_parser("verify", help="dense-oracle certification")
-    verify.add_argument("--rule", required=True,
-                        choices=["check", "equality", "hom", "marginalize",
-                                 "automorphism", "gram", "covariance", "pgm",
-                                 "entropy", "all"])
+    verify = _leaf(sub, "verify", _cmd_verify, help="dense-oracle certification")
+    verify.add_argument("--rule", required=True, choices=[*RULES, "all"])
     verify.add_argument("--group", required=True)
     verify.add_argument("--seed", type=int, required=True)
     verify.add_argument("--count", type=int, default=100)
@@ -153,7 +164,7 @@ def build_parser() -> _Parser:
 
     mp = sub.add_parser("mp", help="tree message passing")
     mpsub = mp.add_subparsers(dest="subcommand", required=True)
-    mprun = mpsub.add_parser("run")
+    mprun = _leaf(mpsub, "run", _cmd_mp_run)
     mprun.add_argument("--graph", required=True)
     mprun.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     mprun.add_argument("--seed", type=int)
@@ -163,7 +174,7 @@ def build_parser() -> _Parser:
 
     polar = sub.add_parser("polar", help="polar synthetic-channel tracking")
     psub = polar.add_subparsers(dest="subcommand", required=True)
-    pcon = psub.add_parser("construct")
+    pcon = _leaf(psub, "construct", _cmd_polar_construct)
     pcon.add_argument("--group", required=True)
     pcon.add_argument("--lambda", dest="lam", required=True)
     pcon.add_argument("--levels", type=int, required=True)
@@ -176,7 +187,7 @@ def build_parser() -> _Parser:
 
     conv = sub.add_parser("conv", help="convolutional block analysis")
     csub = conv.add_subparsers(dest="subcommand", required=True)
-    cana = csub.add_parser("analyze")
+    cana = _leaf(csub, "analyze", _cmd_conv_analyze)
     cana.add_argument("--trellis", required=True)
     cana.add_argument("--channel", required=True, help="channel eigen-list JSON")
     cana.add_argument("--T", type=int, required=True)
@@ -189,14 +200,14 @@ def build_parser() -> _Parser:
 
     de = sub.add_parser("de", help="density evolution")
     dsub = de.add_subparsers(dest="subcommand", required=True)
-    dthr = dsub.add_parser("threshold")
+    dthr = _leaf(dsub, "threshold", _cmd_de_threshold)
     dthr.add_argument("--turbo", required=True)
     dthr.add_argument("--config")
     dthr.add_argument("--seed", type=int)
     dthr.add_argument("--resolution", type=float, default=0.01)
     dthr.add_argument("--trials", type=int, default=3)
     dthr.add_argument("--out")
-    dheat = dsub.add_parser("heatmap")
+    dheat = _leaf(dsub, "heatmap", _cmd_de_heatmap)
     dheat.add_argument("--turbo", required=True)
     dheat.add_argument("--config")
     dheat.add_argument("--seed", type=int)
@@ -206,7 +217,7 @@ def build_parser() -> _Parser:
                        help="lo,hi clip on the first coordinate")
     dheat.add_argument("--trials", type=int, default=1)
     dheat.add_argument("--out")
-    dhol = dsub.add_parser("holevo")
+    dhol = _leaf(dsub, "holevo", _cmd_de_holevo)
     dhol.add_argument("--q", type=int, required=True)
     dhol.add_argument("--rate", required=True)
     dhol.add_argument("--out")
@@ -221,27 +232,16 @@ def _cmd_groups_info(args):
 
 def _cmd_factor(args):
     lams = [parse_eigenlist(_load_json(p)) for p in args.inputs]
-    kind = args.kind
-    if kind in ("check", "equality") and len(lams) != 2:
-        raise ValidationError(f"{kind} expects exactly two eigen lists")
-    if kind in ("hom", "hom-supported", "lift", "automorphism") and args.hom is None:
-        raise ValidationError(f"{kind} needs --hom")
-    if kind == "check":
-        out = check_combine(lams[0], lams[1])
-    elif kind == "equality":
-        out = equality_combine(lams[0], lams[1])
-    elif kind == "hom":
-        out = hom_push(lams[0], parse_hom(_inline_or_file(args.hom)))
-    elif kind == "hom-supported":
-        out = hom_push_supported(lams[0], parse_hom(_inline_or_file(args.hom)))
-    elif kind == "lift":
-        out = lift_along_hom(lams[0], parse_hom(_inline_or_file(args.hom)))
-    elif kind == "marginalize":
-        if args.keep is None:
-            raise ValidationError("marginalize needs --keep")
-        out = marginalize_split(lams[0], args.keep)
+    operands, rule, option = _FACTORS[args.kind]
+    if len(lams) != operands:
+        raise ValidationError(f"{args.kind} expects exactly "
+                              f"{['one eigen list', 'two eigen lists'][operands - 1]}")
+    if option is None:
+        out = rule(*lams)
+    elif getattr(args, option) is None:
+        raise ValidationError(f"{args.kind} needs --{option}")
     else:
-        out = apply_automorphism(lams[0], parse_hom(_inline_or_file(args.hom)))
+        out = rule(*lams, args.keep if option == "keep" else parse_hom(_inline_or_file(args.hom)))
     doc = dump_eigenlist(out) if isinstance(out, EigenList) else dump_message(out)
     _emit(doc, args.out)
 
@@ -259,9 +259,7 @@ def _cmd_measures(args):
 
 def _cmd_verify(args):
     G = parse_group(_inline_or_file(args.group))
-    rules = ([args.rule] if args.rule != "all"
-             else ["check", "equality", "hom", "marginalize", "automorphism",
-                   "gram", "covariance", "pgm", "entropy"])
+    rules = RULES if args.rule == "all" else [args.rule]
     reports = [verify_rule(r, G, args.seed, args.count) for r in rules]
     doc = {"reports": reports, "ok": all(r["ok"] for r in reports)}
     _emit(doc, args.out)
@@ -278,6 +276,9 @@ def _cmd_mp_run(args):
 
 
 def _cmd_polar_construct(args):
+    # checked before any work, so a bad size leaves no output behind
+    if args.info_bits is not None and not 0 <= args.info_bits <= 2 ** args.levels:
+        raise ValidationError(f"info-set size {args.info_bits} out of range")
     lam = _inline_lambda(args)
     stats = synthesize(lam, args.levels, mode=args.mode, seed=args.seed,
                        prune_eps=args.prune, samples=args.samples)
@@ -356,28 +357,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_seed(args)
-        if args.command == "groups":
-            _cmd_groups_info(args)
-        elif args.command == "factor":
-            _cmd_factor(args)
-        elif args.command == "measures":
-            _cmd_measures(args)
-        elif args.command == "verify":
-            return _cmd_verify(args) or 0
-        elif args.command == "mp":
-            _cmd_mp_run(args)
-        elif args.command == "polar":
-            _cmd_polar_construct(args)
-        elif args.command == "conv":
-            _cmd_conv_analyze(args)
-        elif args.command == "de":
-            if args.subcommand == "threshold":
-                _cmd_de_threshold(args)
-            elif args.subcommand == "heatmap":
-                _cmd_de_heatmap(args)
-            else:
-                _cmd_de_holevo(args)
-        return 0
+        return args.handler(args) or 0
     except _UsageError as exc:
         sys.stderr.write(to_json({"error": "usage", "message": str(exc)}) + "\n")
         return 1

@@ -116,7 +116,10 @@ def useless_list(G: GroupSpec) -> EigenList:
 
 
 def holevo_info(lam: EigenList) -> float:
-    """Symmetric Holevo information H(mu) in bits; 0*log(0) = 0."""
+    """Symmetric Holevo information H(mu) in bits; 0*log(0) = 0.
+
+    Not `holevo_rows`: this sum runs over the nonzero entries only, so its
+    last bit can differ from the row form's, and ``measures`` prints it."""
     return entropy_bits(lam.normalized())
 
 
@@ -142,7 +145,7 @@ def pgm_error(lam: EigenList) -> float:
 
 def pgm_error_of(values: np.ndarray) -> float:
     """`pgm_error` of a raw eigen-list row."""
-    return float(1.0 - (np.sqrt(values).sum() / values.size) ** 2)
+    return float(pgm_rows(values))
 
 
 def holevo_rows(lams: np.ndarray) -> np.ndarray:

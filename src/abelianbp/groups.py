@@ -225,31 +225,27 @@ def hom_table(H: HomSpec) -> np.ndarray:
     return out
 
 
-def _image_indices(H: HomSpec, cap: int) -> list[int]:
-    if H.source.order > cap:
-        raise ValidationError(
-            f"source order {H.source.order} exceeds enumeration cap {cap}"
-        )
+def _image_indices(H: HomSpec) -> list[int]:
     return sorted(set(hom_table(H).tolist()))
 
 
-def hom_kernel(H: HomSpec, cap: int = ENUMERATION_CAP) -> tuple[GroupElement, ...]:
+def hom_kernel(H: HomSpec) -> tuple[GroupElement, ...]:
     """Kernel by exhaustive enumeration, in canonical index order."""
-    image = _image_indices(H, cap)
+    image = _image_indices(H)
     ker = np.flatnonzero(hom_table(H) == 0)
     if len(ker) * len(image) != H.source.order:  # pragma: no cover - structural identity
         raise NumericalError("|G| != |ker|*|Im| during enumeration")
     return tuple(H.source.from_index(i) for i in ker.tolist())
 
 
-def hom_image(H: HomSpec, cap: int = ENUMERATION_CAP) -> tuple[GroupElement, ...]:
+def hom_image(H: HomSpec) -> tuple[GroupElement, ...]:
     """Image subgroup as a tuple of target elements, sorted by canonical index."""
-    return tuple(H.target.from_index(i) for i in _image_indices(H, cap))
+    return tuple(H.target.from_index(i) for i in _image_indices(H))
 
 
 @functools.lru_cache(maxsize=None)
 def is_surjective(H: HomSpec) -> bool:
-    return len(_image_indices(H, ENUMERATION_CAP)) == H.target.order
+    return len(_image_indices(H)) == H.target.order
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,7 +256,7 @@ def is_automorphism(H: HomSpec) -> bool:
         hom_validate(H)
     except ValidationError:
         return False
-    return len(_image_indices(H, ENUMERATION_CAP)) == H.source.order
+    return len(_image_indices(H)) == H.source.order
 
 
 def _from_columns(source: GroupSpec, target: GroupSpec, images) -> HomSpec:
@@ -398,7 +394,7 @@ def surjection_onto_image(H: HomSpec) -> tuple[HomSpec, HomSpec]:
     inclusion, with ``H == embed o surj``.  If H is already surjective it is
     returned unchanged together with the identity embedding.
     """
-    img = _image_indices(H, ENUMERATION_CAP)
+    img = _image_indices(H)
     if len(img) == H.target.order:
         return H, identity_hom(H.target)
 

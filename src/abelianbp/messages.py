@@ -30,7 +30,7 @@ import numpy as np
 
 from .eigenlists import EigenList, holevo_rows, pgm_rows
 from .errors import NumericalError, ValidationError
-from .groups import GroupSpec
+from .groups import GroupSpec, digits
 
 PROB_TOL = 1e-9
 #: Branches with probability below this are dropped before conditioning.
@@ -87,10 +87,16 @@ def product_labels(parents, cols, herald=None) -> Labels:
         if herald is None:
             return labs
         kind, G, hidx = herald
-        names = {h: (f"{kind}:({','.join(map(str, G.from_index(h).residues))})",)
-                 for h in set(hidx.tolist())}
-        return list(map(tuple.__add__, labs, map(names.__getitem__, hidx.tolist())))
+        heralds, at = np.unique(hidx, return_inverse=True)
+        names = [(name,) for name in herald_names(kind, G, heralds)]
+        return list(map(tuple.__add__, labs, map(names.__getitem__, at.tolist())))
     return Labels(parents, build)
+
+
+def herald_names(kind: str, G: GroupSpec, index) -> list[str]:
+    """Label texts of the heralds at canonical ``index`` on G, as ``kind:(r0,r1,...)``;
+    the dense oracle pairs its heralds with the fast path's by these texts."""
+    return [f"{kind}:({','.join(map(str, r))})" for r in digits(G, index).tolist()]
 
 
 def _valid_rows(group: GroupSpec, probs: np.ndarray, lams: np.ndarray) -> np.ndarray:

@@ -30,18 +30,22 @@ from .errors import NumericalError, ValidationError
 from .groups import (
     GroupSpec,
     HomSpec,
-    digits,
     hom_table,
     invert_automorphism,
     is_automorphism,
     surjection_onto_image,
 )
-from .messages import HeraldedMessage, check_seed
+from .messages import HeraldedMessage, check_seed, herald_names
 
 BLOCK_TOL = 1e-10      # allowed leakage outside herald blocks
 PURITY_TOL = 1e-8      # rank-1 consistency of conditioned blocks
 MAX_DIM = 256
+JACOBI_TOL = 1e-12     # a matrix stops rotating below this relative off-diagonal norm
+MAX_SWEEPS = 100
 _BLOCK_FLOATS = 1 << 15  # entries per stack; a Jacobi stack holds A and V, 2 n^2 per matrix
+#: `verify_rule` rules: the five factor rules, then the scalar certifications.
+RULES = ("check", "equality", "hom", "marginalize", "automorphism",
+         "gram", "covariance", "pgm", "entropy")
 
 
 def state_matrix(lam: EigenList) -> np.ndarray:
@@ -80,7 +84,7 @@ def _stacks(total: int, entries: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, total, step)]
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
+def jacobi_eigh(A: np.ndarray):
     """Eigendecomposition of a Hermitian matrix or (b, n, n) stack by cyclic Jacobi rotations.
 
     Each sweep visits every off-diagonal pair once in round-robin order
@@ -92,9 +96,9 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
 
     Returns ``(eigenvalues, eigenvectors)`` with columns as eigenvectors,
     sorted in descending eigenvalue order (stacked as the input).  A matrix
-    stops rotating once its off-diagonal Frobenius norm is below ``tol *
-    ||A||_F``, so its result does not depend on its stack; raises on
-    non-convergence.
+    stops rotating once its off-diagonal Frobenius norm is below
+    ``JACOBI_TOL * ||A||_F``, so its result does not depend on its stack;
+    raises after `MAX_SWEEPS` sweeps without convergence.
     """
     A = np.array(A, dtype=np.complex128)
     n = A.shape[-1]
@@ -116,8 +120,8 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
 
     norm = frobenius(AV[:, :n])
     live, S = np.arange(len(AV)), AV
-    for _ in range(max_sweeps):
-        rotate = ~(frobenius(S[:, :n] * off_diagonal) <= tol * norm[live])
+    for _ in range(MAX_SWEEPS):
+        rotate = ~(frobenius(S[:, :n] * off_diagonal) <= JACOBI_TOL * norm[live])
         if not rotate.all():        # converged matrices leave the rotating stack
             AV[live[~rotate]] = S[~rotate]
             live, S = live[rotate], S[rotate]
@@ -304,8 +308,21 @@ def simulate_check(lam1: EigenList, lam2: EigenList) -> HeraldedMessage:
     W = W[:, :, perm]
     Wt, Wc = W.transpose(1, 2, 0), (W.conj() / n).transpose(1, 0, 2)
     rho_stacks = (Wt[s] @ Wc[s] for s in _stacks(n, n ** 4))
-    labels = [f"check:({','.join(map(str, r))})" for r in digits(G, range(n)).tolist()]
-    return _blocks_to_message(G, rho_stacks, n, n, True, labels)
+    return _blocks_to_message(G, rho_stacks, n, n, True, herald_names("check", G, range(n)))
+
+
+def _circulant_list(G: GroupSpec, gram: np.ndarray, what: str) -> EigenList:
+    """The eigen list of a G-circulant gram matrix: the character transform of
+    its first row, after checking circulance and that the transform is real."""
+    t = tables_for(G)
+    row = gram[0]
+    circ = float(np.max(np.abs(gram - row[t.add[t.neg]])))
+    if circ > BLOCK_TOL * G.order:
+        raise NumericalError(f"{what} gram matrix is not circulant: {circ}")
+    lam = t.chars.conj().T @ row
+    if np.max(np.abs(lam.imag)) > 1e-9:
+        raise NumericalError(f"{what} eigen list is not real")
+    return EigenList(G, np.clip(lam.real, 0.0, None))
 
 
 def _equality_lists(pairs) -> list[EigenList]:
@@ -317,17 +334,9 @@ def _equality_lists(pairs) -> list[EigenList]:
         for lam1, lam2 in pairs[s]:
             if lam1.group.moduli != lam2.group.moduli:
                 raise ValidationError("equality simulation: group mismatch")
-            G, t = lam1.group, tables_for(lam1.group)
             psi1, psi2 = state_matrix(lam1), state_matrix(lam2)
             gram = (psi1.conj().T @ psi1) * (psi2.conj().T @ psi2)
-            row = gram[0]
-            circ = float(np.max(np.abs(gram - row[t.add[t.neg]])))
-            if circ > BLOCK_TOL * G.order:
-                raise NumericalError(f"combined gram matrix is not circulant: {circ}")
-            lam = t.chars.conj().T @ row
-            if np.max(np.abs(lam.imag)) > 1e-9:
-                raise NumericalError("combined eigen list is not real")
-            out.append(EigenList(G, np.clip(lam.real, 0.0, None)))
+            out.append(_circulant_list(lam1.group, gram, "combined"))
             grams.append(gram)
         # cross-check each multiset against a dense eigendecomposition
         for w, lam in zip(jacobi_eigh(np.stack(grams))[0], out[s]):
@@ -370,8 +379,7 @@ def simulate_hom(lam: EigenList, H: HomSpec) -> HeraldedMessage:
     F = np.stack([psi[:, image == h] for h in range(n2)])     # fibres: kernel cosets
     rho_stacks = (V @ (F[s] @ F[s].conj().swapaxes(1, 2) / F.shape[2]) @ V.T
                   for s in _stacks(n2, n1 * n1))
-    labels = [f"hom:({','.join(map(str, r))})" for r in digits(G1, reps).tolist()]
-    return _blocks_to_message(G2, rho_stacks, nrep, n2, False, labels)
+    return _blocks_to_message(G2, rho_stacks, nrep, n2, False, herald_names("hom", G1, reps))
 
 
 def simulate_marginalize(lam: EigenList, keep: int) -> HeraldedMessage:
@@ -392,9 +400,8 @@ def simulate_marginalize(lam: EigenList, keep: int) -> HeraldedMessage:
     fibre = state_matrix(lam).reshape(U.order, n2, n1).transpose(2, 0, 1)
     rho_stacks = (fibre[s] @ fibre[s].conj().swapaxes(1, 2) / n2
                   for s in _stacks(n1, U.order ** 2))
-    labels = [f"marg:({','.join(map(str, r))})" for r in digits(G2, range(n2)).tolist()]
     # combined dual index = chi + n1 * eta: eta blocks are the slow digits
-    return _blocks_to_message(G1, rho_stacks, n2, n1, True, labels)
+    return _blocks_to_message(G1, rho_stacks, n2, n1, True, herald_names("marg", G2, range(n2)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +440,10 @@ def verify_rule(rule: str, G: GroupSpec, seed: int, count: int) -> dict:
     """Compare the update formulas against the dense simulation on random inputs.
 
     Returns a machine-readable report with the worst deviations observed.
-    ``rule`` is one of check, equality, hom, marginalize, automorphism (factor
-    rules) or gram, covariance, pgm, entropy (scalar certifications).  All
-    ``count`` instances are drawn first; the equality, pgm and entropy rules
-    then diagonalise bounded stacks of them in one Jacobi run each.
+    ``rule`` is one of `RULES`.  Heralds of the two paths are paired by their
+    label text (`messages.herald_names`).  All ``count`` instances are drawn
+    first; the equality, pgm and entropy rules then diagonalise bounded
+    stacks of them in one Jacobi run each.
     """
     from .eigenlists import holevo_info, pgm_error
     from .factors import (
@@ -459,11 +466,9 @@ def verify_rule(rule: str, G: GroupSpec, seed: int, count: int) -> dict:
         "automorphism": lambda: (random_eigenlist(G, rng), random_automorphism(G, rng)),
     }
     draws["equality"] = draws["check"]
-    for scalar in ("gram", "covariance", "pgm", "entropy"):
-        draws[scalar] = lambda: (random_eigenlist(G, rng),)
-    if rule not in draws:
+    if rule not in RULES:
         raise ValidationError(f"unknown verification rule {rule!r}")
-    inputs = [draws[rule]() for _ in range(count)]
+    inputs = [draws.get(rule, lambda: (random_eigenlist(G, rng),))() for _ in range(count)]
     lams = [args[0] for args in inputs]
     dps, dls = [], []
     if rule in ("check", "hom", "marginalize"):
@@ -510,18 +515,5 @@ def simulate_automorphism(lam: EigenList, phi: HomSpec) -> EigenList:
     """Dense simulation of the automorphism factor via relabeled states."""
     if not is_automorphism(phi):
         raise ValidationError("not an automorphism")
-    G = lam.group
-    t = tables_for(G)
-    inv = invert_automorphism(phi)
-    psi = state_matrix(lam)
-    perm = hom_table(inv)
-    relabeled = psi[:, perm]
-    gram = relabeled.conj().T @ relabeled
-    row = gram[0]
-    circ = float(np.max(np.abs(gram - row[t.add[t.neg]])))
-    if circ > BLOCK_TOL * G.order:
-        raise NumericalError(f"relabeled gram matrix is not circulant: {circ}")
-    lamv = t.chars.conj().T @ row
-    if np.max(np.abs(lamv.imag)) > 1e-9:
-        raise NumericalError("relabeled eigen list is not real")
-    return EigenList(G, np.clip(lamv.real, 0.0, None))
+    relabeled = state_matrix(lam)[:, hom_table(invert_automorphism(phi))]
+    return _circulant_list(lam.group, relabeled.conj().T @ relabeled, "relabeled")

@@ -33,7 +33,7 @@ from .eigenlists import EigenList
 from .errors import ValidationError
 from .groups import GroupSpec, HomSpec
 from .messages import HeraldedMessage, pure
-from .trees import FactorGraphSpec, FactorNode
+from .trees import FACTOR_KINDS, FactorGraphSpec, FactorNode
 from .trellis import TrellisSpec, transfer_function_trellis
 
 _GROUP = {
@@ -81,8 +81,7 @@ _MESSAGE = {
 _FACTOR = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["leaf", "equality", "check", "hom", "marginalize",
-                          "automorphism"]},
+        "kind": {"enum": list(FACTOR_KINDS)},
         "edges": {"type": "array", "items": {"type": "string"}, "minItems": 1},
         "message": _MESSAGE,
         "eigenlist": _EIGENLIST,

@@ -174,3 +174,25 @@ def test_dual_subgroup_rejects_non_subgroups(members, match):
     # on Z3xZ2, index 1 is chi(1,0) and 4 is chi(1,1), the inverses of 2 and 5
     with pytest.raises(ValidationError, match=match):
         DualSubgroup(Z32, members)
+
+
+def test_dual_op_and_inverse_are_the_group_operations_on_residues():
+    from abelianbp.groups import group_inv, group_op
+
+    for c1 in G43.elements():
+        chi1 = CharIndex(G43, c1.residues)
+        assert dual_inv(chi1).residues == group_inv(c1).residues
+        for c2 in G43.elements():
+            assert dual_op(chi1, CharIndex(G43, c2.residues)).residues == group_op(c1, c2).residues
+
+
+def test_char_index_prints_as_chi_and_validates_as_an_element():
+    assert str(CharIndex(Z32, (2, 1))) == "chi(2,1)"
+    assert str(char_from_index(G432, 23)) == "chi(3,2,1)"
+    assert CharIndex(Z32, (0, 0)).is_trivial() and not CharIndex(Z32, (0, 1)).is_trivial()
+    with pytest.raises(ValidationError, match="residue 3 out of range for modulus 3"):
+        CharIndex(Z32, (3, 0))
+    with pytest.raises(ValidationError, match="element length 1 != group rank 2"):
+        CharIndex(Z32, (1,))
+    with pytest.raises(ValidationError, match="group mismatch"):
+        dual_op(CharIndex(Z32, (1, 0)), CharIndex(G43, (1, 0)))

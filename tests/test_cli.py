@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from abelianbp import EigenList, GroupSpec
-from abelianbp.cli import main
+from abelianbp.cli import build_parser, main
 from abelianbp.de import DEConfig, TurboSpec, standard_turbo
 from abelianbp.schemas import (
     dump_deconfig,
@@ -639,3 +640,67 @@ def test_sampled_commands_report_means_over_samples(tmp_path, capsys):
     assert [b["p"] for b in doc["root"]["branches"]] == [0.125] * 8
     assert [tuple(b["label"]) for b in doc["root"]["branches"]] == list(msg.labels)
     assert doc["metrics"] == {"avg_holevo": avg_holevo(msg), "avg_pgm_error": avg_pgm_error(msg)}
+
+
+def _leaf_parsers(parser):
+    """The parsers of the leaf subcommands under `parser`."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser
+    for sub in subs:
+        for child in sub.choices.values():
+            yield from _leaf_parsers(child)
+
+
+def test_every_leaf_subcommand_has_a_handler():
+    leaves = list(_leaf_parsers(build_parser()))
+    assert sorted(p.prog for p in leaves) == sorted(
+        f"abelianbp {c}" for c in ("groups info", "factor", "measures", "verify", "mp run",
+                                   "polar construct", "conv analyze", "de threshold",
+                                   "de heatmap", "de holevo"))
+    for parser in leaves:
+        assert callable(parser.get_default("handler")), parser.prog
+
+
+@pytest.mark.parametrize("info_bits", ["9", "-1"])
+def test_polar_info_bits_out_of_range_exits_2_before_any_output(tmp_path, capsys, info_bits):
+    out_file = tmp_path / "stats.csv"
+    for out in ((), ("--out", str(out_file))):
+        code, stdout, err = run_cli(capsys, "polar", "construct", "--group", "[3]",
+                                    "--lambda", "[2.3,0.35,0.35]", "--levels", "2",
+                                    "--mode", "exact", "--info-bits", info_bits, *out)
+        assert code == 2 and stdout == ""
+        assert json.loads(err) == {"error": "validation",
+                                   "message": f"info-set size {info_bits} out of range"}
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("hom", ("--hom", '{"source": {"moduli": [3, 2]}, "target": {"moduli": [3]}, '
+                      '"matrix": [[1, 0]]}')),
+    ("hom-supported", ("--hom", '{"source": {"moduli": [3, 2]}, "target": {"moduli": [3, 2]}, '
+                                '"matrix": [[1, 0], [0, 1]]}')),
+    ("lift", ("--hom", '{"source": {"moduli": [3, 2]}, "target": {"moduli": [3, 2]}, '
+                       '"matrix": [[1, 0], [0, 1]]}')),
+    ("marginalize", ("--keep", "1")),
+    ("automorphism", ("--hom", '{"source": {"moduli": [3, 2]}, "target": {"moduli": [3, 2]}, '
+                               '"matrix": [[2, 0], [0, 1]]}')),
+])
+def test_one_operand_factor_kinds_reject_two_inputs(tmp_path, capsys, kind, extra):
+    a = tmp_path / "a.json"
+    a.write_text(to_json(dump_eigenlist(LAM1)))
+    code, out, _ = run_cli(capsys, "factor", kind, "--in", str(a), *extra)
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, "factor", kind, "--in", str(a), str(a), *extra)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "validation",
+                               "message": f"{kind} expects exactly one eigen list"}
+
+
+@pytest.mark.parametrize("kind", ["check", "equality"])
+def test_two_operand_factor_kinds_reject_one_input(tmp_path, capsys, kind):
+    a = tmp_path / "a.json"
+    a.write_text(to_json(dump_eigenlist(LAM1)))
+    code, out, err = run_cli(capsys, "factor", kind, "--in", str(a))
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"] == f"{kind} expects exactly two eigen lists"

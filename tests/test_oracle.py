@@ -515,3 +515,17 @@ def test_verify_rule_stacks_stay_within_the_budget(monkeypatch):
     # a Jacobi stack holds A on top of V: twice its input
     assert 2 * max(map(np.prod, shapes["jacobi"])) <= oracle._BLOCK_FLOATS
     assert sum(s[0] for s in shapes["jacobi"]) == 3 * 200 and max(shapes["jacobi"])[0] > 1
+
+
+@pytest.mark.parametrize("moduli", [(3, 2), (4, 3)])
+def test_oracle_and_fast_path_name_the_same_heralds(moduli):
+    G = GroupSpec(moduli)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        lam1, lam2 = oracle.random_eigenlist(G, rng), oracle.random_eigenlist(G, rng)
+        hom = oracle.random_hom(G, rng)
+        for sim, fast in [(oracle.simulate_check(lam1, lam2), check_combine(lam1, lam2)),
+                          (oracle.simulate_hom(lam1, hom), hom_push(lam1, hom)),
+                          (oracle.simulate_marginalize(lam1, 1), marginalize_split(lam1, 1))]:
+            assert sorted(sim.labels) == sorted(fast.labels)
+            assert len(set(sim.labels)) == len(sim)
