@@ -12,11 +12,11 @@ window estimator.  Under the random-interleaver ensemble the exchange between
 constituents is exactly this population resampling, so no permutation is
 materialized.
 
-The recursion runs the `trellis` section kernels on the sweeps of sampled
-`decode_block` (`trellis._sweep`), one array column per block (sweeps) or
-tracked symbol (extrinsics), with the parity weights gathered once per update
-from the channel.  Elementwise operations in a fixed order (no BLAS) keep
-results bit-identical for any thread count and block size.
+The recursions are the two-way sweep of sampled `decode_block` (`trellis._sweep`,
+one stacked recursion on workspaces reused by every step), one array column per
+block (sweep) or tracked symbol (extrinsics); kernels, parity weights and the
+systematic fold are built once per channel (`_update`).  Elementwise operations
+in a fixed order (no BLAS) keep results bit-identical for any thread count and block size.
 
 Extrinsic convention: the trellis-side message at a tracked symbol omits both
 symbol-side leaves (channel observation and a priori) of that symbol;
@@ -27,6 +27,7 @@ keeping the constituent exchange free of double counting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +40,7 @@ from .errors import NumericalError, ValidationError
 from .factors import equality_fold, lift_along_hom
 from .groups import GroupSpec
 from .messages import check_seed
-from .trellis import (_BLOCK_FLOATS, TrellisSpec, _draw, _gather, _section, _sweep,
+from .trellis import (_BLOCK_FLOATS, TrellisSpec, _both, _draw, _gather, _section, _sweep, _Work,
                       transfer_function_trellis, validate_trellis)
 
 
@@ -140,6 +141,11 @@ def standard_turbo(q: int = 3, p=(1, 0, 1), qpoly=(1, 1, 1),
     return TurboSpec((c, c), systematic_mult=systematic_mult)
 
 
+def _check_window(window: int) -> None:
+    if window % 2 == 0 or window < 1:
+        raise ValidationError("window length must be odd (center symbol)")
+
+
 @dataclass(frozen=True)
 class DEConfig:
     """Density-evolution experiment parameters.
@@ -162,8 +168,7 @@ class DEConfig:
     def __post_init__(self):
         if self.population < 1:
             raise ValidationError("population must be positive")
-        if self.window % 2 == 0 or self.window < 1:
-            raise ValidationError("window length must be odd (center symbol)")
+        _check_window(self.window)
         if not 0.0 < self.err_threshold < 1.0:
             raise ValidationError("error threshold must lie in (0, 1)")
         if self.max_iterations < 1 or self.stall_window < 1:
@@ -178,18 +183,31 @@ def _fold(lam: EigenList, uses: int, G: GroupSpec) -> EigenList:
     return equality_fold([lam] * uses) if uses else useless_list(G)
 
 
-def _with_systematic(spec: TurboSpec, lam_ch: EigenList, lists: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _update(spec: TurboSpec, constituent: int, lam_ch: EigenList):
+    """An update's kernels, weights, systematic fold and boundary, per channel object."""
+    G, trellis = spec.symbol_group, spec.constituents[constituent]
+    # the parity list, one shared column: the lifted parity observations
+    parity = equality_fold([useless_list(trellis.branch_group)] + [
+        lift_along_hom(_fold(lam_ch, spec.parity_mults[constituent], G), L)
+        for L in trellis.outputs]).values[:, None]
+    n = len(trellis.outputs)
+    both, ext = _both(trellis, n, n), _section(trellis, "extrinsic", n)
+    return (both, both.weights(np.repeat(parity, 2, axis=0)), ext, ext.weights(parity),
+            _fold(lam_ch, spec.systematic_mult, G).values[:, None] / G.order,
+            useless_list(trellis.state_group).values[:, None, None])
+
+
+def _with_systematic(G: GroupSpec, fold: np.ndarray, lists: np.ndarray) -> np.ndarray:
     """Lists on the leading axis equality-combined with the folded systematic
-    observations: list c adds ``fold[c - k] / q * lists[k]``."""
-    G = spec.symbol_group
-    fold = _fold(lam_ch, spec.systematic_mult, G).values[:, None] / G.order
-    return _gather(fold, tables_for(G).sub, lists.reshape(G.order, 1, -1)).reshape(lists.shape)
+    observations `fold`, over q: list c adds ``fold[c - k] * lists[k]``."""
+    return _gather(fold, tables_for(G).sub.T, lists.reshape(G.order, -1)).reshape(lists.shape)
 
 
 def _block_sections(n: int) -> int:
     """Tracked sections per block for a population of n: a block takes
-    2 (B + ctx - 1) sweep steps on n / B columns, so call overhead favours B
-    near sqrt(n); sqrt(n) / 3 measured fastest, within noise, for n = 100-8000."""
+    B + ctx - 1 two-way sweep steps on n / B columns, so call overhead favours B
+    near sqrt(n); sqrt(n) / 3 runs within 3% of the fastest for n = 100-8000."""
     return max(1, round(math.sqrt(n) / 3))
 
 
@@ -204,6 +222,7 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     `_block_sections`).  Rows are checked as eigen lists; a NaN row or error
     is a `NumericalError`.
     """
+    _check_window(window)
     G, trellis = spec.symbol_group, spec.constituents[constituent]
     q = G.order
     if population.ndim != 2 or population.shape[0] < 1 or population.shape[1] != q:
@@ -211,35 +230,32 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     population = EigenList.checked_rows(G, population)
     if lam_ch.group.moduli != G.moduli:     # lift_along_hom checks the output group
         raise ValidationError("channel eigen list is not on the symbol group")
-    fwd_k, bwd_k, ext_k = (_section(trellis, kind, len(trellis.outputs))
-                           for kind in ("forward", "backward", "extrinsic"))
-    # the parity list, one shared column: the lifted parity observations
-    parity = equality_fold([useless_list(trellis.branch_group)] + [
-        lift_along_hom(_fold(lam_ch, spec.parity_mults[constituent], G), L)
-        for L in trellis.outputs]).values[:, None]
-    fwd_w, bwd_w, ext_w = (k.weights(parity) for k in (fwd_k, bwd_k, ext_k))
-    n = population.shape[0]
+    both, both_w, ext_k, ext_w, fold, boundary = _update(spec, constituent, lam_ch)
+    n, ns = population.shape[0], trellis.state_group.order
     ctx, B = window // 2, _block_sections(n)
     m = -(-n // B)                                 # blocks, one column each
     apr_idx = rng.integers(0, n, size=(m, B + 2 * ctx)).T
     # the herald uniforms, one per block per marginalization, drawn in the
     # order forward sweep, backward sweep, tracked extrinsics
     u = rng.random((2 * (B + ctx - 1) + B, m))
-    sym = _with_systematic(spec, lam_ch, population.T[:, apr_idx])      # (q, sections, m)
-    boundary = np.repeat(useless_list(trellis.state_group).values[:, None], m, axis=1)
     L = ctx + B - 1                                # sweep steps
-    fwd, _ = _sweep(boundary, ((fwd_k.branch, fwd_w, sym[:, t]) for t in range(L)), u[:L])
-    bwd, _ = _sweep(boundary, ((bwd_k.branch, bwd_w, sym[:, -1 - t]) for t in range(L)), u[L:-B])
-    # states around the tracked sections ctx .. ctx + B - 1; column s * m + block
-    fwd = fwd[ctx:].transpose(1, 0, 2).reshape(len(boundary), -1)
-    bwd = bwd[::-1][:B].transpose(1, 0, 2).reshape(len(boundary), -1)
-    ext, u = np.empty((q, B * m)), u[-B:].ravel()
+    # step t's symbol-side lists: forward section t, backward section B + 2 ctx - 1 - t
+    sections = np.stack((apr_idx[:L], apr_idx[::-1][:L]), axis=1)
+    second = _with_systematic(G, fold, population.T[:, sections])   # (q, L, 2, m)
+    # the states around the tracked sections ctx .. ctx + B - 1, the only ones kept
+    states, _ = _sweep(boundary, ((both, both_w, second[:, t]) for t in range(L)),
+                       u[:2 * L].reshape(2, L, m).transpose(1, 0, 2), skip=ctx)
+    del second, sections
+    fwd = states[:, :, 0].transpose(1, 0, 2).reshape(ns, -1)      # column s * m + block
+    bwd = states[::-1, :, 1].transpose(1, 0, 2).reshape(ns, -1)
+    del states                                     # before the batches take their workspaces
+    ext, u, work = np.empty((q, B * m)), u[2 * L:].ravel(), _Work()
     step = max(1, _BLOCK_FLOATS // trellis.branch_group.order)
     for cols in (slice(lo, lo + step) for lo in range(0, B * m, step)):
-        ext[:, cols] = _draw(ext_k.branch(fwd[:, cols], ext_w, bwd[:, cols]), u[cols])[0]
+        _draw(ext_k.branch(fwd[:, cols], ext_w, bwd[:, cols], work), u[cols], ext[:, cols])
     ext = EigenList.checked_rows(G, ext[:, :n].T)
     apr = population.T[:, apr_idx[ctx:ctx + B].ravel()[:n]]
-    post = _gather(_with_systematic(spec, lam_ch, ext.T), tables_for(G).sub, apr[:, None, :] / q)
+    post = _gather(_with_systematic(G, fold, ext.T), tables_for(G).sub.T, apr / q)
     err = float(pgm_rows(np.clip(post, 0.0, None).T).mean())
     if not math.isfinite(err):
         raise NumericalError(f"DE posterior error is {err}")

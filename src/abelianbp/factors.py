@@ -202,7 +202,7 @@ def draw_heralds(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     cumulative probability passes ``u`` times the column total.  Heralds below
     `PROB_FLOOR` are never drawn; a NaN or vanishing column is a `NumericalError`.
     The running sums add rows along K (a cumsum over a short axis is slow)."""
-    cum = np.where(probs >= PROB_FLOOR, probs, 0.0)
+    cum = np.where(probs < PROB_FLOOR, 0.0, probs)      # a NaN stays, and fails the check
     for j in range(1, len(cum)):
         cum[j] += cum[j - 1]
     total = cum[-1]

@@ -12,11 +12,11 @@ time-reversed sections.
 Each section step (forward, backward, extrinsic) is one composite of these
 factors, written once as a kernel of two sparse gathers on (size, n) sample
 columns (`_Section`).  Exact `decode_block` runs it as one rule per step over
-the branch product (`_step_rule`, `factors._product_apply`).  Sampled
-`decode_block` and density evolution run it bare: a sweep is one kernel call
-and one herald draw per step for all tracked trajectories (`_sweep`), and the
-extrinsics are batched on column blocks.  Both modes of `decode_block` build a
-section's parity and symbol-side lists with `_input_lists`.
+the branch product (`_step_rule`).  Sampled `decode_block` and density
+evolution run it bare, on workspaces allocated once per call: the forward and
+backward recursions, independent until the extrinsics, are one stacked sweep
+of one kernel call and herald draw per step (`_both`, `_sweep`), and the
+extrinsics are batched on column blocks.  Input lists come from `_input_lists`.
 
 Rational transfer functions G(D) = p(D)/q(D) over Z_n (with invertible q(0))
 compile to a single-parity section in controller canonical form; feedforward
@@ -182,14 +182,25 @@ def _messages(msgs, G: GroupSpec, optional: bool = False) -> list[HeraldedMessag
     return msgs
 
 
-def _gather(x: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``sum_k x[idx[:, k]] * w[k]`` on (in, n) sample columns ``x``, for an
-    (out, K) row table ``idx`` and weights ``w`` that broadcast to (K, out, n).
-    Terms are added in table order, so no result depends on thread count or n."""
-    acc = x[idx[:, 0]] * w[0]
-    for k in range(1, idx.shape[1]):
-        acc += x[idx[:, k]] * w[k]
-    return acc
+def _gather(x: np.ndarray, idx: np.ndarray, w, out=None, tmp=None) -> np.ndarray:
+    """``sum_k x[idx[k]] * w[k]`` on (in, n) sample columns ``x``, for a (K, ...) table
+    ``idx`` and weights ``w`` that broadcast to (K, ..., n), added in table order (no result
+    depends on thread count or n); in place on workspaces `out`, `tmp` like ``x[idx[0]]``."""
+    out = np.multiply(x.take(idx[0], 0, out, "wrap"), w[0], out=out)
+    for k in range(1, len(idx)):
+        out += np.multiply(x.take(idx[k], 0, tmp, "wrap"), w[k], out=tmp)
+    return out
+
+
+class _Work(dict):
+    """Workspaces of one loop: flat buffers, grown on demand, viewed contiguously."""
+
+    def view(self, i: int, shape: tuple) -> np.ndarray:
+        if (i, shape) not in self:
+            if len(self.get(i, ())) < math.prod(shape):
+                self[i] = np.empty(math.prod(shape))
+            self[i, shape] = self[i][:math.prod(shape)].reshape(shape)
+        return self[i, shape]
 
 
 class _Section(NamedTuple):
@@ -197,21 +208,38 @@ class _Section(NamedTuple):
 
     The adjoined or lifted state is 1/q dense and the parity list P (the
     lifted observations, equality-combined) lives on the dual image of the
-    outputs, so branch row c of their combine adds ``state[src[c, k]] *
-    P[par[c, k]] * q / |B|`` over the few k where both are nonzero.
+    outputs, so branch row c of their combine adds ``state[src[k, c]] *
+    P[par[k, c]] * q / |B|`` over the few k where both are nonzero.
     ``weights(P)`` gathers these (K, |B|, n) weights from (|B|, n or 1) lists;
-    ``branch(state, weights, second)`` adds the symbol or lifted backward
-    state through a table that folds in the section automorphism, and returns
-    the (rest, herald, n) branch array.
+    ``branch(state, weights, second, work)`` adds the symbol or lifted backward
+    state through ``tbl``, which folds in the section automorphism, and returns
+    the (rest, herald, n) branch array, on `work`'s workspaces if given (a
+    strided `state` is made contiguous first: `take` would copy it every term).
     """
 
-    weights: object
-    branch: object
+    src: np.ndarray
+    par: np.ndarray
+    tbl: np.ndarray
+    scale: float
+    div: int
+    shape: tuple            # (rest, herald)
+
+    def weights(self, parity: np.ndarray) -> np.ndarray:
+        return parity[self.par] * self.scale
+
+    def branch(self, state, weights, second, work: _Work | None = None) -> np.ndarray:
+        state = np.ascontiguousarray(state).reshape(len(state), -1)
+        shape = (*self.tbl.shape[1:], state.shape[1])
+        views = (shape, shape, shape, second.shape)
+        a, b, tmp, s = [None] * 4 if work is None else map(work.view, range(4), views)
+        x = _gather(state, self.src, weights, a, tmp).reshape(-1, state.shape[1])
+        second = np.divide(second, self.div, out=s).reshape(len(second), *shape[1:])
+        return _gather(x, self.tbl, second, b, tmp).reshape(*self.shape, -1)
 
 
 @functools.lru_cache(maxsize=None)
-def _section(spec: TrellisSpec, kind: str, n_obs: int) -> _Section:
-    """The step with observations on the first n_obs outputs.  Heralds:
+def _section(spec: TrellisSpec, kind: str, n_obs: int, terms: int = 1) -> _Section:
+    """The step observing the first n_obs outputs, with `terms` or more terms a row.  Heralds:
     ``forward`` the discarded cell, ``backward`` the symbol, ``extrinsic`` the state."""
     G, B = spec.symbol_group, spec.branch_group
     q, ns, nb = G.order, spec.state_group.order, B.order
@@ -222,7 +250,7 @@ def _section(spec: TrellisSpec, kind: str, n_obs: int) -> _Section:
     nxt = dual_map_table(next_state_hom(spec))
     at = t.sub[:, nxt if kind == "backward" else q * np.arange(ns)]  # [c, s]: c - src[s]
     hit = support[at]
-    src = np.argsort(~hit, axis=1, kind="stable")[:, :max(1, hit.sum(axis=1).max())]
+    src = np.argsort(~hit, axis=1, kind="stable")[:, :max(terms, hit.sum(axis=1).max())]
     # cells past a row's terms read P where it is zero, so they add nothing
     par = np.where(np.take_along_axis(hit, src, axis=1),
                    np.take_along_axis(at, src, axis=1), np.argmin(support))
@@ -235,11 +263,18 @@ def _section(spec: TrellisSpec, kind: str, n_obs: int) -> _Section:
     else:
         tbl, div, shape = t.sub[:, nxt], ns, (q, ns)
         tbl = tbl.reshape(ns, q, ns).swapaxes(0, 1).reshape(nb, ns)
+    return _Section(*(np.ascontiguousarray(x.T) for x in (src, par, tbl)), q / nb, div, shape)
 
-    def branch(state, weights, second):
-        out = _gather(_gather(state, src, weights), tbl, second[:, None, :] / div)
-        return out.reshape(*shape, -1)
-    return _Section(lambda parity: parity[par.T] * (q / nb), branch)
+
+@functools.lru_cache(maxsize=None)
+def _both(spec: TrellisSpec, n_fwd: int, n_bwd: int) -> _Section:
+    """The forward step on n_fwd and the backward step on n_bwd observations as one section on
+    (2 size, n) state and (2 |B|, n) parity rows, row 2 r + d in direction d: their tables
+    interleaved, the shorter padded as `_section` pads its rows (terms of weight zero)."""
+    K = max(len(_section(spec, "forward", n_fwd).src), len(_section(spec, "backward", n_bwd).src))
+    f, b = _section(spec, "forward", n_fwd, K), _section(spec, "backward", n_bwd, K)
+    return f._replace(**{name: np.stack((getattr(f, name), getattr(b, name)), axis=-1) * 2
+                         + (0, 1) for name in ("src", "par", "tbl")})
 
 
 # floats per (branch, column) array: sampled decoding computes section weights
@@ -247,25 +282,38 @@ def _section(spec: TrellisSpec, kind: str, n_obs: int) -> _Section:
 _BLOCK_FLOATS = 1 << 15
 
 
-def _draw(branch: np.ndarray, u: np.ndarray):
+def _draw(branch: np.ndarray, u: np.ndarray, out=None, cols=None):
     """Marginalize a (rest, herald, n) branch array on one herald per column,
     drawn at the uniforms ``u`` by `factors.draw_heralds`; returns the
-    (rest, n) lists and the n heralds."""
+    (rest, n) lists, into `out` if given, and the n heralds; `cols` is arange(n)."""
     rest, heralds, n = branch.shape
     p = branch.sum(axis=0) / (rest * heralds)
-    h, cols = draw_heralds(p, u), np.arange(n)
-    return branch[:, h, cols] / (heralds * p[h, cols]), h
+    h = draw_heralds(p, u)
+    at = h * n + (np.arange(n) if cols is None else cols)      # flat (herald, column)
+    return np.divide(branch.reshape(rest, -1).take(at, 1), heralds * p.take(at), out=out), h
 
 
-def _sweep(state: np.ndarray, steps, u: np.ndarray):
-    """A sampled recursion from (size, n) state columns: step k marginalizes
-    ``branch(state, weights, second)``, ``steps[k] = (branch, weights, second)``,
-    at ``u[k]``.  Returns all (size, n) states, `state` first, and the heralds."""
-    states, heralds = np.empty((len(u) + 1, *state.shape)), np.empty(u.shape, np.intp)
-    states[0] = state
-    for k, (branch, weights, second) in enumerate(steps):
-        states[k + 1], heralds[k] = _draw(branch(states[k], weights, second), u[k])
-    return states, heralds
+def _sweep(state: np.ndarray, steps, u: np.ndarray, skip: int = 0):
+    """The forward and the backward sampled recursion of a block as one, on
+    (size, 2, n) state columns, direction 0 forward and 1 backward: step k
+    marginalizes ``kernel.branch(state, weights, second)``, a `_both` kernel's,
+    at the (2, n) uniforms ``u[k]``, on one set of workspaces.  Returns the states
+    from step `skip` on (earlier ones share a slot) and each direction's heralds."""
+    (L, _, n), size, work = u.shape, len(state), _Work()
+    states, heralds = np.empty((L + 1 - skip, size, 2, n)), np.empty((L, 2 * n), np.intp)
+    states[0], cols = state, np.arange(2 * n)
+    for k, (kernel, weights, second) in enumerate(steps):
+        branch = kernel.branch(states[max(k - skip, 0)].reshape(2 * size, n), weights, second, work)
+        out = states[max(k + 1 - skip, 0)].reshape(size, 2 * n)
+        heralds[k] = _draw(branch, u[k].ravel(), out, cols)[1]
+    return states, heralds.reshape(L, 2, n).transpose(1, 0, 2)
+
+
+def _runs(keys, size: int) -> list[range]:
+    """``range(len(keys))`` cut into runs of equal keys, at most `size` long."""
+    cuts = [t for t in range(len(keys)) if t == 0 or keys[t] != keys[t - 1]] + [len(keys)]
+    return [range(t, min(t + size, hi)) for lo, hi in zip(cuts, cuts[1:])
+            for t in range(lo, hi, size)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -365,48 +413,44 @@ def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
 
 def _sampled_block(spec: TrellisSpec, inputs, n_obs, start: HeraldedMessage,
                    rng) -> list[SectionResult]:
-    """Sampled `decode_block`, trajectories as columns, on blocks of sections
-    with equal observation counts and at most `_BLOCK_FLOATS` floats per
-    branch array.  Uniforms are drawn up front for the forward sweep, the
-    backward sweep (row k: section T - 1 - k) and the extrinsics."""
+    """Sampled `decode_block`, trajectories as columns.  Sweep step k runs
+    forward section k and backward section T - 1 - k; blocks of steps (weights)
+    and of sections (extrinsics) have equal observation counts and at most
+    `_BLOCK_FLOATS` floats per direction.  Uniforms are drawn up front for the
+    forward sweep, the backward sweep (row k) and the extrinsics."""
     T, S, G, GS = len(inputs), len(start), spec.symbol_group, spec.state_group
     u_fwd, u_bwd, u_ext = (rng.random((T, S)) for _ in range(3))
-    eq_g, build = _equality(G), _input_lists(spec)
-    size = max(1, _BLOCK_FLOATS // (spec.branch_group.order * S))
-    blocks, lo = [], 0
-    for t in range(1, T + 1):
-        if t == T or n_obs[t] != n_obs[lo] or t - lo == size:
-            blocks.append(range(lo, t))
-            lo = t
-    # each section's symbol-side list, for both sweeps
-    sides = [build([], [m.lams for m in ins[n:]], S)[1] for ins, n in zip(inputs, n_obs)]
+    eq_g, build, nb = _equality(G), _input_lists(spec), spec.branch_group.order
+    size = max(1, _BLOCK_FLOATS // (nb * S))
+    # each section's symbol-side list; step k reads those of sections k and T - 1 - k
+    sides = np.reshape([build([], [m.lams for m in ins[n:]], S)[1]
+                        for ins, n in zip(inputs, n_obs)], (T, G.order, S))
+    seconds = np.stack((sides, sides[::-1]), axis=2)
 
-    def weights(kind, ts):      # on the block's parity lists
-        n = n_obs[ts[0]]
-        obs = [np.concatenate([inputs[t][i].lams for t in ts]) for i in range(n)]
-        return _section(spec, kind, n).weights(build(obs, [], len(ts) * S)[0])
+    def parity(ts):             # (|B|, len(ts) S): the parity lists of sections ts
+        obs = [np.concatenate([inputs[t][i].lams for t in ts]) for i in range(n_obs[ts[0]])]
+        return build(obs, [], len(ts) * S)[0]
 
-    def steps(kind, order):
-        for ts in order:
-            branch, w = _section(spec, kind, n_obs[ts[0]]).branch, weights(kind, ts)
-            for j in (range(len(ts)) if kind == "forward" else reversed(range(len(ts)))):
-                yield branch, w[:, :, j * S:(j + 1) * S], sides[ts[j]]
+    def steps():
+        for ks in _runs(list(zip(n_obs, n_obs[::-1])), size):
+            back = [T - 1 - k for k in ks]
+            kernel = _both(spec, n_obs[ks[0]], n_obs[back[0]])
+            w = kernel.weights(np.concatenate((parity(ks), parity(back)), 1).reshape(2 * nb, -1))
+            for j, k in enumerate(ks):
+                yield kernel, w[..., j * S:(j + 1) * S], seconds[k]
 
-    fwd, fh = _sweep(start.lams.T, steps("forward", blocks), u_fwd)
-    bwd, bh = _sweep(start.lams.T, steps("backward", blocks[::-1]), u_bwd)
-    for states in (fwd, bwd):
-        EigenList.checked_rows(GS, states.transpose(0, 2, 1))
-    bwd = bwd[::-1]                     # bwd[t]: the backward state of sections t .. T - 1
+    states, (fh, bh) = _sweep(start.lams.T[:, None, :], steps(), np.stack((u_fwd, u_bwd), 1))
+    EigenList.checked_rows(GS, states.transpose(2, 0, 3, 1))    # forward sweep first
+    fwd, bwd = states[:, :, 0], states[::-1, :, 1]     # bwd[t]: the backward state of t .. T - 1
     ext, post = np.empty((T * S, G.order)), np.empty((T * S, G.order))
-    eh = np.empty((T, S), np.intp)
-    for ts in blocks:
+    eh, work = np.empty((T, S), np.intp), _Work()
+    for ts in _runs(n_obs, size):
         lo, hi, n, cols = ts.start, ts.stop, n_obs[ts.start], slice(ts.start * S, ts.stop * S)
-        f, b = (x.transpose(1, 0, 2).reshape(GS.order, -1)
-                for x in (fwd[lo:hi], bwd[lo + 1:hi + 1]))
         kernel = _section(spec, "extrinsic", n)
-        lists, h = _draw(kernel.branch(f, weights("extrinsic", ts), b), u_ext[lo:hi].ravel())
-        ext[cols] = EigenList.checked_rows(G, lists.T)
-        eh[lo:hi] = h.reshape(-1, S)
+        branch = kernel.branch(fwd[lo:hi].transpose(1, 0, 2), kernel.weights(parity(ts)),
+                               bwd[lo + 1:hi + 1].transpose(1, 0, 2), work)
+        eh[lo:hi] = _draw(branch, u_ext[lo:hi].ravel(), ext[cols].T)[1].reshape(-1, S)
+        ext[cols] = EigenList.checked_rows(G, ext[cols])
         # the posteriors fold in each section's symbol-side messages in turn
         acc, k = ext[cols].copy(), np.array([len(inputs[t]) - n for t in ts])
         for j in range(k.max()):

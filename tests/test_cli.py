@@ -704,3 +704,30 @@ def test_two_operand_factor_kinds_reject_one_input(tmp_path, capsys, kind):
     code, out, err = run_cli(capsys, "factor", kind, "--in", str(a))
     assert code == 2 and out == ""
     assert json.loads(err)["message"] == f"{kind} expects exactly two eigen lists"
+
+
+def test_nan_herald_probability_from_a_kernel_exits_3(tmp_path, capsys, monkeypatch):
+    """A check kernel that gives one herald of one row probability NaN makes
+    sampled `mp run` a numerical error (exit 3) with empty stdout; the herald
+    draw read the NaN as a zero and drew another herald."""
+    import abelianbp.trees as trees
+    from abelianbp.factors import _check
+    from test_trees import chain_graph
+
+    def nan_check(G):
+        rule = _check(G)
+
+        def rows(*operands):
+            probs, finish = rule.rows(*operands)
+            probs = probs.copy()
+            probs[0, 1] = np.nan
+            return probs, finish
+        return rule._replace(rows=rows)
+
+    monkeypatch.setattr(trees, "_check", nan_check)
+    g = tmp_path / "g.json"
+    g.write_text(to_json(dump_graph(chain_graph([LAM1, LAM2], kind="check"))))
+    code, out, err = run_cli(capsys, "mp", "run", "--graph", str(g), "--mode", "sampled",
+                             "--seed", "1", "--samples", "3")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "numerical"

@@ -425,3 +425,26 @@ def test_nan_population_raises(monkeypatch):
     monkeypatch.setattr(de, "de_iteration", poisoned)
     with pytest.raises(NumericalError):
         de_run(spec, DEConfig(population=50, max_iterations=5, window=11), 2.0)
+
+
+@pytest.mark.parametrize("window", [-3, 0, 4])
+def test_de_iteration_rejects_windows_the_config_rejects(window):
+    """Window 0 and even windows ran, and -3 ended in an IndexError."""
+    pop = np.tile(useless_list(Z3).values, (20, 1))
+    with pytest.raises(ValidationError, match="window length must be odd"):
+        de_iteration(standard_turbo(3), pop, channel_family(3, 2.0), np.random.default_rng(0),
+                     window=window)
+
+
+@pytest.mark.parametrize("moduli", [(3,), (2, 2)])
+def test_systematic_fold_combines_on_the_symbol_group(moduli):
+    """DE's systematic combine is the equality combine on the symbol group
+    itself, Z2xZ2 included, not on the cyclic group of the same order."""
+    G, rng = GroupSpec(moduli), np.random.default_rng(3)
+    lam, lists = (rng.gamma(1.0, size=(k, G.order)) for k in (1, 6))
+    lam, lists = (x * (G.order / x.sum(axis=1, keepdims=True)) for x in (lam, lists))
+    channel = EigenList(G, lam[0])
+    fold = de._fold(channel, 2, G).values[:, None] / G.order
+    want = [equality_combine(equality_fold([channel] * 2), EigenList(G, row)).values
+            for row in lists]
+    assert np.abs(de._with_systematic(G, fold, lists.T).T - want).max() < 1e-12

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelianbp import (
     EigenList,
@@ -31,8 +33,9 @@ from abelianbp import (
     useless_list,
 )
 from abelianbp.factors import (_automorphism, _check, _check_inverse, _equality, _hom,
-                               _hom_supported, _lift, _marginalize, _product_apply, equality_fold)
-from abelianbp.messages import HeraldedMessage
+                               _hom_supported, _lift, _marginalize, _product_apply, draw_heralds,
+                               equality_fold)
+from abelianbp.messages import PROB_FLOOR, HeraldedMessage
 from message_rows import rows
 
 Z3 = GroupSpec((3,))
@@ -534,3 +537,48 @@ def test_check_inverse_is_check_after_inverting_the_second_operand(moduli):
     keep = probs >= 1e-3
     assert finish(keep).tobytes() == want_finish(keep).tobytes()
     assert _check_inverse(G).herald is _check(G).herald
+
+
+def _draw_heralds_reference(probs, u):
+    """`draw_heralds` as it was written with `np.where` and `np.nextafter`."""
+    cum = np.where(probs >= PROB_FLOOR, probs, 0.0)
+    for j in range(1, len(cum)):
+        cum[j] += cum[j - 1]
+    total = cum[-1]
+    if not total.min() > 0:
+        raise NumericalError("NaN or vanishing herald probabilities")
+    return (cum <= np.minimum(u * total, np.nextafter(total, 0))).sum(axis=0)
+
+
+_HERALD_PROB = st.one_of(st.just(0.0), st.just(PROB_FLOOR), st.just(PROB_FLOOR / 2),
+                         st.floats(0.0, 1e-14), st.floats(0.0, 1e3))
+_UNIFORM = st.one_of(st.just(0.0), st.just(np.nextafter(1.0, 0)), st.just(1 - 2.0**-54),
+                     st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 6).flatmap(lambda h: st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(_HERALD_PROB, min_size=k, max_size=k), min_size=h, max_size=h),
+    st.lists(_UNIFORM, min_size=k, max_size=k)))))
+def test_draw_heralds_matches_the_previous_draw(case):
+    """Floored heralds, zero columns, u = 0 and u -> 1 draw what the previous
+    function drew, or raise where it raised."""
+    probs, u = np.array(case[0]), np.array(case[1])
+    try:
+        want = _draw_heralds_reference(probs, u)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            draw_heralds(probs, u)
+        return
+    got = draw_heralds(probs, u)
+    assert got.tolist() == want.tolist()
+    assert np.all(probs[got, np.arange(len(u))] >= PROB_FLOOR)
+
+
+def test_draw_heralds_raises_on_one_nan_herald():
+    """A NaN in one herald of an otherwise valid column is a `NumericalError`;
+    it was read as a zero and another herald was drawn."""
+    with pytest.raises(NumericalError):
+        draw_heralds(np.array([[np.nan], [0.5], [0.5]]), np.array([0.3]))
+    with pytest.raises(NumericalError):
+        draw_heralds(np.array([[0.2, 0.5], [0.8, np.nan]]), np.array([0.1, 0.1]))
