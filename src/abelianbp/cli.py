@@ -66,11 +66,9 @@ def _load_json(path: str):
 def _inline_or_file(text: str):
     """Accept inline JSON or an @file / *.json path."""
     text = text.strip()
-    if text.startswith("@"):
-        return _load_json(text[1:])
-    if text and text[0] in "[{0123456789":
+    if text and text[0] in "[{0123456789" and not text.endswith(".json"):
         return json.loads(text)
-    return _load_json(text)
+    return _load_json(text.removeprefix("@"))
 
 
 def _fmt(x: float) -> str:

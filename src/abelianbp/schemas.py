@@ -36,126 +36,73 @@ from .messages import HeraldedMessage, pure
 from .trees import FACTOR_KINDS, FactorGraphSpec, FactorNode
 from .trellis import TrellisSpec, transfer_function_trellis
 
-_GROUP = {
-    "type": "object",
-    "properties": {"moduli": {"type": "array", "items": {"type": "integer", "minimum": 2}}},
-    "required": ["moduli"],
-    "additionalProperties": False,
-}
-_MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}}
-_HOM = {
-    "type": "object",
-    "properties": {"source": _GROUP, "target": _GROUP, "matrix": _MATRIX},
-    "required": ["source", "target", "matrix"],
-    "additionalProperties": False,
-}
+
+def _record(properties: dict, *required: str, version: bool = False) -> dict:
+    """A closed object schema: only `properties`, of which `required` must
+    appear; a container (`version`) also requires ``"version": 1``."""
+    if version:
+        properties = {"version": {"const": SCHEMA_VERSION}, **properties}
+        required = ("version", *required)
+    return {"type": "object", "properties": properties, "required": list(required),
+            "additionalProperties": False}
+
+
+_MODULUS = {"type": "integer", "minimum": 2}
+_COUNT = {"type": "integer", "minimum": 0}
+_POSITIVE = {"type": "integer", "minimum": 1}
+_GROUP = _record({"moduli": {"type": "array", "items": _MODULUS}}, "moduli")
+_INTEGERS = {"type": "array", "items": {"type": "integer"}}
+_MATRIX = {"type": "array", "items": _INTEGERS}
+_HOM = _record({"source": _GROUP, "target": _GROUP, "matrix": _MATRIX},
+               "source", "target", "matrix")
 _NUMBERS = {"type": "array", "items": {"type": "number"}}
-_EIGENLIST = {
-    "type": "object",
-    "properties": {"group": _GROUP, "values": _NUMBERS},
-    "required": ["group", "values"],
-    "additionalProperties": False,
-}
-_MESSAGE = {
-    "type": "object",
-    "properties": {
-        "group": _GROUP,
-        "branches": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "p": {"type": "number"},
-                    "lambda": _NUMBERS,
-                    "label": {"type": "array", "items": {"type": "string"}},
-                },
-                "required": ["p", "lambda"],
-                "additionalProperties": False,
-            },
-            "minItems": 1,
-        },
-    },
-    "required": ["group", "branches"],
-    "additionalProperties": False,
-}
-_FACTOR = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": list(FACTOR_KINDS)},
-        "edges": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "message": _MESSAGE,
-        "eigenlist": _EIGENLIST,
-        "hom": _HOM,
-        "keep": {"type": "integer", "minimum": 0},
-    },
-    "required": ["kind", "edges"],
-    "additionalProperties": False,
-}
-_GRAPH = {
-    "type": "object",
-    "properties": {
-        "version": {"const": SCHEMA_VERSION},
-        "variables": {"type": "object", "additionalProperties": _GROUP},
-        "factors": {"type": "object", "additionalProperties": _FACTOR},
-        "root": {"type": "string"},
-    },
-    "required": ["version", "variables", "factors", "root"],
-    "additionalProperties": False,
-}
-_TRANSFER = {
-    "type": "object",
-    "properties": {
-        "p": {"type": "array", "items": {"type": "integer"}},
-        "q": {"type": "array", "items": {"type": "integer"}},
-        "modulus": {"type": "integer", "minimum": 2},
-    },
-    "required": ["p", "q", "modulus"],
-    "additionalProperties": False,
-}
-_TRELLIS = {
-    "type": "object",
-    "properties": {
-        "version": {"const": SCHEMA_VERSION},
-        "transfer_function": _TRANSFER,
-        "symbol_group": _GROUP,
-        "memory": {"type": "integer", "minimum": 0},
-        "output_group": _GROUP,
-        "outputs": {"type": "array", "items": _HOM},
-        "section_automorphism": _HOM,
-        "boundary": {"enum": ["known", "unknown"]},
-    },
-    "required": ["version"],
-    "additionalProperties": False,
-}
-_TURBO = {
-    "type": "object",
-    "properties": {
-        "version": {"const": SCHEMA_VERSION},
-        "constituents": {"type": "array", "items": _TRELLIS, "minItems": 2,
-                         "maxItems": 2},
-        "systematic_mult": {"type": "integer", "minimum": 0},
-        "parity_mults": {"type": "array", "items": {"type": "integer", "minimum": 0},
-                         "minItems": 2, "maxItems": 2},
-        "target_rate": {"type": "string"},
-    },
-    "required": ["version", "constituents"],
-    "additionalProperties": False,
-}
-_DECONFIG = {
-    "type": "object",
-    "properties": {
-        "version": {"const": SCHEMA_VERSION},
-        "population": {"type": "integer", "minimum": 1},
-        "max_iterations": {"type": "integer", "minimum": 1},
-        "window": {"type": "integer", "minimum": 1},
-        "err_threshold": {"type": "number"},
-        "stall_rel": {"type": "number"},
-        "stall_window": {"type": "integer", "minimum": 1},
-        "master_seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["version"],
-    "additionalProperties": False,
-}
+_EIGENLIST = _record({"group": _GROUP, "values": _NUMBERS}, "group", "values")
+_BRANCH = _record({
+    "p": {"type": "number"},
+    "lambda": _NUMBERS,
+    "label": {"type": "array", "items": {"type": "string"}},
+}, "p", "lambda")
+_MESSAGE = _record({"group": _GROUP, "branches": {"type": "array", "items": _BRANCH,
+                                                  "minItems": 1}},
+                   "group", "branches")
+_FACTOR = _record({
+    "kind": {"enum": list(FACTOR_KINDS)},
+    "edges": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+    "message": _MESSAGE,
+    "eigenlist": _EIGENLIST,
+    "hom": _HOM,
+    "keep": _COUNT,
+}, "kind", "edges")
+_GRAPH = _record({
+    "variables": {"type": "object", "additionalProperties": _GROUP},
+    "factors": {"type": "object", "additionalProperties": _FACTOR},
+    "root": {"type": "string"},
+}, "variables", "factors", "root", version=True)
+_TRANSFER = _record({"p": _INTEGERS, "q": _INTEGERS, "modulus": _MODULUS}, "p", "q", "modulus")
+_TRELLIS = _record({
+    "transfer_function": _TRANSFER,
+    "symbol_group": _GROUP,
+    "memory": _COUNT,
+    "output_group": _GROUP,
+    "outputs": {"type": "array", "items": _HOM},
+    "section_automorphism": _HOM,
+    "boundary": {"enum": ["known", "unknown"]},
+}, version=True)
+_TURBO = _record({
+    "constituents": {"type": "array", "items": _TRELLIS, "minItems": 2, "maxItems": 2},
+    "systematic_mult": _COUNT,
+    "parity_mults": {"type": "array", "items": _COUNT, "minItems": 2, "maxItems": 2},
+    "target_rate": {"type": "string"},
+}, "constituents", version=True)
+_DECONFIG = _record({
+    "population": _POSITIVE,
+    "max_iterations": _POSITIVE,
+    "window": _POSITIVE,
+    "err_threshold": {"type": "number"},
+    "stall_rel": {"type": "number"},
+    "stall_window": _POSITIVE,
+    "master_seed": _COUNT,
+}, version=True)
 
 SCHEMAS = {
     "group": _GROUP,
@@ -194,17 +141,25 @@ def _validator(kind: str):
 
 # ---------------------------------------------------------------------------
 # dump / parse pairs
+#
+# Each public parse_* validates its whole document once; the private builders
+# below it read parts that schema already checked, reading every schema
+# integer with int() because JSON Schema's "integer" admits integral floats.
 
 
 def dump_group(G: GroupSpec) -> dict:
     return {"moduli": list(G.moduli)}
 
 
+def _group(doc) -> GroupSpec:
+    return GroupSpec(tuple(doc["moduli"]))
+
+
 def parse_group(doc) -> GroupSpec:
     if isinstance(doc, list):       # CLI shorthand: bare moduli array
         doc = {"moduli": doc}
     schema_validate(doc, "group")
-    return GroupSpec(tuple(doc["moduli"]))
+    return _group(doc)
 
 
 def dump_hom(H: HomSpec) -> dict:
@@ -212,19 +167,27 @@ def dump_hom(H: HomSpec) -> dict:
             "matrix": [list(row) for row in H.matrix]}
 
 
+def _hom(doc) -> HomSpec:
+    return HomSpec(_group(doc["source"]), _group(doc["target"]),
+                   tuple(tuple(row) for row in doc["matrix"]))
+
+
 def parse_hom(doc) -> HomSpec:
     schema_validate(doc, "hom")
-    return HomSpec(parse_group(doc["source"]), parse_group(doc["target"]),
-                   tuple(tuple(row) for row in doc["matrix"]))
+    return _hom(doc)
 
 
 def dump_eigenlist(lam: EigenList) -> dict:
     return {"group": dump_group(lam.group), "values": [float(v) for v in lam.values]}
 
 
+def _eigenlist(doc) -> EigenList:
+    return EigenList(_group(doc["group"]), doc["values"])
+
+
 def parse_eigenlist(doc) -> EigenList:
     schema_validate(doc, "eigenlist")
-    return EigenList(parse_group(doc["group"]), doc["values"])
+    return _eigenlist(doc)
 
 
 def dump_message(msg: HeraldedMessage) -> dict:
@@ -237,17 +200,15 @@ def dump_message(msg: HeraldedMessage) -> dict:
     }
 
 
-def parse_message(doc) -> HeraldedMessage:
-    schema_validate(doc, "message")
-    G, branches = parse_group(doc["group"]), doc["branches"]
+def _message(doc) -> HeraldedMessage:
+    G, branches = _group(doc["group"]), doc["branches"]
     return HeraldedMessage.of(G, [b["p"] for b in branches], [b["lambda"] for b in branches],
                               [b.get("label", ()) for b in branches])
 
 
-def parse_message_or_eigenlist(doc) -> HeraldedMessage:
-    if isinstance(doc, dict) and "branches" in doc:
-        return parse_message(doc)
-    return pure(parse_eigenlist(doc))
+def parse_message(doc) -> HeraldedMessage:
+    schema_validate(doc, "message")
+    return _message(doc)
 
 
 def dump_graph(spec: FactorGraphSpec) -> dict:
@@ -271,18 +232,18 @@ def dump_graph(spec: FactorGraphSpec) -> dict:
 
 def parse_graph(doc) -> FactorGraphSpec:
     schema_validate(doc, "graph")
-    variables = {v: parse_group(g) for v, g in doc["variables"].items()}
+    variables = {v: _group(g) for v, g in doc["variables"].items()}
     factors = {}
     for fid, f in doc["factors"].items():
         message = None
         if "message" in f:
-            message = parse_message(f["message"])
+            message = _message(f["message"])
         elif "eigenlist" in f:
-            message = parse_message_or_eigenlist(f["eigenlist"])
+            message = pure(_eigenlist(f["eigenlist"]))
         factors[fid] = FactorNode(
             f["kind"], tuple(f["edges"]), message=message,
-            hom=parse_hom(f["hom"]) if "hom" in f else None,
-            keep=f.get("keep"),
+            hom=_hom(f["hom"]) if "hom" in f else None,
+            keep=int(f["keep"]) if "keep" in f else None,
         )
     return FactorGraphSpec(variables, factors, doc["root"])
 
@@ -299,8 +260,7 @@ def dump_trellis(spec: TrellisSpec) -> dict:
     }
 
 
-def parse_trellis(doc) -> TrellisSpec:
-    schema_validate(doc, "trellis")
+def _trellis(doc) -> TrellisSpec:
     if "transfer_function" in doc:
         tf = doc["transfer_function"]
         extra = set(doc) - {"version", "transfer_function", "boundary"}
@@ -316,12 +276,17 @@ def parse_trellis(doc) -> TrellisSpec:
     if missing:
         raise ValidationError(f"trellis document missing fields {sorted(missing)}")
     return TrellisSpec(
-        parse_group(doc["symbol_group"]), doc["memory"],
-        parse_group(doc["output_group"]),
-        tuple(parse_hom(L) for L in doc["outputs"]),
-        parse_hom(doc["section_automorphism"]),
+        _group(doc["symbol_group"]), int(doc["memory"]),
+        _group(doc["output_group"]),
+        tuple(_hom(L) for L in doc["outputs"]),
+        _hom(doc["section_automorphism"]),
         boundary=doc.get("boundary", "known"),
     )
+
+
+def parse_trellis(doc) -> TrellisSpec:
+    schema_validate(doc, "trellis")
+    return _trellis(doc)
 
 
 def dump_turbo(spec: TurboSpec) -> dict:
@@ -340,9 +305,9 @@ def parse_turbo(doc) -> TurboSpec:
     schema_validate(doc, "turbo")
     rate = parse_fraction(doc["target_rate"], "target_rate") if "target_rate" in doc else None
     return TurboSpec(
-        tuple(parse_trellis(c) for c in doc["constituents"]),
-        systematic_mult=doc.get("systematic_mult", 1),
-        parity_mults=tuple(doc.get("parity_mults", (1, 1))),
+        tuple(_trellis(c) for c in doc["constituents"]),
+        systematic_mult=int(doc.get("systematic_mult", 1)),
+        parity_mults=tuple(int(m) for m in doc.get("parity_mults", (1, 1))),
         target_rate=rate,
     )
 
@@ -353,8 +318,9 @@ def dump_deconfig(cfg: DEConfig) -> dict:
 
 def parse_deconfig(doc) -> DEConfig:
     schema_validate(doc, "deconfig")
-    fields = {k: v for k, v in doc.items() if k != "version"}
-    return DEConfig(**fields)
+    types = {k: s.get("type") for k, s in _DECONFIG["properties"].items()}
+    return DEConfig(**{k: int(v) if types[k] == "integer" else v
+                       for k, v in doc.items() if k != "version"})
 
 
 def to_json(doc) -> str:
