@@ -39,8 +39,8 @@ from .eigenlists import EigenList, holevo_info, pgm_rows, useless_list
 from .errors import NumericalError, ValidationError
 from .factors import equality_fold, lift_along_hom
 from .groups import GroupSpec
-from .messages import check_seed
-from .trellis import (_BLOCK_FLOATS, TrellisSpec, _both, _draw, _gather, _section, _sweep, _Work,
+from .messages import CACHE_FLOATS, batches, check_seed
+from .trellis import (TrellisSpec, _both, _draw, _gather, _section, _sweep, _Work,
                       transfer_function_trellis, validate_trellis)
 
 
@@ -106,6 +106,9 @@ class TurboSpec:
     target_rate: Fraction | None = None
 
     def __post_init__(self):
+        if len(self.constituents) != 2 or len(self.parity_mults) != 2:
+            raise ValidationError(f"a turbo spec takes two constituents and two parity_mults, "
+                                  f"not {len(self.constituents)} and {len(self.parity_mults)}")
         c1, c2 = self.constituents
         if c1.symbol_group.moduli != c2.symbol_group.moduli:
             raise ValidationError("constituents must share the symbol group")
@@ -250,8 +253,7 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     bwd = states[::-1, :, 1].transpose(1, 0, 2).reshape(ns, -1)
     del states                                     # before the batches take their workspaces
     ext, u, work = np.empty((q, B * m)), u[2 * L:].ravel(), _Work()
-    step = max(1, _BLOCK_FLOATS // trellis.branch_group.order)
-    for cols in (slice(lo, lo + step) for lo in range(0, B * m, step)):
+    for cols in batches(B * m, trellis.branch_group.order, CACHE_FLOATS):
         _draw(ext_k.branch(fwd[:, cols], ext_w, bwd[:, cols], work), u[cols], ext[:, cols])
     ext = EigenList.checked_rows(G, ext[:, :n].T)
     apr = population.T[:, apr_idx[ctx:ctx + B].ravel()[:n]]

@@ -124,9 +124,9 @@ def holevo_info(lam: EigenList) -> float:
 
 
 def entropy_bits(mu: np.ndarray) -> float:
-    """Shannon entropy of a probability vector in bits; 0*log(0) = 0."""
+    """Shannon entropy of a probability vector in bits; 0*log(0) = 0, and never -0.0."""
     mu = mu[mu > 0]
-    return float(-(mu * np.log2(mu)).sum())
+    return float(0.0 - (mu * np.log2(mu)).sum())
 
 
 def channel_fidelity(lam: EigenList) -> float:
@@ -152,7 +152,7 @@ def holevo_rows(lams: np.ndarray) -> np.ndarray:
     """`holevo_info` of each eigen list along the last axis of `lams`."""
     mu = lams / lams.shape[-1]
     logs = np.log2(mu, out=np.zeros_like(mu), where=mu > 0)
-    return -(mu * logs).sum(axis=-1)
+    return 0.0 - (mu * logs).sum(axis=-1)
 
 
 def pgm_rows(lams: np.ndarray) -> np.ndarray:

@@ -45,11 +45,8 @@ from .groups import (
     projection_hom,
     surjection_onto_image,
 )
-from .messages import (PROB_FLOOR, HeraldedMessage, _gather, check_prune_eps, check_seed,
-                       merge_duplicates, product_labels)
-
-#: Kernel temporaries per block of branch tuples, in floats.
-_BLOCK_FLOATS = 1 << 18
+from .messages import (PROB_FLOOR, ROW_FLOATS, HeraldedMessage, _gather, batches, check_prune_eps,
+                       check_seed, merge_duplicates, product_labels)
 
 
 class _Rule(NamedTuple):
@@ -336,13 +333,12 @@ def _heavy(p: np.ndarray, cols):
 
 def _in_blocks(block, rule: _Rule, width: int, rows: int):
     """``block(s)`` on the slices s of range(rows) that keep the kernel
-    temporaries of `rule` on operands of `width` columns near `_BLOCK_FLOATS`
+    temporaries of `rule` on operands of `width` columns near `ROW_FLOATS`
     floats; the results' columns are concatenated (a None column stays None).
     Blocking never changes a result."""
-    step = max(1, _BLOCK_FLOATS // (width * rule.group.order))
-    if step >= rows:
-        return block(slice(0, rows))
-    parts = [block(slice(s, s + step)) for s in range(0, rows, step)]
+    parts = [block(s) for s in batches(rows, width * rule.group.order, ROW_FLOATS)]
+    if len(parts) == 1:
+        return parts[0]
     return [None if col[0] is None else np.concatenate(col) for col in zip(*parts)]
 
 

@@ -17,6 +17,9 @@ graph (`Labels`), rendered to strings only when `labels` is read.
 lexsort, a vectorised scan of adjacent rows checked exactly against each
 cluster's first row, and a repair pass that compares only representatives
 whose projections on a fixed direction lie within reach of each other.
+
+The batch policy of every blocked loop is stated here too: two float budgets
+(`ROW_FLOATS`, `CACHE_FLOATS`) and one slicer, `batches`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,17 @@ DEFAULT_MERGE_TOL = 1e-9
 #: Exact mixtures with more branches than this are pruned at `GUARD_PRUNE`.
 BRANCH_CAP = 100_000
 GUARD_PRUNE = 1e-12
+#: Floats per batch of row-kernel temporaries: `factors._in_blocks` and polar populations.
+ROW_FLOATS = 1 << 18
+#: Floats per cache-sized batch: trellis runs, DE extrinsics, tree row checks, oracle stacks.
+CACHE_FLOATS = 1 << 15
+
+
+def batches(total: int, item: int, budget: int) -> list[slice]:
+    """range(total) cut into slices of as many `item`-float items as fit
+    `budget` floats, and at least one; the last may end past `total`."""
+    step = max(1, budget // item)
+    return [slice(i, i + step) for i in range(0, total, step)]
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,14 @@ states from first principles,
 forms induced density matrices for each factor, applies the explicit
 unitaries/isometries that reveal the herald structure, and reads probabilities
 and eigen lists off the resulting blocks.  The work runs on numpy stacks of
-at most ``_BLOCK_FLOATS`` entries: a factor's density matrices are built as
-stacks, each split into all of its herald blocks at once.  Eigendecompositions
-use an in-package cyclic Jacobi sweep in round-robin order (Brent & Luk 1985)
-that rotates floor(n/2) disjoint index pairs of every matrix in a stack
-together, so ``verify_rule`` runs one Jacobi pass per stack of instances.  No
-LAPACK eigensolver or SVD is used, keeping this code path independent of
-external numerics.
+at most ``CACHE_FLOATS`` entries (a Jacobi stack holds A and V, 2 n^2 per
+matrix): a factor's density matrices are built as stacks, each split into
+all of its herald blocks at once.  Eigendecompositions use an in-package
+cyclic Jacobi sweep in round-robin order (Brent & Luk 1985) that rotates
+floor(n/2) disjoint index pairs of every matrix in a stack together, so
+``verify_rule`` runs one Jacobi pass per stack of instances.  No LAPACK
+eigensolver or SVD is used, keeping this code path independent of external
+numerics.
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ from .groups import (
     is_automorphism,
     surjection_onto_image,
 )
-from .messages import HeraldedMessage, check_seed, herald_names
+from .messages import CACHE_FLOATS, HeraldedMessage, batches, check_seed, herald_names
 
 BLOCK_TOL = 1e-10      # allowed leakage outside herald blocks
 PURITY_TOL = 1e-8      # rank-1 consistency of conditioned blocks
 MAX_DIM = 256
 JACOBI_TOL = 1e-12     # a matrix stops rotating below this relative off-diagonal norm
 MAX_SWEEPS = 100
-_BLOCK_FLOATS = 1 << 15  # entries per stack; a Jacobi stack holds A and V, 2 n^2 per matrix
 #: `verify_rule` rules: the five factor rules, then the scalar certifications.
 RULES = ("check", "equality", "hom", "marginalize", "automorphism",
          "gram", "covariance", "pgm", "entropy")
@@ -76,12 +76,6 @@ def _round_robin(n: int) -> np.ndarray:
     rounds = np.stack([p[real], q[real]]).reshape(2, m - 1, n // 2).swapaxes(0, 1)
     rounds.flags.writeable = False
     return rounds
-
-
-def _stacks(total: int, entries: int) -> list[slice]:
-    """Slices of range(total), each as many items of ``entries`` as fit ``_BLOCK_FLOATS``."""
-    step = max(1, _BLOCK_FLOATS // entries)
-    return [slice(i, i + step) for i in range(0, total, step)]
 
 
 def jacobi_eigh(A: np.ndarray):
@@ -157,7 +151,7 @@ def jacobi_eigh(A: np.ndarray):
 def _average_state_spectra(lams):
     """``(psi, w, V)`` per list: rho_bar = psi psi^H / |G| and its eigenpairs,
     from one Jacobi run per bounded stack of lists over one group."""
-    for chunk in (lams[s] for s in _stacks(len(lams), 2 * lams[0].group.order ** 2)):
+    for chunk in (lams[s] for s in batches(len(lams), 2 * lams[0].group.order ** 2, CACHE_FLOATS)):
         psis = [state_matrix(lam) for lam in chunk]
         rhos = np.stack([psi @ psi.conj().T / lam.group.order for psi, lam in zip(psis, chunk)])
         ws, Vs = jacobi_eigh(rhos)
@@ -307,7 +301,7 @@ def simulate_check(lam1: EigenList, lam2: EigenList) -> HeraldedMessage:
     perm[t.add[c, t.neg[cp]] * n + cp] = c * n + cp
     W = W[:, :, perm]
     Wt, Wc = W.transpose(1, 2, 0), (W.conj() / n).transpose(1, 0, 2)
-    rho_stacks = (Wt[s] @ Wc[s] for s in _stacks(n, n ** 4))
+    rho_stacks = (Wt[s] @ Wc[s] for s in batches(n, n ** 4, CACHE_FLOATS))
     return _blocks_to_message(G, rho_stacks, n, n, True, herald_names("check", G, range(n)))
 
 
@@ -329,7 +323,7 @@ def _equality_lists(pairs) -> list[EigenList]:
     """``simulate_equality`` on (lam1, lam2) pairs over one group, with one
     Jacobi cross-check per bounded stack of gram matrices."""
     out = []
-    for s in _stacks(len(pairs), 2 * pairs[0][0].group.order ** 2):
+    for s in batches(len(pairs), 2 * pairs[0][0].group.order ** 2, CACHE_FLOATS):
         grams = []
         for lam1, lam2 in pairs[s]:
             if lam1.group.moduli != lam2.group.moduli:
@@ -378,7 +372,7 @@ def simulate_hom(lam: EigenList, H: HomSpec) -> HeraldedMessage:
     image = hom_table(surj)
     F = np.stack([psi[:, image == h] for h in range(n2)])     # fibres: kernel cosets
     rho_stacks = (V @ (F[s] @ F[s].conj().swapaxes(1, 2) / F.shape[2]) @ V.T
-                  for s in _stacks(n2, n1 * n1))
+                  for s in batches(n2, n1 * n1, CACHE_FLOATS))
     return _blocks_to_message(G2, rho_stacks, nrep, n2, False, herald_names("hom", G1, reps))
 
 
@@ -399,7 +393,7 @@ def simulate_marginalize(lam: EigenList, keep: int) -> HeraldedMessage:
     # psi[:, g1 + n1 * g2] is fibre[g1, :, g2]
     fibre = state_matrix(lam).reshape(U.order, n2, n1).transpose(2, 0, 1)
     rho_stacks = (fibre[s] @ fibre[s].conj().swapaxes(1, 2) / n2
-                  for s in _stacks(n1, U.order ** 2))
+                  for s in batches(n1, U.order ** 2, CACHE_FLOATS))
     # combined dual index = chi + n1 * eta: eta blocks are the slow digits
     return _blocks_to_message(G1, rho_stacks, n2, n1, True, herald_names("marg", G2, range(n2)))
 

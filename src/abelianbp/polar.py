@@ -36,7 +36,7 @@ from .errors import ValidationError
 from .factors import (_Rule, _automorphism, _check_inverse, _equality, _product_apply, _same_group,
                       sample_rows)
 from .groups import GroupSpec, HomSpec, direct_product, is_automorphism, is_surjective
-from .messages import HeraldedMessage, avg_holevo, avg_pgm_error, guard, pure
+from .messages import ROW_FLOATS, HeraldedMessage, avg_holevo, avg_pgm_error, batches, guard, pure
 
 DEFAULT_EXACT_LEVELS = 4
 DEFAULT_SAMPLES = 1000
@@ -129,7 +129,7 @@ def _population(base: EigenList, levels: int, samples: int, rng, rules, width: i
     G, n = base.group, base.group.order
     pop = np.empty((1, samples * 2 ** levels, n))
     pop[:] = base.values
-    step = max(1, factors._BLOCK_FLOATS // width)
+    step = max(1, ROW_FLOATS // width)
     for _ in range(levels):
         prefixes, half = pop.shape[0], pop.shape[1] // 2
         u = rng.random(prefixes * half).reshape(prefixes, half)
@@ -179,10 +179,8 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
                 for i, ch in enumerate(channels)]
     pop = _population(base, levels, samples, rng, rules, n ** (2 if kernel is None else 4))
     holevo, pgm = np.empty(len(pop)), np.empty(len(pop))       # per index
-    step = max(1, factors._BLOCK_FLOATS // (samples * n))
-    for i in range(0, len(pop), step):
-        holevo[i:i + step] = holevo_rows(pop[i:i + step]).mean(axis=1)
-        pgm[i:i + step] = pgm_rows(pop[i:i + step]).mean(axis=1)
+    for s in batches(len(pop), samples * n, ROW_FLOATS):
+        holevo[s], pgm[s] = holevo_rows(pop[s]).mean(axis=1), pgm_rows(pop[s]).mean(axis=1)
     return [IndexStats(i, float(h), float(e)) for i, (h, e) in enumerate(zip(holevo, pgm))]
 
 

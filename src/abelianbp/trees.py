@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import factors
 from .eigenlists import EigenList, useless_list
 from .errors import ValidationError
 from .factors import (Tracker, _automorphism, _check, _check_inverse, _equality, _hom, _in_blocks,
@@ -52,8 +51,8 @@ from .groups import (
     is_surjective,
     projection_hom,
 )
-from .messages import (HeraldedMessage, as_message, avg_holevo, avg_pgm_error, guard,
-                       merge_duplicates, product_labels, pure)
+from .messages import (CACHE_FLOATS, HeraldedMessage, as_message, avg_holevo, avg_pgm_error,
+                       guard, merge_duplicates, product_labels, pure)
 
 FACTOR_KINDS = ("leaf", "equality", "check", "hom", "marginalize", "automorphism")
 
@@ -205,9 +204,8 @@ def _run_sampled(schedule, apply: Tracker) -> HeraldedMessage:
     by `apply.entry`, and a step is one `factors.sample_rows` call on bare
     arrays (in blocks), with its uniforms drawn when it runs.  Its rows are
     checked by `EigenList.checked_rows` in one batch per output group,
-    flushed once the batches hold `factors._BLOCK_FLOATS // 8` floats (the
-    budget of the trellis and oracle batches) and at the last entry (a step,
-    unless the root only meets a leaf)."""
+    flushed once the batches hold `CACHE_FLOATS` floats and at the last entry
+    (a step, unless the root only meets a leaf)."""
     S, last = apply.samples, len(schedule) - 1
     out, pending, held, no_u = {}, {}, 0, np.zeros(S)      # out[j]: (rows, labels)
     for j, (op, inputs, _) in enumerate(schedule):
@@ -223,7 +221,7 @@ def _run_sampled(schedule, apply: Tracker) -> HeraldedMessage:
         out[j] = lams, product_labels(parents, [None] * len(parents), herald)
         pending.setdefault(op.group.moduli, [op.group]).append(lams)
         held += lams.size
-        if held >= factors._BLOCK_FLOATS // 8 or j == last:
+        if held >= CACHE_FLOATS or j == last:
             for group, *rows in pending.values():
                 EigenList.checked_rows(group, np.concatenate(rows))
             pending, held = {}, 0

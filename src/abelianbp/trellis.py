@@ -45,8 +45,8 @@ from .groups import (
     is_surjective,
     projection_hom,
 )
-from .messages import (HeraldedMessage, as_message, avg_holevo, avg_pgm_error, guard,
-                       product_labels, pure)
+from .messages import (CACHE_FLOATS, HeraldedMessage, as_message, avg_holevo, avg_pgm_error,
+                       guard, product_labels, pure)
 
 
 @dataclass(frozen=True)
@@ -277,11 +277,6 @@ def _both(spec: TrellisSpec, n_fwd: int, n_bwd: int) -> _Section:
                          + (0, 1) for name in ("src", "par", "tbl")})
 
 
-# floats per (branch, column) array: sampled decoding computes section weights
-# and extrinsics on blocks of sections this small, so that they stay in cache
-_BLOCK_FLOATS = 1 << 15
-
-
 def _draw(branch: np.ndarray, u: np.ndarray, out=None, cols=None):
     """Marginalize a (rest, herald, n) branch array on one herald per column,
     drawn at the uniforms ``u`` by `factors.draw_heralds`; returns the
@@ -357,6 +352,16 @@ class SectionResult:
     extrinsic: HeraldedMessage
 
 
+def _sections(obs_seq, symbol_obs_seq, apriori_seq) -> list[tuple]:
+    """Each section's (observations, symbol observation, a priori); an absent
+    sequence gives None in every section, a given one needs one entry per section."""
+    T = len(obs_seq)
+    for name, seq in (("symbol_obs_seq", symbol_obs_seq), ("apriori_seq", apriori_seq)):
+        if seq is not None and len(seq) != T:
+            raise ValidationError(f"{name} has {len(seq)} entries for {T} sections")
+    return list(zip(obs_seq, symbol_obs_seq or [None] * T, apriori_seq or [None] * T))
+
+
 def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
                  seed: int | None = None, symbol_obs_seq=None, apriori_seq=None,
                  prune_eps: float = 0.0, samples: int = 1) -> list[SectionResult]:
@@ -383,8 +388,7 @@ def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
         raise ValidationError(f"{max(n_obs)} observations for {len(spec.outputs)} trellis outputs")
     inputs = [[apply.entry(m) for m in (*_messages(obs, spec.output_group),
                                         *_messages(side, spec.symbol_group, True))]
-              for obs, side in zip(obs_seq, zip(symbol_obs_seq or [None] * T,
-                                                apriori_seq or [None] * T))]
+              for obs, *side in _sections(obs_seq, symbol_obs_seq, apriori_seq)]
     start = apply.entry(_boundary(spec))
     if apply.rng is not None:
         return _sampled_block(spec, inputs, n_obs, start, apply.rng)
@@ -416,12 +420,12 @@ def _sampled_block(spec: TrellisSpec, inputs, n_obs, start: HeraldedMessage,
     """Sampled `decode_block`, trajectories as columns.  Sweep step k runs
     forward section k and backward section T - 1 - k; blocks of steps (weights)
     and of sections (extrinsics) have equal observation counts and at most
-    `_BLOCK_FLOATS` floats per direction.  Uniforms are drawn up front for the
+    `CACHE_FLOATS` floats per direction.  Uniforms are drawn up front for the
     forward sweep, the backward sweep (row k) and the extrinsics."""
     T, S, G, GS = len(inputs), len(start), spec.symbol_group, spec.state_group
     u_fwd, u_bwd, u_ext = (rng.random((T, S)) for _ in range(3))
     eq_g, build, nb = _equality(G), _input_lists(spec), spec.branch_group.order
-    size = max(1, _BLOCK_FLOATS // (nb * S))
+    size = max(1, CACHE_FLOATS // (nb * S))
     # each section's symbol-side list; step k reads those of sections k and T - 1 - k
     sides = np.reshape([build([], [m.lams for m in ins[n:]], S)[1]
                         for ins, n in zip(inputs, n_obs)], (T, G.order, S))
@@ -502,9 +506,8 @@ def unroll_to_tree(spec: TrellisSpec, obs_seq, root_t: int, symbol_obs_seq=None,
     """
     from .trees import FactorGraphSpec, FactorNode, leaf
 
-    T = len(obs_seq)
-    symbol_obs_seq = symbol_obs_seq or [None] * T
-    apriori_seq = apriori_seq or [None] * T
+    sections = _sections(obs_seq, symbol_obs_seq, apriori_seq)
+    T = len(sections)
     bg = spec.branch_group
     sg = spec.state_group
     G = spec.symbol_group
@@ -512,7 +515,7 @@ def unroll_to_tree(spec: TrellisSpec, obs_seq, root_t: int, symbol_obs_seq=None,
     factors = {}
     for t in range(T + 1):
         variables[f"S{t}"] = sg
-    for t in range(T):
+    for t, (obs, sym, apr) in enumerate(sections):
         variables[f"B{t}"] = bg
         variables[f"g{t}"] = G
         factors[f"state{t}"] = FactorNode("hom", (f"B{t}", f"S{t}"),
@@ -521,16 +524,16 @@ def unroll_to_tree(spec: TrellisSpec, obs_seq, root_t: int, symbol_obs_seq=None,
                                          hom=next_state_hom(spec))
         factors[f"sym{t}"] = FactorNode("hom", (f"B{t}", f"g{t}"),
                                         hom=symbol_projection(spec))
-        for i, ob in enumerate(obs_seq[t]):
+        for i, ob in enumerate(obs):
             xid = f"x{t}_{i}"
             variables[xid] = spec.output_group
             factors[f"out{t}_{i}"] = FactorNode("hom", (f"B{t}", xid),
                                                 hom=spec.outputs[i])
             factors[f"obs{t}_{i}"] = leaf(xid, ob)
-        if symbol_obs_seq[t] is not None:
-            factors[f"sysobs{t}"] = leaf(f"g{t}", symbol_obs_seq[t])
-        if apriori_seq[t] is not None:
-            factors[f"apr{t}"] = leaf(f"g{t}", apriori_seq[t])
+        if sym is not None:
+            factors[f"sysobs{t}"] = leaf(f"g{t}", sym)
+        if apr is not None:
+            factors[f"apr{t}"] = leaf(f"g{t}", apr)
     factors["bound0"] = leaf("S0", _boundary(spec))
     factors["boundT"] = leaf(f"S{T}", _boundary(spec))
     return FactorGraphSpec(variables, factors, f"g{root_t}")

@@ -204,6 +204,12 @@ def test_measures_command(capsys):
     assert doc["pgm_error"] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("lam, group", [("[3,0,0]", "[3]"), ("[6,0,0,0,0,0]", "[3,2]")])
+def test_measures_of_a_useless_list_print_a_positive_zero(capsys, lam, group):
+    code, out, _ = run_cli(capsys, "measures", "--lambda", lam, "--group", group)
+    assert code == 0 and '"holevo_bits": 0.0' in out and "-0.0" not in out
+
+
 def test_factor_equality_command(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

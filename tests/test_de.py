@@ -66,6 +66,13 @@ def test_turbo_spec_rate_bookkeeping():
         TurboSpec((spec.constituents[0], shift_register_trellis(GroupSpec((2,)), 1, [[1, 1]])))
 
 
+@pytest.mark.parametrize("n_constituents, parity_mults", [(1, (1, 1)), (3, (1, 1)), (2, (1,))])
+def test_turbo_spec_needs_two_constituents_and_two_parity_mults(n_constituents, parity_mults):
+    spec = standard_turbo(3).constituents[0]
+    with pytest.raises(ValidationError, match="two constituents and two parity_mults"):
+        TurboSpec((spec,) * n_constituents, parity_mults=parity_mults)
+
+
 def test_de_perfect_channel_converges_immediately():
     spec = standard_turbo(3)
     res = de_run(spec, FAST, 1.0)
@@ -265,7 +272,7 @@ def test_de_iteration_bytes_independent_of_block_size(monkeypatch, block):
                             constituent=1)
 
     ext, err = run()
-    monkeypatch.setattr(de, "_BLOCK_FLOATS", block)
+    monkeypatch.setattr(de, "CACHE_FLOATS", block)
     ext_b, err_b = run()
     assert ext.tobytes() == ext_b.tobytes() and err == err_b
 

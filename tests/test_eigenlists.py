@@ -144,3 +144,13 @@ def test_fidelity_zero_iff_gram_vanishes():
         fid = channel_fidelity(lam)
         if np.max(np.abs(gamma[1:])) > 1e-9:
             assert fid > 1e-10
+
+
+@pytest.mark.parametrize("G", [Z3, Z32])
+def test_useless_list_information_is_a_positive_zero(G):
+    from abelianbp.eigenlists import holevo_rows
+
+    lam = useless_list(G)
+    assert holevo_info(lam) == 0.0 and not np.signbit(holevo_info(lam))
+    rows = holevo_rows(lam.values[None, :])
+    assert rows.tolist() == [0.0] and not np.signbit(rows).any()

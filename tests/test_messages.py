@@ -337,3 +337,15 @@ def test_mixture_metrics_match_the_branch_loop():
             pgm = sum(p * pgm_error_of(row) for p, row in pairs)
             assert abs(avg_holevo(msg) - holevo) <= 1e-12
             assert abs(avg_pgm_error(msg) - pgm) <= 1e-12
+
+
+@pytest.mark.parametrize("total, item, budget",
+                         [(0, 3, 10), (1, 3, 10), (10, 3, 10), (10, 20, 10), (7, 1, 7),
+                          (100, 7, 64), (5, 1, 1 << 15), (1000, 18, 1 << 18)])
+def test_batches_cover_the_range_once_in_order(total, item, budget):
+    from abelianbp.messages import batches
+
+    step, cuts = max(1, budget // item), batches(total, item, budget)
+    assert [i for s in cuts for i in range(total)[s]] == list(range(total))
+    sizes = [len(range(total)[s]) for s in cuts]
+    assert all(n == step for n in sizes[:-1]) and all(0 < n <= step for n in sizes)

@@ -484,7 +484,7 @@ def test_verify_rule_matches_the_per_instance_loop(monkeypatch, moduli, budget):
     import json
 
     if budget:      # a small budget splits instances and heralds over several stacks
-        monkeypatch.setattr(oracle, "_BLOCK_FLOATS", budget)
+        monkeypatch.setattr(oracle, "CACHE_FLOATS", budget)
     G = GroupSpec(moduli)
     for rule in ALL_RULES:
         assert json.dumps(oracle.verify_rule(rule, G, 3, 20)) == \
@@ -511,9 +511,9 @@ def test_verify_rule_stacks_stay_within_the_budget(monkeypatch):
     monkeypatch.setattr(oracle, "_blocks_to_message", spy_split)
     for rule in ("check", "equality", "hom", "marginalize", "pgm", "entropy"):
         assert oracle.verify_rule(rule, G, 4, 200)["ok"], rule
-    assert shapes["blocks"] and max(map(np.prod, shapes["blocks"])) <= oracle._BLOCK_FLOATS
+    assert shapes["blocks"] and max(map(np.prod, shapes["blocks"])) <= oracle.CACHE_FLOATS
     # a Jacobi stack holds A on top of V: twice its input
-    assert 2 * max(map(np.prod, shapes["jacobi"])) <= oracle._BLOCK_FLOATS
+    assert 2 * max(map(np.prod, shapes["jacobi"])) <= oracle.CACHE_FLOATS
     assert sum(s[0] for s in shapes["jacobi"]) == 3 * 200 and max(shapes["jacobi"])[0] > 1
 
 

@@ -284,12 +284,12 @@ def test_sampled_holevo_conservation(levels):
 
 
 def test_sampled_bytes_do_not_depend_on_the_block_size(monkeypatch):
-    from abelianbp import factors
+    from abelianbp import polar
 
     lam = rand_lam(Z32, np.random.default_rng(8))
     runs = []
-    for block in (factors._BLOCK_FLOATS, 64):
-        monkeypatch.setattr(factors, "_BLOCK_FLOATS", block)
+    for block in (polar.ROW_FLOATS, 64):
+        monkeypatch.setattr(polar, "ROW_FLOATS", block)
         runs.append([synthesize(lam, 4, mode="sampled", seed=9, samples=25, kernel=kernel)
                      for kernel in (None, arikan_kernel(Z32))])
     assert runs[0] == runs[1]

@@ -196,7 +196,7 @@ def same_mixture(got, want):
 @given(st.data())
 def test_batched_rules_match_per_branch_rules(data):
     # a small block budget runs the rule kernels on one or a few pairs at a time
-    with patch.object(factors, "_BLOCK_FLOATS", data.draw(st.sampled_from([1 << 18, 64, 1]))):
+    with patch.object(factors, "ROW_FLOATS", data.draw(st.sampled_from([1 << 18, 64, 1]))):
         check_batched_rules(data.draw)
 
 

@@ -88,8 +88,8 @@ BUDGETS = [None, 64, 1]
 
 def set_budgets(monkeypatch, floats):
     if floats is not None:
-        monkeypatch.setattr(de, "_BLOCK_FLOATS", floats)
-        monkeypatch.setattr(trellis, "_BLOCK_FLOATS", floats)
+        monkeypatch.setattr(de, "CACHE_FLOATS", floats)
+        monkeypatch.setattr(trellis, "CACHE_FLOATS", floats)
 
 
 def rand_lists(G, rng, n):

@@ -334,7 +334,7 @@ def test_population_bytes_fixed(monkeypatch):
     first = run()
     assert run() == first
     for floats in (1, 100):
-        monkeypatch.setattr(factors, "_BLOCK_FLOATS", floats)
+        monkeypatch.setattr(factors, "ROW_FLOATS", floats)
         assert run() == first
 
 
@@ -551,12 +551,11 @@ def nan_on_call(at):
 def test_nan_row_mid_schedule_is_a_numerical_error(monkeypatch, mode, floats):
     """A kernel that emits a NaN row in the middle of a run is a
     `NumericalError` in both modes, whenever the row check runs."""
-    import abelianbp.factors as factors
     import abelianbp.trees as trees
 
     monkeypatch.setattr(trees, "_equality", nan_on_call(2))
     if floats is not None:
-        monkeypatch.setattr(factors, "_BLOCK_FLOATS", floats)
+        monkeypatch.setattr(trees, "CACHE_FLOATS", floats)
     spec = chain_graph([LAM1, LAM2, EigenList(Z32, [3, 1, 0, 1, 1, 0]), LAM1])
     with pytest.raises(NumericalError):
         run_mp(spec, mode=mode, seed=1, samples=5)

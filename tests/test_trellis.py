@@ -419,6 +419,22 @@ def test_decode_block_population_matches_exact():
             assert avg_pgm_error(msg) == pytest.approx(row_metrics(msg)[1].mean(), abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["symbol_obs_seq", "apriori_seq"])
+@pytest.mark.parametrize("length", [4, 7])
+def test_side_sequences_need_one_entry_per_section(name, length):
+    """A symbol-observation or a priori sequence shorter or longer than the
+    observations is an error, in both decoding modes and in the unrolled tree."""
+    spec, obs, sym, apr = _constituent_block(T=5)
+    sides = {"symbol_obs_seq": sym, "apriori_seq": apr}
+    sides[name] = (sides[name] * 2)[:length]
+    message = f"{name} has {length} entries for 5 sections"
+    for mode in ("exact", "sampled"):
+        with pytest.raises(ValidationError, match=message):
+            decode_block(spec, obs, mode=mode, seed=1, **sides)
+    with pytest.raises(ValidationError, match=message):
+        unroll_to_tree(spec, obs, 2, **sides)
+
+
 def test_decode_block_population_bytes_fixed(monkeypatch):
     # one seed gives one result, whatever the row blocking of the kernels and
     # the section blocking of the sweeps, extrinsics and posteriors
@@ -435,10 +451,10 @@ def test_decode_block_population_bytes_fixed(monkeypatch):
     first = run()
     assert run() == first
     for floats in (1, 27 * 9 * 7):
-        monkeypatch.setattr(factors, "_BLOCK_FLOATS", floats)
+        monkeypatch.setattr(factors, "ROW_FLOATS", floats)
         assert run() == first
     for floats in (1, 27 * 60 * 2):          # one and two sections per block
-        monkeypatch.setattr(trellis, "_BLOCK_FLOATS", floats)
+        monkeypatch.setattr(trellis, "CACHE_FLOATS", floats)
         assert run() == first
 
 
