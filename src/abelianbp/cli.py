@@ -4,9 +4,9 @@ Subcommands: ``groups info``, ``factor``, ``measures``, ``verify``, ``mp run``,
 ``polar construct``, ``conv analyze``, ``de threshold``, ``de heatmap``,
 ``de holevo``.  JSON in, JSON or CSV out; stochastic modes require a seed and
 are byte-reproducible.  Exit codes: 0 success, 1 usage, 2 validation,
-3 numerical failure; errors go to stderr as one JSON object.  Every engine
-runs single-threaded vectorized numerics, so results never depend on the
-thread count.
+3 numerical failure; each error or warning goes to stderr as one JSON object.
+Every engine runs single-threaded vectorized numerics, so results never
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import SCHEMA_VERSION, __version__
@@ -352,19 +353,22 @@ def _cmd_de_holevo(args):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        _check_seed(args)
-        return args.handler(args) or 0
-    except _UsageError as exc:
-        sys.stderr.write(to_json({"error": "usage", "message": str(exc)}) + "\n")
-        return 1
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
-        sys.stderr.write(to_json({"error": "validation", "message": str(exc)}) + "\n")
-        return 2
-    except NumericalError as exc:
-        sys.stderr.write(to_json({"error": "numerical", "message": str(exc)}) + "\n")
-        return 3
+    with warnings.catch_warnings():     # each shown warning, as each error, is one JSON object
+        warnings.showwarning = lambda w, category, *_: sys.stderr.write(
+            to_json({"warning": category.__name__, "message": str(w), **vars(w)}) + "\n")
+        try:
+            args = parser.parse_args(argv)
+            _check_seed(args)
+            return args.handler(args) or 0
+        except _UsageError as exc:
+            sys.stderr.write(to_json({"error": "usage", "message": str(exc)}) + "\n")
+            return 1
+        except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+            sys.stderr.write(to_json({"error": "validation", "message": str(exc)}) + "\n")
+            return 2
+        except NumericalError as exc:
+            sys.stderr.write(to_json({"error": "numerical", "message": str(exc)}) + "\n")
+            return 3
 
 
 if __name__ == "__main__":

@@ -336,7 +336,7 @@ def guard(msg: HeraldedMessage, prune_eps: float = 0.0) -> HeraldedMessage:
     if prune_eps > 0:
         msg = prune(msg, prune_eps)
     if len(msg) > BRANCH_CAP:
-        dropped = sum(msg.probs[msg.probs < GUARD_PRUNE].tolist())
+        dropped = sum(msg.probs[msg.probs < GUARD_PRUNE].tolist(), 0.0)
         warnings.warn(GuardWarning(len(msg), dropped), stacklevel=2)
         msg = prune(msg, GUARD_PRUNE)
     return msg

@@ -22,10 +22,8 @@ document re-parses to bit-identical values.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
-
-import jsonschema
+import numbers
 
 from . import SCHEMA_VERSION
 from .de import DEConfig, TurboSpec, parse_fraction
@@ -121,22 +119,58 @@ def schema_validate(document, kind: str) -> None:
 
     Raises ValidationError with a path-addressed message; structural checks
     beyond the schema (hom validity, eigen-list sums, ...) happen in the
-    corresponding parser.
+    corresponding parser.  It reports the shallowest violation, then the greatest path.
     """
     if kind not in SCHEMAS:
         raise ValidationError(f"unknown schema kind {kind!r}")
-    # the error `jsonschema.validate` raises, without checking the schema again
-    exc = jsonschema.exceptions.best_match(_validator(kind).iter_errors(document))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ValidationError(f"{kind} schema violation at {path}: {exc.message}") from exc
+    error = max(_errors(document, SCHEMAS[kind]), key=lambda e: (-len(e[0]), e[0]), default=None)
+    if error is not None:
+        path = "/".join(map(str, error[0])) or "(root)"
+        raise ValidationError(f"{kind} schema violation at {path}: {error[1]}")
 
 
-@functools.lru_cache(maxsize=None)
-def _validator(kind: str):
-    cls = jsonschema.validators.validator_for(SCHEMAS[kind])
-    cls.check_schema(SCHEMAS[kind])
-    return cls(SCHEMAS[kind])
+_TYPES = {"object": dict, "array": list, "string": str, "number": numbers.Number, "integer": int}
+
+
+def _is(doc, type_: str) -> bool:
+    """JSON Schema's type test: a bool is no number, an integral float is an integer."""
+    if type_ == "integer" and isinstance(doc, float):
+        return doc.is_integer()
+    return not isinstance(doc, bool) and isinstance(doc, _TYPES[type_])
+
+
+def _errors(doc, schema: dict, path: tuple = ()):
+    """(path, message) for each violation of `schema` by `doc`, in schema keyword order, for
+    the ten keywords SCHEMAS uses, worded as the validator test_schemas compares it with."""
+    for key, want in schema.items():
+        if key == "type" and not _is(doc, want):
+            yield path, f"{doc!r} is not of type {want!r}"
+        elif key == "const" and (isinstance(doc, bool) or doc != want):
+            yield path, f"{want!r} was expected"
+        elif key == "enum" and doc not in want:
+            yield path, f"{doc!r} is not one of {want!r}"
+        elif key == "minimum" and _is(doc, "number") and doc < want:
+            yield path, f"{doc!r} is less than the minimum of {want!r}"
+        elif key == "minItems" and isinstance(doc, list) and len(doc) < want:
+            yield path, f"{doc!r} {'should be non-empty' if want == 1 else 'is too short'}"
+        elif key == "maxItems" and isinstance(doc, list) and len(doc) > want:
+            yield path, f"{doc!r} is too long"
+        elif key == "items" and isinstance(doc, list):
+            for i, item in enumerate(doc):
+                yield from _errors(item, want, (*path, i))
+        elif key == "properties" and isinstance(doc, dict):
+            for name in filter(doc.__contains__, want):
+                yield from _errors(doc[name], want[name], (*path, name))
+        elif key == "required" and isinstance(doc, dict):
+            yield from ((path, f"{k!r} is a required property") for k in want if k not in doc)
+        elif key == "additionalProperties" and isinstance(doc, dict):
+            extra = sorted((k for k in doc if k not in schema.get("properties", ())), key=str)
+            if isinstance(want, dict):
+                for name in extra:
+                    yield from _errors(doc[name], want, (*path, name))
+            elif extra:
+                yield path, "Additional properties are not allowed (%s %s unexpected)" % (
+                    ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")
 
 
 # ---------------------------------------------------------------------------

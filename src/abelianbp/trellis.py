@@ -508,6 +508,8 @@ def unroll_to_tree(spec: TrellisSpec, obs_seq, root_t: int, symbol_obs_seq=None,
 
     sections = _sections(obs_seq, symbol_obs_seq, apriori_seq)
     T = len(sections)
+    if not 0 <= root_t < T:
+        raise ValidationError(f"root_t {root_t} outside the {T} sections")
     bg = spec.branch_group
     sg = spec.state_group
     G = spec.symbol_group

@@ -119,22 +119,25 @@ def test_turbo_and_config_roundtrip():
 
 
 def test_parsing_a_graph_checks_each_schema_at_most_once(monkeypatch):
-    import jsonschema
-
-    from abelianbp.schemas import SCHEMAS
+    """Each parse runs the checker once on the whole document, against the graph
+    schema; the nested group, hom and message schemas are only walked inside it."""
+    from abelianbp import schemas
 
     lam = EigenList(GroupSpec((3,)), [2.3, 0.35, 0.35])
     doc = json.loads(to_json(dump_graph(unroll_to_tree(
         transfer_function_trellis([1, 0, 1], [1, 1, 1], 3), [[lam]] * 2, 1,
         symbol_obs_seq=[lam] * 2))))
-    cls, seen = jsonschema.validators.validator_for(SCHEMAS["graph"]), []
-    check = cls.check_schema
-    monkeypatch.setattr(cls, "check_schema", staticmethod(
-        lambda schema, *args, **kwargs: (seen.append(id(schema)), check(schema, *args, **kwargs))))
+    seen, errors = [], schemas._errors
+
+    def spy(doc, schema, path=()):
+        if not path:
+            seen.append(id(schema))
+        return errors(doc, schema, path)
+
+    monkeypatch.setattr(schemas, "_errors", spy)
     assert parse_graph(doc).root == parse_graph(doc).root == "g1"
-    kinds = {id(schema): kind for kind, schema in SCHEMAS.items()}
-    assert {kinds[i] for i in seen} <= {"graph", "group", "hom", "message"}
-    assert len(seen) == len(set(seen))
+    kinds = {id(schema): kind for kind, schema in schemas.SCHEMAS.items()}
+    assert [kinds[i] for i in seen] == ["graph", "graph"]
 
 
 def test_schema_rejects_unknown_fields():
@@ -278,6 +281,29 @@ def test_prune_threshold_is_validated_in_every_mode(tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "prune threshold" in json.loads(err)["message"]
+
+
+def test_warnings_reach_stderr_as_json_objects(monkeypatch, capsys):
+    """Past the branch cap each shown guard warning is one JSON object on stderr,
+    with its count and dropped mass, and without a source path or line."""
+    argv = ("polar", "construct", "--group", "[3]", "--lambda", "[2.3,0.35,0.35]",
+            "--levels", "2", "--mode", "exact")
+    assert run_cli(capsys, *argv)[::2] == (0, "")
+    monkeypatch.setattr("abelianbp.messages.BRANCH_CAP", 5)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("index,avg_holevo_bits,avg_pgm_error\n")
+    decoder, shown, end = json.JSONDecoder(), [], 0
+    while end < len(err):
+        warning, end = decoder.raw_decode(err, end)
+        shown.append(warning)
+        assert err[end] == "\n"
+        end += 1
+    assert shown and "/" not in err and "\\" not in err
+    for warning in shown:
+        assert sorted(warning) == ["count", "dropped", "message", "warning"]
+        assert warning["warning"] == "GuardWarning" and warning["count"] > 5
+        assert isinstance(warning["dropped"], float)
+        assert f"branch count {warning['count']} exceeds cap 5" in warning["message"]
 
 
 def test_mp_run_command(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Wire-format contract: closed records, one validation per document, path-addressed
-errors from the top document, integral JSON floats in integer fields, and *.json
-paths on the command line."""
+errors from the top document, integral JSON floats in integer fields, *.json paths on
+the command line, and the package's checker reporting what jsonschema reports."""
 
 import copy
 import json
+import random
 
 import pytest
 
@@ -215,3 +216,106 @@ def test_json_paths_that_begin_with_a_digit_are_read_as_files(tmp_path, monkeypa
     assert from_file[0] == 0
     assert from_file == run_cli(capsys, "factor", "hom", "--in", "ch.json",
                                 "--hom", json.dumps(HOM))
+
+
+# ---------------------------------------------------------------------------
+# the checker against jsonschema, its reference
+
+KEYWORDS = {"type", "properties", "required", "additionalProperties", "const", "enum",
+            "items", "minItems", "maxItems", "minimum"}
+BASES = [
+    ("group", {"moduli": [3, 2]}),
+    ("hom", HOM),
+    ("hom", dump_hom(SPEC.section_automorphism)),
+    ("eigenlist", dump_eigenlist(LAM)),
+    ("message", MESSAGE),
+    ("graph", GRAPH),
+    ("trellis", dump_trellis(SPEC)),
+    ("trellis", {"version": 1, "transfer_function": {"p": [1, 0, 1], "q": [1, 1, 1],
+                                                     "modulus": 3}, "boundary": "unknown"}),
+    ("turbo", {**dump_turbo(standard_turbo(3)), "target_rate": "1/3"}),
+    ("deconfig", dump_deconfig(DEConfig())),
+]
+# a bool, ints, integral and other floats, strings, lists and objects
+VALUES = [True, False, None, 0, 1, -1, 2, 1.0, 2.0, -3.0, 0.5, -1.5, float("nan"),
+          "x", "known", "leaf", [], [1, 2], [{"moduli": [3]}], {}, {"moduli": [3]}, {"aa": 1}]
+
+
+def _keywords(schema):
+    """Every keyword used in `schema`, at every depth."""
+    yield from schema
+    for key, sub in schema.items():
+        if key == "properties":
+            for prop in sub.values():
+                yield from _keywords(prop)
+        elif key in ("items", "additionalProperties") and isinstance(sub, dict):
+            yield from _keywords(sub)
+
+
+def _slots(doc):
+    """(container, key) for every value below `doc`."""
+    keys = doc if isinstance(doc, dict) else range(len(doc)) if isinstance(doc, list) else ()
+    for key in list(keys):
+        yield doc, key
+        yield from _slots(doc[key])
+
+
+def _mutate(box, rng):
+    """Replace a value, delete a key or an item, add an unknown key or append an item,
+    somewhere in the document `box[0]` (which a replacement may swap whole)."""
+    slots = list(_slots(box))
+    parent, key = rng.choice(slots)
+    op = rng.randrange(4)
+    if op == 0:
+        parent[key] = copy.deepcopy(rng.choice(VALUES))
+    elif op == 1:
+        if parent is not box:
+            del parent[key]
+    elif op == 2:
+        objects = [d[k] for d, k in slots if isinstance(d[k], dict)]
+        if objects:
+            rng.choice(objects)[rng.choice(["extra", "aa", "zz", "version", "label"])] = 1
+    else:
+        lists = [d[k] for d, k in slots if isinstance(d[k], list)]
+        if lists:
+            items = rng.choice(lists)
+            items.append(copy.deepcopy(rng.choice(items + VALUES[:4])))
+
+
+def test_the_checker_knows_every_keyword_in_the_schemas():
+    assert {k for schema in SCHEMAS.values() for k in _keywords(schema)} <= KEYWORDS
+
+
+def test_the_checker_reports_what_jsonschema_best_match_reports():
+    """Seeded mutations of a document of every kind give the same error as
+    jsonschema's `best_match`, path and message, or no error on either side."""
+    jsonschema = pytest.importorskip("jsonschema")
+
+    def reference(doc, kind):
+        best = jsonschema.exceptions.best_match(validators[kind].iter_errors(doc))
+        if best is not None:
+            path = "/".join(map(str, best.absolute_path)) or "(root)"
+            return f"{kind} schema violation at {path}: {best.message}"
+
+    def ours(doc, kind):
+        try:
+            schemas.schema_validate(doc, kind)
+        except ValidationError as exc:
+            return str(exc)
+
+    validators = {kind: jsonschema.validators.validator_for(s)(s) for kind, s in SCHEMAS.items()}
+    rng, found = random.Random(26), []
+    for kind, base in BASES:
+        for _ in range(520):
+            box = [copy.deepcopy(base)]
+            for _ in range(rng.randint(1, 3)):
+                _mutate(box, rng)
+            expected = reference(box[0], kind)
+            assert ours(box[0], kind) == expected, (kind, box[0])
+            found.append(expected)
+    assert {kind for kind, _ in BASES} == set(SCHEMAS)
+    assert len(found) >= 5000
+    errors = [e for e in found if e is not None]
+    assert len(found) / 10 < len(errors) < len(found)
+    assert any("' was unexpected" in e for e in errors)
+    assert any("' were unexpected" in e for e in errors)

@@ -290,6 +290,9 @@ def test_trellis_tree_equivalence_z2():
     for t in range(2):
         tree = unroll_to_tree(spec, obs, t)
         _ensembles_close(results[t].posterior, run_mp(tree))
+    for t in (2, -1):       # a root outside the block would name an undeclared variable
+        with pytest.raises(ValidationError, match=f"root_t {t} outside the 2 sections"):
+            unroll_to_tree(spec, obs, t)
 
 
 def test_trellis_tree_equivalence_with_apriori():
