@@ -11,19 +11,20 @@ Five local factors act on messages:
                   block's dual,
 * automorphism -- permutation of the eigen list by the dual map.
 
-Each rule is stated once, as a kernel on a batch of lists, one per row
-(`_Rule`).  A check read toward an input, and polar minus, is the check with
-its second operand inverted (`_check_inverse`).  The pure rules are 1-row
-calls and return an EigenList or a HeraldedMessage.  Kernels gather with
-`np.take`, whose C-ordered result makes numpy sum each row in the same order
-as one 1-D list.
+Each rule is stated once, as a kernel on (|G|, K) columns, one list each
+(`_Rule`).  A heralded kernel returns its (list, herald, column) grid, split
+by `_run` (exact: each cell of at least `PROB_FLOOR`) or `_draw` (sampled: one
+drawn herald per column) with the same arithmetic.  A check read toward an
+input, and polar minus, is the check with its second operand inverted
+(`_check_inverse`).  The pure rules are 1-column calls and return an
+EigenList or a HeraldedMessage.  Sums over a list add its terms in order.
 
 Trackers check a run's settings with `Tracker` and apply rules in exact mode
 over the branch product of heralded mixtures (`_product_apply`), in sampled
 mode on populations of herald trajectories, one kernel call and one herald
 draw per rule application (`sample_rows`); both run the kernel on the same
-row blocks (`_in_blocks`).  Adjoining a uniform symbol is `_lift` along the
-projection that drops it.
+column blocks (`_in_blocks`).  Adjoining a uniform symbol is `_lift` along
+the projection that drops it.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ from .messages import (PROB_FLOOR, ROW_FLOATS, HeraldedMessage, _gather, batches
 class _Rule(NamedTuple):
     """A rule bound to its input group and parameters.
 
-    ``rows`` maps (K, |G|) operand arrays to the (K, |G_out|) output lists;
-    a heralded rule instead returns herald probabilities (K, h) and
-    ``finish(keep)``, the normalised lists of the (row, herald) cells that
-    ``keep`` (a (K, h) mask or a pair of index arrays) selects.
+    ``rows`` maps (|G|, K) operand columns to the (|G_out|, K) output lists;
+    a heralded rule instead returns its unnormalised (list, herald, K) grid,
+    which `_run` (exact) and `_draw` (sampled) split into heralds and lists.
     ``herald`` is (label kind, label group, label index of each herald).
     """
 
@@ -70,21 +70,17 @@ class _Rule(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _check(G: GroupSpec) -> _Rule:
-    t, n = tables_for(G), G.order
-
-    def rows(A, B):
-        prods = np.take(A, t.add, axis=1) * B[:, None, :]
-        probs = prods.sum(axis=2) / n**2
-        return probs, lambda keep: prods[keep] / (n * probs[keep])[:, None]
-    return _Rule(G, rows, ("check", G, np.arange(n)))
+    t = tables_for(G)
+    # grid[chi', chi] = lam1[chi * chi'] * lam2[chi']
+    return _Rule(G, lambda A, B: A.take(t.add.T, 0) * B[:, None], ("check", G, np.arange(G.order)))
 
 
 @functools.lru_cache(maxsize=None)
 def _equality(G: GroupSpec) -> _Rule:
-    # a (K, p, c) operand makes einsum add the p terms one after another, as
+    # a (p, c, K) operand makes einsum add the p terms one after another, as
     # it does for the Fortran-ordered ``lam2[t.sub]`` of a single list
     t, n = tables_for(G), G.order
-    return _Rule(G, lambda A, B: np.einsum("kpc,kp->kc", np.take(B, t.sub.T, axis=1), A) / n)
+    return _Rule(G, lambda A, B: np.einsum("pck,pk->ck", B.take(t.sub.T, 0), A) / n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,15 +89,9 @@ def _hom(G: GroupSpec, H: HomSpec) -> _Rule:
         raise ValidationError("eigen list does not live on the hom's source group")
     surj, _ = surjection_onto_image(H)
     reps = np.array(coset_table_for_hom(surj).reps)
-    n1, n2 = surj.source.order, surj.target.order
-    # indices of rep * dual_map(xi), xi in target-dual order
-    idx = tables_for(surj.source).add[reps[:, None], dual_map_table(surj)[None, :]]
-
-    def rows(A):
-        vals = np.take(A, idx, axis=1)
-        probs = vals.sum(axis=2) / n1
-        return probs, lambda keep: vals[keep] * (n2 / (n1 * probs[keep]))[:, None]
-    return _Rule(surj.target, rows, ("hom", surj.source, reps))
+    # grid[xi, r]: the index of rep r * dual_map(xi), xi in target-dual order
+    idx = tables_for(surj.source).add[reps[None, :], dual_map_table(surj)[:, None]]
+    return _Rule(surj.target, lambda A: A.take(idx, 0), ("hom", surj.source, reps))
 
 
 def _surjective_pull(G: GroupSpec, on: GroupSpec, H: HomSpec, message: str) -> np.ndarray:
@@ -119,13 +109,13 @@ def _hom_supported(G: GroupSpec, H: HomSpec) -> _Rule:
     off = np.setdiff1d(np.arange(H.source.order), pull)
 
     def rows(A):
-        bad = np.argwhere(A[:, off] > 1e-9)
+        bad = np.argwhere(A[off].T > 1e-9)
         if bad.size:
-            r, c = bad[0]
+            k, c = bad[0]
             raise ValidationError(
                 f"support condition violated: lambda[{char_from_index(H.source, int(off[c]))}]"
-                f" = {A[r, off[c]]} outside the dual image")
-        return np.take(A, pull, axis=1) * (H.target.order / H.source.order)
+                f" = {A[off[c], k]} outside the dual image")
+        return A.take(pull, 0) * (H.target.order / H.source.order)
     return _Rule(H.target, rows)
 
 
@@ -135,8 +125,8 @@ def _lift(G: GroupSpec, H: HomSpec) -> _Rule:
     n, scale = H.source.order, H.source.order / H.target.order
 
     def rows(A):
-        out = np.zeros((len(A), n))
-        out[:, pull] = A * scale
+        out = np.zeros((n, A.shape[1]))
+        out[pull] = A * scale
         return out
     return _Rule(H.source, rows)
 
@@ -147,10 +137,8 @@ def _marginalize(U: GroupSpec, keep: int) -> _Rule:
         raise ValidationError(f"split point {keep} does not match the moduli structure")
     G1, G2 = GroupSpec(U.moduli[:keep]), GroupSpec(U.moduli[keep:])
 
-    def rows(A):
-        grid = A.reshape(len(A), G2.order, G1.order)    # canonical index = chi + n1 * eta
-        probs = grid.sum(axis=2) / U.order
-        return probs, lambda sel: grid[sel] / (G2.order * probs[sel])[:, None]
+    def rows(A):        # canonical index = chi + n1 * eta; contiguous, so no sum depends on K
+        return np.ascontiguousarray(A.reshape(G2.order, G1.order, -1).swapaxes(0, 1))
     return _Rule(G1, rows, ("marg", G2, np.arange(G2.order)))
 
 
@@ -161,7 +149,7 @@ def _automorphism(G: GroupSpec, phi: HomSpec) -> _Rule:
     if not is_automorphism(phi):
         raise ValidationError("factor parameter is not an automorphism")
     pull = dual_map_table(phi)
-    return _Rule(G, lambda A: np.take(A, pull, axis=1))
+    return _Rule(G, lambda A: A.take(pull, 0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,20 +166,45 @@ def _adjoin(G: GroupSpec, fresh: GroupSpec) -> _Rule:
     return _lift(G, drop)
 
 
-def _run(rule: _Rule, operands, offset: int = 0):
-    """(probs, lams, row, herald) of a kernel on aligned operand rows.
+# ---------------------------------------------------------------------------
+# the herald split of a (list, herald, K) grid
 
-    Without heralds probs, row and herald are None and row i gives list i;
-    otherwise only the (row, herald) cells with probability at least
-    `PROB_FLOOR` are kept, with rows numbered from `offset`.
-    """
+
+def _split(grid: np.ndarray) -> np.ndarray:
+    """The (herald, K) probabilities ``grid.sum(0) / (m h)`` of m-entry lists and h heralds."""
+    m, h, _ = grid.shape
+    return grid.sum(axis=0) / (m * h)
+
+
+def _cells(grid: np.ndarray, p: np.ndarray, herald, col, out=None) -> np.ndarray:
+    """The lists ``grid[:, herald, col] / (h p)`` of cells (herald[i], col[i]), into `out`."""
+    m, h, K = grid.shape
+    at = herald * K + col                               # flat (herald, column)
+    return np.divide(grid.reshape(m, -1).take(at, 1), h * p.take(at), out=out)
+
+
+def _draw(grid: np.ndarray, u: np.ndarray, out=None, cols=None):
+    """The sampled split: one herald per column of a (list, herald, K) grid,
+    drawn at the uniforms ``u`` by `draw_heralds`; returns the (list, K)
+    lists, into `out` if given, and the K heralds; `cols` is arange(K)."""
+    p = _split(grid)
+    h = draw_heralds(p, u)
+    return _cells(grid, p, h, np.arange(grid.shape[2]) if cols is None else cols, out), h
+
+
+def _run(rule: _Rule, operands, offset: int = 0):
+    """(probs, lams, col, herald) of a kernel on aligned operand columns.
+
+    Without heralds probs, col and herald are None and column i gives list i;
+    otherwise the exact split keeps the (column, herald) cells of probability at
+    least `PROB_FLOOR`, in that order, with columns numbered from `offset`."""
     out = rule.rows(*operands)
     if rule.herald is None:
         return None, out, None, None
-    probs, finish = out
-    keep = probs >= PROB_FLOOR
-    row, herald = np.nonzero(keep)
-    return probs[keep], finish(keep), row + offset, herald
+    p = _split(out)
+    col, herald = np.nonzero(p.T >= PROB_FLOOR)
+    rows = np.empty((col.size, len(out)))          # the lists' transpose is C-ordered rows
+    return p[herald, col], _cells(out, p, herald, col, rows.T), col + offset, herald
 
 
 def draw_heralds(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -209,23 +222,18 @@ def draw_heralds(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def sample_rows(rule: _Rule, operands, u: np.ndarray):
-    """`rule` on aligned operand rows: the output lists and, for a heralded
-    rule, the herald index that `draw_heralds` draws in row i at ``u[i]``
-    (else None); a heralded row keeps only its drawn herald."""
+    """`rule` on aligned operand columns: its (list, K) lists and, for a heralded rule,
+    the herald `_draw` draws in column i at ``u[i]`` (else None), whose list it keeps."""
     out = rule.rows(*operands)
-    if rule.herald is None:
-        return out, None
-    probs, finish = out
-    h = draw_heralds(probs.T, u)
-    return finish((np.arange(len(u)), h)), h
+    return (out, None) if rule.herald is None else _draw(out, u)
 
 
 def _pure(rule: _Rule, *lams: EigenList):
-    probs, out, _, herald = _run(rule, [lam.values[None, :] for lam in lams])
+    probs, out, _, herald = _run(rule, [lam.values[:, None] for lam in lams])
     if probs is None:
-        return EigenList(rule.group, out[0])
+        return EigenList(rule.group, out[:, 0])
     kind, G, index = rule.herald
-    return HeraldedMessage._checked(rule.group, probs, out,
+    return HeraldedMessage._checked(rule.group, probs, np.ascontiguousarray(out.T),
                                     product_labels((), [], (kind, G, index[herald])))
 
 
@@ -331,15 +339,14 @@ def _heavy(p: np.ndarray, cols):
     return p[keep], [c[keep] for c in cols]
 
 
-def _in_blocks(block, rule: _Rule, width: int, rows: int):
-    """``block(s)`` on the slices s of range(rows) that keep the kernel
-    temporaries of `rule` on operands of `width` columns near `ROW_FLOATS`
-    floats; the results' columns are concatenated (a None column stays None).
-    Blocking never changes a result."""
-    parts = [block(s) for s in batches(rows, width * rule.group.order, ROW_FLOATS)]
+def _in_blocks(block, rule: _Rule, width: int, count: int):
+    """``block(s)`` on the slices s of range(count) that keep the temporaries of `rule` on
+    `width`-entry operand lists near `ROW_FLOATS` floats; each result is concatenated along
+    its last axis (a None result stays None).  Blocking never changes a result."""
+    parts = [block(s) for s in batches(count, width * rule.group.order, ROW_FLOATS)]
     if len(parts) == 1:
         return parts[0]
-    return [None if col[0] is None else np.concatenate(col) for col in zip(*parts)]
+    return [None if part[0] is None else np.concatenate(part, axis=-1) for part in zip(*parts)]
 
 
 def _product_apply(msgs, rule: _Rule) -> HeraldedMessage:
@@ -354,7 +361,7 @@ def _product_apply(msgs, rule: _Rule) -> HeraldedMessage:
         head, tail = np.divmod(np.arange(p.size * len(msg)), len(msg))
         p, cols = _heavy(np.multiply.outer(p, msg.probs).ravel(), [c[head] for c in cols] + [tail])
     probs, lams, row, herald = _in_blocks(
-        lambda s: _run(rule, [m.lams[c[s]] for c, m in zip(cols, msgs)], s.start),
+        lambda s: _run(rule, [m.lams.T.take(c[s], 1) for c, m in zip(cols, msgs)], s.start),
         rule, msgs[0].lams.shape[1], p.size)
     if rule.herald is not None:
         kind, G, index = rule.herald
@@ -363,7 +370,8 @@ def _product_apply(msgs, rule: _Rule) -> HeraldedMessage:
     if not p.size or total <= 0:
         raise NumericalError("branch product lost all probability mass")
     labels = product_labels([m._labels for m in msgs], cols, herald)
-    return merge_duplicates(HeraldedMessage._checked(rule.group, p / total, lams, labels))
+    return merge_duplicates(HeraldedMessage._checked(rule.group, p / total,
+                                                     np.ascontiguousarray(lams.T), labels))
 
 
 class Tracker:
@@ -376,9 +384,8 @@ class Tracker:
     message holds `samples` row-aligned herald trajectories, rows of
     probability 1/samples.  `entry` broadcasts a one-branch input and draws
     one branch per row of a mixture; the sampled trackers then run each rule
-    as one bare kernel call on the aligned rows (`sample_rows`, in blocks that
-    do not change the result), whose heralded rules keep in each row the
-    herald drawn at one uniform per row.
+    as one bare kernel call on them as columns (`sample_rows`, in blocks),
+    whose heralded rules keep the herald drawn at one uniform per column.
     """
 
     def __init__(self, mode: str, seed: int | None, prune_eps: float, samples: int = 1):

@@ -9,17 +9,17 @@ copies to a bad/good pair:
 Alternative kernels, automorphisms of G x G, decompose into lift, equality
 and marginalization (minus) and automorphism and equality (plus) factors;
 they are validated but carry no frozen reference vectors.  Each transform is
-one rule on operand rows (`factors._Rule`), and both modes run the same rule.
+one rule on operand columns (`factors._Rule`), and both modes run the same rule.
 
 Exact mode runs a rule over the branch product of two heralded mixtures.
 Sampled mode is the population construction of Tal and Vardy with herald
-sampling: level d holds a population of rows per MSB-first index prefix; a
-level pairs row j with row j + half in each population, keeps one drawn
-herald per minus output and writes the minus and plus children over the
-pairs they came from.  Pairing without replacement gives the samples of an
-index disjoint ancestry, so they are independent, each distributed as a
+sampling: level d holds a population of columns per MSB-first index prefix;
+a level pairs column j with column j + half in each population, keeps one
+drawn herald per minus output and writes the minus and plus children over
+the pairs they came from.  Pairing without replacement gives the samples of
+an index disjoint ancestry, so they are independent, each distributed as a
 recursion through 2^L fresh leaves.
-The cost is L 2^L samples rows in 2L batched kernel calls.
+The cost is L 2^L samples lists in 2L batched kernel calls.
 """
 
 from __future__ import annotations
@@ -120,28 +120,31 @@ class IndexStats:
 
 
 def _population(base: EigenList, levels: int, samples: int, rng, rules, width: int):
-    """Last level (2^levels, samples, |G|); one uniform draw per minus row.
+    """Last level (|G|, 2^levels, samples); one uniform draw per minus column.
 
-    A level runs in place, in blocks of at most `step` rows (whole prefixes,
-    or a run of rows of one prefix): a block's minus children overwrite its
-    rows j and its plus children its rows j + half, which is the next level's
-    layout."""
+    A level runs in place, in blocks of at most `step` columns (whole
+    prefixes, or a run of columns of one prefix): a block's minus children
+    overwrite its columns j and its plus children its columns j + half, which
+    is the next level's layout."""
     G, n = base.group, base.group.order
-    pop = np.empty((1, samples * 2 ** levels, n))
-    pop[:] = base.values
+    try:
+        pop = np.empty((n, 1, samples * 2 ** levels))
+    except (MemoryError, ValueError):       # numpy refuses sizes beyond the address space
+        raise ValidationError(f"a population of {samples} samples at {levels} levels on {G} "
+                              f"({n * samples * 2 ** levels} floats) cannot be allocated") from None
+    pop[:] = base.values[:, None, None]
     step = max(1, ROW_FLOATS // width)
     for _ in range(levels):
-        prefixes, half = pop.shape[0], pop.shape[1] // 2
+        prefixes, half = pop.shape[1], pop.shape[2] // 2
         u = rng.random(prefixes * half).reshape(prefixes, half)
         kp, kr = max(1, step // half), min(half, step)
         for p, k in itertools.product(range(0, prefixes, kp), range(0, half, kr)):
             P, K = slice(p, p + kp), slice(k, min(k + kr, half))
-            A, B = pop[P, K], pop[P, half + k:half + K.stop]
-            kids = [EigenList.checked_rows(G, sample_rows(
-                rule, [A.reshape(-1, n), B.reshape(-1, n)], u[P, K].ravel())[0]) for rule in rules]
-            for half_rows, kid in zip((A, B), kids):
-                half_rows[:] = kid.reshape(half_rows.shape)
-        pop = pop.reshape(2 * prefixes, half, n)
+            A, B = pop[:, P, K], pop[:, P, half + k:half + K.stop]
+            ops, uk = [A.reshape(n, -1), B.reshape(n, -1)], u[P, K].ravel()
+            kids = [EigenList.checked_rows(G, sample_rows(rule, ops, uk)[0].T).T for rule in rules]
+            A[:], B[:] = (kid.reshape(A.shape) for kid in kids)
+        pop = pop.reshape(n, 2 * prefixes, half)
     return pop
 
 
@@ -162,7 +165,7 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
     ``mode`` is ``exact``, ``sampled`` or ``auto`` (`resolve_mode`).  Sampled
     mode averages `samples` herald trajectories per index, drawn by the
     population sampler from the generator of `seed` in levels * 2^levels *
-    samples rows; its values differ from earlier releases for the same seed.
+    samples lists; its values differ from earlier releases for the same seed.
     """
     if levels < 0:
         raise ValidationError("levels must be nonnegative")
@@ -178,9 +181,10 @@ def synthesize(base: EigenList, levels: int, mode: str = "auto",
         return [IndexStats(i, avg_holevo(ch), avg_pgm_error(ch))
                 for i, ch in enumerate(channels)]
     pop = _population(base, levels, samples, rng, rules, n ** (2 if kernel is None else 4))
-    holevo, pgm = np.empty(len(pop)), np.empty(len(pop))       # per index
-    for s in batches(len(pop), samples * n, ROW_FLOATS):
-        holevo[s], pgm[s] = holevo_rows(pop[s]).mean(axis=1), pgm_rows(pop[s]).mean(axis=1)
+    holevo, pgm = np.empty(2 ** levels), np.empty(2 ** levels)     # per index
+    for s in batches(2 ** levels, samples * n, ROW_FLOATS):
+        rows = np.ascontiguousarray(pop[:, s].transpose(1, 2, 0))
+        holevo[s], pgm[s] = holevo_rows(rows).mean(axis=1), pgm_rows(rows).mean(axis=1)
     return [IndexStats(i, float(h), float(e)) for i, (h, e) in enumerate(zip(holevo, pgm))]
 
 

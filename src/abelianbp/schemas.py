@@ -270,6 +270,8 @@ def parse_graph(doc) -> FactorGraphSpec:
     factors = {}
     for fid, f in doc["factors"].items():
         message = None
+        if "message" in f and "eigenlist" in f:
+            raise ValidationError(f"factor {fid!r} carries both a message and an eigenlist")
         if "message" in f:
             message = _message(f["message"])
         elif "eigenlist" in f:

@@ -27,9 +27,9 @@ it into a flat post-order schedule; `run_mp` keeps that schedule per graph
 contents and runs it without recursion.
 Exact mode runs each step over the branch product of its input mixtures
 (`factors._product_apply`) and guards the output (`messages.guard`).  Sampled
-mode carries S row-aligned herald trajectories: each leaf is drawn to one
-branch per row, a step is one bare kernel call plus one herald draw per row,
-and rows are checked in batches.
+mode carries S herald trajectories as (|G|, S) columns from leaf to root: each
+leaf is drawn to one branch per column, a step is one bare kernel call plus
+one herald draw per column, and columns are checked in batches.
 """
 
 from __future__ import annotations
@@ -80,6 +80,10 @@ def leaf(var: str, message) -> FactorNode:
 
 
 def _validate_signature(spec: FactorGraphSpec, fid: str, f: FactorNode) -> None:
+    for field, kinds in (("message", "leaf"), ("hom", "hom automorphism"), ("keep", "marginalize")):
+        if getattr(f, field) is not None and f.kind not in kinds.split():
+            raise ValidationError(f"{f.kind} factor {fid!r} carries a {field}, which only "
+                                  f"{kinds.replace(' ', ' and ')} factors take")
     groups = [spec.variables[v] for v in f.edges]
     if f.kind == "leaf":
         if len(f.edges) != 1 or f.message is None:
@@ -154,7 +158,7 @@ def validate_tree(spec: FactorGraphSpec) -> list[tuple]:
     def fold(rule):
         return lambda slots: functools.reduce(lambda acc, s: emit(rule, (acc, s)), slots)
 
-    def plan(node):     # (incoming nodes, finish: their output slots -> output slot)
+    def plan(node):     # (incoming nodes, then: their output slots -> output slot)
         kind, name, toward = node
         if (kind, name) in seen:
             raise ValidationError(f"not a tree: {name!r} is reached twice from the root (cycle)")
@@ -188,44 +192,45 @@ def validate_tree(spec: FactorGraphSpec) -> list[tuple]:
 
     stack = [(*plan(("v", spec.root, None)), [])]
     while stack:
-        into, finish, slots = stack[-1]
+        into, then, slots = stack[-1]
         if len(slots) < len(into):
             stack.append((*plan(into[len(slots)]), []))
         else:
             stack.pop()
-            (stack[-1][2] if stack else []).append(finish(slots))
+            (stack[-1][2] if stack else []).append(then(slots))
     if len(seen) < len(spec.variables) + len(spec.factors):
         raise ValidationError("graph is disconnected from the root")
     return schedule
 
 
 def _run_sampled(schedule, apply: Tracker) -> HeraldedMessage:
-    """The schedule on populations of `apply.samples` rows: leaves are drawn
-    by `apply.entry`, and a step is one `factors.sample_rows` call on bare
-    arrays (in blocks), with its uniforms drawn when it runs.  Its rows are
-    checked by `EigenList.checked_rows` in one batch per output group,
-    flushed once the batches hold `CACHE_FLOATS` floats and at the last entry
-    (a step, unless the root only meets a leaf)."""
+    """The schedule on populations of `apply.samples` (|G|, samples) columns:
+    leaves are drawn by `apply.entry`, and a step is one `factors.sample_rows`
+    call on bare arrays (in blocks), with its uniforms drawn when it runs.
+    Its lists are checked by `EigenList.checked_rows` in one batch per output
+    group, flushed once the batches hold `CACHE_FLOATS` floats and at the last
+    entry (a step, unless the root only meets a leaf)."""
     S, last = apply.samples, len(schedule) - 1
-    out, pending, held, no_u = {}, {}, 0, np.zeros(S)      # out[j]: (rows, labels)
+    out, pending, held, no_u = {}, {}, 0, np.zeros(S)      # out[j]: (columns, labels)
     for j, (op, inputs, _) in enumerate(schedule):
         if not inputs:
             msg = apply.entry(op)
-            out[j] = msg.lams, msg._labels
+            out[j] = np.ascontiguousarray(msg.lams.T), msg._labels
             continue
         ops, parents = zip(*[out.pop(i) for i in inputs])
         u = no_u if op.herald is None else apply.rng.random(S)
-        lams, h = _in_blocks(lambda s: sample_rows(op, [a[s] for a in ops], u[s]),
-                             op, ops[0].shape[1], S)
+        lams, h = _in_blocks(lambda s: sample_rows(op, [a[:, s] for a in ops], u[s]),
+                             op, len(ops[0]), S)
         herald = None if h is None else (*op.herald[:2], op.herald[2][h])
         out[j] = lams, product_labels(parents, [None] * len(parents), herald)
         pending.setdefault(op.group.moduli, [op.group]).append(lams)
         held += lams.size
         if held >= CACHE_FLOATS or j == last:
-            for group, *rows in pending.values():
-                EigenList.checked_rows(group, np.concatenate(rows))
+            for group, *cols in pending.values():
+                EigenList.checked_rows(group, np.concatenate(cols, axis=1).T)
             pending, held = {}, 0
-    return HeraldedMessage._make(op.group, np.full(S, 1.0 / S), *out[last])
+    cols, labels = out[last]
+    return HeraldedMessage._make(op.group, np.full(S, 1.0 / S), cols.T.copy(), labels)
 
 
 def run_mp(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,

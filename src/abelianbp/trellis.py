@@ -11,7 +11,8 @@ time-reversed sections.
 
 Each section step (forward, backward, extrinsic) is one composite of these
 factors, written once as a kernel of two sparse gathers on (size, n) sample
-columns (`_Section`).  Exact `decode_block` runs it as one rule per step over
+columns, as the `factors` kernels are (`_Section`); its branch array is the
+step's heralded grid.  Exact `decode_block` runs it as one rule per step over
 the branch product (`_step_rule`).  Sampled `decode_block` and density
 evolution run it bare, on workspaces allocated once per call: the forward and
 backward recursions, independent until the extrinsics, are one stacked sweep
@@ -35,7 +36,7 @@ import numpy as np
 from .characters import dual_map_table, tables_for
 from .eigenlists import EigenList, perfect_list, useless_list
 from .errors import ValidationError
-from .factors import Tracker, _equality, _lift, _product_apply, _Rule, draw_heralds
+from .factors import Tracker, _draw, _equality, _lift, _product_apply, _Rule
 from .groups import (
     GroupSpec,
     HomSpec,
@@ -277,17 +278,6 @@ def _both(spec: TrellisSpec, n_fwd: int, n_bwd: int) -> _Section:
                          + (0, 1) for name in ("src", "par", "tbl")})
 
 
-def _draw(branch: np.ndarray, u: np.ndarray, out=None, cols=None):
-    """Marginalize a (rest, herald, n) branch array on one herald per column,
-    drawn at the uniforms ``u`` by `factors.draw_heralds`; returns the
-    (rest, n) lists, into `out` if given, and the n heralds; `cols` is arange(n)."""
-    rest, heralds, n = branch.shape
-    p = branch.sum(axis=0) / (rest * heralds)
-    h = draw_heralds(p, u)
-    at = h * n + (np.arange(n) if cols is None else cols)      # flat (herald, column)
-    return np.divide(branch.reshape(rest, -1).take(at, 1), heralds * p.take(at), out=out), h
-
-
 def _sweep(state: np.ndarray, steps, u: np.ndarray, skip: int = 0):
     """The forward and the backward sampled recursion of a block as one, on
     (size, 2, n) state columns, direction 0 forward and 1 backward: step k
@@ -315,33 +305,29 @@ def _runs(keys, size: int) -> list[range]:
 def _input_lists(spec: TrellisSpec):
     """``build(obs, sym, width)``: a section's parity list (its lifted
     observations, equality-combined) and symbol-side list (its symbol messages,
-    equality-combined), as (|B|, width) and (q, width) columns from (width, .)
-    operand rows; useless without operands."""
+    equality-combined), as (|B|, width) and (q, width) columns; useless without operands."""
     lifts = [_lift(spec.output_group, L).rows for L in spec.outputs]
     kinds = [(_equality(g).rows, useless_list(g).values[:, None])
              for g in (spec.branch_group, spec.symbol_group)]
 
     def build(obs, sym, width: int):
-        return [functools.reduce(eq, xs).T if xs else nil.repeat(width, 1)
+        return [functools.reduce(eq, xs) if xs else nil.repeat(width, 1)
                 for (eq, nil), xs in zip(kinds, ([f(o) for f, o in zip(lifts, obs)], sym))]
     return build
 
 
 @functools.lru_cache(maxsize=None)
 def _step_rule(spec: TrellisSpec, kind: str, n_obs: int) -> _Rule:
-    """A step as one rule on rows of (state, [backward state,] observations...,
-    symbol messages...); the section's input lists come from `_input_lists`."""
+    """A step as one rule on columns of (state, [backward state,] observations...,
+    symbol messages...), its grid the branch array; input lists from `_input_lists`."""
     sec, states = _section(spec, kind, n_obs), 2 if kind == "extrinsic" else 1
     kept, dropped = ((spec.symbol_group, spec.state_group) if states == 2
                      else (spec.state_group, spec.symbol_group))
-    build, nb, nd = _input_lists(spec), spec.branch_group.order, dropped.order
+    build = _input_lists(spec)
 
     def rows(*ops):
-        parity, side = build(ops[states:states + n_obs], ops[states + n_obs:], len(ops[0]))
-        second = ops[1].T if states == 2 else side
-        grid = sec.branch(ops[0].T, sec.weights(parity), second).transpose(2, 1, 0)
-        probs = grid.sum(axis=2) / nb
-        return probs, lambda sel: grid[sel] / (nd * probs[sel])[:, None]
+        parity, side = build(ops[states:states + n_obs], ops[states + n_obs:], ops[0].shape[1])
+        return sec.branch(ops[0], sec.weights(parity), ops[1] if states == 2 else side)
     return _Rule(kept, rows, ("marg", dropped, np.arange(dropped.order)))
 
 
@@ -392,25 +378,20 @@ def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
     start = apply.entry(_boundary(spec))
     if apply.rng is not None:
         return _sampled_block(spec, inputs, n_obs, start, apply.rng)
-    rule = {(kind, n): _step_rule(spec, kind, n) for n in set(n_obs)
-            for kind in ("forward", "backward", "extrinsic")}
     fwd, bwd = [start], [start]
-    for t in range(T):
-        r = rule["forward", n_obs[t]]
-        r = r._replace(herald=(f"fwd[t={t}]:marg", *r.herald[1:]))
-        fwd.append(guard(_product_apply([fwd[t], *inputs[t]], r), prune_eps))
-    for t in range(T - 1, -1, -1):
-        r = rule["backward", n_obs[t]]
-        r = r._replace(herald=(f"bwd[t={t}]:marg", *r.herald[1:]))
-        bwd.append(guard(_product_apply([bwd[-1], *inputs[t]], r), prune_eps))
+    for tag, kind, states, ts in (("fwd", "forward", fwd, range(T)),
+                                  ("bwd", "backward", bwd, range(T)[::-1])):
+        for t in ts:
+            r = _step_rule(spec, kind, n_obs[t])
+            r = r._replace(herald=(f"{tag}[t={t}]:marg", *r.herald[1:]))
+            states.append(guard(_product_apply([states[-1], *inputs[t]], r), prune_eps))
     bwd.reverse()
     eq = _equality(spec.symbol_group)
     results = []
     for t, n in enumerate(n_obs):
-        ext = guard(_product_apply([fwd[t], bwd[t + 1], *inputs[t][:n]], rule["extrinsic", n]))
-        post = ext
-        for m in inputs[t][n:]:
-            post = _product_apply([post, m], eq)
+        ext = guard(_product_apply([fwd[t], bwd[t + 1], *inputs[t][:n]],
+                                   _step_rule(spec, "extrinsic", n)))
+        post = functools.reduce(lambda acc, m: _product_apply([acc, m], eq), inputs[t][n:], ext)
         results.append(SectionResult(t, guard(post), ext))
     return results
 
@@ -427,12 +408,12 @@ def _sampled_block(spec: TrellisSpec, inputs, n_obs, start: HeraldedMessage,
     eq_g, build, nb = _equality(G), _input_lists(spec), spec.branch_group.order
     size = max(1, CACHE_FLOATS // (nb * S))
     # each section's symbol-side list; step k reads those of sections k and T - 1 - k
-    sides = np.reshape([build([], [m.lams for m in ins[n:]], S)[1]
+    sides = np.reshape([build([], [m.lams.T for m in ins[n:]], S)[1]
                         for ins, n in zip(inputs, n_obs)], (T, G.order, S))
     seconds = np.stack((sides, sides[::-1]), axis=2)
 
     def parity(ts):             # (|B|, len(ts) S): the parity lists of sections ts
-        obs = [np.concatenate([inputs[t][i].lams for t in ts]) for i in range(n_obs[ts[0]])]
+        obs = [np.concatenate([inputs[t][i].lams.T for t in ts], 1) for i in range(n_obs[ts[0]])]
         return build(obs, [], len(ts) * S)[0]
 
     def steps():
@@ -455,12 +436,12 @@ def _sampled_block(spec: TrellisSpec, inputs, n_obs, start: HeraldedMessage,
                                bwd[lo + 1:hi + 1].transpose(1, 0, 2), work)
         eh[lo:hi] = _draw(branch, u_ext[lo:hi].ravel(), ext[cols].T)[1].reshape(-1, S)
         ext[cols] = EigenList.checked_rows(G, ext[cols])
-        # the posteriors fold in each section's symbol-side messages in turn
-        acc, k = ext[cols].copy(), np.array([len(inputs[t]) - n for t in ts])
+        # the posteriors fold in each section's symbol-side columns in turn
+        acc, k = ext[cols].T.copy(), np.array([len(inputs[t]) - n for t in ts])
         for j in range(k.max()):
-            y = np.concatenate([inputs[t][n + j].lams for t in ts if len(inputs[t]) - n > j])
-            acc[np.repeat(k > j, S)] = eq_g.rows(acc[np.repeat(k > j, S)], y)
-        post[cols] = EigenList.checked_rows(G, acc)
+            y = np.concatenate([inputs[t][n + j].lams.T for t in ts if len(inputs[t]) - n > j], 1)
+            acc[:, np.repeat(k > j, S)] = eq_g.rows(acc[:, np.repeat(k > j, S)], y)
+        post[cols] = EigenList.checked_rows(G, acc.T)
     labs = [[m._labels for m in ins] for ins in inputs]
 
     def node(parents, herald=None):

@@ -19,12 +19,12 @@ class PopulationTracker(Tracker):
             return _product_apply(msgs, rule)
         S = len(msgs[0])
         u = np.zeros(S) if rule.herald is None else self.rng.random(S)
-        lams, h = _in_blocks(lambda s: sample_rows(rule, [m.lams[s] for m in msgs], u[s]),
+        lams, h = _in_blocks(lambda s: sample_rows(rule, [m.lams[s].T for m in msgs], u[s]),
                              rule, msgs[0].lams.shape[1], S)
         herald = None if h is None else (*rule.herald[:2], rule.herald[2][h])
         labels = product_labels([m._labels for m in msgs], [None] * len(msgs), herald)
         return HeraldedMessage._make(rule.group, msgs[0].probs,
-                                     EigenList.checked_rows(rule.group, lams), labels)
+                                     EigenList.checked_rows(rule.group, lams.T), labels)
 
     def guard(self, msg, prune_eps=0.0):
         return msg if self.rng is not None else messages.guard(msg, prune_eps)

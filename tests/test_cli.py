@@ -750,10 +750,9 @@ def test_nan_herald_probability_from_a_kernel_exits_3(tmp_path, capsys, monkeypa
         rule = _check(G)
 
         def rows(*operands):
-            probs, finish = rule.rows(*operands)
-            probs = probs.copy()
-            probs[0, 1] = np.nan
-            return probs, finish
+            grid = rule.rows(*operands).copy()
+            grid[0, 1, 0] = np.nan
+            return grid
         return rule._replace(rows=rows)
 
     monkeypatch.setattr(trees, "_check", nan_check)
@@ -763,3 +762,45 @@ def test_nan_herald_probability_from_a_kernel_exits_3(tmp_path, capsys, monkeypa
                              "--seed", "1", "--samples", "3")
     assert (code, out) == (3, "")
     assert json.loads(err)["error"] == "numerical"
+
+
+def _hom_graph(leaf_fields, map_fields=None):
+    """A leaf on a feeding a hom factor a -> b on Z3, as a graph document
+    whose leaf and hom factors carry extra fields."""
+    z3 = {"moduli": [3]}
+    hom = {"source": z3, "target": z3, "matrix": [[1]]}
+    return {"version": 1, "variables": {"a": z3, "b": z3}, "root": "b",
+            "factors": {"obs": {"kind": "leaf", "edges": ["a"], **leaf_fields},
+                        "map": {"kind": "hom", "edges": ["a", "b"], "hom": hom,
+                                **(map_fields or {})}}}
+
+
+def test_contradictory_factor_fields_exit_2(tmp_path, capsys):
+    """A leaf with both a message and an eigen list, and a hom factor with a
+    split point, ran on the message alone and exited 0; each is an exit-2
+    validation error that names the factor, with empty stdout."""
+    lam = {"group": {"moduli": [3]}, "values": [2.3, 0.35, 0.35]}
+    perfect = {"group": {"moduli": [3]},
+               "branches": [{"p": 1.0, "lambda": [1.0, 1.0, 1.0]}]}
+    cases = [(_hom_graph({"eigenlist": lam, "message": perfect}), "'obs'"),
+             (_hom_graph({"eigenlist": lam}, {"keep": 7}), "'map'"),
+             (_hom_graph({"eigenlist": lam, "message": perfect}, {"keep": 7}), "'obs'")]
+    g = tmp_path / "g.json"
+    for doc, name in cases:
+        g.write_text(to_json(doc))
+        for mode in ("exact", "sampled"):
+            code, out, err = run_cli(capsys, "mp", "run", "--graph", str(g), "--mode", mode,
+                                     "--seed", "1")
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == "validation" and name in json.loads(err)["message"]
+
+
+def test_polar_population_past_the_address_space_exits_2(capsys):
+    """A sampled population numpy refuses to allocate ended in numpy's
+    traceback (exit 1); it is one JSON validation error naming the request."""
+    for levels in ("40", "60"):
+        code, out, err = run_cli(capsys, "polar", "construct", "--group", "[3]", "--lambda",
+                                 "[2.3,0.35,0.35]", "--levels", levels, "--seed", "1")
+        assert (code, out) == (2, "")
+        message = json.loads(err)["message"]
+        assert f"1000 samples at {levels} levels" in message

@@ -32,9 +32,9 @@ from abelianbp import (
     pure,
     useless_list,
 )
-from abelianbp.factors import (_automorphism, _check, _check_inverse, _equality, _hom,
-                               _hom_supported, _lift, _marginalize, _product_apply, draw_heralds,
-                               equality_fold)
+from abelianbp.factors import (_automorphism, _cells, _check, _check_inverse, _equality, _hom,
+                               _hom_supported, _lift, _marginalize, _product_apply, _split,
+                               draw_heralds, equality_fold)
 from abelianbp.messages import PROB_FLOOR, HeraldedMessage
 from message_rows import rows
 
@@ -527,15 +527,18 @@ def test_nan_list_in_a_mixture_is_a_numerical_error():
 @pytest.mark.parametrize("moduli", [(3,), (3, 2), (2, 2, 3)])
 def test_check_inverse_is_check_after_inverting_the_second_operand(moduli):
     """`_check_inverse` equals the two-step composition bit for bit: herald
-    probabilities and the finished lists of every kept cell."""
+    grids, herald probabilities and the normalised lists of every kept cell."""
     G = GroupSpec(moduli)
     rng = np.random.default_rng(len(moduli))
-    A, B = (np.array([rand_lam(G, rng).values for _ in range(7)]) for _ in range(2))
-    probs, finish = _check_inverse(G).rows(A, B)
-    want_probs, want_finish = _check(G).rows(A, _automorphism(G, inversion_automorphism(G)).rows(B))
+    A, B = (np.array([rand_lam(G, rng).values for _ in range(7)]).T for _ in range(2))
+    grid = _check_inverse(G).rows(A, B)
+    want = _check(G).rows(A, _automorphism(G, inversion_automorphism(G)).rows(B))
+    assert grid.tobytes() == want.tobytes()
+    probs, want_probs = _split(grid), _split(want)
     assert probs.tobytes() == want_probs.tobytes()
-    keep = probs >= 1e-3
-    assert finish(keep).tobytes() == want_finish(keep).tobytes()
+    herald, col = np.nonzero(probs >= 1e-3)
+    assert (_cells(grid, probs, herald, col).tobytes()
+            == _cells(want, want_probs, herald, col).tobytes())
     assert _check_inverse(G).herald is _check(G).herald
 
 
@@ -582,3 +585,49 @@ def test_draw_heralds_raises_on_one_nan_herald():
         draw_heralds(np.array([[np.nan], [0.5], [0.5]]), np.array([0.3]))
     with pytest.raises(NumericalError):
         draw_heralds(np.array([[0.2, 0.5], [0.8, np.nan]]), np.array([0.1, 0.1]))
+
+
+def _heralded_kernels():
+    """(id, rule, operand groups) of every heralded kernel, on Z3, Z3xZ2,
+    Z4xZ3 and the turbo constituent's branch group Z3^3."""
+    from abelianbp.trellis import _step_rule, transfer_function_trellis
+
+    Z333 = GroupSpec((3, 3, 3))
+    homs = {Z3: HomSpec(Z3, Z3, ((2,),)), Z32: projection_hom(Z32, range(1)),
+            G43: HomSpec(G43, G43, ((2, 0), (0, 1))),      # not surjective: image Z2 x Z3
+            Z333: projection_hom(Z333, range(1, 3))}
+    cases = []
+    for G, H in homs.items():
+        cases += [(f"check-{G}", _check(G), (G, G)),
+                  (f"check-inverse-{G}", _check_inverse(G), (G, G)),
+                  (f"hom-{G}", _hom(G, H), (G,))]
+        cases += [(f"marginalize-{G}-{keep}", _marginalize(G, keep), (G,))
+                  for keep in range(G.rank + 1)]
+    spec = transfer_function_trellis([1, 0, 1], [1, 1, 1], 3)
+    GS, G = spec.state_group, spec.symbol_group
+    cases += [("forward", _step_rule(spec, "forward", 1), (GS, G, G)),
+              ("backward", _step_rule(spec, "backward", 1), (GS, G, G)),
+              ("extrinsic", _step_rule(spec, "extrinsic", 1), (GS, GS, G))]
+    return cases
+
+
+@pytest.mark.parametrize("case", _heralded_kernels(), ids=lambda case: case[0])
+def test_exact_and_sampled_splits_agree_cell_by_cell(case):
+    """In each column i, the list `sample_rows` keeps for its drawn herald h has
+    the bytes of the exact `_run` list of cell (i, h), and the heralds drawn
+    from the exact cells' probabilities are the ones `sample_rows` draws."""
+    from abelianbp.factors import _run, sample_rows
+
+    _, rule, groups = case
+    rng, K = np.random.default_rng(11), 40
+    ops = [np.array([rand_lam(G, rng).values for _ in range(K)]).T for G in groups]
+    probs, lists, col, herald = _run(rule, ops)
+    exact = np.zeros((len(rule.herald[2]), K))
+    exact[herald, col] = probs
+    cell = {c: j for j, c in enumerate(zip(col.tolist(), herald.tolist()))}
+    for _ in range(4):
+        u = rng.random(K)
+        got, drawn = sample_rows(rule, ops, u)
+        assert drawn.tolist() == draw_heralds(exact, u).tolist()
+        at = [cell[c] for c in enumerate(drawn.tolist())]
+        assert got.tobytes() == np.ascontiguousarray(lists[:, at]).tobytes()

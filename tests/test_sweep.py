@@ -145,7 +145,7 @@ def decode_references(spec, obs, sym, apr, S):
     """Each direction's steps of sampled `decode_block`, section by section:
     forward step k on section k, backward step k on section T - 1 - k."""
     build, T = _input_lists(spec), len(obs)
-    tile = lambda lam: np.tile(lam.values, (S, 1))       # noqa: E731
+    tile = lambda lam: np.tile(lam.values[:, None], (1, S))       # noqa: E731
     parity = [build([tile(o) for o in ob], [], S)[0] for ob in obs]
     sides = [build([], [tile(m) for m in (s, a) if m is not None], S)[1]
              for s, a in zip(sym, apr)]

@@ -596,3 +596,22 @@ def test_validate_rejects_a_cycle_with_tree_edge_count():
     )
     with pytest.raises(ValidationError, match="not a tree"):
         validate_tree(spec)
+
+
+@pytest.mark.parametrize("node", [
+    FactorNode("equality", ("v0", "v1"), message=pure(LAM1)),
+    FactorNode("equality", ("v0", "v1"), keep=1),
+    FactorNode("equality", ("v0", "v1"), hom=projection_hom(Z32, range(2))),
+    FactorNode("check", ("v0", "v1"), hom=projection_hom(Z32, range(2))),
+    FactorNode("marginalize", ("v0", "v1"), keep=2, hom=projection_hom(Z32, range(2))),
+    FactorNode("automorphism", ("v0", "v1"), hom=projection_hom(Z32, range(2)), keep=2),
+    FactorNode("leaf", ("v0",), message=pure(LAM1), keep=1),
+], ids=["message-on-equality", "keep-on-equality", "hom-on-equality", "hom-on-check",
+        "hom-on-marginalize", "keep-on-automorphism", "keep-on-leaf"])
+def test_validate_tree_rejects_fields_a_factor_kind_does_not_take(node):
+    """A message off a leaf, a hom off hom and automorphism factors and a
+    split point off marginalize factors were ignored; each names its factor."""
+    spec = FactorGraphSpec({"v0": Z32, "v1": Z32},
+                           {"l0": leaf("v0", LAM1), "l1": leaf("v1", LAM2), "odd": node}, "v0")
+    with pytest.raises(ValidationError, match="'odd'"):
+        validate_tree(spec)
