@@ -30,7 +30,6 @@ from .groups import (
     group_op,
     hom_eval,
     hom_table,
-    hom_validate,
     index_array,
 )
 
@@ -87,7 +86,6 @@ def dual_hom(H: HomSpec) -> HomSpec:
     integer exactly when H is a valid homomorphism, and the matrix
     ``n_j * M[i][j] / m_i`` is a valid hom since ``m_i`` times it is 0 mod n_j.
     """
-    hom_validate(H)
     return HomSpec(H.target, H.source, tuple(
         tuple(n * H.matrix[i][j] // m for i, m in enumerate(H.target.moduli))
         for j, n in enumerate(H.source.moduli)))

@@ -230,8 +230,11 @@ def _cmd_groups_info(args):
 
 
 def _cmd_factor(args):
-    lams = [parse_eigenlist(_load_json(p)) for p in args.inputs]
     operands, rule, option = _FACTORS[args.kind]
+    for other in ("hom", "keep"):
+        if other != option and getattr(args, other) is not None:
+            raise ValidationError(f"{args.kind} takes no --{other}")
+    lams = [parse_eigenlist(_load_json(p)) for p in args.inputs]
     if len(lams) != operands:
         raise ValidationError(f"{args.kind} expects exactly "
                               f"{['one eigen list', 'two eigen lists'][operands - 1]}")

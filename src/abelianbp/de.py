@@ -37,11 +37,10 @@ import numpy as np
 from .characters import tables_for
 from .eigenlists import EigenList, holevo_info, pgm_rows, useless_list
 from .errors import NumericalError, ValidationError
-from .factors import equality_fold, lift_along_hom
 from .groups import GroupSpec
 from .messages import CACHE_FLOATS, batches, check_seed
-from .trellis import (TrellisSpec, _both, _draw, _gather, _section, _sweep, _Work,
-                      transfer_function_trellis, validate_trellis)
+from .trellis import (TrellisSpec, _both, _draw, _gather, _input_lists, _section, _sweep,
+                      _Work, transfer_function_trellis)
 
 
 def channel_family(q: int, lam0: float) -> EigenList:
@@ -112,8 +111,6 @@ class TurboSpec:
         c1, c2 = self.constituents
         if c1.symbol_group.moduli != c2.symbol_group.moduli:
             raise ValidationError("constituents must share the symbol group")
-        validate_trellis(c1)
-        validate_trellis(c2)
         if self.systematic_mult < 0 or any(p < 0 for p in self.parity_mults):
             raise ValidationError("stream multiplicities must be nonnegative")
         if self.systematic_mult == 0 and all(
@@ -181,23 +178,18 @@ class DEConfig:
         check_seed(self.master_seed)
 
 
-def _fold(lam: EigenList, uses: int, G: GroupSpec) -> EigenList:
-    """`uses` channel observations, equality-combined (useless if none)."""
-    return equality_fold([lam] * uses) if uses else useless_list(G)
-
-
 @functools.lru_cache(maxsize=16)
 def _update(spec: TurboSpec, constituent: int, lam_ch: EigenList):
-    """An update's kernels, weights, systematic fold and boundary, per channel object."""
+    """An update's kernels, weights, systematic fold and boundary, per channel object;
+    the folds and the parity list are section input lists (`trellis._input_lists`)."""
     G, trellis = spec.symbol_group, spec.constituents[constituent]
-    # the parity list, one shared column: the lifted parity observations
-    parity = equality_fold([useless_list(trellis.branch_group)] + [
-        lift_along_hom(_fold(lam_ch, spec.parity_mults[constituent], G), L)
-        for L in trellis.outputs]).values[:, None]
-    n = len(trellis.outputs)
+    build, col, n = _input_lists(trellis), lam_ch.values[:, None], len(trellis.outputs)
+    # the parity list, one shared column: the lifted parity observations, each folded
+    fold = build([], [col] * spec.parity_mults[constituent], 1)[1]
+    parity = build([fold] * n, [], 1)[0]
     both, ext = _both(trellis, n, n), _section(trellis, "extrinsic", n)
     return (both, both.weights(np.repeat(parity, 2, axis=0)), ext, ext.weights(parity),
-            _fold(lam_ch, spec.systematic_mult, G).values[:, None] / G.order,
+            build([], [col] * spec.systematic_mult, 1)[1] / G.order,
             useless_list(trellis.state_group).values[:, None, None])
 
 
@@ -231,8 +223,10 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     if population.ndim != 2 or population.shape[0] < 1 or population.shape[1] != q:
         raise ValidationError(f"population of shape {population.shape} is not (size, {q})")
     population = EigenList.checked_rows(G, population)
-    if lam_ch.group.moduli != G.moduli:     # lift_along_hom checks the output group
+    if lam_ch.group.moduli != G.moduli:
         raise ValidationError("channel eigen list is not on the symbol group")
+    if trellis.outputs and trellis.output_group.moduli != G.moduli:   # the parity channel
+        raise ValidationError("eigen list does not live on the hom's target group")
     both, both_w, ext_k, ext_w, fold, boundary = _update(spec, constituent, lam_ch)
     n, ns = population.shape[0], trellis.state_group.order
     ctx, B = window // 2, _block_sections(n)

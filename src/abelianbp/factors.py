@@ -375,8 +375,8 @@ def _product_apply(msgs, rule: _Rule) -> HeraldedMessage:
 
 
 class Tracker:
-    """A tracker run's mode, prune threshold, sample count and seed, checked;
-    `rng` is None in exact mode.
+    """A tracker run's mode, prune threshold (exact mode only), sample count
+    and seed, checked; `rng` is None in exact mode.
 
     Exact trackers run a rule over the branch product of its input mixtures
     (`_product_apply`) and guard the output (`messages.guard`); `entry`
@@ -392,6 +392,8 @@ class Tracker:
         if mode not in ("exact", "sampled"):
             raise ValidationError(f"unknown mode {mode!r}")
         check_prune_eps(prune_eps)
+        if mode == "sampled" and prune_eps > 0:
+            raise ValidationError(f"prune threshold {prune_eps} applies to exact mode only")
         check_seed(seed)
         if samples < 1:
             raise ValidationError(f"samples must be at least 1, got {samples}")

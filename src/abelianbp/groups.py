@@ -162,7 +162,7 @@ class HomSpec:
     ``matrix[i][j]`` is the i-th target coordinate of the image of the j-th
     source generator.  Well-definedness on the quotient requires
     ``n_j * matrix[i][j] == 0 (mod m_i)`` for every entry; `hom_validate`
-    checks this.
+    checks this when the hom is built, so every `HomSpec` is a hom.
     """
 
     source: GroupSpec
@@ -182,6 +182,7 @@ class HomSpec:
                     f"matrix row length {len(row)} != source rank {self.source.rank}"
                 )
         object.__setattr__(self, "matrix", mat)
+        hom_validate(self)
 
 
 def hom_validate(H: HomSpec) -> None:
@@ -213,7 +214,6 @@ def _matrix(H: HomSpec, dtype) -> np.ndarray:
 def hom_table(H: HomSpec) -> np.ndarray:
     """Read-only array: the target index of H at every source index; a source
     above `ENUMERATION_CAP` is a `ValidationError`."""
-    hom_validate(H)
     if H.source.order > ENUMERATION_CAP:
         raise ValidationError(
             f"source order {H.source.order} exceeds enumeration cap {ENUMERATION_CAP}")
@@ -250,13 +250,7 @@ def is_surjective(H: HomSpec) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def is_automorphism(H: HomSpec) -> bool:
-    if H.source.moduli != H.target.moduli:
-        return False
-    try:
-        hom_validate(H)
-    except ValidationError:
-        return False
-    return len(_image_indices(H)) == H.source.order
+    return H.source.moduli == H.target.moduli and len(_image_indices(H)) == H.source.order
 
 
 def _from_columns(source: GroupSpec, target: GroupSpec, images) -> HomSpec:

@@ -63,6 +63,7 @@ class TrellisSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "outputs", tuple(self.outputs))   # hashable: maps are cached
+        validate_trellis(self)
 
     @property
     def branch_group(self) -> GroupSpec:
@@ -94,6 +95,7 @@ def next_state_hom(spec: TrellisSpec) -> HomSpec:
 
 
 def validate_trellis(spec: TrellisSpec) -> None:
+    """The checks every `TrellisSpec` passes when it is built."""
     if spec.memory < 0:
         raise ValidationError("memory must be nonnegative")
     bg = spec.branch_group
@@ -126,9 +128,7 @@ def shift_register_trellis(group: GroupSpec, memory: int, taps,
     H = output_group or group
     bg = GroupSpec(group.moduli * (memory + 1))
     outputs = tuple(HomSpec(bg, H, (tuple(row),)) for row in taps)
-    spec = TrellisSpec(group, memory, H, outputs, identity_hom(bg))
-    validate_trellis(spec)
-    return spec
+    return TrellisSpec(group, memory, H, outputs, identity_hom(bg))
 
 
 def transfer_function_trellis(p, q, modulus: int) -> TrellisSpec:
@@ -157,10 +157,8 @@ def transfer_function_trellis(p, q, modulus: int) -> TrellisSpec:
     phi_rows = [tuple([q0inv] + [(-q0inv * q[i]) % n for i in range(1, m + 1)])]
     for i in range(1, m + 1):
         phi_rows.append(tuple(1 if j == i else 0 for j in range(m + 1)))
-    spec = TrellisSpec(G, m, G, (HomSpec(bg, G, (tuple(parity),)),),
+    return TrellisSpec(G, m, G, (HomSpec(bg, G, (tuple(parity),)),),
                        HomSpec(bg, bg, tuple(phi_rows)))
-    validate_trellis(spec)
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +364,6 @@ def decode_block(spec: TrellisSpec, obs_seq, mode: str = "exact",
     one herald draw for all of them (`_sampled_block`), and every message
     holds one row per trajectory, of probability 1/samples.
     """
-    validate_trellis(spec)
     apply = Tracker(mode, seed, prune_eps, samples)
     T = len(obs_seq)
     n_obs = [len(obs) for obs in obs_seq]

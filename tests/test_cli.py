@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from abelianbp import EigenList, GroupSpec
-from abelianbp.cli import build_parser, main
+from abelianbp.cli import _FACTORS, build_parser, main
 from abelianbp.de import DEConfig, TurboSpec, standard_turbo
 from abelianbp.schemas import (
     dump_deconfig,
@@ -19,6 +19,7 @@ from abelianbp.schemas import (
     parse_deconfig,
     parse_eigenlist,
     parse_graph,
+    parse_hom,
     parse_message,
     parse_trellis,
     parse_turbo,
@@ -736,6 +737,63 @@ def test_two_operand_factor_kinds_reject_one_input(tmp_path, capsys, kind):
     code, out, err = run_cli(capsys, "factor", kind, "--in", str(a))
     assert code == 2 and out == ""
     assert json.loads(err)["message"] == f"{kind} expects exactly two eigen lists"
+
+
+HOM_Z32 = ('{"source": {"moduli": [3, 2]}, "target": {"moduli": [3, 2]}, '
+           '"matrix": [[1, 0], [0, 1]]}')
+
+
+@pytest.mark.parametrize("kind, extra, option", [
+    ("equality", ("--keep", "1"), "keep"),
+    ("check", ("--keep", "5", "--hom", HOM_Z32), "hom"),
+    ("check", ("--keep", "5"), "keep"),
+    ("marginalize", ("--keep", "1", "--hom", HOM_Z32), "hom"),
+    ("automorphism", ("--hom", HOM_Z32, "--keep", "1"), "keep"),
+])
+def test_factor_rejects_an_option_its_kind_does_not_take(tmp_path, capsys, kind, extra, option):
+    """`factor` ran the rule and ignored --hom or --keep on a kind that does not
+    take it; each is an exit-2 validation error naming the kind and the option."""
+    a = tmp_path / "a.json"
+    a.write_text(to_json(dump_eigenlist(LAM1)))
+    code, out, err = run_cli(capsys, "factor", kind, "--in", *[str(a)] * _FACTORS[kind][0], *extra)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation", "message": f"{kind} takes no --{option}"}
+
+
+def test_sampled_runs_reject_a_prune_threshold(tmp_path, capsys):
+    """Sampled runs never prune, and ignored a threshold; it is an exit-2 error."""
+    spec = FactorGraphSpec({"a": Z32, "root": Z32},
+                           {"la": leaf("a", LAM1), "eq": FactorNode("equality", ("a", "root"))},
+                           "root")
+    g = tmp_path / "g.json"
+    g.write_text(to_json(dump_graph(spec)))
+    for argv in (("mp", "run", "--graph", str(g), "--mode", "sampled", "--seed", "1"),
+                 ("polar", "construct", "--group", "[3]", "--lambda", "[2.3,0.35,0.35]",
+                  "--levels", "2", "--mode", "sampled", "--seed", "1")):
+        assert run_cli(capsys, *argv)[0] == 0
+        code, out, err = run_cli(capsys, *argv, "--prune", "0.1")
+        assert (code, out) == (2, "")
+        assert "prune threshold 0.1" in json.loads(err)["message"]
+
+
+def test_invalid_hom_and_trellis_documents_are_rejected_when_parsed():
+    with pytest.raises(ValidationError, match="not a homomorphism"):
+        parse_hom({"source": {"moduli": [3]}, "target": {"moduli": [2]}, "matrix": [[1]]})
+    doc = dump_trellis(transfer_function_trellis([1, 0, 1], [1, 1, 1], 3))
+    doc["outputs"][0]["matrix"] = [[0, 0, 0]]
+    with pytest.raises(ValidationError, match="output 0 is not surjective"):
+        parse_trellis(doc)
+
+
+def test_polar_info_bits_writes_the_chosen_set_to_stderr(capsys):
+    from abelianbp.polar import select_info_set, synthesize
+
+    code, out, err = run_cli(capsys, "polar", "construct", "--group", "[3]", "--lambda",
+                             "[2.3,0.35,0.35]", "--levels", "2", "--mode", "exact",
+                             "--info-bits", "2")
+    stats = synthesize(EigenList(GroupSpec((3,)), [2.3, 0.35, 0.35]), 2, mode="exact")
+    assert code == 0 and out.startswith("index,avg_holevo_bits,avg_pgm_error\n")
+    assert err == to_json({"info_set": select_info_set(stats, 2)}) + "\n"   # one JSON object
 
 
 def test_nan_herald_probability_from_a_kernel_exits_3(tmp_path, capsys, monkeypatch):

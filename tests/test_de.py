@@ -32,6 +32,12 @@ Z3 = GroupSpec((3,))
 FAST = DEConfig(population=300, max_iterations=30, window=21, master_seed=5)
 
 
+def fold_uses(lam, uses, G):
+    """`uses` channel observations, equality-combined (useless if none): the
+    reference for DE's folds, written with the factor rules."""
+    return equality_fold([lam] * uses) if uses else useless_list(G)
+
+
 def test_channel_family_extremes():
     assert np.allclose(channel_family(3, 3.0).values, [3, 0, 0])
     assert np.allclose(channel_family(3, 1.0).values, [1, 1, 1])
@@ -55,6 +61,16 @@ def test_holevo_threshold_values():
             < holevo_threshold(3, 0.1))
     with pytest.raises(ValidationError):
         holevo_threshold(3, 1.5)
+
+
+def test_de_rejects_a_channel_off_the_symbol_or_output_group():
+    """One channel observes the symbols and the parity streams, so its list must
+    live on the symbol group and on each constituent's output group."""
+    c = shift_register_trellis(GroupSpec((4,)), 1, [[1, 0]], GroupSpec((2,)))
+    for spec, q, match in ((TurboSpec((c, c)), 4, "hom's target group"),
+                           (standard_turbo(3), 5, "not on the symbol group")):
+        with pytest.raises(ValidationError, match=match):
+            de_run(spec, DEConfig(population=10, max_iterations=1), channel_family(q, 1.5))
 
 
 def test_turbo_spec_rate_bookkeeping():
@@ -391,7 +407,7 @@ def test_window_kernels_match_dense_products(spec):
     lam_ch = channel_family(q, 1 + 0.6 * (q - 1))
     fwd_k, bwd_k, ext_k = (_section(trellis, kind, len(trellis.outputs))
                            for kind in ("forward", "backward", "extrinsic"))
-    obs = de._fold(lam_ch, spec.parity_mults[0], spec.symbol_group)
+    obs = fold_uses(lam_ch, spec.parity_mults[0], spec.symbol_group)
     parity = equality_fold([useless_list(trellis.branch_group)] + [
         lift_along_hom(obs, L) for L in trellis.outputs]).values[:, None]
     if len(trellis.outputs) > 1:
@@ -451,7 +467,7 @@ def test_systematic_fold_combines_on_the_symbol_group(moduli):
     lam, lists = (rng.gamma(1.0, size=(k, G.order)) for k in (1, 6))
     lam, lists = (x * (G.order / x.sum(axis=1, keepdims=True)) for x in (lam, lists))
     channel = EigenList(G, lam[0])
-    fold = de._fold(channel, 2, G).values[:, None] / G.order
+    fold = fold_uses(channel, 2, G).values[:, None] / G.order
     want = [equality_combine(equality_fold([channel] * 2), EigenList(G, row)).values
             for row in lists]
     assert np.abs(de._with_systematic(G, fold, lists.T).T - want).max() < 1e-12

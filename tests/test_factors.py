@@ -542,6 +542,19 @@ def test_check_inverse_is_check_after_inverting_the_second_operand(moduli):
     assert _check_inverse(G).herald is _check(G).herald
 
 
+def test_branch_products_below_the_floor_are_dropped_before_the_rule():
+    """A mixture of branch probabilities 1 - 1e-8 and 1e-8 combined with itself:
+    the 1e-16 product of the light branches is below `PROB_FLOOR` and dropped."""
+    a, b = EigenList(Z3, [2.5, 0.25, 0.25]), EigenList(Z3, [1.5, 1.0, 0.5])
+    msg = HeraldedMessage.of(Z3, [1 - 1e-8, 1e-8], [a.values, b.values], [("a",), ("b",)])
+    assert 1e-16 < PROB_FLOOR
+    out = _product_apply([msg, msg], _equality(Z3))
+    assert out.labels == (("a", "a"), ("a", "b", "b", "a"))     # (a, b) and (b, a) merged
+    assert not any(np.allclose(lam, equality_combine(b, b).values) for lam in out.lams)
+    p = 1 - 1e-8
+    assert out.probs.tolist() == pytest.approx([p * p, 2 * p * 1e-8], rel=1e-12)
+
+
 def _draw_heralds_reference(probs, u):
     """`draw_heralds` as it was written with `np.where` and `np.nextafter`."""
     cum = np.where(probs >= PROB_FLOOR, probs, 0.0)

@@ -22,7 +22,7 @@ from abelianbp import (
     split_element,
     surjection_onto_image,
 )
-from abelianbp.groups import element_order, is_surjective
+from abelianbp.groups import element_order, hom_table, is_surjective
 
 Z32 = GroupSpec((3, 2))
 Z4 = GroupSpec((4,))
@@ -185,6 +185,16 @@ def test_surjection_onto_image_diagonal():
         assert hom_eval(embed, hom_eval(surj, g)) == hom_eval(H, g)
 
 
+def test_surjection_onto_a_non_coordinate_image():
+    """The image {000, 101, 011, 110} of Z4xZ2 in Z2^3 is neither cyclic nor
+    the product of its coordinate projections, so its basis comes from the
+    quotient recursion of `_abstract_basis`."""
+    H = HomSpec(GroupSpec((4, 2)), GroupSpec((2, 2, 2)), ((1, 0), (0, 1), (1, 1)))
+    surj, embed = surjection_onto_image(H)
+    assert surj.target.moduli == (2, 2) and is_surjective(surj)
+    assert hom_table(compose_homs(embed, surj)).tolist() == hom_table(H).tolist()
+
+
 def test_element_order():
     assert element_order(Z32.element((1, 1))) == 6
     assert element_order(Z32.identity()) == 1
@@ -234,7 +244,9 @@ def test_hom_table_raises_past_the_enumeration_cap():
 def test_is_automorphism_rejects_invalid_homs_and_raises_past_the_cap():
     from abelianbp.groups import ENUMERATION_CAP
 
-    assert not is_automorphism(HomSpec(Z32, Z32, ((1, 1), (0, 1))))   # 2*1 != 0 mod 3
+    with pytest.raises(ValidationError, match="not a homomorphism"):
+        HomSpec(Z32, Z32, ((1, 1), (0, 1)))                             # 2*1 != 0 mod 3
+    assert not is_automorphism(HomSpec(Z32, Z32, ((1, 0), (0, 0))))    # a hom, not onto
     big = GroupSpec((1001, 1001))
     assert big.order > ENUMERATION_CAP
     with pytest.raises(ValidationError, match="enumeration cap"):

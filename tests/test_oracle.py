@@ -140,6 +140,14 @@ def test_simulate_hom_worked_example():
     assert_messages_match(oracle.simulate_hom(lam, H), hom_push(lam, H))
 
 
+def test_simulate_hom_on_a_non_coordinate_image():
+    """hom_push through the quotient-recursion image basis of Z4xZ2 -> Z2^3
+    agrees with the dense simulation."""
+    H = HomSpec(GroupSpec((4, 2)), GroupSpec((2, 2, 2)), ((1, 0), (0, 1), (1, 1)))
+    lam = rand_lam(H.source, np.random.default_rng(7))
+    assert_messages_match(oracle.simulate_hom(lam, H), hom_push(lam, H), ptol=1e-9)
+
+
 def test_simulate_hom_kernel_invariance():
     # supported input: states constant along the kernel
     G432 = GroupSpec((4, 3, 2))

@@ -12,6 +12,7 @@ from abelianbp.eigenlists import EigenList, useless_list
 from abelianbp.factors import equality_fold, lift_along_hom
 from abelianbp.trellis import (TrellisSpec, _draw, _input_lists, _section, decode_block,
                                shift_register_trellis)
+from test_de import fold_uses
 
 Z2, Z3, Z4 = GroupSpec((2,)), GroupSpec((3,)), GroupSpec((4,))
 
@@ -117,10 +118,10 @@ def test_de_sweep_runs_both_one_way_recursions(monkeypatch, case, floats):
     m, L = -(-n // B), ctx + B - 1
     apr_idx = rng.integers(0, n, size=(m, B + 2 * ctx)).T
     u = rng.random((2 * L + B, m))
-    fold = de._fold(lam, spec.systematic_mult, G).values[:, None] / q
+    fold = fold_uses(lam, spec.systematic_mult, G).values[:, None] / q
     sym = de._with_systematic(G, fold, pop.T[:, apr_idx])
     parity = equality_fold([useless_list(constituent.branch_group)] + [
-        lift_along_hom(de._fold(lam, spec.parity_mults[1], G), hom)
+        lift_along_hom(fold_uses(lam, spec.parity_mults[1], G), hom)
         for hom in constituent.outputs]).values[:, None]
     fwd, bwd = (_section(constituent, kind, len(constituent.outputs))
                 for kind in ("forward", "backward"))

@@ -6,6 +6,7 @@ import pytest
 from abelianbp import (
     EigenList,
     GroupSpec,
+    HomSpec,
     ValidationError,
     avg_holevo,
     avg_pgm_error,
@@ -19,7 +20,8 @@ from abelianbp import (
 from abelianbp.errors import NumericalError
 from abelianbp.factors import (_automorphism, _check, _check_inverse, _equality, _hom, _lift,
                                _marginalize, _product_apply)
-from abelianbp.groups import invert_automorphism, inversion_automorphism, projection_hom
+from abelianbp.groups import (identity_hom, invert_automorphism, inversion_automorphism,
+                              projection_hom)
 from abelianbp.messages import GUARD_PRUNE, HeraldedMessage
 from abelianbp.trees import (
     FactorGraphSpec,
@@ -615,3 +617,48 @@ def test_validate_tree_rejects_fields_a_factor_kind_does_not_take(node):
                            {"l0": leaf("v0", LAM1), "l1": leaf("v1", LAM2), "odd": node}, "v0")
     with pytest.raises(ValidationError, match="'odd'"):
         validate_tree(spec)
+
+
+NOT_ONTO = HomSpec(Z32, Z32, ((1, 0), (0, 0)))        # a hom, neither onto nor invertible
+
+
+@pytest.mark.parametrize("node, message", [
+    (FactorNode("bogus", ("v0", "v1")), "unknown kind 'bogus'"),
+    (FactorNode("equality", ("v0", "v0")), "repeats a variable"),
+    (FactorNode("equality", ("v0", "nowhere")), "unknown variable 'nowhere'"),
+    (FactorNode("leaf", ("v0", "v1"), message=pure(LAM1)), "needs exactly one edge and a message"),
+    (FactorNode("leaf", ("v1",)), "needs exactly one edge and a message"),
+    (FactorNode("equality", ("v1",)), "needs at least two edges"),
+    (FactorNode("hom", ("v0", "v1")), "needs edges (in, out) and a hom"),
+    (FactorNode("hom", ("v0", "w"), hom=projection_hom(Z32, [1])), "hom signature != edge"),
+    (FactorNode("hom", ("v0", "v1"), hom=NOT_ONTO), "is not surjective"),
+    (FactorNode("marginalize", ("v0", "w")), "needs edges (in, out) and keep"),
+    (FactorNode("marginalize", ("v0", "v1"), keep=1), "kept block (3,) != output alphabet"),
+    (FactorNode("automorphism", ("v0",), hom=identity_hom(Z32)),
+     "needs edges (in, out) and a map"),
+    (FactorNode("automorphism", ("v0", "w"), hom=identity_hom(Z32)), "edge alphabets differ"),
+    (FactorNode("automorphism", ("v0", "v1"), hom=NOT_ONTO), "map is not an automorphism"),
+], ids=["unknown-kind", "repeated-variable", "unknown-variable", "leaf-two-edges",
+        "leaf-no-message", "equality-one-edge", "hom-no-hom", "hom-signature", "hom-not-onto",
+        "marginalize-no-keep", "marginalize-kept-block", "automorphism-one-edge",
+        "automorphism-alphabets", "automorphism-not-invertible"])
+def test_validate_tree_rejects_a_malformed_factor(node, message):
+    """Each rejection of a factor's kind, edges or parameters names the factor."""
+    spec = FactorGraphSpec({"v0": Z32, "v1": Z32, "w": Z3}, {"l0": leaf("v0", LAM1), "odd": node},
+                           "v0")
+    with pytest.raises(ValidationError) as info:
+        validate_tree(spec)
+    assert "'odd'" in str(info.value) and message in str(info.value)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_a_variable_without_other_factors_sends_the_useless_list(mode):
+    """v's only factor leads toward the root, so v sends the useless list and
+    the root posterior is the leaf's list."""
+    spec = FactorGraphSpec({"r": Z32, "v": Z32},
+                           {"l": leaf("r", LAM1), "eq": FactorNode("equality", ("r", "v"))}, "r")
+    useless = [op for op, inputs, guard in validate_tree(spec)
+               if isinstance(op, HeraldedMessage) and not guard]
+    assert len(useless) == 1 and useless[0].lams.tolist() == [useless_list(Z32).values.tolist()]
+    out = run_mp(spec, mode=mode, seed=1)
+    assert np.allclose(out.lams, LAM1.values) and out.probs.tolist() == [1.0]

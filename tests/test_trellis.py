@@ -120,9 +120,15 @@ def test_transfer_function_compiles_and_validates():
 
 def test_validate_rejects_constant_output():
     bg = GroupSpec((3, 3))
-    bad = TrellisSpec(Z3, 1, Z3, (HomSpec(bg, Z3, ((0, 0),)),), identity_hom(bg))
     with pytest.raises(ValidationError, match="surjective"):
-        validate_trellis(bad)
+        TrellisSpec(Z3, 1, Z3, (HomSpec(bg, Z3, ((0, 0),)),), identity_hom(bg))
+
+
+def test_sampled_decode_block_rejects_a_prune_threshold():
+    """Sampled decoding never prunes, and ignored a threshold; it is an error."""
+    spec, lam = shift_register_trellis(Z3, 1, [[1, 1]]), EigenList(Z3, [2.3, 0.35, 0.35])
+    with pytest.raises(ValidationError, match="prune threshold 0.1"):
+        decode_block(spec, [[lam]] * 3, mode="sampled", seed=1, prune_eps=0.1)
 
 
 def test_branch_posterior_perfect_obs():
