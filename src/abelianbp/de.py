@@ -108,9 +108,11 @@ class TurboSpec:
         if len(self.constituents) != 2 or len(self.parity_mults) != 2:
             raise ValidationError(f"a turbo spec takes two constituents and two parity_mults, "
                                   f"not {len(self.constituents)} and {len(self.parity_mults)}")
-        c1, c2 = self.constituents
-        if c1.symbol_group.moduli != c2.symbol_group.moduli:
-            raise ValidationError("constituents must share the symbol group")
+        for i, c in enumerate(self.constituents):
+            if c.symbol_group.moduli != self.symbol_group.moduli:
+                raise ValidationError("constituents must share the symbol group")
+            if c.outputs and c.output_group.moduli != c.symbol_group.moduli:
+                raise ValidationError(f"constituent {i}: parity outputs are off the symbol group")
         if self.systematic_mult < 0 or any(p < 0 for p in self.parity_mults):
             raise ValidationError("stream multiplicities must be nonnegative")
         if self.systematic_mult == 0 and all(
@@ -225,8 +227,6 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     population = EigenList.checked_rows(G, population)
     if lam_ch.group.moduli != G.moduli:
         raise ValidationError("channel eigen list is not on the symbol group")
-    if trellis.outputs and trellis.output_group.moduli != G.moduli:   # the parity channel
-        raise ValidationError("eigen list does not live on the hom's target group")
     both, both_w, ext_k, ext_w, fold, boundary = _update(spec, constituent, lam_ch)
     n, ns = population.shape[0], trellis.state_group.order
     ctx, B = window // 2, _block_sections(n)

@@ -315,6 +315,8 @@ def permute_coordinates(G: GroupSpec, perm) -> HomSpec:
 def projection_hom(G: GroupSpec, coords) -> HomSpec:
     """Projection onto the listed coordinates (in the listed order)."""
     coords = tuple(int(c) for c in coords)
+    if not all(0 <= c < G.rank for c in coords):
+        raise ValidationError(f"projection coordinates {list(coords)} outside range({G.rank})")
     target = GroupSpec(tuple(G.moduli[c] for c in coords))
     mat = tuple(tuple(1 if j == c else 0 for j in range(G.rank)) for c in coords)
     return HomSpec(G, target, mat)

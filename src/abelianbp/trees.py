@@ -23,8 +23,8 @@ factors.  Supported factor kinds:
     Edges ``(in, out)`` on one group; relabeling in both directions.
 
 `validate_tree` checks a graph and, in the same walk from the root, compiles
-it into a flat post-order schedule; `run_mp` keeps that schedule per graph
-contents and runs it without recursion.
+it into a flat post-order schedule; a `FactorGraphSpec` does both once, when
+it is built, and `run_mp` runs its schedule without recursion.
 Exact mode runs each step over the branch product of its input mixtures
 (`factors._product_apply`) and guards the output (`messages.guard`).  Sampled
 mode carries S herald trajectories as (|G|, S) columns from leaf to root: each
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -66,13 +67,19 @@ class FactorNode:
     keep: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorGraphSpec:
-    variables: dict[str, GroupSpec]
-    factors: dict[str, FactorNode]
+    """A read-only tree factor graph, compiled to its `schedule` (`validate_tree`) when built."""
+
+    variables: MappingProxyType[str, GroupSpec]
+    factors: MappingProxyType[str, FactorNode]
     root: str
-    # (contents, schedule) of the contents that last passed `validate_tree`
-    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    schedule: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("variables", "factors"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "schedule", tuple(validate_tree(self)))
 
 
 def leaf(var: str, message) -> FactorNode:
@@ -111,18 +118,19 @@ def _validate_signature(spec: FactorGraphSpec, fid: str, f: FactorNode) -> None:
         if len(f.edges) != 2 or f.keep is None:
             raise ValidationError(f"marginalize factor {fid!r} needs edges (in, out) and keep")
         gin, gout = groups
+        if not 0 <= f.keep <= gin.rank:
+            raise ValidationError(f"marginalize factor {fid!r}: keep {f.keep} not in 0..{gin.rank}")
         if gin.moduli[: f.keep] != gout.moduli:
-            raise ValidationError(
-                f"marginalize factor {fid!r}: kept block {gin.moduli[:f.keep]} != "
-                f"output alphabet {gout.moduli}"
-            )
+            raise ValidationError(f"marginalize factor {fid!r}: kept block {gin.moduli[:f.keep]} "
+                                  f"!= output alphabet {gout.moduli}")
     elif f.kind == "automorphism":
         if len(f.edges) != 2 or f.hom is None:
             raise ValidationError(f"automorphism factor {fid!r} needs edges (in, out) and a map")
         if groups[0].moduli != groups[1].moduli:
             raise ValidationError(f"automorphism factor {fid!r}: edge alphabets differ")
-        if not is_automorphism(f.hom):
-            raise ValidationError(f"automorphism factor {fid!r}: map is not an automorphism")
+        if f.hom.source.moduli != groups[0].moduli or not is_automorphism(f.hom):
+            raise ValidationError(f"automorphism factor {fid!r}: map is not an automorphism "
+                                  f"of the edge alphabet {groups[0]}")
 
 
 def validate_tree(spec: FactorGraphSpec) -> list[tuple]:
@@ -132,10 +140,10 @@ def validate_tree(spec: FactorGraphSpec) -> list[tuple]:
 
     The walk uses an explicit stack and follows a recursion from the root: a
     node's incoming messages first, in edge order, then its own steps.  Entry
-    j is ``(op, inputs, guard)``: a leaf entry (``op`` a message, duplicates
-    merged, no inputs) or a `factors._Rule` step on the outputs of the entries
-    in ``inputs``, guarded in exact mode if ``guard``.  Each output has one
-    consumer; the last entry's is the root posterior."""
+    j is ``(op, inputs)``: a leaf entry (``op`` a message, duplicates merged,
+    no inputs) or a `factors._Rule` step on the outputs of the entries in
+    ``inputs``.  Each output has one consumer; the last entry's is the root
+    posterior."""
     if spec.root not in spec.variables:
         raise ValidationError(f"root variable {spec.root!r} is not declared")
     groups, incident = spec.variables, {v: [] for v in spec.variables}
@@ -151,8 +159,8 @@ def validate_tree(spec: FactorGraphSpec) -> list[tuple]:
         _validate_signature(spec, fid, f)
     schedule, seen = [], set()
 
-    def emit(op, inputs=(), guard=True) -> int:
-        schedule.append((op, inputs, guard))
+    def emit(op, inputs=()) -> int:
+        schedule.append((op, inputs))
         return len(schedule) - 1
 
     def fold(rule):
@@ -166,8 +174,7 @@ def validate_tree(spec: FactorGraphSpec) -> list[tuple]:
         if kind == "v":
             G = groups[name]
             into = [("f", fid, name) for fid in incident[name] if fid != toward]
-            return into, (fold(_equality(G)) if into else
-                          lambda _: emit(pure(useless_list(G)), guard=False))
+            return into, (fold(_equality(G)) if into else lambda _: emit(pure(useless_list(G))))
         f = spec.factors[name]
         if f.kind == "leaf":
             return [], lambda _: emit(merge_duplicates(f.message))
@@ -212,7 +219,7 @@ def _run_sampled(schedule, apply: Tracker) -> HeraldedMessage:
     entry (a step, unless the root only meets a leaf)."""
     S, last = apply.samples, len(schedule) - 1
     out, pending, held, no_u = {}, {}, 0, np.zeros(S)      # out[j]: (columns, labels)
-    for j, (op, inputs, _) in enumerate(schedule):
+    for j, (op, inputs) in enumerate(schedule):
         if not inputs:
             msg = apply.entry(op)
             out[j] = np.ascontiguousarray(msg.lams.T), msg._labels
@@ -245,16 +252,12 @@ def run_mp(spec: FactorGraphSpec, mode: str = "exact", seed: int | None = None,
     over seeds each branch is distributed as the exact mixture.
     """
     apply = Tracker(mode, seed, prune_eps, samples)
-    contents = (spec.root, tuple(spec.variables.items()), tuple(spec.factors.items()))
-    if spec._compiled is None or spec._compiled[0] != contents:   # nodes are immutable
-        spec._compiled = (contents, validate_tree(spec))
-    schedule = spec._compiled[1]
     if apply.rng is not None:
-        return _run_sampled(schedule, apply)
+        return _run_sampled(spec.schedule, apply)
     out = {}        # each output is freed when its one consumer reads it
-    for j, (op, inputs, guarded) in enumerate(schedule):
+    for j, (op, inputs) in enumerate(spec.schedule):
         msg = _product_apply([out.pop(i) for i in inputs], op) if inputs else op
-        out[j] = guard(msg, prune_eps) if guarded else msg
+        out[j] = guard(msg, prune_eps)
     return out[j]
 
 

@@ -397,9 +397,9 @@ def _sampled_block(spec: TrellisSpec, inputs, n_obs, start: HeraldedMessage,
                    rng) -> list[SectionResult]:
     """Sampled `decode_block`, trajectories as columns.  Sweep step k runs
     forward section k and backward section T - 1 - k; blocks of steps (weights)
-    and of sections (extrinsics) have equal observation counts and at most
-    `CACHE_FLOATS` floats per direction.  Uniforms are drawn up front for the
-    forward sweep, the backward sweep (row k) and the extrinsics."""
+    and of sections (extrinsics, also equal input counts) have equal observation
+    counts and at most `CACHE_FLOATS` floats per direction.  Uniforms are drawn
+    up front for the forward sweep, the backward sweep (row k) and the extrinsics."""
     T, S, G, GS = len(inputs), len(start), spec.symbol_group, spec.state_group
     u_fwd, u_bwd, u_ext = (rng.random((T, S)) for _ in range(3))
     eq_g, build, nb = _equality(G), _input_lists(spec), spec.branch_group.order
@@ -426,7 +426,7 @@ def _sampled_block(spec: TrellisSpec, inputs, n_obs, start: HeraldedMessage,
     fwd, bwd = states[:, :, 0], states[::-1, :, 1]     # bwd[t]: the backward state of t .. T - 1
     ext, post = np.empty((T * S, G.order)), np.empty((T * S, G.order))
     eh, work = np.empty((T, S), np.intp), _Work()
-    for ts in _runs(n_obs, size):
+    for ts in _runs([(n, len(ins)) for n, ins in zip(n_obs, inputs)], size):
         lo, hi, n, cols = ts.start, ts.stop, n_obs[ts.start], slice(ts.start * S, ts.stop * S)
         kernel = _section(spec, "extrinsic", n)
         branch = kernel.branch(fwd[lo:hi].transpose(1, 0, 2), kernel.weights(parity(ts)),
@@ -434,10 +434,8 @@ def _sampled_block(spec: TrellisSpec, inputs, n_obs, start: HeraldedMessage,
         eh[lo:hi] = _draw(branch, u_ext[lo:hi].ravel(), ext[cols].T)[1].reshape(-1, S)
         ext[cols] = EigenList.checked_rows(G, ext[cols])
         # the posteriors fold in each section's symbol-side columns in turn
-        acc, k = ext[cols].T.copy(), np.array([len(inputs[t]) - n for t in ts])
-        for j in range(k.max()):
-            y = np.concatenate([inputs[t][n + j].lams.T for t in ts if len(inputs[t]) - n > j], 1)
-            acc[:, np.repeat(k > j, S)] = eq_g.rows(acc[:, np.repeat(k > j, S)], y)
+        ys = [np.concatenate([m.lams.T for m in ms], 1) for ms in zip(*(inputs[t][n:] for t in ts))]
+        acc = functools.reduce(eq_g.rows, ys, ext[cols].T.copy())
         post[cols] = EigenList.checked_rows(G, acc.T)
     labs = [[m._labels for m in ins] for ins in inputs]
 

@@ -853,6 +853,38 @@ def test_contradictory_factor_fields_exit_2(tmp_path, capsys):
             assert json.loads(err)["error"] == "validation" and name in json.loads(err)["message"]
 
 
+def test_a_graph_that_does_not_fit_its_factors_exits_2(tmp_path, capsys):
+    """A marginalize factor keeping 5 coordinates of a rank-2 input passed the
+    graph check; read toward its input it ended in an IndexError traceback
+    (exit 1).  It is one JSON validation error naming the factor, in both modes."""
+    z32 = {"moduli": [3, 2]}
+    doc = {"version": 1, "variables": {"a": z32, "b": z32}, "root": "a",
+           "factors": {"obs": {"kind": "leaf", "edges": ["b"],
+                               "eigenlist": {"group": z32, "values": LAM1.values.tolist()}},
+                       "marg": {"kind": "marginalize", "edges": ["a", "b"], "keep": 5}}}
+    g = tmp_path / "g.json"
+    g.write_text(to_json(doc))
+    for mode in ("exact", "sampled"):
+        code, out, err = run_cli(capsys, "mp", "run", "--graph", str(g), "--mode", mode,
+                                 "--seed", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "validation",
+                                   "message": "marginalize factor 'marg': keep 5 not in 0..2"}
+
+
+def test_a_trellis_document_missing_a_section_field_exits_2(tmp_path, capsys):
+    """The trellis schema requires no section field (the shorthand replaces
+    them); the parser names the missing ones."""
+    argv = _conv_files(tmp_path)
+    doc = dump_trellis(transfer_function_trellis([1, 0, 1], [1, 1, 1], 3))
+    del doc["outputs"]
+    (tmp_path / "trellis.json").write_text(to_json(doc))
+    code, out, err = run_cli(capsys, "conv", "analyze", *argv, "--T", "3")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation",
+                               "message": "trellis document missing fields ['outputs']"}
+
+
 def test_polar_population_past_the_address_space_exits_2(capsys):
     """A sampled population numpy refuses to allocate ended in numpy's
     traceback (exit 1); it is one JSON validation error naming the request."""

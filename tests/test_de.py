@@ -65,12 +65,13 @@ def test_holevo_threshold_values():
 
 def test_de_rejects_a_channel_off_the_symbol_or_output_group():
     """One channel observes the symbols and the parity streams, so its list must
-    live on the symbol group and on each constituent's output group."""
+    live on the symbol group, and a turbo spec whose parity outputs leave the
+    symbol group is rejected when it is built, naming the constituent."""
     c = shift_register_trellis(GroupSpec((4,)), 1, [[1, 0]], GroupSpec((2,)))
-    for spec, q, match in ((TurboSpec((c, c)), 4, "hom's target group"),
-                           (standard_turbo(3), 5, "not on the symbol group")):
-        with pytest.raises(ValidationError, match=match):
-            de_run(spec, DEConfig(population=10, max_iterations=1), channel_family(q, 1.5))
+    with pytest.raises(ValidationError, match="constituent 0: parity outputs"):
+        TurboSpec((c, c))
+    with pytest.raises(ValidationError, match="not on the symbol group"):
+        de_run(standard_turbo(3), DEConfig(population=10, max_iterations=1), channel_family(5, 1.5))
 
 
 def test_turbo_spec_rate_bookkeeping():
@@ -80,6 +81,16 @@ def test_turbo_spec_rate_bookkeeping():
     assert spec4.rate == pytest.approx(1 / 4)
     with pytest.raises(ValidationError):
         TurboSpec((spec.constituents[0], shift_register_trellis(GroupSpec((2,)), 1, [[1, 1]])))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"systematic_mult": -1}, "stream multiplicities must be nonnegative"),
+    ({"parity_mults": (1, -1)}, "stream multiplicities must be nonnegative"),
+    ({"systematic_mult": 0, "parity_mults": (0, 0)}, "turbo spec carries no informative stream"),
+], ids=["negative-systematic", "negative-parity", "no-stream"])
+def test_turbo_spec_rejects_stream_multiplicities(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        TurboSpec(standard_turbo(3).constituents, **fields)
 
 
 @pytest.mark.parametrize("n_constituents, parity_mults", [(1, (1, 1)), (3, (1, 1)), (2, (1,))])

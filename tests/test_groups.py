@@ -19,6 +19,7 @@ from abelianbp import (
     is_automorphism,
     join_element,
     permute_coordinates,
+    projection_hom,
     split_element,
     surjection_onto_image,
 )
@@ -251,3 +252,18 @@ def test_is_automorphism_rejects_invalid_homs_and_raises_past_the_cap():
     assert big.order > ENUMERATION_CAP
     with pytest.raises(ValidationError, match="enumeration cap"):
         is_automorphism(identity_hom(big))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: HomSpec(GroupSpec((3,)), Z32, ((1,),)), "matrix has 1 rows, target rank is 2"),
+    (lambda: HomSpec(Z32, GroupSpec((3,)), ((1,),)), "matrix row length 1 != source rank 2"),
+    (lambda: projection_hom(Z32, [-1]), "projection coordinates [-1] outside range(2)"),
+    (lambda: projection_hom(Z32, [2]), "projection coordinates [2] outside range(2)"),
+], ids=["rows-not-target-rank", "row-not-source-rank", "projection-negative",
+        "projection-past-rank"])
+def test_malformed_homs_are_rejected_when_built(build, message):
+    """A matrix of the wrong shape, and a projection onto a coordinate the
+    group lacks (-1 built the zero map onto the last factor, 2 an IndexError)."""
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert message in str(info.value)

@@ -319,3 +319,22 @@ def test_the_checker_reports_what_jsonschema_best_match_reports():
     assert len(found) / 10 < len(errors) < len(found)
     assert any("' was unexpected" in e for e in errors)
     assert any("' were unexpected" in e for e in errors)
+
+
+_TRELLIS_DOC = dump_trellis(SPEC)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"version": 1, "transfer_function": {"p": [1], "q": [1], "modulus": 3}, "memory": 0},
+     "transfer_function shorthand does not mix with fields ['memory']"),
+    ({k: v for k, v in _TRELLIS_DOC.items() if k != "outputs"},
+     "trellis document missing fields ['outputs']"),
+    ({k: v for k, v in _TRELLIS_DOC.items() if k not in ("memory", "outputs")},
+     "trellis document missing fields ['memory', 'outputs']"),
+], ids=["shorthand-with-fields", "missing-outputs", "missing-two-fields"])
+def test_trellis_documents_the_schema_accepts_can_still_be_incomplete(doc, message):
+    """The trellis schema requires no section field, since the shorthand
+    replaces them all; the parser names the fields that do not fit."""
+    with pytest.raises(ValidationError) as info:
+        parse_trellis(doc)
+    assert str(info.value) == message

@@ -61,36 +61,33 @@ def test_validate_single_leaf():
 
 
 def test_validate_rejects_cycle():
-    spec = FactorGraphSpec(
-        {"a": Z32, "b": Z32},
-        {
-            "f1": FactorNode("equality", ("a", "b")),
-            "f2": FactorNode("equality", ("a", "b")),
-        },
-        "a",
-    )
     with pytest.raises(ValidationError, match="tree"):
-        validate_tree(spec)
+        FactorGraphSpec(
+            {"a": Z32, "b": Z32},
+            {
+                "f1": FactorNode("equality", ("a", "b")),
+                "f2": FactorNode("equality", ("a", "b")),
+            },
+            "a",
+        )
 
 
 def test_validate_rejects_alphabet_mismatch():
-    spec = FactorGraphSpec(
-        {"a": Z3, "b": Z32},
-        {"f": FactorNode("equality", ("a", "b"))},
-        "a",
-    )
     with pytest.raises(ValidationError, match="alphabet"):
-        validate_tree(spec)
+        FactorGraphSpec(
+            {"a": Z3, "b": Z32},
+            {"f": FactorNode("equality", ("a", "b"))},
+            "a",
+        )
 
 
 def test_validate_rejects_disconnected():
-    spec = FactorGraphSpec(
-        {"a": Z32, "b": Z32},
-        {"l": leaf("a", LAM1), "l2": leaf("b", LAM2)},
-        "a",
-    )
     with pytest.raises(ValidationError, match="tree|disconnect"):
-        validate_tree(spec)
+        FactorGraphSpec(
+            {"a": Z32, "b": Z32},
+            {"l": leaf("a", LAM1), "l2": leaf("b", LAM2)},
+            "a",
+        )
 
 
 def test_equality_graph_reproduces_rule():
@@ -363,33 +360,35 @@ def test_run_mp_rejects_bad_sample_counts():
                 run_mp(spec, mode=mode, seed=1, samples=samples)
 
 
-def test_run_mp_validates_a_spec_once_until_it_changes(monkeypatch):
-    """Repeated runs on one spec validate it once; a spec made invalid after
-    a run (a second combining factor, a new root, a replaced leaf) is
-    validated again and rejected."""
+def test_a_spec_is_validated_once_when_built_and_is_read_only(monkeypatch):
+    """Building a spec validates it once, and runs validate it no more; a
+    built spec cannot be changed (a second combining factor, a new root, a
+    replaced leaf or alphabet)."""
+    import dataclasses
+    import operator
+
     import abelianbp.trees as trees
 
     calls = []
     monkeypatch.setattr(trees, "validate_tree", lambda spec: calls.append(spec) or
                         validate_tree(spec))
     spec = chain_graph([LAM1, LAM2], kind="check")
+    assert calls == [spec]
     for seed in range(3):
         run_mp(spec, mode="sampled", seed=seed)
-    assert len(calls) == 1
+    run_mp(spec)
+    assert calls == [spec]
     breaks = [
-        lambda s: s.factors.__setitem__("again", FactorNode("equality", ("v0", "root"))),
+        lambda s: operator.setitem(s.factors, "again", FactorNode("equality", ("v0", "root"))),
         lambda s: setattr(s, "root", "nowhere"),
-        lambda s: s.factors.__setitem__("leaf0", leaf("v0", EigenList(Z3, [1, 1, 1]))),
-        lambda s: s.variables.__setitem__("v1", Z3),
+        lambda s: operator.setitem(s.factors, "leaf0", leaf("v0", EigenList(Z3, [1, 1, 1]))),
+        lambda s: operator.setitem(s.variables, "v1", Z3),
     ]
     for brk in breaks:
-        spec = chain_graph([LAM1, LAM2], kind="check")
-        run_mp(spec)
-        brk(spec)
-        with pytest.raises(ValidationError):
-            run_mp(spec)
-        with pytest.raises(ValidationError):
-            run_mp(spec, mode="sampled", seed=1)
+        with pytest.raises((TypeError, dataclasses.FrozenInstanceError)):
+            brk(spec)
+    assert calls == [spec] and spec.root == "root" and spec.variables["v1"] == Z32
+    assert spec.factors["leaf0"].message.group == Z32 and "again" not in spec.factors
 
 
 class _Engine:
@@ -566,7 +565,7 @@ def test_nan_row_mid_schedule_is_a_numerical_error(monkeypatch, mode, floats):
 def test_check_toward_an_input_runs_no_automorphism_step():
     """Read toward an input, a check folds `_check_inverse` over its output
     and its other inputs; the schedule holds no inversion step."""
-    steps = [op for op, inputs, _ in validate_tree(_toward_check_input()) if inputs]
+    steps = [op for op, inputs in validate_tree(_toward_check_input()) if inputs]
     assert len(steps) == 1 and steps[0] is _check_inverse(Z32)
 
 
@@ -591,13 +590,12 @@ def test_validate_rejects_a_cycle_with_tree_edge_count():
     """Two equality factors on (a, b) and an isolated c: four edges for five
     nodes, but the root's component has a cycle.  The walk from the root
     stops when it reaches a node twice."""
-    spec = FactorGraphSpec(
-        {"a": Z32, "b": Z32, "c": Z32},
-        {"f1": FactorNode("equality", ("a", "b")), "f2": FactorNode("equality", ("a", "b"))},
-        "a",
-    )
     with pytest.raises(ValidationError, match="not a tree"):
-        validate_tree(spec)
+        FactorGraphSpec(
+            {"a": Z32, "b": Z32, "c": Z32},
+            {"f1": FactorNode("equality", ("a", "b")), "f2": FactorNode("equality", ("a", "b"))},
+            "a",
+        )
 
 
 @pytest.mark.parametrize("node", [
@@ -613,10 +611,9 @@ def test_validate_rejects_a_cycle_with_tree_edge_count():
 def test_validate_tree_rejects_fields_a_factor_kind_does_not_take(node):
     """A message off a leaf, a hom off hom and automorphism factors and a
     split point off marginalize factors were ignored; each names its factor."""
-    spec = FactorGraphSpec({"v0": Z32, "v1": Z32},
-                           {"l0": leaf("v0", LAM1), "l1": leaf("v1", LAM2), "odd": node}, "v0")
     with pytest.raises(ValidationError, match="'odd'"):
-        validate_tree(spec)
+        FactorGraphSpec({"v0": Z32, "v1": Z32},
+                        {"l0": leaf("v0", LAM1), "l1": leaf("v1", LAM2), "odd": node}, "v0")
 
 
 NOT_ONTO = HomSpec(Z32, Z32, ((1, 0), (0, 0)))        # a hom, neither onto nor invertible
@@ -634,20 +631,23 @@ NOT_ONTO = HomSpec(Z32, Z32, ((1, 0), (0, 0)))        # a hom, neither onto nor 
     (FactorNode("hom", ("v0", "v1"), hom=NOT_ONTO), "is not surjective"),
     (FactorNode("marginalize", ("v0", "w")), "needs edges (in, out) and keep"),
     (FactorNode("marginalize", ("v0", "v1"), keep=1), "kept block (3,) != output alphabet"),
+    (FactorNode("marginalize", ("v0", "v1"), keep=5), "keep 5 not in 0..2"),
     (FactorNode("automorphism", ("v0",), hom=identity_hom(Z32)),
      "needs edges (in, out) and a map"),
     (FactorNode("automorphism", ("v0", "w"), hom=identity_hom(Z32)), "edge alphabets differ"),
+    (FactorNode("automorphism", ("v0", "v1"), hom=identity_hom(GroupSpec((6,)))),
+     "map is not an automorphism of the edge alphabet Z3xZ2"),
     (FactorNode("automorphism", ("v0", "v1"), hom=NOT_ONTO), "map is not an automorphism"),
 ], ids=["unknown-kind", "repeated-variable", "unknown-variable", "leaf-two-edges",
         "leaf-no-message", "equality-one-edge", "hom-no-hom", "hom-signature", "hom-not-onto",
-        "marginalize-no-keep", "marginalize-kept-block", "automorphism-one-edge",
-        "automorphism-alphabets", "automorphism-not-invertible"])
+        "marginalize-no-keep", "marginalize-kept-block", "marginalize-keep-past-rank",
+        "automorphism-one-edge", "automorphism-alphabets", "automorphism-map-group",
+        "automorphism-not-invertible"])
 def test_validate_tree_rejects_a_malformed_factor(node, message):
     """Each rejection of a factor's kind, edges or parameters names the factor."""
-    spec = FactorGraphSpec({"v0": Z32, "v1": Z32, "w": Z3}, {"l0": leaf("v0", LAM1), "odd": node},
-                           "v0")
     with pytest.raises(ValidationError) as info:
-        validate_tree(spec)
+        FactorGraphSpec({"v0": Z32, "v1": Z32, "w": Z3}, {"l0": leaf("v0", LAM1), "odd": node},
+                        "v0")
     assert "'odd'" in str(info.value) and message in str(info.value)
 
 
@@ -657,8 +657,8 @@ def test_a_variable_without_other_factors_sends_the_useless_list(mode):
     the root posterior is the leaf's list."""
     spec = FactorGraphSpec({"r": Z32, "v": Z32},
                            {"l": leaf("r", LAM1), "eq": FactorNode("equality", ("r", "v"))}, "r")
-    useless = [op for op, inputs, guard in validate_tree(spec)
-               if isinstance(op, HeraldedMessage) and not guard]
+    useless = [op for op, inputs in validate_tree(spec)
+               if not inputs and op.lams.tolist() == [useless_list(Z32).values.tolist()]]
     assert len(useless) == 1 and useless[0].lams.tolist() == [useless_list(Z32).values.tolist()]
     out = run_mp(spec, mode=mode, seed=1)
     assert np.allclose(out.lams, LAM1.values) and out.probs.tolist() == [1.0]

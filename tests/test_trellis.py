@@ -580,3 +580,31 @@ def test_decode_block_rejects_bad_sample_counts():
         for samples in (0, -2):
             with pytest.raises(ValidationError, match="samples"):
                 decode_block(spec, obs, mode=mode, seed=1, samples=samples)
+
+
+Z33 = GroupSpec((3, 3))
+_PARITY = HomSpec(Z33, Z3, ((1, 1),))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrellisSpec(Z3, -1, Z3, (), identity_hom(Z3)), "memory must be nonnegative"),
+    (lambda: TrellisSpec(Z3, 1, Z3, (identity_hom(Z3),), identity_hom(Z33)),
+     "output 0: source is not the branch group"),
+    (lambda: TrellisSpec(Z3, 1, Z3, (_PARITY, identity_hom(Z33)), identity_hom(Z33)),
+     "output 1: target is not the output group"),
+    (lambda: TrellisSpec(Z3, 1, Z3, (_PARITY,), identity_hom(Z3)),
+     "section automorphism does not act on the branch group"),
+    (lambda: TrellisSpec(Z3, 1, Z3, (_PARITY,), HomSpec(Z33, Z33, ((1, 0), (1, 0)))),
+     "section map is not an automorphism"),
+    (lambda: TrellisSpec(Z3, 1, Z3, (_PARITY,), identity_hom(Z33), boundary="open"),
+     "unknown boundary convention 'open'"),
+    (lambda: shift_register_trellis(GroupSpec((3, 2)), 1, [[1, 1, 1, 1]]),
+     "tap-based construction expects a cyclic symbol group"),
+    (lambda: transfer_function_trellis([1, 1], [3, 1], 3), "q(0) must be a unit"),
+], ids=["negative-memory", "output-source", "output-target", "section-map-group",
+        "section-map-not-invertible", "unknown-boundary", "shift-register-not-cyclic",
+        "transfer-function-q0-not-a-unit"])
+def test_malformed_trellises_are_rejected_when_built(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert message in str(info.value)
