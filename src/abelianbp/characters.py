@@ -15,7 +15,6 @@ values carry no accumulation error.  The dual map of a hom is itself a hom,
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,29 +204,18 @@ class GroupTables:
     matrix satisfies ``chars.conj().T @ chars = order * I`` (orthogonality).
     """
 
-    def __init__(self, moduli: tuple[int, ...]):
-        G = self.group = GroupSpec(moduli)
-        d = self.digits = digits(G, np.arange(G.order))
+    def __init__(self, G: GroupSpec):
+        d = digits(G, np.arange(G.order))
         self.add = np.stack([index_array(G, d + row) for row in d])   # rows: no N^2 x rank array
         self.neg = index_array(G, -d)
         self.sub = self.add[:, self.neg]
         L = G.exponent()
-        phase = (d * np.array([L // n for n in moduli], dtype=np.int64)) @ d.T % L
+        phase = (d * np.array([L // n for n in G.moduli], dtype=np.int64)) @ d.T % L
         self.chars = np.exp(2j * np.pi * phase / L)
-
-    @property
-    def order(self) -> int:
-        return self.group.order
 
 
 @functools.lru_cache(maxsize=None)
-def tables(moduli: tuple[int, ...]) -> GroupTables:
-    if math.prod(moduli) > 4096:
-        raise ValidationError(
-            f"dense tables requested for order {math.prod(moduli)} > 4096"
-        )
-    return GroupTables(moduli)
-
-
 def tables_for(G: GroupSpec) -> GroupTables:
-    return tables(G.moduli)
+    if G.order > 4096:
+        raise ValidationError(f"dense tables requested for order {G.order} > 4096")
+    return GroupTables(G)

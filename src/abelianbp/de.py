@@ -254,7 +254,7 @@ def de_iteration(spec: TurboSpec, population: np.ndarray, lam_ch: EigenList,
     post = _gather(_with_systematic(G, fold, ext.T), tables_for(G).sub.T, apr / q)
     err = float(pgm_rows(np.clip(post, 0.0, None).T).mean())
     if not math.isfinite(err):
-        raise NumericalError(f"DE posterior error is {err}")
+        raise NumericalError(f"DE posterior error is {err}")  # pragma: no cover
     return ext, err
 
 

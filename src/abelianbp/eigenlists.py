@@ -175,7 +175,7 @@ def eigenlist_from_gram_row(row: GramRow) -> EigenList:
     chars = tables_for(row.group).chars
     lam = chars.conj().T @ row.values
     if np.max(np.abs(lam.imag)) > 1e-8:
-        raise NumericalError("transform of gram row is not real")
+        raise NumericalError("transform of gram row is not real")  # pragma: no cover
     lam = lam.real
     if lam.min(initial=0.0) < -PSD_TOL:
         raise NumericalError(

@@ -60,8 +60,6 @@ class Branch:
     """A branch of the `HeraldedMessage.branches` view; only ``perfbench/tracing.py`` reads it."""
 
     prob: float
-    lam: EigenList
-    labels: tuple[str, ...] = ()
 
 
 class Labels:
@@ -179,8 +177,7 @@ class HeraldedMessage:
     @property
     def branches(self) -> tuple[Branch, ...]:
         """`Branch` objects, built on each read; only ``perfbench/tracing.py`` reads them."""
-        return tuple(Branch(p, EigenList._of_valid(self.group, row), labs)
-                     for p, row, labs in zip(self.probs.tolist(), self.lams, self._labels.render()))
+        return tuple(map(Branch, self.probs.tolist()))
 
 
 _ONE = np.ones(1)

@@ -139,7 +139,7 @@ def jacobi_eigh(A: np.ndarray):
             Ap, Aq = A[m, p, :], A[m, q, :]
             A[m, p, :], A[m, q, :] = c * Ap + s * Aq, c * Aq - s.conj() * Ap
     else:
-        raise NumericalError("jacobi_eigh did not converge")
+        raise NumericalError("jacobi_eigh did not converge")  # pragma: no cover
     w = np.diagonal(AV[:, :n], axis1=1, axis2=2).real.copy()
     order = np.argsort(-w, axis=1)
     w[norm == 0], order[norm == 0] = 0.0, np.arange(n)
@@ -158,7 +158,7 @@ def _average_state_spectra(lams):
         for psi, rho, w, V in zip(psis, rhos, ws, Vs):
             res = np.max(np.abs(rho @ V - V * w[None, :]))
             if res > 1e-9 * max(1.0, np.abs(w).max()):
-                raise NumericalError(f"eigenpair residual {res} too large")
+                raise NumericalError(f"eigenpair residual {res} too large")  # pragma: no cover
             yield psi, w, V
 
 
@@ -187,7 +187,7 @@ def verify_gram_diagonalization(lam: EigenList) -> dict:
     resid = float(np.max(np.abs(gram @ char_states - char_states * lam.values[None, :])))
     ok = resid <= 1e-10 * max(1.0, n) and circ_dev <= 1e-10 * max(1.0, n)
     if not ok:
-        raise NumericalError(
+        raise NumericalError(  # pragma: no cover
             f"gram diagonalization breach: eigen residual {resid}, circulance {circ_dev}"
         )
     return {"max_eigen_residual": resid, "max_circulance_dev": circ_dev, "ok": True}
@@ -201,7 +201,7 @@ def verify_covariance(lam: EigenList) -> dict:
     shifted = t.chars.T[:, :, None] * psi[:, None, :]
     worst = float(np.max(np.abs(shifted - psi[:, t.add])))
     if worst > 1e-10:
-        raise NumericalError(f"covariance breach: max deviation {worst}")
+        raise NumericalError(f"covariance breach: max deviation {worst}")  # pragma: no cover
     return {"max_deviation": worst, "ok": True}
 
 
@@ -312,10 +312,10 @@ def _circulant_list(G: GroupSpec, gram: np.ndarray, what: str) -> EigenList:
     row = gram[0]
     circ = float(np.max(np.abs(gram - row[t.add[t.neg]])))
     if circ > BLOCK_TOL * G.order:
-        raise NumericalError(f"{what} gram matrix is not circulant: {circ}")
+        raise NumericalError(f"{what} gram matrix is not circulant: {circ}")  # pragma: no cover
     lam = t.chars.conj().T @ row
     if np.max(np.abs(lam.imag)) > 1e-9:
-        raise NumericalError(f"{what} eigen list is not real")
+        raise NumericalError(f"{what} eigen list is not real")  # pragma: no cover
     return EigenList(G, np.clip(lam.real, 0.0, None))
 
 
@@ -335,7 +335,7 @@ def _equality_lists(pairs) -> list[EigenList]:
         # cross-check each multiset against a dense eigendecomposition
         for w, lam in zip(jacobi_eigh(np.stack(grams))[0], out[s]):
             if np.max(np.abs(np.sort(w) - np.sort(lam.values))) > 1e-8 * max(1.0, lam.group.order):
-                raise NumericalError("gram eigenvalues disagree with the character transform")
+                raise NumericalError("gram eigenvalues disagree with the character transform")  # pragma: no cover
     return out
 
 
@@ -368,7 +368,7 @@ def simulate_hom(lam: EigenList, H: HomSpec) -> HeraldedMessage:
     V = np.zeros((n1, n1))
     V[np.arange(n1), t1.add[reps[None, :], pull[:, None]].ravel()] = 1.0
     if np.max(np.abs(V.T @ V - np.eye(n1))) > 1e-12:
-        raise NumericalError("coset isometry is not an isometry")
+        raise NumericalError("coset isometry is not an isometry")  # pragma: no cover
     image = hom_table(surj)
     F = np.stack([psi[:, image == h] for h in range(n2)])     # fibres: kernel cosets
     rho_stacks = (V @ (F[s] @ F[s].conj().swapaxes(1, 2) / F.shape[2]) @ V.T
@@ -473,7 +473,7 @@ def verify_rule(rule: str, G: GroupSpec, seed: int, count: int) -> dict:
             sim_msg, fast_msg = simulate(*args), fast(*args)
             at = {labels[0]: i for i, labels in enumerate(fast_msg.labels)}
             if len(sim_msg) != len(at):
-                raise NumericalError("herald supports differ between paths")
+                raise NumericalError("herald supports differ between paths")  # pragma: no cover
             at = [at[labels[0]] for labels in sim_msg.labels]
             dps.append(np.max(np.abs(sim_msg.probs - fast_msg.probs[at])))
             dls.append(np.max(np.abs(sim_msg.lams - fast_msg.lams[at])))

@@ -35,7 +35,7 @@ from .eigenlists import EigenList, holevo_rows, pgm_rows
 from .errors import ValidationError
 from .factors import (_Rule, _automorphism, _check_inverse, _equality, _product_apply, _same_group,
                       sample_rows)
-from .groups import GroupSpec, HomSpec, direct_product, is_automorphism, is_surjective
+from .groups import GroupSpec, HomSpec, direct_product, is_automorphism
 from .messages import ROW_FLOATS, HeraldedMessage, avg_holevo, avg_pgm_error, batches, guard, pure
 
 DEFAULT_EXACT_LEVELS = 4
@@ -79,8 +79,6 @@ def _kernel_blocks(G: GroupSpec, kernel: HomSpec):
 @functools.lru_cache(maxsize=None)
 def _kernel_minus_rule(G: GroupSpec, kernel: HomSpec):
     GG, outs, _ = _kernel_blocks(G, kernel)
-    if not all(is_surjective(out) for out in outs):
-        raise ValidationError("kernel output map is not surjective")
     lift1, lift2 = (factors._lift(G, out) for out in outs)
     eq, marg = _equality(GG), factors._marginalize(GG, G.rank)
     return _Rule(G, lambda A, B: marg.rows(eq.rows(lift1.rows(A), lift2.rows(B))), marg.herald)

@@ -196,3 +196,20 @@ def test_char_index_prints_as_chi_and_validates_as_an_element():
         CharIndex(Z32, (1,))
     with pytest.raises(ValidationError, match="group mismatch"):
         dual_op(CharIndex(Z32, (1, 0)), CharIndex(G43, (1, 0)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: char_eval(CharIndex(G43, (1, 0)), Z32.identity()),
+     "character and element belong to different groups"),
+    (lambda: dual_map(HOM_A_PLUS_2C, CharIndex(Z32, (0, 0))),
+     "character does not belong to the target group"),
+    (lambda: tables_for(GroupSpec((4099,))), "dense tables requested for order 4099 > 4096"),
+], ids=["character-across-groups", "character-off-target", "tables-above-4096"])
+def test_character_rejections(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.type is ValidationError and str(exc.value) == message
+
+
+def test_coset_table_group_is_its_subgroups_group():
+    assert coset_table_for_hom(HOM_A_PLUS_2C).group == G432

@@ -894,3 +894,19 @@ def test_polar_population_past_the_address_space_exits_2(capsys):
         assert (code, out) == (2, "")
         message = json.loads(err)["message"]
         assert f"1000 samples at {levels} levels" in message
+
+
+@pytest.mark.parametrize("argv, code, error, message", [
+    (["bogus"], 1, "usage", "argument command: invalid choice: 'bogus' (choose from 'groups', "
+     "'factor', 'measures', 'verify', 'mp', 'polar', 'conv', 'de')"),
+    (["measures", "--lambda", "[2.3,0.35,0.35]"], 2, "validation",
+     "need either --in FILE or both --lambda and --group"),
+    (["de", "threshold", "--turbo", "turbo.json"], 1, "usage",
+     "stochastic run needs --config or --seed"),
+], ids=["argparse-error", "lambda-without-group", "threshold-without-config-or-seed"])
+def test_cli_rejections(tmp_path, monkeypatch, capsys, argv, code, error, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "turbo.json").write_text(to_json(dump_turbo(standard_turbo(3))))
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert json.loads(err) == {"error": error, "message": message}

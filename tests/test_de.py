@@ -482,3 +482,20 @@ def test_systematic_fold_combines_on_the_symbol_group(moduli):
     want = [equality_combine(equality_fold([channel] * 2), EigenList(G, row)).values
             for row in lists]
     assert np.abs(de._with_systematic(G, fold, lists.T).T - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: channel_family(1, 1.0), "channel family needs q >= 2"),
+    (lambda: heatmap(standard_turbo(5), FAST), "the simplex heatmap is defined for q = 3"),
+], ids=["trivial-alphabet", "heatmap-off-q3"])
+def test_de_rejections(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.type is ValidationError and str(exc.value) == message
+
+
+def test_heatmap_skips_grid_points_past_the_simplex():
+    """At resolution 0.07 the grid's last lambda1, 43 * 0.07 = 3.01, leaves lambda2 < 0."""
+    rows = heatmap(standard_turbo(3), DEConfig(population=10, max_iterations=1),
+                   resolution=0.07, lambda0_range=(0, 0))
+    assert [r["lambda1"] for r in rows] == [j * 0.07 for j in range(43)]

@@ -154,3 +154,11 @@ def test_useless_list_information_is_a_positive_zero(G):
     assert holevo_info(lam) == 0.0 and not np.signbit(holevo_info(lam))
     rows = holevo_rows(lam.values[None, :])
     assert rows.tolist() == [0.0] and not np.signbit(rows).any()
+
+
+def test_eigenlist_edges():
+    assert len(EigenList(Z32, [2, 1, 0, 2, 1, 0])) == 6
+    with pytest.raises(ValidationError) as exc:
+        GramRow(Z3, [1, 0])
+    assert exc.type is ValidationError and str(exc.value) == "gram row length != group order"
+    assert channel_fidelity(EigenList(GroupSpec(()), [1.0])) == 0.0

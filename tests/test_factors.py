@@ -39,6 +39,7 @@ from abelianbp.messages import PROB_FLOOR, HeraldedMessage
 from message_rows import rows
 
 Z3 = GroupSpec((3,))
+Z4 = GroupSpec((4,))
 Z32 = GroupSpec((3, 2))
 G432 = GroupSpec((4, 3, 2))
 G43 = GroupSpec((4, 3))
@@ -46,6 +47,7 @@ HOM_A_PLUS_2C = HomSpec(G432, G43, ((1, 0, 2), (0, 1, 0)))
 
 LAM1 = EigenList(Z32, [2, 1, 0, 2, 1, 0])
 LAM2 = EigenList(Z32, [2, 0, 1, 1, 0, 2])
+LAM3 = EigenList(Z3, [2.3, 0.35, 0.35])
 
 TEST_GROUPS = [GroupSpec((2,)), GroupSpec((3,)), GroupSpec((4,)), GroupSpec((6,)),
                GroupSpec((2, 2)), GroupSpec((3, 2))]
@@ -644,3 +646,50 @@ def test_exact_and_sampled_splits_agree_cell_by_cell(case):
         assert drawn.tolist() == draw_heralds(exact, u).tolist()
         at = [cell[c] for c in enumerate(drawn.tolist())]
         assert got.tobytes() == np.ascontiguousarray(lists[:, at]).tobytes()
+
+
+def _run_mp(**kwargs):
+    from abelianbp.trees import FactorGraphSpec, leaf, run_mp
+
+    return run_mp(FactorGraphSpec({"a": Z3}, {"l": leaf("a", LAM3)}, "a"), **kwargs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hom_push(LAM3, identity_hom(Z32)),
+     "eigen list does not live on the hom's source group"),
+    (lambda: lift_along_hom(LAM3, identity_hom(Z32)),
+     "eigen list does not live on the hom's target group"),
+    (lambda: lift_along_hom(EigenList(Z4, [2, 1, 0.5, 0.5]), HomSpec(Z4, Z4, ((2,),))),
+     "hom is not surjective; restrict to its image first"),
+    (lambda: apply_automorphism(LAM3, inversion_automorphism(Z32)),
+     "eigen list does not live on the automorphism's group"),
+    (lambda: equality_fold([]), "equality fold needs at least one operand"),
+    (lambda: _run_mp(mode="fast"), "unknown mode 'fast'"),
+    (lambda: _run_mp(mode="sampled"), "sampled mode requires a seed"),
+], ids=["hom-off-source", "lift-off-target", "lift-not-onto", "automorphism-off-group",
+        "empty-fold", "unknown-mode", "sampled-without-seed"])
+def test_rule_rejections(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.type is ValidationError and str(exc.value) == message
+
+
+def test_z2_rules_reduce_to_binary_bpqm_closed_forms():
+    """On Z2 a list is fixed by its overlap c = (lam0 - lam1) / 2.  Equality
+    multiplies overlaps, and the check heralds the parity with Renes's binary
+    BPQM closed forms (New J. Phys. 19, 072001, 2017): herald 0 has probability
+    (1 + c1 c2) / 2 and overlap (c1 + c2) / (1 + c1 c2), herald 1 probability
+    (1 - c1 c2) / 2 and overlap (c2 - c1) / (1 - c1 c2)."""
+    Z2, rng = GroupSpec((2,)), np.random.default_rng(2017)
+    overlap = lambda lam: (lam[0] - lam[1]) / 2
+    for a, b in rng.uniform(0.0, 2.0, size=(1000, 2)):
+        lam1, lam2 = EigenList(Z2, [a, 2 - a]), EigenList(Z2, [b, 2 - b])
+        c1, c2 = overlap(lam1.values), overlap(lam2.values)
+        assert overlap(equality_combine(lam1, lam2).values) == pytest.approx(c1 * c2, abs=1e-12)
+        msg = check_combine(lam1, lam2)
+        got = {labels: (p, overlap(lam)) for p, lam, labels in rows(msg)}
+        expected = {("check:(0)",): ((1 + c1 * c2) / 2, (c1 + c2) / (1 + c1 * c2)),
+                    ("check:(1)",): ((1 - c1 * c2) / 2, (c2 - c1) / (1 - c1 * c2))}
+        assert got.keys() == expected.keys()
+        for labels, (p, c) in expected.items():
+            assert got[labels] == pytest.approx((p, c), abs=1e-12)

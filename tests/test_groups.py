@@ -23,7 +23,7 @@ from abelianbp import (
     split_element,
     surjection_onto_image,
 )
-from abelianbp.groups import element_order, hom_table, is_surjective
+from abelianbp.groups import element_order, hom_table, is_surjective, subgroup_decomposition
 
 Z32 = GroupSpec((3, 2))
 Z4 = GroupSpec((4,))
@@ -267,3 +267,22 @@ def test_malformed_homs_are_rejected_when_built(build, message):
     with pytest.raises(ValidationError) as info:
         build()
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Z32.from_index(6), "index 6 out of range for order 6"),
+    (lambda: hom_eval(identity_hom(Z4), Z32.identity()),
+     "element does not belong to the source group"),
+    (lambda: compose_homs(identity_hom(Z4), identity_hom(Z32)),
+     "hom composition: inner target != outer source"),
+    (lambda: split_element(Z32.identity(), 5), "split point 5 out of range"),
+], ids=["index-out-of-range", "element-off-source", "composition-mismatch", "split-past-rank"])
+def test_group_rejections(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.type is ValidationError and str(exc.value) == message
+
+
+def test_trivial_group_edge_returns():
+    assert element_order(GroupSpec(()).identity()) == 1
+    assert subgroup_decomposition([Z4.identity()], Z4) == ([], [])

@@ -349,3 +349,23 @@ def test_batches_cover_the_range_once_in_order(total, item, budget):
     assert [i for s in cuts for i in range(total)[s]] == list(range(total))
     sizes = [len(range(total)[s]) for s in cuts]
     assert all(n == step for n in sizes[:-1]) and all(0 < n <= step for n in sizes)
+
+
+def test_prune_of_every_branch_is_rejected():
+    """Pins today's behaviour: pruning every branch raises, it does not keep the heaviest."""
+    msg = HeraldedMessage.of(Z32, [1 / 3] * 3, [LAM1.values, LAM2.values, LAM1.values[::-1]])
+    with pytest.raises(ValidationError) as exc:
+        prune(msg, 0.4)
+    assert exc.type is ValidationError and str(exc.value) == "prune removed every branch"
+
+
+def test_branch_view_holds_the_probabilities_and_renders_no_label(monkeypatch):
+    from abelianbp.messages import Labels
+
+    msg = check_combine(LAM1, LAM2)
+    rendered = []
+    monkeypatch.setattr(Labels, "render", lambda self: rendered.append(self))
+    branches = msg.branches
+    assert len(branches) == len(msg)
+    assert [b.prob for b in branches] == msg.probs.tolist()
+    assert rendered == []

@@ -5,6 +5,8 @@ from abelianbp import (
     EigenList,
     GroupSpec,
     HomSpec,
+    NumericalError,
+    ValidationError,
     apply_automorphism,
     check_combine,
     equality_combine,
@@ -537,3 +539,37 @@ def test_oracle_and_fast_path_name_the_same_heralds(moduli):
                           (oracle.simulate_marginalize(lam1, 1), marginalize_split(lam1, 1))]:
             assert sorted(sim.labels) == sorted(fast.labels)
             assert len(set(sim.labels)) == len(sim)
+
+
+Z145 = GroupSpec((145,))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: oracle.jacobi_eigh(np.eye(257)), ValidationError,
+     "dimension 257 exceeds oracle cap 256"),
+    (lambda: oracle.simulate_check(LAM1, useless_list(Z4)), ValidationError,
+     "check simulation: group mismatch"),
+    (lambda: oracle.simulate_equality(LAM1, useless_list(Z4)), ValidationError,
+     "equality simulation: group mismatch"),
+    (lambda: oracle.simulate_check(*[useless_list(GroupSpec((13,)))] * 2), ValidationError,
+     "tensor dimension exceeds the oracle cap"),
+    (lambda: oracle.simulate_hom(LAM1, inversion_automorphism(Z4)), ValidationError,
+     "hom simulation: eigen list not on the source group"),
+    (lambda: oracle.simulate_hom(useless_list(Z145), inversion_automorphism(Z145)),
+     ValidationError, "dimension exceeds the oracle cap"),
+    (lambda: oracle.simulate_marginalize(useless_list(GroupSpec((13, 12))), 1), ValidationError,
+     "dimension exceeds the oracle cap"),
+    (lambda: oracle.verify_rule("bogus", Z32, 1, 1), ValidationError,
+     "unknown verification rule 'bogus'"),
+    (lambda: oracle.simulate_automorphism(LAM1, HomSpec(Z32, Z32, ((0, 0), (0, 1)))),
+     ValidationError, "not an automorphism"),
+    # EigenList accepts a sum within 1e-6 of |G|; the oracle's unit-norm check is 1e-10
+    (lambda: oracle.state_matrix(EigenList(GroupSpec((3,)), [1.000001, 1, 1])), NumericalError,
+     "canonical states are not unit norm"),
+], ids=["jacobi-above-256", "check-across-groups", "equality-across-groups", "check-cap-z13",
+        "hom-off-source", "hom-above-144", "marginalize-above-144", "unknown-rule",
+        "not-an-automorphism", "state-norm"])
+def test_oracle_input_rejections(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message

@@ -6,6 +6,8 @@ import pytest
 from abelianbp import (
     EigenList,
     GroupSpec,
+    HomSpec,
+    ValidationError,
     avg_holevo,
     avg_pgm_error,
     check_combine,
@@ -296,8 +298,34 @@ def test_sampled_bytes_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_sample_count_must_be_positive():
-    from abelianbp.errors import ValidationError
-
     for samples in (0, -3):
         with pytest.raises(ValidationError, match="samples"):
             synthesize(perfect_list(Z3), 2, mode="sampled", seed=1, samples=samples)
+
+
+def _uniform_pair(moduli):
+    m = pure(useless_list(GroupSpec(moduli)))
+    return m, m
+
+
+def _endo(moduli, matrix):
+    G = GroupSpec(moduli)
+    return HomSpec(G, G, matrix)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kernel_minus(*_uniform_pair((3,)), _endo((3,), ((1,),))),
+     "polar kernel must act on G x G for G = Z3"),
+    (lambda: kernel_minus(*_uniform_pair((3,)), _endo((3, 3), ((1, 1), (1, 1)))),
+     "polar kernel must be an automorphism of G x G"),
+    (lambda: kernel_plus(*_uniform_pair((4,)), _endo((4, 4), ((1, 2), (0, 1)))),
+     "unsupported kernel: second-column block is neither zero nor an automorphism"),
+    (lambda: kernel_plus(*_uniform_pair(()), _endo((), ())),
+     "kernel plus: both outputs decouple from u2"),
+    (lambda: synthesize(useless_list(Z3), -1), "levels must be nonnegative"),
+], ids=["kernel-off-GxG", "kernel-not-automorphism", "z4-block-not-automorphism",
+        "trivial-group-decouples", "negative-levels"])
+def test_polar_rejections(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.type is ValidationError and str(exc.value) == message

@@ -5,6 +5,7 @@ the command line, and the package's checker reporting what jsonschema reports.""
 import copy
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -338,3 +339,16 @@ def test_trellis_documents_the_schema_accepts_can_still_be_incomplete(doc, messa
     with pytest.raises(ValidationError) as info:
         parse_trellis(doc)
     assert str(info.value) == message
+
+
+def test_unknown_schema_kind_is_rejected():
+    with pytest.raises(ValidationError) as exc:
+        schemas.schema_validate({}, "bogus")
+    assert exc.type is ValidationError and str(exc.value) == "unknown schema kind 'bogus'"
+
+
+def test_turbo_document_keeps_its_target_rate():
+    spec = standard_turbo(3)
+    doc = dump_turbo(replace(spec, target_rate=spec.rate))
+    assert doc["target_rate"] == "1/3"
+    assert parse_turbo(doc).target_rate == spec.rate

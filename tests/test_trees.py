@@ -662,3 +662,15 @@ def test_a_variable_without_other_factors_sends_the_useless_list(mode):
     assert len(useless) == 1 and useless[0].lams.tolist() == [useless_list(Z32).values.tolist()]
     out = run_mp(spec, mode=mode, seed=1)
     assert np.allclose(out.lams, LAM1.values) and out.probs.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FactorGraphSpec({"a": Z3}, {"l": leaf("a", LAM1)}, "a"),
+     "leaf 'l': message group != variable alphabet"),
+    (lambda: FactorGraphSpec({"a": Z32}, {"l": leaf("a", LAM1)}, "b"),
+     "root variable 'b' is not declared"),
+], ids=["leaf-off-alphabet", "undeclared-root"])
+def test_graph_rejections(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert exc.type is ValidationError and str(exc.value) == message

@@ -608,3 +608,14 @@ def test_malformed_trellises_are_rejected_when_built(build, message):
     with pytest.raises(ValidationError) as info:
         build()
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("obs, message", [
+    ([[EigenList(GroupSpec((3, 2)), [2, 1, 0, 2, 1, 0])]],
+     "messages on [GroupSpec(moduli=(3, 2))], not Z3"),
+    ([[useless_list(Z3), useless_list(Z3)]], "2 observations for 1 trellis outputs"),
+], ids=["off-output-group", "too-many-observations"])
+def test_decode_block_rejections(obs, message):
+    with pytest.raises(ValidationError) as exc:
+        decode_block(transfer_function_trellis([1, 0, 1], [1, 1, 1], 3), obs)
+    assert exc.type is ValidationError and str(exc.value) == message
